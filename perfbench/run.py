@@ -9,8 +9,9 @@ One client runs a closed loop: each operation starts when the previous one
 has finished, in a single process with at most one child at a time.
 
 With --trace 0 the run sets up, executes the workload's operations for about
---seconds (every one at least once, light ones many times), sets up four
-more times, and reports the end-to-end metrics. With --trace 1 it runs one
+--seconds (every one at least once, light ones many times), sets up six
+more times, and reports the end-to-end metrics, their times scaled to a
+fixed reference speed of the machine (see speed.py). With --trace 1 it runs one
 untraced pass and then traced passes for about --seconds, and reports the
 per-layer metrics and the tracing overhead. Every operation's
 output is checked, with tracing off; the last line of stdout is one JSON
@@ -34,9 +35,11 @@ import statistics
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import tracer
+from speed import SpeedProbe, paused
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
@@ -44,13 +47,14 @@ SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
 
 WORKLOADS = ("chi-sweep", "turan-scan", "cli-roundtrip")
-SETUP_REPS = 5
+SETUP_REPS = 7
 REP_BUDGET_S = 0.25  # first time budget of repeated executions per operation
 CACHE_ENV = "KNESERTURAN_CACHE_DIR"
 
 # end-to-end metrics in the final JSON line. The latency percentiles are on
-# the report lines only: across seeds they spread by up to 31% on a shared
-# machine, beyond the largest bound a later change could be held to.
+# the report lines only: which operation sits at a percentile depends on the
+# seed, and across seeds they spread by up to 24%, too close to the largest
+# bound a later change could be held to.
 END_TO_END = ("setup_s", "batch_s", "peak_rss_mb")
 # per-layer metrics in the final JSON line; every per-layer metric is on the
 # report lines. Self times that are exactly zero on some workload (an idle
@@ -121,14 +125,18 @@ class Bench:
         return self.wl.cli_roundtrip(rng, self.args.scale, self.runner)
 
     def setup_once(self):
-        """Import in a fresh interpreter, generate the corpus, warm up."""
+        """Import in a fresh interpreter, generate the corpus, warm up.
+
+        Returns the set-up's start, its wall time and the corpus.
+        """
         from kneserturan import patterns, turanalt
 
         patterns._pattern_hypergraph_cached.cache_clear()
         turanalt._admissible_vertex_vectors.cache_clear()
         start = time.perf_counter()
-        subprocess.run([sys.executable, "-c", "import kneserturan.cli"], cwd=ROOT,
-                       env=self.child_env, check=True, timeout=60)
+        with paused():
+            subprocess.run([sys.executable, "-c", "import kneserturan.cli"], cwd=ROOT,
+                           env=self.child_env, check=True, timeout=60)
         ops = self.build_ops()
         for op in ops:
             if op.warm is not None:
@@ -138,12 +146,15 @@ class Bench:
                     pass
         if not self.in_process:
             self.runner.call(["golden", "--only", "kneser-4-2"])
-        return time.perf_counter() - start, ops
+        return start, time.perf_counter() - start, ops
 
     # --- timed work ---
 
     def execute(self, index, op, traced):
-        """Run one operation timed, then check it untraced; return its wall time."""
+        """Run one operation timed, then check it untraced.
+
+        Returns the start of the timed call and its wall time.
+        """
         if op.prepare is not None:
             op.prepare()
         if traced:
@@ -172,11 +183,11 @@ class Bench:
             self.docs[index] = doc
         elif self.docs[index] != doc:
             self.outputs_identical = False
-        return wall
+        return start, wall
 
     def run_pass(self, ops, traced):
         """Every operation once, in corpus order; return the pass's batch time."""
-        return sum(self.execute(index, op, traced) for index, op in enumerate(ops))
+        return sum(self.execute(index, op, traced)[1] for index, op in enumerate(ops))
 
     def measure(self, ops, seconds):
         """Rounds of executions for about ``seconds``; each operation's times.
@@ -188,8 +199,12 @@ class Bench:
         ``seconds`` have passed, no further execution starts. Light
         operations so get many executions spread over the run, and their
         medians shrug off the bursts of noise of a shared machine.
+
+        Returns each operation's starts and wall times, in flat arrays, so
+        that the number of executions barely moves the peak memory.
         """
-        samples = [[] for _ in ops]
+        samples = [array("d") for _ in ops]
+        starts = [array("d") for _ in ops]
         budget = REP_BUDGET_S
         shuffle = random.Random(0).shuffle
         due = list(range(len(ops)))
@@ -197,8 +212,10 @@ class Bench:
         while True:
             for i in due:
                 if samples[i] and time.perf_counter() - start >= seconds:
-                    return samples
-                samples[i].append(self.execute(i, ops[i], False))
+                    return starts, samples
+                execution_start, wall = self.execute(i, ops[i], False)
+                starts[i].append(execution_start)
+                samples[i].append(wall)
             due = []
             while not due:
                 due = [i for i, walls in enumerate(samples) if sum(walls) < budget]
@@ -230,30 +247,39 @@ def run(args, child_env):
     bench = Bench(args, child_env)
     print(f"# workload={args.workload} seed={args.seed} seconds={args.seconds:g} "
           f"trace={args.trace} scale={args.scale} backend={kneserturan.kernels.BACKEND}")
-
-    setup_s, ops = bench.setup_once()
-    print(f"# operations per pass: {len(ops)}")
     metrics = {}
 
     if not args.trace:
-        samples = bench.measure(ops, args.seconds)
-        # the other set-ups run after the timed work, so that one slow phase
-        # of the machine does not hit them all
-        setups = [setup_s] + [bench.setup_once()[0] for _ in range(SETUP_REPS - 1)]
-        # an operation's latency is the median of its executions
-        latency = [statistics.median(walls) for walls in samples]
+        probe = SpeedProbe()
+        with probe.sampling():
+            *first_setup, ops = bench.setup_once()
+            print(f"# operations per pass: {len(ops)}")
+            starts, walls = bench.measure(ops, args.seconds)
+            # the other set-ups run after the timed work, so that one slow
+            # phase of the machine does not hit them all
+            setups = [first_setup] + [bench.setup_once()[:2] for _ in range(SETUP_REPS - 1)]
+        # an operation's latency is the median of its executions, each at
+        # reference speed (see speed.py)
+        latency = [statistics.median(map(probe.scaled, *times)) for times in zip(starts, walls)]
         p50, _ = percentile(latency, 50)
         p90, above = percentile(latency, 90)
-        metrics["setup_s"] = (statistics.median(setups), "s")
+        metrics["setup_s"] = (statistics.median(probe.scaled(*run) for run in setups), "s")
+        metrics["setup_s.wall"] = (statistics.median(probe.net(*run) for run in setups), "s")
         # one pass over the corpus with every operation at its latency
         metrics["batch_s"] = (sum(latency), "s")
+        metrics["batch_s.wall"] = (sum(statistics.median(map(probe.net, *times))
+                                       for times in zip(starts, walls)), "s")
+        metrics["machine_speed"] = (probe.speed(), "ratio")
         metrics["op_s.p50"] = (p50, "s")
         metrics["op_s.p90"] = (p90, "s")
         metrics["peak_rss_mb"] = (_peak_rss_mb(not bench.in_process), "MB")
-        executions = sum(map(len, samples))
+        executions = sum(map(len, walls))
         notes = {
-            "setup_s": f" (median of {SETUP_REPS})",
-            "batch_s": f" ({executions} executions of {len(ops)} operations)",
+            "setup_s": f" (median of {SETUP_REPS}, at reference speed)",
+            "setup_s.wall": f" (median of {SETUP_REPS})",
+            "batch_s": f" ({executions} executions of {len(ops)} operations, "
+                       f"at reference speed)",
+            "machine_speed": f" (over {len(probe.durations)} probes)",
             "op_s.p50": f" (n={len(ops)} operations)",
             "op_s.p90": f" (n={len(ops)} operations, {above} above it)",
         }
@@ -272,6 +298,8 @@ def run(args, child_env):
                     print(f"metric {kind}_s.p90 not reported: n={n}, "
                           f"{above} operations above it, 10 needed")
     else:
+        *_, ops = bench.setup_once()
+        print(f"# operations per pass: {len(ops)}")
         start = time.perf_counter()
         untraced = bench.run_pass(ops, False)
         bench.tracer.reset()
@@ -313,6 +341,10 @@ def main(argv=None):
               file=sys.stderr)
         return 2
 
+    # one CPU for the benchmark and its children, so that the speed probe
+    # runs where the work runs; the loop is closed, so nothing waits for it
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     # the cache directory would let verify read what compute wrote
     os.environ.pop(CACHE_ENV, None)
     child_env = dict(os.environ)

@@ -23,7 +23,8 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 WORKLOADS = ("chi-sweep", "turan-scan", "cli-roundtrip")
 
-REPORTED = ("setup_s", "batch_s", "op_s.p50", "op_s.p90", "peak_rss_mb", "fail_ratio")
+REPORTED = ("setup_s", "setup_s.wall", "batch_s", "batch_s.wall", "machine_speed",
+            "op_s.p50", "op_s.p90", "peak_rss_mb", "fail_ratio")
 CLI_ONLY = ("compute_s.p50", "compute_s.p90", "verify_s.p50", "verify_s.p90")
 LAYERS = (
     "kernels.max_independent_set.calls", "kernels.max_independent_set.self_s",

@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Callable
 
 from kneserturan import exactsolve, hyperstruct, kneser, patterns, turanalt
+from speed import paused
 
 CHI_CAP = 128
 CLI_TIMEOUT_S = 150
@@ -298,11 +299,12 @@ class CliRunner:
         else:
             cmd = [sys.executable, "-c", CLI_ENTRY, *args]
         if stdout_path is None:
-            proc = subprocess.run(cmd, cwd=self.root, env=self.env, capture_output=True,
-                                  text=True, timeout=CLI_TIMEOUT_S)
+            with paused():
+                proc = subprocess.run(cmd, cwd=self.root, env=self.env, capture_output=True,
+                                      text=True, timeout=CLI_TIMEOUT_S)
             out = proc.stdout
         else:
-            with open(stdout_path, "w") as fh:
+            with open(stdout_path, "w") as fh, paused():
                 proc = subprocess.run(cmd, cwd=self.root, env=self.env, stdout=fh,
                                       stderr=subprocess.PIPE, text=True,
                                       timeout=CLI_TIMEOUT_S)
