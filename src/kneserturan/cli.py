@@ -16,11 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from functools import partial
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
 from .exactsolve import (
     DEFAULT_SOLVER_CAP,
-    UNBOUNDED,
     chromatic_number_graph,
     chromatic_number_hypergraph,
     covering_number,
@@ -38,7 +40,14 @@ from .hyperstruct import (
     from_dimacs,
     to_dimacs,
 )
-from .kneser import DEFAULT_GRAPH_CAP, DEFAULT_POWER_CAP, build_named_kneser, kneser_of_family, kneser_power
+from .kneser import (
+    DEFAULT_GRAPH_CAP,
+    DEFAULT_POWER_CAP,
+    NamedKneser,
+    build_named_kneser,
+    kneser_of_family,
+    kneser_power,
+)
 from .patterns import PatternFamily, family_of, pattern_hypergraph
 from .turanalt import (
     DEFAULT_ALT_CAP,
@@ -55,12 +64,6 @@ from .turanalt import (
     turan_number,
     verify_certificate,
     verify_turan_report,
-)
-
-QUANTITIES = (
-    "chi", "alpha", "beta",
-    "ex", "ex-alt", "ex-salt",
-    "alt-sigma", "salt-sigma", "certificate",
 )
 
 # cli flag name -> keyword of build_named_family, per host/pattern kind
@@ -118,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     instance_args(sp)
 
     sp = sub.add_parser("compute", help="compute one quantity on an instance")
-    sp.add_argument("quantity", choices=QUANTITIES)
+    sp.add_argument("quantity", choices=tuple(_QUANTITIES))
     instance_args(sp)
     ordering_args(sp)
     sp.add_argument("--i", type=int, default=1, help="admissibility level for alt-sigma/certificate")
@@ -145,34 +148,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # --- instance resolution ---
 
-class _Resolved:
-    """Everything a verb needs, plus the config echo that rebuilds it."""
+class _Resolved(NamedTuple):
+    """An instance rebuilt from its config echo.
 
-    def __init__(self, scheme, config, named=None, host=None, family=None, raw=None, r=None):
-        self.scheme = scheme
-        self.config = config
-        self.named = named
-        self.host = host
-        self.family = family
-        self.raw = raw
-        self.r = r
+    ``host`` is the named instance's host, the host of a pattern instance or
+    the raw hypergraph; ``family`` is None only for the raw scheme.
+    """
+
+    config: dict
+    host: Hypergraph
+    family: PatternFamily | None = None
+    named: NamedKneser | None = None
+    r: int | None = None
 
 
-def _named_family_from_flags(kind: str, getter, prefix: str = "") -> tuple[Hypergraph, dict]:
-    kind = kind.replace("_", "-")
+def _family_params(kind: str, getter, prefix: str = "") -> dict:
     if kind not in _FAMILY_FLAGS:
         raise InvalidParameterError(f"unknown graph kind {kind!r}; choose from "
                                     + ", ".join(sorted(_FAMILY_FLAGS)))
     params = {}
-    shown = {}
-    for flag, kw in _FAMILY_FLAGS[kind]:
+    for flag, _ in _FAMILY_FLAGS[kind]:
         value = getter(flag)
         if value is None:
             want = " and ".join(f"--{prefix}{f}" for f, _ in _FAMILY_FLAGS[kind])
             raise InvalidParameterError(f"{kind} needs {want}")
-        params[kw] = value
-        shown[flag] = value
-    return build_named_family(kind, **params), shown
+        params[flag] = value
+    return params
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -183,7 +184,8 @@ def _load_hypergraph(path: str) -> Hypergraph:
     return from_dimacs(text)
 
 
-def _resolve_instance(args) -> _Resolved:
+def _instance_config(args) -> dict:
+    """The config echo of the instance flags; _rebuild_instance builds it."""
     given = [x for x in (args.family, args.host, args.input) if x]
     if args.family and (args.host or args.input):
         raise InvalidParameterError("--family excludes --host/--input")
@@ -204,20 +206,16 @@ def _resolve_instance(args) -> _Resolved:
             params[flag] = value
         if kind != "permutation" and args.r not in (None, 2):
             raise InvalidParameterError("named families are order-2 instances; --r does not apply")
-        named = build_named_kneser(kind, **params)
-        config = {"scheme": "named", "kind": kind, "params": params}
-        return _Resolved("named", config, named=named, r=2)
+        return {"scheme": "named", "kind": kind, "params": params}
 
     if args.host and args.input:
         raise InvalidParameterError("--host and --input are mutually exclusive")
     if args.host:
-        host, shown = _named_family_from_flags(args.host, lambda f: getattr(args, f))
-        host_cfg = {"kind": args.host.replace("_", "-"), "params": shown}
+        host_kind = args.host.replace("_", "-")
+        host_cfg = {"kind": host_kind,
+                    "params": _family_params(host_kind, lambda f: getattr(args, f))}
     else:
-        host = _load_hypergraph(args.input)
-        host_cfg = {"doc": host.to_json_dict()}
-    if args.double:
-        host = doubled(host)
+        host_cfg = {"doc": _load_hypergraph(args.input).to_json_dict()}
     host_cfg["double"] = bool(args.double)
 
     if args.pattern:
@@ -225,66 +223,46 @@ def _resolve_instance(args) -> _Resolved:
             value = getattr(args, f"pattern_{flag}")
             if value is None and args.host:
                 # fall back to the bare flag when the host kind does not use it
-                host_kind = args.host.replace("_", "-")
-                host_flags = {f for f, _ in _FAMILY_FLAGS.get(host_kind, ())}
+                host_flags = {f for f, _ in _FAMILY_FLAGS.get(host_cfg["kind"], ())}
                 if flag not in host_flags:
                     value = getattr(args, flag)
             elif value is None and not args.host:
                 value = getattr(args, flag)
             return value
 
-        member, shown = _named_family_from_flags(args.pattern, pattern_getter, prefix="pattern-")
-        family = family_of(member)
-        config = {
-            "scheme": "pattern",
-            "host": host_cfg,
-            "pattern": {"kind": args.pattern.replace("_", "-"), "params": shown},
-            "r": args.r or 2,
-        }
-        return _Resolved("pattern", config, host=host, family=family, r=args.r or 2)
+        pattern_kind = args.pattern.replace("_", "-")
+        pattern = {"kind": pattern_kind,
+                   "params": _family_params(pattern_kind, pattern_getter, prefix="pattern-")}
+        return {"scheme": "pattern", "host": host_cfg, "pattern": pattern, "r": args.r or 2}
+    return {"scheme": "raw", "host": host_cfg, "r": args.r}
 
-    config = {"scheme": "raw", "host": host_cfg, "r": args.r}
-    return _Resolved("raw", config, raw=host, r=args.r)
+
+def _family_of_echo(cfg: dict) -> Hypergraph:
+    return build_named_family(cfg["kind"], **{
+        kw: cfg["params"][flag] for flag, kw in _FAMILY_FLAGS[cfg["kind"]]
+    })
 
 
 def _rebuild_instance(config: dict) -> _Resolved:
     """Inverse of the config echo: reconstruct exactly what a run resolved."""
-    scheme = config["scheme"]
-    if scheme == "named":
+    if config["scheme"] == "named":
         named = build_named_kneser(config["kind"], **config["params"])
-        return _Resolved("named", config, named=named, r=2)
+        return _Resolved(config, named.host, named.family, named, r=2)
     host_cfg = config["host"]
     if "doc" in host_cfg:
         host = Hypergraph.from_json_dict(host_cfg["doc"])
     else:
-        host = build_named_family(host_cfg["kind"], **{
-            kw: host_cfg["params"][flag]
-            for flag, kw in _FAMILY_FLAGS[host_cfg["kind"]]
-        })
+        host = _family_of_echo(host_cfg)
     if host_cfg.get("double"):
         host = doubled(host)
-    if scheme == "pattern":
-        pat = config["pattern"]
-        member = build_named_family(pat["kind"], **{
-            kw: pat["params"][flag] for flag, kw in _FAMILY_FLAGS[pat["kind"]]
-        })
-        return _Resolved("pattern", config, host=host, family=family_of(member), r=config.get("r", 2))
-    return _Resolved("raw", config, raw=host, r=config.get("r"))
+    if config["scheme"] == "pattern":
+        family = family_of(_family_of_echo(config["pattern"]))
+        return _Resolved(config, host, family, r=config.get("r", 2))
+    return _Resolved(config, host, r=config.get("r"))
 
 
-def _cap_for(quantity: str | None, resolved: _Resolved, args) -> int | None:
+def _cap_for(default: int, args) -> int | None:
     """Resolve --cap against the operation's default, enforcing the escape flag."""
-    if quantity in ("chi", "alpha", "beta"):
-        default = DEFAULT_SOLVER_CAP
-    elif quantity == "ex":
-        default = DEFAULT_TURAN_CAP
-    elif quantity in ("ex-alt", "ex-salt"):
-        explicit = getattr(args, "ordering", None) or getattr(args, "interval", False)
-        default = DEFAULT_TURAN_CAP if explicit else DEFAULT_ORDERING_CAP
-    elif quantity in ("alt-sigma", "salt-sigma", "certificate"):
-        default = DEFAULT_ALT_CAP
-    else:  # build / export
-        default = DEFAULT_GRAPH_CAP if (resolved.r or 2) == 2 else DEFAULT_POWER_CAP
     if args.cap is None:
         return None
     if args.cap > default and not args.i_know_this_is_huge:
@@ -295,78 +273,225 @@ def _cap_for(quantity: str | None, resolved: _Resolved, args) -> int | None:
     return args.cap
 
 
+def _build_cap(resolved: _Resolved) -> int:
+    return DEFAULT_GRAPH_CAP if (resolved.r or 2) == 2 else DEFAULT_POWER_CAP
+
+
 def _target_of(resolved: _Resolved, cap: int | None = None) -> tuple[Hypergraph, bool]:
     """The object a chi/alpha/beta/build/export verb acts on."""
-    if resolved.scheme == "named":
+    if resolved.named is not None:
         return resolved.named.graph, True
-    if resolved.scheme == "pattern":
+    if resolved.family is not None:
         instance = kneser_of_family(resolved.host, resolved.family, r=resolved.r, cap=cap)
         return instance.result, resolved.r == 2
     if resolved.r is not None:
-        instance = kneser_power(resolved.raw, r=resolved.r, cap=cap)
+        instance = kneser_power(resolved.host, r=resolved.r, cap=cap)
         return instance.result, resolved.r == 2
-    return resolved.raw, resolved.raw.is_graph
+    return resolved.host, resolved.host.is_graph
 
 
 def _rep_of(resolved: _Resolved) -> Hypergraph:
     """The representation whose sign-vector quantities are being asked for."""
-    if resolved.scheme == "named":
+    if resolved.named is not None:
         return resolved.named.instance.representation
-    if resolved.scheme == "pattern":
+    if resolved.family is not None:
         return pattern_hypergraph(resolved.host, resolved.family)
-    return resolved.raw
-
-
-def _resolve_ordering(args, resolved: _Resolved, n: int) -> tuple[LinearOrdering | None, dict | None]:
-    if getattr(args, "ordering", None):
-        with open(args.ordering) as fh:
-            seq = json.load(fh)
-        sigma = LinearOrdering(tuple(int(x) for x in seq))
-        return sigma, {"kind": "explicit", "sequence": list(sigma.sequence)}
-    if getattr(args, "interval", False):
-        if resolved.scheme == "raw":
-            if not resolved.raw.is_graph:
-                raise InvalidParameterError("--interval needs a 2-uniform host")
-            host = resolved.raw
-        elif resolved.scheme == "pattern":
-            host = resolved.host
-        else:
-            host = resolved.named.host
-        sigma = interval_ordering(host, singles_last=args.singles_last)
-        return sigma, {"kind": "interval", "sequence": list(sigma.sequence)}
-    if getattr(args, "identity", False):
-        sigma = LinearOrdering.identity(n)
-        return sigma, {"kind": "identity", "sequence": list(sigma.sequence)}
-    return None, None
+    return resolved.host
 
 
 def _host_and_family(resolved: _Resolved) -> tuple[Hypergraph, PatternFamily]:
-    if resolved.scheme == "named":
-        return resolved.named.host, resolved.named.family
-    if resolved.scheme == "pattern":
-        return resolved.host, resolved.family
-    raise InvalidParameterError("this quantity needs a host and a pattern, not a bare representation")
+    if resolved.family is None:
+        raise InvalidParameterError("this quantity needs a host and a pattern, "
+                                    "not a bare representation")
+    return resolved.host, resolved.family
+
+
+def _resolve_ordering(args, resolved: _Resolved, fallback: str) -> dict:
+    """Options echo of the ordering flags; ``fallback`` is the kind used without one.
+
+    An ordering permutes the host edges, which are the representation's vertices.
+    """
+    if args.ordering:
+        with open(args.ordering) as fh:
+            sigma = LinearOrdering(tuple(int(x) for x in json.load(fh)))
+        return {"kind": "explicit", "sequence": list(sigma.sequence)}
+    if args.interval:
+        sigma = interval_ordering(resolved.host, singles_last=args.singles_last)
+        return {"kind": "interval", "sequence": list(sigma.sequence)}
+    if args.identity or fallback == "identity":
+        n = resolved.host.n_vertices if resolved.family is None else resolved.host.n_edges
+        return {"kind": "identity", "sequence": list(range(n))}
+    return {"kind": fallback}
+
+
+# --- quantities ---
+
+def _cap_kwargs(options: dict) -> dict:
+    return {} if options["cap"] is None else {"cap": options["cap"]}
+
+
+def _sigma(options: dict) -> LinearOrdering:
+    return LinearOrdering(tuple(options["ordering"]["sequence"]))
+
+
+def _compute_chi(operand, options: dict) -> dict:
+    target, is_graph = operand
+    solve = chromatic_number_graph if is_graph else chromatic_number_hypergraph
+    report = solve(target, **_cap_kwargs(options)).to_json_dict()
+    return {"chi": report["value"], "assignment": report["assignment"],
+            "witness": report["witness"]}
+
+
+def _compute_vertex_set(quantity: str, solve, operand, options: dict) -> dict:
+    value, witness = solve(operand[0], **_cap_kwargs(options))
+    return {quantity: value, "witness_vertices": sorted(witness)}
+
+
+def _compute_ex(operand, options: dict) -> dict:
+    host, family = operand
+    report = turan_number(host, family, mode=options["mode"], seed=options["seed"],
+                          restarts=options["restarts"], **_cap_kwargs(options))
+    return {"ex": report.value, "report": report.to_json_dict()}
+
+
+def _compute_alternating(quantity: str, operand, options: dict) -> dict:
+    host, family = operand
+    strong = quantity == "ex-salt"
+    if options["ordering"]["kind"] != "minimized":
+        report = ex_alt_sigma(host, family, _sigma(options), strong=strong,
+                              **_cap_kwargs(options))
+    else:
+        mode = options["mode"]
+        if mode == "auto":
+            limit = DEFAULT_ORDERING_CAP if options["cap"] is None else options["cap"]
+            mode = "exact" if host.n_edges <= limit else "heuristic"
+        report = ex_alt_min(host, family, strong=strong, mode=mode, seed=options["seed"],
+                            restarts=options["restarts"], workers=options["workers"],
+                            **_cap_kwargs(options))
+    return {quantity: report.value, "report": report.to_json_dict()}
+
+
+def _compute_alt_sigma(rep: Hypergraph, options: dict) -> dict:
+    value = alt_sigma_level(rep, _sigma(options), i=options["i"], **_cap_kwargs(options))
+    return {"alt": value, "i": options["i"]}
+
+
+def _compute_salt_sigma(rep: Hypergraph, options: dict) -> dict:
+    return {"salt": salt_sigma(rep, _sigma(options), **_cap_kwargs(options))}
+
+
+def _compute_certificate(rep: Hypergraph, options: dict) -> dict:
+    cert = altermatic_certificate(rep, _sigma(options), i=options["i"],
+                                  strong=options["strong"], **_cap_kwargs(options))
+    return {"value": cert.value, "certificate": cert.to_json_dict()}
+
+
+def _verify_recompute(quantity: str, operand, options: dict, result: dict) -> dict:
+    """Recompute the headline under the default caps and compare."""
+    entry = _QUANTITIES[quantity]
+    headline = entry.result_keys[0]
+    recomputed = entry.compute(operand, {**options, "cap": None})[headline]
+    claimed = result[headline]
+    if recomputed != claimed:
+        raise VerificationError(f"{quantity} recomputes to {recomputed}, document says {claimed}")
+    return {"recomputed": True}
+
+
+def _verify_chi(quantity: str, operand, options: dict, result: dict) -> dict:
+    target, is_graph = operand
+    checks = {}
+    assignment = result.get("assignment")
+    if assignment is not None:
+        validator = validate_graph_coloring if is_graph else validate_hypergraph_coloring
+        if not validator(target, tuple(assignment)):
+            raise VerificationError("claimed coloring is not proper")
+        claimed = result["chi"]
+        if claimed != "unbounded" and len(set(assignment)) > claimed:
+            raise VerificationError("coloring uses more colors than claimed")
+        checks["coloring_proper"] = True
+    checks.update(_verify_recompute(quantity, operand, options, result))
+    return checks
+
+
+def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
+    host, family = operand
+    report = TuranReport.from_json_dict(result["report"])
+    if report.value != result[quantity]:
+        raise VerificationError("report value differs from the headline value")
+    return verify_turan_report(host, family, report)
+
+
+def _verify_certificate(quantity: str, rep: Hypergraph, options: dict, result: dict) -> dict:
+    cert = AltermaticCertificate.from_json_dict(result["certificate"])
+    if cert.representation.canonical_json() != rep.canonical_json():
+        raise VerificationError("certificate representation differs from the configured instance")
+    if cert.value != result["value"]:
+        raise VerificationError("certificate value differs from the headline value")
+    return verify_certificate(cert)
+
+
+class _Quantity(NamedTuple):
+    """How the command line computes and verifies one quantity.
+
+    ``operand`` builds what the quantity acts on from a resolved instance.
+    ``ordering`` is the ordering kind echoed when no ordering flag is given,
+    or None for quantities that read no ordering. ``compute`` reads only the
+    operand and the options echo, so verify can rerun it from a document.
+    ``result_keys`` are the result fields verify reads, the headline first.
+    """
+
+    result_keys: tuple[str, ...]
+    operand: Callable[[_Resolved], object]
+    default_cap: Callable[[argparse.Namespace], int]
+    compute: Callable[[object, dict], dict]
+    verify: Callable[[str, object, dict, dict], dict]
+    ordering: str | None = None
+
+
+def _alternating_cap(args) -> int:
+    # --ordering and --interval run ex_alt_sigma, whose default cap is the Turan
+    # cap; without them, and also with --identity, --cap is checked against the
+    # ordering scan's default
+    return DEFAULT_TURAN_CAP if args.ordering or args.interval else DEFAULT_ORDERING_CAP
+
+
+_QUANTITIES = {
+    "chi": _Quantity(("chi",), _target_of, lambda args: DEFAULT_SOLVER_CAP,
+                     _compute_chi, _verify_chi),
+    "alpha": _Quantity(("alpha",), _target_of, lambda args: DEFAULT_SOLVER_CAP,
+                       partial(_compute_vertex_set, "alpha", independence_number),
+                       _verify_recompute),
+    "beta": _Quantity(("beta",), _target_of, lambda args: DEFAULT_SOLVER_CAP,
+                      partial(_compute_vertex_set, "beta", covering_number), _verify_recompute),
+    "ex": _Quantity(("ex", "report"), _host_and_family, lambda args: DEFAULT_TURAN_CAP,
+                    _compute_ex, _verify_turan),
+    "ex-alt": _Quantity(("ex-alt", "report"), _host_and_family, _alternating_cap,
+                        partial(_compute_alternating, "ex-alt"), _verify_turan, "minimized"),
+    "ex-salt": _Quantity(("ex-salt", "report"), _host_and_family, _alternating_cap,
+                         partial(_compute_alternating, "ex-salt"), _verify_turan, "minimized"),
+    "alt-sigma": _Quantity(("alt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
+                           _compute_alt_sigma, _verify_recompute, "identity"),
+    "salt-sigma": _Quantity(("salt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
+                            _compute_salt_sigma, _verify_recompute, "identity"),
+    "certificate": _Quantity(("value", "certificate"), _rep_of, lambda args: DEFAULT_ALT_CAP,
+                             _compute_certificate, _verify_certificate, "identity"),
+}
 
 
 # --- verbs ---
 
+_OPTION_KEYS = ("r", "i", "strong", "mode", "seed", "restarts", "workers", "cap", "ordering")
+
+
 def _options_echo(args, cap, ordering_echo) -> dict:
-    return {
-        "r": getattr(args, "r", None),
-        "i": getattr(args, "i", None),
-        "strong": bool(getattr(args, "strong", False)),
-        "mode": getattr(args, "mode", None),
-        "seed": getattr(args, "seed", None),
-        "restarts": getattr(args, "restarts", None),
-        "workers": getattr(args, "workers", None),
-        "cap": cap,
-        "ordering": ordering_echo,
-    }
+    echo = {key: getattr(args, key, None) for key in _OPTION_KEYS}
+    echo.update(strong=bool(echo["strong"]), cap=cap, ordering=ordering_echo)
+    return echo
 
 
 def _run_build(args) -> tuple[dict, int]:
-    resolved = _resolve_instance(args)
-    cap = _cap_for(None, resolved, args)
+    resolved = _rebuild_instance(_instance_config(args))
+    cap = _cap_for(_build_cap(resolved), args)
     target, _ = _target_of(resolved, cap)
     config = {"verb": "build", "instance": resolved.config,
               "options": _options_echo(args, cap, None)}
@@ -379,75 +504,20 @@ def _run_build(args) -> tuple[dict, int]:
 
 
 def _run_compute(args) -> tuple[dict, int]:
-    q = args.quantity
-    resolved = _resolve_instance(args)
-    cap = _cap_for(q, resolved, args)
-    result: dict
-    ordering_echo = None
-
-    if q in ("chi", "alpha", "beta"):
-        target, is_graph = _target_of(resolved)
-        kwargs = {} if cap is None else {"cap": cap}
-        if q == "chi":
-            report = (chromatic_number_graph if is_graph else chromatic_number_hypergraph)(target, **kwargs)
-            value = report.value.to_json() if report.value is UNBOUNDED else report.value
-            result = {"chi": value,
-                      "assignment": list(report.coloring.assignment) if report.coloring else None,
-                      "witness": report.lower_witness}
-        elif q == "alpha":
-            value, keep = independence_number(target, **kwargs)
-            result = {"alpha": value, "witness_vertices": sorted(keep)}
-        else:
-            value, cover = covering_number(target, **kwargs)
-            result = {"beta": value, "witness_vertices": sorted(cover)}
-
-    elif q in ("ex", "ex-alt", "ex-salt"):
-        host, family = _host_and_family(resolved)
-        kwargs = {} if cap is None else {"cap": cap}
-        if q == "ex":
-            report = turan_number(host, family, mode=args.mode, seed=args.seed,
-                                  restarts=args.restarts, **kwargs)
-        else:
-            strong = q == "ex-salt"
-            sigma, ordering_echo = _resolve_ordering(args, resolved, host.n_edges)
-            if sigma is not None:
-                report = ex_alt_sigma(host, family, sigma, strong=strong, **kwargs)
-            else:
-                mode = args.mode
-                if mode == "auto":
-                    limit = cap if cap is not None else DEFAULT_ORDERING_CAP
-                    mode = "exact" if host.n_edges <= limit else "heuristic"
-                report = ex_alt_min(host, family, strong=strong, mode=mode,
-                                    seed=args.seed, restarts=args.restarts,
-                                    workers=args.workers, **kwargs)
-                ordering_echo = {"kind": "minimized"}
-        result = {q: report.value, "report": report.to_json_dict()}
-
-    elif q in ("alt-sigma", "salt-sigma", "certificate"):
-        rep = _rep_of(resolved)
-        sigma, ordering_echo = _resolve_ordering(args, resolved, rep.n_vertices)
-        if sigma is None:
-            sigma = LinearOrdering.identity(rep.n_vertices)
-            ordering_echo = {"kind": "identity", "sequence": list(sigma.sequence)}
-        kwargs = {} if cap is None else {"cap": cap}
-        if q == "alt-sigma":
-            result = {"alt": alt_sigma_level(rep, sigma, i=args.i, **kwargs), "i": args.i}
-        elif q == "salt-sigma":
-            result = {"salt": salt_sigma(rep, sigma, **kwargs)}
-        else:
-            cert = altermatic_certificate(rep, sigma, i=args.i, strong=args.strong, **kwargs)
-            result = {"value": cert.value, "certificate": cert.to_json_dict()}
-    else:  # pragma: no cover - argparse restricts choices
-        raise InvalidParameterError(f"unknown quantity {q!r}")
-
-    config = {"verb": "compute", "quantity": q, "instance": resolved.config,
-              "options": _options_echo(args, cap, ordering_echo)}
-    return {"config": config, "result": result}, 0
+    quantity = _QUANTITIES[args.quantity]
+    resolved = _rebuild_instance(_instance_config(args))
+    cap = _cap_for(quantity.default_cap(args), args)
+    operand = quantity.operand(resolved)
+    ordering = _resolve_ordering(args, resolved, quantity.ordering) if quantity.ordering else None
+    options = _options_echo(args, cap, ordering)
+    config = {"verb": "compute", "quantity": args.quantity, "instance": resolved.config,
+              "options": options}
+    return {"config": config, "result": quantity.compute(operand, options)}, 0
 
 
 def _run_export(args) -> tuple[str, int]:
-    resolved = _resolve_instance(args)
-    cap = _cap_for(None, resolved, args)
+    resolved = _rebuild_instance(_instance_config(args))
+    cap = _cap_for(_build_cap(resolved), args)
     target, is_graph = _target_of(resolved, cap)
     if args.format == "dimacs":
         if not is_graph or not target.is_graph:
@@ -463,17 +533,30 @@ def _run_golden(args) -> tuple[dict, int]:
     return {"config": config, "result": report}, 0 if report["ok"] else 1
 
 
+_CERTIFICATE_KEYS = ("representation", "ordering", "i", "strong", "alt_value", "value")
+
+
+def _require(doc, keys, what: str) -> None:
+    """A malformed document is bad input (exit 2), not a failed verification."""
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"malformed document: {what} is not a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise InvalidParameterError(f"malformed document: {what} lacks " + ", ".join(missing))
+
+
 def _run_verify(args) -> tuple[dict, int]:
     with open(args.document) as fh:
         doc = json.load(fh)
 
-    if isinstance(doc, dict) and "alt_value" in doc:
-        cert = AltermaticCertificate.from_json_dict(doc)
-        checks = verify_certificate(cert)
+    _require(doc, (), "the document")
+    if "alt_value" in doc:
+        _require(doc, _CERTIFICATE_KEYS, "the certificate")
+        checks = verify_certificate(AltermaticCertificate.from_json_dict(doc))
         return {"verified": True, "kind": "certificate", "checks": checks}, 0
-    if isinstance(doc, dict) and "config" in doc and "result" in doc:
+    if "config" in doc and "result" in doc:
         return _verify_run_document(doc)
-    if isinstance(doc, dict) and "edges" in doc and "n" in doc:
+    if "edges" in doc and "n" in doc:
         h = Hypergraph.from_json_dict(doc)
         again = json.loads(h.canonical_json())
         if again != doc:
@@ -485,81 +568,32 @@ def _run_verify(args) -> tuple[dict, int]:
 
 def _verify_run_document(doc: dict) -> tuple[dict, int]:
     config, result = doc["config"], doc["result"]
-    resolved = _rebuild_instance(config["instance"])
-    verb = config.get("verb")
-    quantity = config.get("quantity")
-    checks: dict = {}
-
+    _require(config, ("verb", "instance"), "config")
+    verb = config["verb"]
     if verb == "build":
-        target, _ = _target_of(resolved)
+        _require(result, ("hypergraph",), "result")
+        target, _ = _target_of(_rebuild_instance(config["instance"]))
         if target.to_json_dict() != result["hypergraph"]:
             raise VerificationError("rebuilt hypergraph differs from the document")
-        checks["rebuilt"] = True
-        return {"verified": True, "kind": "build", "checks": checks}, 0
-
+        return {"verified": True, "kind": "build", "checks": {"rebuilt": True}}, 0
     if verb != "compute":
         raise InvalidParameterError(f"cannot verify documents from verb {verb!r}; "
                                     "re-run golden reports with the golden verb")
 
-    if quantity in ("chi", "alpha", "beta"):
-        target, is_graph = _target_of(resolved)
-        if quantity == "chi":
-            assignment = result.get("assignment")
-            claimed = result["chi"]
-            if assignment is not None:
-                validator = validate_graph_coloring if is_graph else validate_hypergraph_coloring
-                if not validator(target, tuple(assignment)):
-                    raise VerificationError("claimed coloring is not proper")
-                used = len(set(assignment))
-                if claimed != "unbounded" and used > claimed:
-                    raise VerificationError("coloring uses more colors than claimed")
-                checks["coloring_proper"] = True
-            report = (chromatic_number_graph if is_graph else chromatic_number_hypergraph)(target)
-            recomputed = report.value.to_json() if report.value is UNBOUNDED else report.value
-        elif quantity == "alpha":
-            claimed = result["alpha"]
-            recomputed = independence_number(target)[0]
-        else:
-            claimed = result["beta"]
-            recomputed = covering_number(target)[0]
-        if recomputed != claimed:
-            raise VerificationError(f"{quantity} recomputes to {recomputed}, document says {claimed}")
-        checks["recomputed"] = True
-        return {"verified": True, "kind": quantity, "checks": checks}, 0
+    _require(config, ("quantity", "options"), "config")
+    name = config["quantity"]
+    if name not in _QUANTITIES:
+        raise InvalidParameterError(f"cannot verify quantity {name!r}")
+    quantity = _QUANTITIES[name]
+    _require(config["options"], _OPTION_KEYS, "options")
+    _require(result, quantity.result_keys, "result")
+    operand = quantity.operand(_rebuild_instance(config["instance"]))
+    checks = quantity.verify(name, operand, config["options"], result)
+    return {"verified": True, "kind": name, "checks": checks}, 0
 
-    if quantity in ("ex", "ex-alt", "ex-salt"):
-        host, family = _host_and_family(resolved)
-        report = TuranReport.from_json_dict(result["report"])
-        if report.value != result[quantity]:
-            raise VerificationError("report value differs from the headline value")
-        checks.update(verify_turan_report(host, family, report))
-        return {"verified": True, "kind": quantity, "checks": checks}, 0
 
-    if quantity in ("alt-sigma", "salt-sigma"):
-        rep = _rep_of(resolved)
-        sigma = LinearOrdering(tuple(config["options"]["ordering"]["sequence"]))
-        if quantity == "alt-sigma":
-            recomputed = alt_sigma_level(rep, sigma, i=config["options"]["i"])
-            claimed = result["alt"]
-        else:
-            recomputed = salt_sigma(rep, sigma)
-            claimed = result["salt"]
-        if recomputed != claimed:
-            raise VerificationError(f"{quantity} recomputes to {recomputed}, document says {claimed}")
-        checks["recomputed"] = True
-        return {"verified": True, "kind": quantity, "checks": checks}, 0
-
-    if quantity == "certificate":
-        cert = AltermaticCertificate.from_json_dict(result["certificate"])
-        rep = _rep_of(resolved)
-        if cert.representation.canonical_json() != rep.canonical_json():
-            raise VerificationError("certificate representation differs from the configured instance")
-        if cert.value != result["value"]:
-            raise VerificationError("certificate value differs from the headline value")
-        checks.update(verify_certificate(cert))
-        return {"verified": True, "kind": "certificate", "checks": checks}, 0
-
-    raise InvalidParameterError(f"cannot verify quantity {quantity!r}")
+_VERBS = {"build": _run_build, "compute": _run_compute, "verify": _run_verify,
+          "golden": _run_golden, "export": _run_export}
 
 
 # --- rendering and entry point ---
@@ -583,16 +617,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.verb == "build":
-            out, code = _run_build(args)
-        elif args.verb == "compute":
-            out, code = _run_compute(args)
-        elif args.verb == "verify":
-            out, code = _run_verify(args)
-        elif args.verb == "golden":
-            out, code = _run_golden(args)
-        else:
-            out, code = _run_export(args)
+        out, code = _VERBS[args.verb](args)
     except VerificationError as exc:
         print(canonical_dumps({"verified": False, "reason": str(exc)}))
         return 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 
 from .errors import InvalidParameterError, SizeCapError, VerificationError
@@ -25,8 +25,9 @@ from .hyperstruct import (
     alt_of_vector,
     apply_ordering,
     bits_of,
+    mask_of,
 )
-from .kernels import graph_color_decision
+from .kernels import graph_color_decision, max_independent_set
 from .patterns import PatternFamily, pattern_hypergraph
 
 DEFAULT_TURAN_CAP = 24
@@ -207,10 +208,9 @@ def turan_number(host: Hypergraph, family: PatternFamily, mode: str = "auto",
                  restarts: int = 64) -> TuranReport:
     """Largest number of host hyperedges keeping every pattern occurrence broken.
 
-    Exact branch-and-bound up to ``cap`` host edges; beyond that (or with
-    mode="heuristic") a seeded randomized greedy reports a lower bound. The
-    exact answer equals the independence number of the occurrence hypergraph,
-    which makes an easy cross-check.
+    The exact answer is the independence number of the occurrence hypergraph,
+    found by the shared kernel up to ``cap`` host edges; beyond that (or with
+    mode="heuristic") a seeded randomized greedy reports a lower bound.
     """
     if mode not in ("auto", "exact", "heuristic"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -220,32 +220,12 @@ def turan_number(host: Hypergraph, family: PatternFamily, mode: str = "auto",
     if exact:
         if m > cap:
             raise SizeCapError(f"host has {m} edges, above the exact cap {cap}")
-        value, mask = _max_free_subset(m, occ)
+        value, mask = max_independent_set(m, occ)
         return TuranReport("ex", value, "exact",
                            witness_edges=frozenset(bits_of(mask)))
     value, mask = _greedy_free_subset(m, occ, seed, restarts)
     return TuranReport("ex", value, "lower-bound",
                        witness_edges=frozenset(bits_of(mask)))
-
-
-def _max_free_subset(m: int, occ_masks) -> tuple[int, int]:
-    through = _through_index(m, occ_masks)
-    best_size = 0
-    best_mask = 0
-
-    def rec(pos: int, chosen: int, count: int):
-        nonlocal best_size, best_mask
-        if count > best_size:
-            best_size, best_mask = count, chosen
-        if pos == m or count + (m - pos) <= best_size:
-            return
-        grown = chosen | (1 << pos)
-        if all(om & grown != om for om in through[pos]):
-            rec(pos + 1, grown, count + 1)
-        rec(pos + 1, chosen, count)
-
-    rec(0, 0, 0)
-    return best_size, best_mask
 
 
 def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[int, int]:
@@ -376,37 +356,26 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
     if m == 0:
         empty = AlternatingColoring(LinearOrdering(()), ())
         return TuranReport(quantity, 0, "exact", witness_coloring=empty)
-    through = _through_index(m, occ)
     if mode == "exact":
         if m > cap:
             raise SizeCapError(f"host has {m} edges, above the ordering-scan cap {cap}")
-        ex_value, _ = _max_free_subset(m, occ)
+        ex_value, _ = max_independent_set(m, occ)
         if strong:
             floor = m if ex_value == m else ex_value + 1
         else:
             floor = ex_value
-        cur = m + 1
-        cur_seq: tuple[int, ...] | None = None
-        cur_col: tuple[tuple[int, str], ...] = ()
+        scan = partial(_ordering_scan, m, tuple(occ), strong, floor)
+        firsts = range(max(m - 1, 1))
         if workers > 1 and m > 1:
-            tasks = [(m, tuple(occ), strong, first, floor) for first in range(m - 1)]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_ordering_scan_worker, tasks))
-            for val, seq, colored in results:
-                if val < cur:
-                    cur, cur_seq, cur_col = val, seq, colored
+                results = list(pool.map(scan, (range(f, f + 1) for f in firsts)))
         else:
-            for p in permutations(range(m)):
-                if m > 1 and p[0] > p[-1]:
-                    continue
-                val, colored = _best_alternating(p, through, strong, cur)
-                if val < cur:
-                    cur, cur_seq, cur_col = val, p, colored
-                    if cur <= floor:
-                        break
+            results = [scan(firsts)]
+        cur, cur_seq, cur_col = min(results, key=lambda r: r[0])
         coloring = AlternatingColoring(LinearOrdering(cur_seq), cur_col)
         return TuranReport(quantity, cur, "exact", witness_coloring=coloring)
 
+    through = _through_index(m, occ)
     rng = random.Random(seed)
     candidates: list[tuple[int, ...]] = []
     if host.is_graph:
@@ -433,22 +402,28 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
     return TuranReport(quantity, cur, "upper-bound", witness_coloring=coloring)
 
 
-def _ordering_scan_worker(args):
-    m, occ_masks, strong, first, floor = args
+def _ordering_scan(m: int, occ_masks, strong: bool, floor: int, firsts: range):
+    """Least alternating maximum over the orderings that start in ``firsts``.
+
+    An ordering and its reverse admit the same colorings, so only orderings
+    whose first element is below their last are searched. The running
+    minimum is each search's ``stop_at``, and the scan ends at ``floor``.
+    Returns (value, ordering, colored pairs) of the first minimizing ordering.
+    """
     through = _through_index(m, occ_masks)
-    rest = [e for e in range(m) if e != first]
     cur = m + 1
     cur_seq = None
     cur_col: tuple[tuple[int, str], ...] = ()
-    for tail in permutations(rest):
-        if tail[-1] < first:
-            continue
-        seq = (first,) + tail
-        val, colored = _best_alternating(seq, through, strong, cur)
-        if val < cur:
-            cur, cur_seq, cur_col = val, seq, colored
-            if cur <= floor:
-                break
+    for first in firsts:
+        for tail in permutations([e for e in range(m) if e != first]):
+            if tail and tail[-1] < first:
+                continue
+            seq = (first,) + tail
+            val, colored = _best_alternating(seq, through, strong, cur)
+            if val < cur:
+                cur, cur_seq, cur_col = val, seq, colored
+                if cur <= floor:
+                    return cur, cur_seq, cur_col
     return cur, cur_seq, cur_col
 
 
@@ -522,17 +497,7 @@ def _alt_search(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool,
                     if new_masks[a] & new_masks[b] == 0:
                         return False
             return True
-        all_masks = [om for om, _ in contained] + new_masks
-        c = len(all_masks)
-        if c <= i - 1:
-            return True
-        adj = [0] * c
-        for a in range(c):
-            for b in range(a + 1, c):
-                if all_masks[a] & all_masks[b] == 0:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-        return graph_color_decision(c, adj, i - 1) is not None
+        return _disjointness_colorable([om for om, _ in contained] + new_masks, i - 1)
 
     def rec(pos: int, plus: int, minus: int, bad_plus: bool, bad_minus: bool,
             runs: int, last: int):
@@ -583,6 +548,20 @@ def _alt_search(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool,
     rec(0, 0, 0, False, False, 0, 0)
     witness = SignVector(best_entries) if best_entries is not None else None
     return best, witness
+
+
+def _disjointness_colorable(masks: list[int], k: int) -> bool:
+    """Whether the disjointness graph of ``masks`` is k-colorable."""
+    c = len(masks)
+    if c <= k:
+        return True
+    adj = [0] * c
+    for a in range(c):
+        for b in range(a + 1, c):
+            if masks[a] & masks[b] == 0:
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+    return graph_color_decision(c, adj, k) is not None
 
 
 # --- independent permuted-coordinate formulation ---
@@ -688,13 +667,7 @@ def _witness_admissible(cert: AltermaticCertificate) -> bool:
         return cert.alt_value == 0
     if alt_of_vector(cert.witness.entries) != cert.alt_value:
         return False
-    plus_set, minus_set = apply_ordering(cert.witness, cert.ordering)
-    plus = 0
-    minus = 0
-    for v in plus_set:
-        plus |= 1 << v
-    for v in minus_set:
-        minus |= 1 << v
+    plus, minus = (mask_of(side) for side in apply_ordering(cert.witness, cert.ordering))
     inside = [em for em in masks if em & plus == em or em & minus == em]
     if cert.strong:
         plus_hit = any(em & plus == em for em in masks)
@@ -704,16 +677,7 @@ def _witness_admissible(cert: AltermaticCertificate) -> bool:
         return not inside
     if cert.i == 2:
         return all(a & b != 0 for a, b in combinations(inside, 2))
-    c = len(inside)
-    if c <= cert.i - 1:
-        return True
-    adj = [0] * c
-    for a in range(c):
-        for b in range(a + 1, c):
-            if inside[a] & inside[b] == 0:
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-    return graph_color_decision(c, adj, cert.i - 1) is not None
+    return _disjointness_colorable(inside, cert.i - 1)
 
 
 def verify_certificate(cert: AltermaticCertificate, brute_cap: int = 10) -> dict:

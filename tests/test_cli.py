@@ -122,16 +122,19 @@ def test_verify_accepts_fresh_run_document(capsys, tmp_path):
 
 
 def test_verify_rejects_tampered_value(capsys, tmp_path):
-    doc = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
-    doc["result"]["chi"] = 2
-    doc["result"]["assignment"] = None
-    path = tmp_path / "run.json"
-    path.write_text(canonical_dumps(doc))
-    code, out = _run(capsys, "verify", str(path))
-    assert code == 1
-    verdict = json.loads(out)
-    assert verdict["verified"] is False
-    assert "recomputes" in verdict["reason"]
+    for quantity, headline in (("chi", "chi"), ("alpha", "alpha"), ("beta", "beta"),
+                               ("alt-sigma", "alt"), ("salt-sigma", "salt")):
+        doc = _run_json(capsys, "compute", quantity, "--family", "kneser", "--n", "5",
+                        "--k", "2")
+        doc["result"][headline] -= 1
+        doc["result"].pop("assignment", None)
+        path = tmp_path / "run.json"
+        path.write_text(canonical_dumps(doc))
+        code, out = _run(capsys, "verify", str(path))
+        assert code == 1, quantity
+        verdict = json.loads(out)
+        assert verdict["verified"] is False
+        assert "recomputes" in verdict["reason"]
 
 
 def test_verify_certificate_document(capsys, tmp_path):
@@ -149,11 +152,22 @@ def test_verify_certificate_document(capsys, tmp_path):
 
 
 def test_verify_build_and_ex_documents(capsys, tmp_path):
+    host = tmp_path / "host.json"
+    host.write_text(build_named_family("cycle", n=5).canonical_json())
+    k4_p2 = ("--host", "complete", "--n", "4", "--pattern", "path", "--len", "2")
     for argv in (
         ("build", "--family", "circular", "--n", "5", "--d", "2"),
-        ("compute", "ex", "--host", "complete", "--n", "4", "--pattern", "path", "--len", "2"),
+        ("compute", "ex", *k4_p2),
         ("compute", "ex-alt", "--host", "complete", "--n", "3", "--pattern",
          "complete", "--pattern-n", "3", "--double", "--interval"),
+        ("compute", "alpha", *k4_p2),
+        ("compute", "beta", *k4_p2),
+        ("compute", "alt-sigma", *k4_p2, "--i", "2"),
+        ("compute", "salt-sigma", *k4_p2),
+        ("compute", "ex-salt", *k4_p2),
+        ("compute", "chi", "--input", str(host)),
+        ("compute", "chi", "--host", "cycle", "--n", "7", "--pattern", "path", "--len", "1",
+         "--r", "3"),
     ):
         doc = _run_json(capsys, *argv)
         path = tmp_path / "doc.json"
@@ -175,6 +189,17 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     assert code == 2
     code, _ = _run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2
+    # malformed documents are bad input, not failed verifications
+    for doc in (
+        {"config": {"verb": "compute", "quantity": "chi"}, "result": {"chi": 3}},
+        {"alt_value": 1, "ordering": [0], "i": 1, "strong": False, "value": 1},
+        {"config": {"verb": "golden", "selection": None, "workers": 1}, "result": {}},
+        [1, 2, 3],
+    ):
+        bad.write_text(json.dumps(doc))
+        code, out = _run(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
 
 
 def test_cap_escape_hatch_required(capsys):
@@ -193,11 +218,12 @@ def test_golden_verb_single_case(capsys):
 
 
 def test_console_entry_point():
-    out = subprocess.run(
-        [sys.executable, "-m", "kneserturan.cli", "golden", "--only", "circular-5-2"],
-        capture_output=True, text=True)
-    assert out.returncode == 0
-    assert json.loads(out.stdout)["result"]["ok"] is True
+    for module in ("kneserturan.cli", "kneserturan"):
+        out = subprocess.run(
+            [sys.executable, "-m", module, "golden", "--only", "circular-5-2"],
+            capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["result"]["ok"] is True
 
 
 def test_named_family_rejects_r_override(capsys):

@@ -139,13 +139,13 @@ DIGESTS = {
     "ex-alt-pattern verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
     "ex-heuristic": "f6a93e52cb1a774412a4705cb99fd58dd85e7962ae6e367ee7378668ad3d405d",
     "ex-heuristic verify": "ab5183ab4a1c259f44f13d6ee44c078a6d2056b7eaf2a7f10c78f8f467295c32",
-    "ex-input": "3ac8f5de0c2b30c419e472e5ddd3bb3581f222507a2c3e87ab1f85a2c3996952",
+    "ex-input": "42295ae6f04d6ba20e2e1a2946786d21f1b58892aae4472fe846c3a36a6a6653",
     "ex-input verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
-    "ex-k5-k3": "4f97d5395934d916555b3e9563bbf4ffe83fa5d17b121fac0fae70145544298b",
+    "ex-k5-k3": "699555def4e9f2bbb3921fe809fc96ee242bd411303c9fd4eba7ff81f8d93ffc",
     "ex-k5-k3 verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
-    "ex-named": "65493174370a88a236a1679414a583b190fa83b7ad87ddfb999fab66a4a250ff",
+    "ex-named": "925f743c4d57a1122f49508bdf26bdc1dabeeed07c4f4d87d8f58db7cc6a3f16",
     "ex-named verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
-    "ex-pattern": "72e59f5ce16b1446718bad3fc4cfacbce5be04d5b668e4999a431976f424bae7",
+    "ex-pattern": "30cea4115c73ae1d722278e25a36eeb2fcad2fb4107093c58d8c820bab8e5c32",
     "ex-pattern verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
     "ex-salt-identity": "697f316ead950958b048c27c125f4b21191ddea888d60a12e1c8e62ae609698c",
     "ex-salt-identity verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",

@@ -2,6 +2,8 @@ import random
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneserturan import (
     AlternatingColoring,
@@ -31,6 +33,8 @@ from kneserturan import (
     verify_certificate,
     verify_turan_report,
 )
+from kneserturan.hyperstruct import mask_of
+from kneserturan.turanalt import _brute_turan
 from conftest import random_graph, random_hypergraph
 
 
@@ -40,6 +44,10 @@ def _p2():
 
 def _k3():
     return family_of(build_named_family("complete", n=3))
+
+
+def _c4():
+    return family_of(build_named_family("cycle", n=4))
 
 
 # --- plain maximization ---
@@ -91,6 +99,22 @@ def test_exact_mode_respects_cap():
         turan_number(host, _k3(), mode="exact", cap=9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(edges=st.lists(st.sampled_from(list(combinations(range(6), 2))), min_size=1, max_size=10),
+       family=st.sampled_from((_p2, _k3, _c4)))
+def test_exact_turan_number_matches_subset_scan(edges, family):
+    # exact ex comes from the shared independence kernel; the full subset
+    # scan shares nothing with it, so it is the independent check
+    host = Hypergraph(6, tuple(frozenset(e) for e in edges))
+    fam = family()
+    occ = occurrence_masks(host, fam)
+    report = turan_number(host, fam, mode="exact")
+    assert report.value == _brute_turan(host.n_edges, occ)
+    assert len(report.witness_edges) == report.value
+    kept = mask_of(report.witness_edges)
+    assert all(om & kept != om for om in occ)
+
+
 # --- alternating variants at a fixed ordering ---
 
 def test_matching_pair_ordering_on_k4():
@@ -134,7 +158,7 @@ def test_minimized_ordering_parallel_workers_agree():
     par = ex_alt_min(host, _p2(), workers=2)
     par2 = ex_alt_min(host, _p2(), workers=2)
     assert par.value == seq.value == 2
-    assert par.to_json_dict() == par2.to_json_dict()
+    assert seq.to_json_dict() == par.to_json_dict() == par2.to_json_dict()
     verify_turan_report(host, _p2(), par)
 
 
