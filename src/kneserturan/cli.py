@@ -237,26 +237,40 @@ def _instance_config(args) -> dict:
     return {"scheme": "raw", "host": host_cfg, "r": args.r}
 
 
-def _family_of_echo(cfg: dict) -> Hypergraph:
+def _family_of_echo(cfg: dict, what: str) -> Hypergraph:
+    _require(cfg, ("kind", "params"), what)
+    _require(cfg["params"], (), f"the params of {what}")
+    params = _family_params(cfg["kind"], cfg["params"].get)
     return build_named_family(cfg["kind"], **{
-        kw: cfg["params"][flag] for flag, kw in _FAMILY_FLAGS[cfg["kind"]]
+        kw: params[flag] for flag, kw in _FAMILY_FLAGS[cfg["kind"]]
     })
 
 
 def _rebuild_instance(config: dict) -> _Resolved:
     """Inverse of the config echo: reconstruct exactly what a run resolved."""
-    if config["scheme"] == "named":
-        named = build_named_kneser(config["kind"], **config["params"])
+    _require(config, ("scheme",), "the instance")
+    scheme = config["scheme"]
+    if scheme == "named":
+        _require(config, ("kind", "params"), "the named instance")
+        kind = config["kind"]
+        if kind not in _NAMED_FLAGS:
+            raise InvalidParameterError(f"malformed document: unknown family {kind!r}")
+        _require(config["params"], _NAMED_FLAGS[kind], "the named instance params")
+        named = build_named_kneser(kind, **{f: config["params"][f] for f in _NAMED_FLAGS[kind]})
         return _Resolved(config, named.host, named.family, named, r=2)
+    if scheme not in ("pattern", "raw"):
+        raise InvalidParameterError(f"malformed document: unknown instance scheme {scheme!r}")
+    _require(config, ("host", "pattern") if scheme == "pattern" else ("host",), "the instance")
     host_cfg = config["host"]
+    _require(host_cfg, (), "the host")
     if "doc" in host_cfg:
         host = Hypergraph.from_json_dict(host_cfg["doc"])
     else:
-        host = _family_of_echo(host_cfg)
+        host = _family_of_echo(host_cfg, "the host")
     if host_cfg.get("double"):
         host = doubled(host)
-    if config["scheme"] == "pattern":
-        family = family_of(_family_of_echo(config["pattern"]))
+    if scheme == "pattern":
+        family = family_of(_family_of_echo(config["pattern"], "the pattern"))
         return _Resolved(config, host, family, r=config.get("r", 2))
     return _Resolved(config, host, r=config.get("r"))
 
@@ -316,6 +330,10 @@ def _resolve_ordering(args, resolved: _Resolved, fallback: str) -> dict:
             sigma = LinearOrdering(tuple(int(x) for x in json.load(fh)))
         return {"kind": "explicit", "sequence": list(sigma.sequence)}
     if args.interval:
+        if resolved.family is None:
+            raise InvalidParameterError(
+                "--interval orders host edges, so it needs --host/--pattern "
+                "(or --family), not a bare representation")
         sigma = interval_ordering(resolved.host, singles_last=args.singles_last)
         return {"kind": "interval", "sequence": list(sigma.sequence)}
     if args.identity or fallback == "identity":
@@ -331,7 +349,11 @@ def _cap_kwargs(options: dict) -> dict:
 
 
 def _sigma(options: dict) -> LinearOrdering:
-    return LinearOrdering(tuple(options["ordering"]["sequence"]))
+    _require(options["ordering"], ("sequence",), "the ordering echo")
+    sequence = options["ordering"]["sequence"]
+    if not isinstance(sequence, list):
+        raise InvalidParameterError("malformed document: the ordering sequence is not a list")
+    return LinearOrdering(tuple(sequence))
 
 
 def _compute_chi(operand, options: dict) -> dict:
@@ -415,6 +437,10 @@ def _verify_chi(quantity: str, operand, options: dict, result: dict) -> dict:
 
 def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
     host, family = operand
+    _require(result["report"], ("quantity", "value", "mode"), "the report")
+    coloring = result["report"].get("witness_coloring")
+    if coloring is not None:
+        _require(coloring, ("ordering", "colored"), "the witness coloring")
     report = TuranReport.from_json_dict(result["report"])
     if report.value != result[quantity]:
         raise VerificationError("report value differs from the headline value")
@@ -422,6 +448,7 @@ def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
 
 
 def _verify_certificate(quantity: str, rep: Hypergraph, options: dict, result: dict) -> dict:
+    _require(result["certificate"], _CERTIFICATE_KEYS, "the certificate")
     cert = AltermaticCertificate.from_json_dict(result["certificate"])
     if cert.representation.canonical_json() != rep.canonical_json():
         raise VerificationError("certificate representation differs from the configured instance")
@@ -449,10 +476,11 @@ class _Quantity(NamedTuple):
 
 
 def _alternating_cap(args) -> int:
-    # --ordering and --interval run ex_alt_sigma, whose default cap is the Turan
-    # cap; without them, and also with --identity, --cap is checked against the
-    # ordering scan's default
-    return DEFAULT_TURAN_CAP if args.ordering or args.interval else DEFAULT_ORDERING_CAP
+    # a fixed ordering (--ordering, --interval, --identity) runs ex_alt_sigma,
+    # whose default cap is the Turan cap; without one, --cap is checked against
+    # the ordering scan's default
+    fixed = args.ordering or args.interval or args.identity
+    return DEFAULT_TURAN_CAP if fixed else DEFAULT_ORDERING_CAP
 
 
 _QUANTITIES = {
@@ -586,6 +614,8 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
         raise InvalidParameterError(f"cannot verify quantity {name!r}")
     quantity = _QUANTITIES[name]
     _require(config["options"], _OPTION_KEYS, "options")
+    if quantity.ordering:
+        _require(config["options"]["ordering"], ("kind",), "the ordering echo")
     _require(result, quantity.result_keys, "result")
     operand = quantity.operand(_rebuild_instance(config["instance"]))
     checks = quantity.verify(name, operand, config["options"], result)

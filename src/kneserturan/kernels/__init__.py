@@ -6,8 +6,10 @@ the pure backend (_pure), which accepts arbitrary-width Python-int masks.
 Setting KNESERTURAN_PURE=1 forces the pure backend, which is how the
 benchmark and the backend-parity tests exercise both paths.
 
-Both backends implement identical algorithms and tie-breaking, so results
-(including witnesses) are bit-identical; only the speed differs.
+Both backends return bit-identical results, witnesses included, but they do
+not visit the same search nodes: the pure max_independent_set also prunes
+graphs with a clique-partition bound, which cuts only subtrees that cannot
+change the result, and the compiled one does not.
 """
 
 import os

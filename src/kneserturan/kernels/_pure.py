@@ -1,12 +1,16 @@
 """Pure-Python search kernels.
 
 Same contracts and identical tie-breaking rules as the compiled backend in
-_core.pyx, so the two return bit-identical results; this module is the import
-fallback and the reference the benchmark compares against. Masks are Python
-ints, one bit per vertex, so there is no width limit here.
+_core.pyx, so the two return bit-identical results; max_independent_set here
+also cuts, on graphs, subtrees that cannot change its result, so it visits
+fewer nodes. This module is the import fallback and the reference the
+benchmark compares against. Masks are Python ints, one bit per vertex, so
+there is no width limit here.
 """
 
 from __future__ import annotations
+
+from itertools import groupby
 
 
 def _bits(mask):
@@ -16,21 +20,74 @@ def _bits(mask):
         mask ^= low
 
 
+def _inclusion_minimal(uniq):
+    """The inclusion-minimal masks of ``uniq``, in the order of ``uniq``.
+
+    A proper subset has strictly fewer bits, so each mask is compared only
+    with the minimal masks of smaller sizes; equal-size masks are never
+    compared with each other.
+    """
+    below = []
+    for _, group in groupby(sorted(uniq, key=int.bit_count), key=int.bit_count):
+        below += [e for e in group if not any(f & ~e == 0 for f in below)]
+    kept = set(below)
+    return [e for e in uniq if e in kept]
+
+
+def _clique_partition_exceeds(cand: int, adj, limit: int) -> bool:
+    """True when a greedy clique partition of the graph on ``cand`` has more
+    than ``limit`` cliques.
+
+    Each clique starts at the lowest vertex left and grows by the lowest
+    common neighbour; counting stops once it passes ``limit``. An independent
+    set meets every clique at most once, so the count bounds its size.
+    """
+    count = 0
+    rest = cand
+    while rest:
+        count += 1
+        if count > limit:
+            return True
+        clique = rest & -rest
+        common = adj[clique.bit_length() - 1] & rest
+        while common:
+            low = common & -common
+            clique |= low
+            common &= adj[low.bit_length() - 1]
+        rest &= ~clique
+    return False
+
+
 def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     """Largest vertex set containing no edge entirely; returns (size, mask).
 
     Branch and bound on the standard hitting-set dichotomy: pick an edge still
     realizable inside chosen|candidates and branch on which of its free
     vertices gets excluded (earlier ones committed to the chosen side).
+
+    When every minimal edge has two vertices, a node is also cut when the
+    chosen vertices plus a greedy clique partition of the candidates cannot
+    beat the best size (Tomita and Seki's MCQ bound, for independent sets).
+    It cuts only subtrees with no strictly better leaf, so the result is the
+    same as without it, witness included.
     """
     full = (1 << n) - 1
     uniq = sorted(set(int(e) for e in edge_masks))
     if any(e == 0 for e in uniq):
         raise ValueError("empty edge mask")
     # only inclusion-minimal edges constrain independence
-    edges = [e for e in uniq if not any(f != e and (f & ~e) == 0 for f in uniq)]
+    edges = _inclusion_minimal(uniq)
     if not edges or n == 0:
         return n, full
+    adj = None
+    # edges are sorted, so the last one bounds every vertex index
+    if edges[-1] <= full and all(e.bit_count() == 2 for e in edges):
+        adj = [0] * n
+        for e in edges:
+            low = e & -e
+            u, v = low.bit_length() - 1, (e ^ low).bit_length() - 1
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
 
     best_size = 0
     best_mask = 0
@@ -40,6 +97,9 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
         union = chosen | cand
         total = union.bit_count()
         if total <= best_size:
+            return
+        if adj is not None and not _clique_partition_exceeds(
+                cand, adj, best_size - chosen.bit_count()):
             return
         pick = -1
         pick_t = n + 1

@@ -200,6 +200,23 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         code, out = _run(capsys, "verify", str(bad))
         assert code == 2
         assert out == ""
+    # malformed nested fields of otherwise complete documents
+    k4_p2 = ("--host", "complete", "--n", "4", "--pattern", "path", "--len", "2")
+    chi = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
+    alt = _run_json(capsys, "compute", "alt-sigma", *k4_p2)
+    ex = _run_json(capsys, "compute", "ex", *k4_p2)
+    chi["config"]["instance"] = {}
+    alt["config"]["options"]["ordering"] = None
+    del ex["result"]["report"]["quantity"]
+    for doc, reason in ((chi, "the instance lacks scheme"),
+                        (alt, "the ordering echo is not a JSON object"),
+                        (ex, "the report lacks quantity")):
+        bad.write_text(json.dumps(doc))
+        code = main(["verify", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2, reason
+        assert captured.out == ""
+        assert f"malformed document: {reason}" in captured.err
 
 
 def test_cap_escape_hatch_required(capsys):
@@ -209,6 +226,30 @@ def test_cap_escape_hatch_required(capsys):
     code, _ = _run(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2",
                    "--cap", "100000", "--i-know-this-is-huge")
     assert code == 0
+
+
+def test_interval_needs_host_edges(capsys, tmp_path):
+    # a raw representation has no host edges for --interval to order
+    rep = tmp_path / "path.json"
+    rep.write_text(build_named_family("path", length=3).canonical_json())
+    for quantity in ("alt-sigma", "salt-sigma", "certificate"):
+        code = main(["compute", quantity, "--input", str(rep), "--interval"])
+        captured = capsys.readouterr()
+        assert code == 2, quantity
+        assert captured.out == ""
+        assert "--interval orders host edges" in captured.err
+
+
+def test_fixed_orderings_share_the_turan_cap(capsys, tmp_path):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text("[0, 1, 2, 3, 4, 5]")
+    k4_p2 = ("--host", "complete", "--n", "4", "--pattern", "path", "--len", "2")
+    for flags in (("--identity",), ("--interval",), ("--ordering", str(sigma))):
+        doc = _run_json(capsys, "compute", "ex-alt", *k4_p2, *flags, "--cap", "10")
+        assert doc["config"]["options"]["cap"] == 10
+    # the ordering scan keeps its own, smaller default
+    code, _ = _run(capsys, "compute", "ex-alt", *k4_p2, "--cap", "10")
+    assert code == 2
 
 
 def test_golden_verb_single_case(capsys):

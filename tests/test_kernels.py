@@ -1,4 +1,8 @@
-"""Backend parity: the compiled kernels must match the pure ones bit for bit."""
+"""Backend parity: the compiled kernels must match the pure ones bit for bit.
+
+The pure max_independent_set is also checked against a test-local copy of
+the search without its clique-partition bound.
+"""
 
 import os
 import random
@@ -6,7 +10,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kneserturan import exactsolve, hyperstruct, kneser, patterns
 from kneserturan.kernels import BACKEND, _pure
 from kneserturan.kernels import graph_color_decision as dispatched_color
 
@@ -138,3 +145,81 @@ def test_pure_rejects_nothing_small():
     assert _pure.graph_color_decision(0, [], 1) == ()
     assert _pure.max_independent_set(0, []) == (0, 0)
     assert _pure.hypergraph_color_decision(0, [], 1) == ()
+
+
+def _unpruned_max_independent_set(n, edge_masks):
+    """The search without the clique-partition bound: the oracle for _pure."""
+    full = (1 << n) - 1
+    uniq = sorted(set(int(e) for e in edge_masks))
+    edges = [e for e in uniq if not any(f != e and (f & ~e) == 0 for f in uniq)]
+    if not edges or n == 0:
+        return n, full
+    best = [0, 0]
+
+    def rec(chosen, cand):
+        union = chosen | cand
+        total = union.bit_count()
+        if total <= best[0]:
+            return
+        pick, pick_t = -1, n + 1
+        for e in edges:
+            if e & ~union:
+                continue
+            t = (e & ~chosen).bit_count()
+            if t == 0:
+                return
+            if t < pick_t:
+                pick, pick_t = e, t
+                if t == 1:
+                    break
+        if pick == -1:
+            best[:] = [total, union]
+            return
+        forced = 0
+        for v in _pure._bits(pick & ~chosen):
+            bit = 1 << v
+            rec(chosen | forced, cand & ~(forced | bit))
+            forced |= bit
+
+    rec(0, full)
+    return best[0], best[1]
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.integers(0, 40))
+    p = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
+    rng = draw(st.randoms(use_true_random=False))
+    return n, [(1 << u) | (1 << v)
+               for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+@st.composite
+def _mixed_hypergraphs(draw):
+    # edges of 1 to 4 vertices plus supersets of some of them, so the
+    # minimality filter has work and a graph can hide among larger edges
+    n = draw(st.integers(1, 14))
+    vertex_sets = st.sets(st.integers(0, n - 1), min_size=1, max_size=min(n, 4))
+    masks = []
+    for vs in draw(st.lists(vertex_sets, max_size=3 * n)):
+        mask = sum(1 << v for v in vs)
+        masks.append(mask)
+        if draw(st.booleans()):
+            masks.append(mask | draw(st.integers(0, (1 << n) - 1)))
+    return n, masks
+
+
+@settings(max_examples=120, deadline=None)
+@given(instance=st.one_of(_graphs(), _mixed_hypergraphs()))
+def test_max_independent_set_matches_unpruned_search(instance):
+    n, masks = instance
+    assert _pure.max_independent_set(n, masks) == _unpruned_max_independent_set(n, masks)
+
+
+def test_max_clique_members_pinned():
+    k3 = patterns.family_of(hyperstruct.build_named_family("cycle", n=3))
+    k8 = hyperstruct.build_named_family("complete", n=8)
+    g = kneser.kneser_of_family(k8, k3).result
+    assert exactsolve.max_clique(g) == (8, frozenset({10, 13, 15, 24, 27, 32, 36, 55}))
+    g = kneser.build_named_kneser("kneser", n=9, k=3).graph
+    assert exactsolve.max_clique(g, cap=84) == (3, frozenset({27, 43, 49}))
