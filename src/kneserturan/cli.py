@@ -180,7 +180,7 @@ def _load_hypergraph(path: str) -> Hypergraph:
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return Hypergraph.from_json_dict(json.loads(text))
+        return _decode(Hypergraph.from_json_dict, json.loads(text), "the input file")
     return from_dimacs(text)
 
 
@@ -239,8 +239,10 @@ def _instance_config(args) -> dict:
 
 def _family_of_echo(cfg: dict, what: str) -> Hypergraph:
     _require(cfg, ("kind", "params"), what)
+    _require(cfg, ("kind",), what, str)
     _require(cfg["params"], (), f"the params of {what}")
     params = _family_params(cfg["kind"], cfg["params"].get)
+    _require(params, tuple(params), f"the params of {what}", int)
     return build_named_family(cfg["kind"], **{
         kw: params[flag] for flag, kw in _FAMILY_FLAGS[cfg["kind"]]
     })
@@ -252,10 +254,11 @@ def _rebuild_instance(config: dict) -> _Resolved:
     scheme = config["scheme"]
     if scheme == "named":
         _require(config, ("kind", "params"), "the named instance")
+        _require(config, ("kind",), "the named instance", str)
         kind = config["kind"]
         if kind not in _NAMED_FLAGS:
             raise InvalidParameterError(f"malformed document: unknown family {kind!r}")
-        _require(config["params"], _NAMED_FLAGS[kind], "the named instance params")
+        _require(config["params"], _NAMED_FLAGS[kind], "the named instance params", int)
         named = build_named_kneser(kind, **{f: config["params"][f] for f in _NAMED_FLAGS[kind]})
         return _Resolved(config, named.host, named.family, named, r=2)
     if scheme not in ("pattern", "raw"):
@@ -264,15 +267,18 @@ def _rebuild_instance(config: dict) -> _Resolved:
     host_cfg = config["host"]
     _require(host_cfg, (), "the host")
     if "doc" in host_cfg:
-        host = Hypergraph.from_json_dict(host_cfg["doc"])
+        host = _decode(Hypergraph.from_json_dict, host_cfg["doc"], "the host")
     else:
         host = _family_of_echo(host_cfg, "the host")
     if host_cfg.get("double"):
         host = doubled(host)
+    r = config.get("r", 2 if scheme == "pattern" else None)
+    if r is not None and type(r) is not int:
+        raise InvalidParameterError("malformed document: in the instance, r is not of type int")
     if scheme == "pattern":
         family = family_of(_family_of_echo(config["pattern"], "the pattern"))
-        return _Resolved(config, host, family, r=config.get("r", 2))
-    return _Resolved(config, host, r=config.get("r"))
+        return _Resolved(config, host, family, r=r)
+    return _Resolved(config, host, r=r)
 
 
 def _cap_for(default: int, args) -> int | None:
@@ -351,8 +357,8 @@ def _cap_kwargs(options: dict) -> dict:
 def _sigma(options: dict) -> LinearOrdering:
     _require(options["ordering"], ("sequence",), "the ordering echo")
     sequence = options["ordering"]["sequence"]
-    if not isinstance(sequence, list):
-        raise InvalidParameterError("malformed document: the ordering sequence is not a list")
+    if not isinstance(sequence, list) or any(type(x) is not int for x in sequence):
+        raise InvalidParameterError("malformed document: the ordering sequence is not a list of ints")
     return LinearOrdering(tuple(sequence))
 
 
@@ -423,11 +429,15 @@ def _verify_chi(quantity: str, operand, options: dict, result: dict) -> dict:
     target, is_graph = operand
     checks = {}
     assignment = result.get("assignment")
+    claimed = result["chi"]
+    if claimed != "unbounded" and type(claimed) is not int:
+        raise InvalidParameterError("malformed document: chi is neither an int nor \"unbounded\"")
     if assignment is not None:
+        if not isinstance(assignment, list) or any(type(c) is not int for c in assignment):
+            raise InvalidParameterError("malformed document: the assignment is not a list of ints")
         validator = validate_graph_coloring if is_graph else validate_hypergraph_coloring
         if not validator(target, tuple(assignment)):
             raise VerificationError("claimed coloring is not proper")
-        claimed = result["chi"]
         if claimed != "unbounded" and len(set(assignment)) > claimed:
             raise VerificationError("coloring uses more colors than claimed")
         checks["coloring_proper"] = True
@@ -441,7 +451,7 @@ def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
     coloring = result["report"].get("witness_coloring")
     if coloring is not None:
         _require(coloring, ("ordering", "colored"), "the witness coloring")
-    report = TuranReport.from_json_dict(result["report"])
+    report = _decode(TuranReport.from_json_dict, result["report"], "the report")
     if report.value != result[quantity]:
         raise VerificationError("report value differs from the headline value")
     return verify_turan_report(host, family, report)
@@ -449,7 +459,7 @@ def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
 
 def _verify_certificate(quantity: str, rep: Hypergraph, options: dict, result: dict) -> dict:
     _require(result["certificate"], _CERTIFICATE_KEYS, "the certificate")
-    cert = AltermaticCertificate.from_json_dict(result["certificate"])
+    cert = _decode(AltermaticCertificate.from_json_dict, result["certificate"], "the certificate")
     if cert.representation.canonical_json() != rep.canonical_json():
         raise VerificationError("certificate representation differs from the configured instance")
     if cert.value != result["value"]:
@@ -564,13 +574,28 @@ def _run_golden(args) -> tuple[dict, int]:
 _CERTIFICATE_KEYS = ("representation", "ordering", "i", "strong", "alt_value", "value")
 
 
-def _require(doc, keys, what: str) -> None:
-    """A malformed document is bad input (exit 2), not a failed verification."""
+def _require(doc, keys, what: str, scalar: type | None = None) -> None:
+    """A malformed document is bad input (exit 2), not a failed verification.
+
+    With ``scalar``, each of ``keys`` must also hold a value of that type.
+    """
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"malformed document: {what} is not a JSON object")
     missing = [key for key in keys if key not in doc]
     if missing:
         raise InvalidParameterError(f"malformed document: {what} lacks " + ", ".join(missing))
+    for key in keys:
+        if scalar is not None and type(doc[key]) is not scalar:
+            raise InvalidParameterError(
+                f"malformed document: in {what}, {key} is not of type {scalar.__name__}")
+
+
+def _decode(from_json_dict, doc, what: str):
+    """Deserialize a nested document; a value of the wrong type is bad input."""
+    try:
+        return from_json_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed document: {what}: {exc}") from None
 
 
 def _run_verify(args) -> tuple[dict, int]:
@@ -580,12 +605,13 @@ def _run_verify(args) -> tuple[dict, int]:
     _require(doc, (), "the document")
     if "alt_value" in doc:
         _require(doc, _CERTIFICATE_KEYS, "the certificate")
-        checks = verify_certificate(AltermaticCertificate.from_json_dict(doc))
+        checks = verify_certificate(_decode(AltermaticCertificate.from_json_dict, doc,
+                                            "the certificate"))
         return {"verified": True, "kind": "certificate", "checks": checks}, 0
     if "config" in doc and "result" in doc:
         return _verify_run_document(doc)
     if "edges" in doc and "n" in doc:
-        h = Hypergraph.from_json_dict(doc)
+        h = _decode(Hypergraph.from_json_dict, doc, "the hypergraph")
         again = json.loads(h.canonical_json())
         if again != doc:
             raise VerificationError("hypergraph document is not in canonical form")
@@ -614,6 +640,7 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
         raise InvalidParameterError(f"cannot verify quantity {name!r}")
     quantity = _QUANTITIES[name]
     _require(config["options"], _OPTION_KEYS, "options")
+    _require(config["options"], ("i", "seed", "restarts", "workers"), "options", int)
     if quantity.ordering:
         _require(config["options"]["ordering"], ("kind",), "the ordering echo")
     _require(result, quantity.result_keys, "result")

@@ -9,7 +9,10 @@ benchmark and the backend-parity tests exercise both paths.
 Both backends return bit-identical results, witnesses included, but they do
 not visit the same search nodes: the pure max_independent_set also prunes
 graphs with a clique-partition bound, which cuts only subtrees that cannot
-change the result, and the compiled one does not.
+change the result, and the compiled one does not. The pure
+graph_color_decision keeps its search state in color and level masks, walks
+the compiled backend's decision tree, and cuts at the assignment each child
+that would fail at once because a neighbour has no color left.
 """
 
 import os

@@ -3,9 +3,13 @@
 Same contracts and identical tie-breaking rules as the compiled backend in
 _core.pyx, so the two return bit-identical results; max_independent_set here
 also cuts, on graphs, subtrees that cannot change its result, so it visits
-fewer nodes. This module is the import fallback and the reference the
-benchmark compares against. Masks are Python ints, one bit per vertex, so
-there is no width limit here.
+fewer nodes. graph_color_decision keeps its state in color and level masks
+instead of one forbidden-color mask per vertex, so a node costs O(k) mask
+operations rather than a scan of every vertex; it walks the compiled
+decision tree and cuts each child that would fail at once at the assignment.
+This module is the import fallback and the reference the benchmark compares
+against. Masks are Python ints, one bit per vertex, so there is no width
+limit here.
 """
 
 from __future__ import annotations
@@ -134,66 +138,79 @@ def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | No
     caller guarantees they are pairwise adjacent. Further symmetry breaking:
     a vertex may open at most one brand-new color (max used so far plus one).
     Vertex selection: fewest usable colors, ties to the lowest id.
+
+    The state is kept in vertex masks: ``banned[c]`` marks the vertices next
+    to a vertex of color c, and ``level[j]`` holds the uncolored ones with
+    exactly j of the k colors free. Colors above the largest one used are free
+    everywhere, so capping the usable colors at one new color shifts every
+    count by the same amount, and the selected vertex is always the lowest
+    bit of the first non-empty level. Assigning a color moves the neighbours
+    that lose it down one level. A child in which a neighbour would lose its
+    last color is cut at the assignment; the search would select that
+    neighbour there and fail, so the decision tree, and the coloring
+    returned, are those of the compiled backend.
     """
     if n == 0:
         return ()
     if k <= 0 or len(clique) > k:
         return None
-    kmask = (1 << k) - 1
     color = [-1] * n
-    forbid = [0] * n
-    uncolored = n
-    max_used = -1
+    banned = [0] * k
+    uncolored = (1 << n) - 1
     for c, v in enumerate(clique):
         color[v] = c
-        uncolored -= 1
-        max_used = c
-        for u in _bits(adj[v]):
-            forbid[u] |= 1 << c
+        uncolored &= ~(1 << v)
+        banned[c] |= adj[v]
+    level = [0] * (k + 1)
+    for v in _bits(uncolored):
+        level[k - sum(b >> v & 1 for b in banned)] |= 1 << v
 
-    def select(cap_mask: int) -> int:
-        best_v, best_cnt = -1, 1 << 30
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            cnt = (cap_mask & ~forbid[v]).bit_count()
-            if cnt < best_cnt:
-                best_v, best_cnt = v, cnt
-                if cnt == 0:
-                    break
-        return best_v
-
-    def rec() -> bool:
-        nonlocal uncolored, max_used
-        if uncolored == 0:
+    def rec(uncolored: int, max_used: int) -> bool:
+        if not uncolored:
             return True
-        cap_mask = kmask & ((1 << (max_used + 2)) - 1)
-        v = select(cap_mask)
-        usable = cap_mask & ~forbid[v]
-        if usable == 0:
-            return False
-        old_max = max_used
-        for c in _bits(usable):
-            bit = 1 << c
+        j = 0
+        while not level[j]:
+            j += 1
+        if j == 0:
+            return False  # only the pre-colored clique leaves a vertex here
+        vbit = level[j] & -level[j]
+        v = vbit.bit_length() - 1
+        level[j] ^= vbit
+        rest = uncolored ^ vbit
+        nbrs = adj[v] & rest
+        for c in range(min(k, max_used + 2)):
+            if banned[c] & vbit:
+                continue
+            hit = nbrs & ~banned[c]
+            if hit & level[1]:
+                continue  # a neighbour would lose its last color
             color[v] = c
-            uncolored -= 1
-            if c > max_used:
-                max_used = c
-            touched = []
-            for u in _bits(adj[v]):
-                if color[u] < 0 and not forbid[u] & bit:
-                    forbid[u] |= bit
-                    touched.append(u)
-            if rec():
+            banned[c] |= hit
+            # the vertices of hit drop one level, none of them to level 0 ...
+            todo, i = hit, 1
+            while todo:
+                moved = level[i] & todo
+                if moved:
+                    level[i] ^= moved
+                    level[i - 1] |= moved
+                    todo ^= moved
+                i += 1
+            if rec(rest, c if c > max_used else max_used):
                 return True
-            for u in touched:
-                forbid[u] &= ~bit
-            uncolored += 1
-            color[v] = -1
-            max_used = old_max
+            # ... and climb back on backtrack
+            todo, i = hit, 1
+            while todo:
+                moved = level[i] & todo
+                if moved:
+                    level[i] ^= moved
+                    level[i + 1] |= moved
+                    todo ^= moved
+                i += 1
+            banned[c] ^= hit
+        level[j] |= vbit
         return False
 
-    return tuple(color) if rec() else None
+    return tuple(color) if rec(uncolored, len(clique) - 1) else None
 
 
 def hypergraph_color_decision(n: int, edge_masks, k: int) -> tuple[int, ...] | None:

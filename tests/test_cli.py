@@ -205,12 +205,27 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     chi = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
     alt = _run_json(capsys, "compute", "alt-sigma", *k4_p2)
     ex = _run_json(capsys, "compute", "ex", *k4_p2)
+    string_n = json.loads(json.dumps(chi))
+    string_n["config"]["instance"]["params"]["n"] = "5"
+    scalar_assignment = json.loads(json.dumps(chi))
+    scalar_assignment["result"]["assignment"] = 5
+    string_r = json.loads(json.dumps(ex))
+    string_r["config"]["instance"]["r"] = "2"
+    string_i = json.loads(json.dumps(alt))
+    string_i["config"]["options"]["i"] = "1"
+    string_value = json.loads(json.dumps(ex))
+    string_value["result"]["report"]["value"] = "x"
     chi["config"]["instance"] = {}
     alt["config"]["options"]["ordering"] = None
     del ex["result"]["report"]["quantity"]
     for doc, reason in ((chi, "the instance lacks scheme"),
                         (alt, "the ordering echo is not a JSON object"),
-                        (ex, "the report lacks quantity")):
+                        (ex, "the report lacks quantity"),
+                        (string_n, "in the named instance params, n is not of type int"),
+                        (scalar_assignment, "the assignment is not a list of ints"),
+                        (string_r, "in the instance, r is not of type int"),
+                        (string_i, "in options, i is not of type int"),
+                        (string_value, "the report: invalid literal")):
         bad.write_text(json.dumps(doc))
         code = main(["verify", str(bad)])
         captured = capsys.readouterr()

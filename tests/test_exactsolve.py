@@ -157,3 +157,32 @@ def test_chromatic_report_carries_lower_witness():
     doc = report.to_json_dict()
     assert doc["value"] == 4
     assert doc["witness"]
+
+
+def test_chromatic_reports_pinned():
+    # values, witnesses and colorings as the per-vertex decision search gave
+    # them; schrijver(10,3) is the decision kernel's hardest refutation
+    # (omega 3 against chi 6, so the search refutes 3, 4 and 5 colors)
+    k3 = family_of(build_named_family("cycle", n=3))
+    cases = (
+        (kneser_of_family(build_named_family("complete", n=8), k3).result, 12, 11, [
+            0, 1, 2, 4, 3, 5, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 8, 7, 9,
+            6, 11, 4, 3, 5, 10, 4, 3, 5, 4, 3, 5, 3, 4, 3, 6, 6, 6, 6, 11,
+            11, 11, 8, 7, 9, 10, 10, 10, 8, 7, 9, 8, 7, 9, 7
+        ]),
+        (build_named_kneser("kneser", n=9, k=3).graph, 5, 4, [
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1,
+            1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2,
+            2, 4, 3, 3, 3, 3, 3, 3, 3, 3, 4, 3, 4, 4, 4, 4, 4, 4, 4, 4, 3
+        ]),
+        (build_named_kneser("schrijver", n=10, k=3).graph, 6, 5, [
+            0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1,
+            1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 3, 3, 2, 3, 3, 3, 3, 2, 3, 4, 4,
+            4, 4, 2, 4, 2, 2, 2, 5
+        ]),
+    )
+    for g, chi, refuted, assignment in cases:
+        report = chromatic_number_graph(g, cap=g.n_vertices).to_json_dict()
+        assert report == {"value": chi, "assignment": assignment,
+                          "witness": {"kind": "exhausted", "refuted_colors": refuted}}

@@ -1,7 +1,9 @@
 """Backend parity: the compiled kernels must match the pure ones bit for bit.
 
 The pure max_independent_set is also checked against a test-local copy of
-the search without its clique-partition bound.
+the search without its clique-partition bound, and the pure
+graph_color_decision against a test-local copy of the same search kept in
+per-vertex forbidden-color masks.
 """
 
 import os
@@ -223,3 +225,93 @@ def test_max_clique_members_pinned():
     assert exactsolve.max_clique(g) == (8, frozenset({10, 13, 15, 24, 27, 32, 36, 55}))
     g = kneser.build_named_kneser("kneser", n=9, k=3).graph
     assert exactsolve.max_clique(g, cap=84) == (3, frozenset({27, 43, 49}))
+
+
+def _reference_graph_color_decision(n, adj, k, clique=()):
+    """The per-vertex search with an O(n) selection scan: the oracle for
+    _pure.graph_color_decision, which keeps its state in masks instead."""
+    if n == 0:
+        return ()
+    if k <= 0 or len(clique) > k:
+        return None
+    kmask = (1 << k) - 1
+    color = [-1] * n
+    forbid = [0] * n
+    uncolored = n
+    max_used = -1
+    for c, v in enumerate(clique):
+        color[v] = c
+        uncolored -= 1
+        max_used = c
+        for u in _pure._bits(adj[v]):
+            forbid[u] |= 1 << c
+
+    def select(cap_mask):
+        best_v, best_cnt = -1, 1 << 30
+        for v in range(n):
+            if color[v] >= 0:
+                continue
+            cnt = (cap_mask & ~forbid[v]).bit_count()
+            if cnt < best_cnt:
+                best_v, best_cnt = v, cnt
+                if cnt == 0:
+                    break
+        return best_v
+
+    def rec():
+        nonlocal uncolored, max_used
+        if uncolored == 0:
+            return True
+        cap_mask = kmask & ((1 << (max_used + 2)) - 1)
+        v = select(cap_mask)
+        usable = cap_mask & ~forbid[v]
+        if usable == 0:
+            return False
+        old_max = max_used
+        for c in _pure._bits(usable):
+            bit = 1 << c
+            color[v] = c
+            uncolored -= 1
+            if c > max_used:
+                max_used = c
+            touched = []
+            for u in _pure._bits(adj[v]):
+                if color[u] < 0 and not forbid[u] & bit:
+                    forbid[u] |= bit
+                    touched.append(u)
+            if rec():
+                return True
+            for u in touched:
+                forbid[u] &= ~bit
+            uncolored += 1
+            color[v] = -1
+            max_used = old_max
+        return False
+
+    return tuple(color) if rec() else None
+
+
+@st.composite
+def _precolored_graphs(draw):
+    # a greedy clique grown in a random vertex order, then cut short or
+    # dropped; n may be 0
+    n = draw(st.integers(0, 24))
+    p = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
+    rng = draw(st.randoms(use_true_random=False))
+    adj = _random_adj(rng, n, p)
+    clique = []
+    for v in rng.sample(range(n), n):
+        if all(adj[v] >> u & 1 for u in clique):
+            clique.append(v)
+    return n, adj, tuple(clique[:draw(st.integers(0, len(clique)))])
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=_precolored_graphs())
+def test_graph_color_decision_matches_reference(instance):
+    # every k from 0 to 8, so each graph is also asked just below its
+    # chromatic number and k may be below the clique size
+    n, adj, clique = instance
+    for k in range(9):
+        assert _pure.graph_color_decision(n, adj, k, clique) == \
+            _reference_graph_color_decision(n, adj, k, clique), k
