@@ -18,6 +18,7 @@ import json
 import sys
 from collections.abc import Callable
 from functools import partial
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
@@ -270,6 +271,8 @@ def _rebuild_instance(config: dict) -> _Resolved:
         host = _decode(Hypergraph.from_json_dict, host_cfg["doc"], "the host")
     else:
         host = _family_of_echo(host_cfg, "the host")
+    if "double" in host_cfg:
+        _require(host_cfg, ("double",), "the host", bool)
     if host_cfg.get("double"):
         host = doubled(host)
     r = config.get("r", 2 if scheme == "pattern" else None)
@@ -442,7 +445,37 @@ def _verify_chi(quantity: str, operand, options: dict, result: dict) -> dict:
             raise VerificationError("coloring uses more colors than claimed")
         checks["coloring_proper"] = True
     checks.update(_verify_recompute(quantity, operand, options, result))
+    _check_chi_witness(target, is_graph, claimed, result["witness"])
     return checks
+
+
+_CHI_WITNESS_KINDS = ("clique", "edgeless", "empty", "exhausted", "has-edges", "singleton-edge")
+
+
+def _check_chi_witness(target: Hypergraph, is_graph: bool, claimed, witness) -> None:
+    """The lower-bound witness of a chi document must back the claimed value."""
+    _require(witness, ("kind",), "the witness", str)
+    kind = witness["kind"]
+    if kind not in _CHI_WITNESS_KINDS:
+        raise InvalidParameterError(f"malformed document: unknown witness kind {kind!r}")
+    if kind == "clique":
+        _require(witness, ("members",), "the witness")
+        members = witness["members"]
+        if not isinstance(members, list) or any(type(v) is not int for v in members):
+            raise InvalidParameterError("malformed document: the clique members are not a list of ints")
+        if len(members) != claimed:
+            raise VerificationError(f"clique witness has {len(members)} members, chi is {claimed}")
+        if len(set(members)) != len(members) or \
+                any(not 0 <= v < target.n_vertices for v in members):
+            raise VerificationError("clique witness members repeat or are out of range")
+        # on a hypergraph target no two members count as adjacent
+        adj = target.adjacency_masks() if is_graph else [0] * target.n_vertices
+        if any(not adj[u] >> v & 1 for u, v in combinations(members, 2)):
+            raise VerificationError("clique witness members are not pairwise adjacent")
+    elif kind == "exhausted":
+        _require(witness, ("refuted_colors",), "the witness", int)
+        if claimed == "unbounded" or witness["refuted_colors"] != claimed - 1:
+            raise VerificationError("the refuted color count is not chi - 1")
 
 
 def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
@@ -494,7 +527,7 @@ def _alternating_cap(args) -> int:
 
 
 _QUANTITIES = {
-    "chi": _Quantity(("chi",), _target_of, lambda args: DEFAULT_SOLVER_CAP,
+    "chi": _Quantity(("chi", "witness"), _target_of, lambda args: DEFAULT_SOLVER_CAP,
                      _compute_chi, _verify_chi),
     "alpha": _Quantity(("alpha",), _target_of, lambda args: DEFAULT_SOLVER_CAP,
                        partial(_compute_vertex_set, "alpha", independence_number),

@@ -1,15 +1,13 @@
-"""Pure-Python search kernels.
+"""The search kernels, on Python-int vertex masks of any width.
 
-Same contracts and identical tie-breaking rules as the compiled backend in
-_core.pyx, so the two return bit-identical results; max_independent_set here
-also cuts, on graphs, subtrees that cannot change its result, so it visits
-fewer nodes. graph_color_decision keeps its state in color and level masks
-instead of one forbidden-color mask per vertex, so a node costs O(k) mask
-operations rather than a scan of every vertex; it walks the compiled
-decision tree and cuts each child that would fail at once at the assignment.
-This module is the import fallback and the reference the benchmark compares
-against. Masks are Python ints, one bit per vertex, so there is no width
-limit here.
+max_independent_set branches on the hitting-set dichotomy and, on graphs,
+also cuts subtrees that a clique-partition bound shows cannot change its
+result. graph_color_decision keeps its state in color and level masks, so a
+node costs O(k) mask operations rather than a scan of every vertex, and cuts
+at the assignment each child that would fail at once.
+hypergraph_color_decision colors with unit propagation on the edges. Each
+result, witness included, is fixed by the tie-breaking rules in the
+docstrings below.
 """
 
 from __future__ import annotations
@@ -148,7 +146,7 @@ def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | No
     that lose it down one level. A child in which a neighbour would lose its
     last color is cut at the assignment; the search would select that
     neighbour there and fail, so the decision tree, and the coloring
-    returned, are those of the compiled backend.
+    returned, are those of the same search without the cut.
     """
     if n == 0:
         return ()

@@ -249,7 +249,9 @@ def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
     Host edges covered by no occurrence remain as isolated vertices, which is
     what makes them count toward independence there. Results are memoized in
     memory, and on disk as well when the KNESERTURAN_CACHE_DIR environment
-    variable points at a writable directory.
+    variable points at a writable directory. A disk entry that does not parse
+    is a miss: it is recomputed and written again. Entries are written to a
+    temporary file and renamed into place, so a reader never sees half of one.
     """
     host_json = host.canonical_json()
     family_json = family.canonical_json()
@@ -257,16 +259,26 @@ def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
     if cache_dir:
         import hashlib
         import json as _json
+        import tempfile
 
         key = hashlib.sha256((host_json + "|" + family_json).encode()).hexdigest()
         path = os.path.join(cache_dir, f"pattern-{key}.json")
         if os.path.exists(path):
-            with open(path) as fh:
-                return Hypergraph.from_json_dict(_json.load(fh))
+            try:
+                with open(path) as fh:
+                    return Hypergraph.from_json_dict(_json.load(fh))
+            except (TypeError, ValueError):
+                pass  # truncated or garbled: recompute and overwrite
         result = _pattern_hypergraph_cached(host_json, family_json)
         os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(result.canonical_json())
+        fd, tmp = tempfile.mkstemp(prefix=".pattern-", suffix=".tmp", dir=cache_dir)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(result.canonical_json())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return result
     return _pattern_hypergraph_cached(host_json, family_json)
 

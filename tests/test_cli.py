@@ -137,6 +137,29 @@ def test_verify_rejects_tampered_value(capsys, tmp_path):
         assert "recomputes" in verdict["reason"]
 
 
+def test_verify_rejects_tampered_chi_witness(capsys, tmp_path):
+    k4 = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "4", "--k", "1")
+    petersen = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5",
+                         "--k", "2")
+    assert k4["result"]["witness"] == {"kind": "clique", "members": [0, 1, 2, 3]}
+    assert petersen["result"]["witness"] == {"kind": "exhausted", "refuted_colors": 2}
+    path = tmp_path / "run.json"
+    for doc, witness, reason in (
+            (k4, {"kind": "clique", "members": [0, 0, 0, 0]}, "repeat"),
+            (k4, {"kind": "clique", "members": [0, 1, 2, 4]}, "out of range"),
+            (k4, {"kind": "clique", "members": [0, 1, 2]}, "3 members, chi is 4"),
+            # the Petersen graph has no triangle
+            (petersen, {"kind": "clique", "members": [0, 1, 2]}, "not pairwise adjacent"),
+            (petersen, {"kind": "exhausted", "refuted_colors": 1}, "not chi - 1")):
+        doc["result"]["witness"] = witness
+        path.write_text(canonical_dumps(doc))
+        code, out = _run(capsys, "verify", str(path))
+        assert code == 1, witness
+        verdict = json.loads(out)
+        assert verdict["verified"] is False
+        assert reason in verdict["reason"], verdict["reason"]
+
+
 def test_verify_certificate_document(capsys, tmp_path):
     doc = _run_json(capsys, "compute", "certificate", "--host", "cycle", "--n", "5",
                     "--identity")
@@ -215,6 +238,13 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     string_i["config"]["options"]["i"] = "1"
     string_value = json.loads(json.dumps(ex))
     string_value["result"]["report"]["value"] = "x"
+    k4_p2_chi = _run_json(capsys, "compute", "chi", *k4_p2)
+    string_double = json.loads(json.dumps(k4_p2_chi))
+    string_double["config"]["instance"]["host"]["double"] = "yes"
+    string_witness = json.loads(json.dumps(k4_p2_chi))
+    string_witness["result"]["witness"] = "x"
+    unknown_witness = json.loads(json.dumps(k4_p2_chi))
+    unknown_witness["result"]["witness"]["kind"] = "hunch"
     chi["config"]["instance"] = {}
     alt["config"]["options"]["ordering"] = None
     del ex["result"]["report"]["quantity"]
@@ -225,7 +255,10 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                         (scalar_assignment, "the assignment is not a list of ints"),
                         (string_r, "in the instance, r is not of type int"),
                         (string_i, "in options, i is not of type int"),
-                        (string_value, "the report: invalid literal")):
+                        (string_value, "the report: invalid literal"),
+                        (string_double, "in the host, double is not of type bool"),
+                        (string_witness, "the witness is not a JSON object"),
+                        (unknown_witness, "unknown witness kind 'hunch'")):
         bad.write_text(json.dumps(doc))
         code = main(["verify", str(bad)])
         captured = capsys.readouterr()
@@ -286,3 +319,17 @@ def test_named_family_rejects_r_override(capsys):
     code, _ = _run(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2",
                    "--r", "3")
     assert code == 2
+
+
+def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("KNESERTURAN_CACHE_DIR", str(tmp_path))
+    k4_p2 = ("compute", "ex", "--host", "complete", "--n", "4", "--pattern", "path",
+             "--len", "2")
+    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
+    (entry,) = tmp_path.iterdir()
+    whole = entry.read_text()
+    entry.write_text(whole[: len(whole) // 2])
+    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
+    # the entry is whole again, and no temporary file is left beside it
+    assert list(tmp_path.iterdir()) == [entry]
+    assert entry.read_text() == whole

@@ -1,30 +1,16 @@
-"""Backend parity: the compiled kernels must match the pure ones bit for bit.
+"""The search kernels against test-local reference searches.
 
-The pure max_independent_set is also checked against a test-local copy of
-the search without its clique-partition bound, and the pure
-graph_color_decision against a test-local copy of the same search kept in
-per-vertex forbidden-color masks.
+max_independent_set is checked against a copy of its search without the
+clique-partition bound, and graph_color_decision against a copy of the same
+search kept in per-vertex forbidden-color masks. Both must return the same
+result, witness included.
 """
 
-import os
-import random
-import subprocess
-import sys
-
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneserturan import exactsolve, hyperstruct, kneser, patterns
+from kneserturan import exactsolve, hyperstruct, kernels, kneser, patterns
 from kneserturan.kernels import BACKEND, _pure
-from kneserturan.kernels import graph_color_decision as dispatched_color
-
-try:
-    from kneserturan.kernels import _core
-except ImportError:
-    _core = None
-
-needs_core = pytest.mark.skipif(_core is None, reason="compiled backend not built")
 
 
 def _random_adj(rng, n, p):
@@ -37,107 +23,23 @@ def _random_adj(rng, n, p):
     return adj
 
 
-def _random_edge_masks(rng, n, m):
-    masks = []
-    for _ in range(m):
-        size = rng.randint(1, n)
-        mask = 0
-        for v in rng.sample(range(n), size):
-            mask |= 1 << v
-        masks.append(mask)
-    return masks
-
-
-@needs_core
-def test_max_independent_set_parity():
-    rng = random.Random(101)
-    for _ in range(60):
-        n = rng.randint(1, 12)
-        masks = _random_edge_masks(rng, n, rng.randint(0, 8))
-        assert _core.max_independent_set(n, list(masks)) == \
-            _pure.max_independent_set(n, list(masks))
-
-
-@needs_core
-def test_max_independent_set_parity_at_word_boundaries():
-    # a 32-bit intermediate once truncated the full-vertex mask for every
-    # n >= 32; these widths pin the whole dispatchable range
-    rng = random.Random(3232)
-    for n in (31, 32, 33, 40, 63, 64):
-        for _ in range(6):
-            masks = _random_edge_masks(rng, n, rng.randint(1, 3 * n))
-            got = _core.max_independent_set(n, list(masks))
-            want = _pure.max_independent_set(n, list(masks))
-            assert got == want, (n, got, want)
-
-
-@needs_core
-def test_graph_color_decision_parity():
-    rng = random.Random(202)
-    for _ in range(80):
-        n = rng.randint(1, 10)
-        adj = _random_adj(rng, n, rng.choice((0.2, 0.5, 0.8)))
-        k = rng.randint(1, n)
-        got = _core.graph_color_decision(n, list(adj), k, [])
-        want = _pure.graph_color_decision(n, adj, k, ())
-        assert got == want
-        if want is not None:
-            assert len(set(want)) <= k
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if adj[u] >> v & 1:
-                        assert want[u] != want[v]
-
-
-@needs_core
-def test_graph_color_decision_parity_with_clique():
-    rng = random.Random(303)
-    for _ in range(40):
-        n = rng.randint(3, 9)
-        adj = _random_adj(rng, n, 0.6)
-        # grow a greedy clique to precolor, same seed for both backends
-        clique = []
-        for v in range(n):
-            if all(adj[v] >> u & 1 for u in clique):
-                clique.append(v)
-        k = rng.randint(len(clique), n)
-        got = _core.graph_color_decision(n, list(adj), k, list(clique))
-        want = _pure.graph_color_decision(n, adj, k, tuple(clique))
-        assert got == want
-
-
-@needs_core
-def test_hypergraph_color_decision_parity():
-    rng = random.Random(404)
-    for _ in range(60):
-        n = rng.randint(1, 9)
-        masks = _random_edge_masks(rng, n, rng.randint(0, 6))
-        k = rng.randint(1, 4)
-        got = _core.hypergraph_color_decision(n, list(masks), k)
-        want = _pure.hypergraph_color_decision(n, masks, k)
-        assert got == want
-
-
 def test_dispatcher_reports_backend():
-    assert BACKEND in ("compiled", "pure")
-
-
-def test_pure_env_forces_pure_backend():
-    code = "from kneserturan.kernels import BACKEND; print(BACKEND)"
-    env = dict(os.environ, KNESERTURAN_PURE="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "pure"
+    # one backend: each public kernel is the _pure function itself
+    assert BACKEND == "pure"
+    for name in ("max_independent_set", "graph_color_decision",
+                 "hypergraph_color_decision"):
+        assert getattr(kernels, name) is getattr(_pure, name), name
 
 
 def test_wide_instances_fall_back_to_pure():
-    # 70 vertices exceeds the 64-bit kernel; the dispatcher must still answer
+    # masks of 70 vertices are wider than a machine word; the kernels take
+    # Python ints of any width
     n = 70
     adj = [0] * n
     for v in range(1, n):
         adj[0] |= 1 << v
         adj[v] |= 1
-    got = dispatched_color(n, adj, 2)
+    got = kernels.graph_color_decision(n, adj, 2)
     assert got is not None
     assert got[0] != got[1]
 
