@@ -49,7 +49,7 @@ from .kneser import (
     kneser_of_family,
     kneser_power,
 )
-from .patterns import PatternFamily, family_of, pattern_hypergraph
+from .patterns import PatternFamily, disk_cache_off, family_of, pattern_hypergraph
 from .turanalt import (
     DEFAULT_ALT_CAP,
     DEFAULT_ORDERING_CAP,
@@ -634,7 +634,12 @@ def _decode(from_json_dict, doc, what: str):
 def _run_verify(args) -> tuple[dict, int]:
     with open(args.document) as fh:
         doc = json.load(fh)
+    # the run that wrote the document may have poisoned the disk cache
+    with disk_cache_off():
+        return _verify_document(doc)
 
+
+def _verify_document(doc) -> tuple[dict, int]:
     _require(doc, (), "the document")
     if "alt_value" in doc:
         _require(doc, _CERTIFICATE_KEYS, "the certificate")

@@ -105,25 +105,18 @@ def max_clique(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, froze
         raise InvalidParameterError("max_clique needs a simple 2-uniform hypergraph")
     _check_cap(g, cap, "max_clique")
     n = g.n_vertices
-    present = set(g.edges)
+    adj = g.adjacency_masks()
+    full = (1 << n) - 1
+    # each non-adjacent pair once, from its lower vertex
     co_edges = [
-        mask_of(p)
-        for p in _pairs(n)
-        if frozenset(p) not in present
+        (1 << u) | (1 << v)
+        for u in range(n)
+        for v in bits_of(full & ~adj[u] & ~((2 << u) - 1))
     ]
     size, mask = kernels.max_independent_set(n, co_edges)
-    clique = frozenset(bits_of(mask))
-    for u in clique:
-        for v in clique:
-            if u < v and frozenset({u, v}) not in present:
-                raise VerificationError("clique witness has a missing edge")
-    return size, clique
-
-
-def _pairs(n: int):
-    for u in range(n):
-        for v in range(u + 1, n):
-            yield (u, v)
+    if any(mask & ~adj[v] & ~(1 << v) for v in bits_of(mask)):
+        raise VerificationError("clique witness has a missing edge")
+    return size, frozenset(bits_of(mask))
 
 
 # --- colorings ---

@@ -1,10 +1,14 @@
 """The search kernels, on Python-int vertex masks of any width.
 
-max_independent_set branches on the hitting-set dichotomy and, on graphs,
-also cuts subtrees that a clique-partition bound shows cannot change its
-result. graph_color_decision keeps its state in color and level masks, so a
-node costs O(k) mask operations rather than a scan of every vertex, and cuts
-at the assignment each child that would fail at once.
+max_independent_set branches on the hitting-set dichotomy. On graphs it
+runs the same search on adjacency masks: choosing a vertex drops all its
+neighbours from the candidates in one step, the branching edge comes from
+masks of lower neighbours rather than a scan of the edge list, and a
+clique-partition bound cuts subtrees that cannot change the result. Both
+paths return the first maximum leaf of the same tree. graph_color_decision
+keeps its state in color and level masks, so a node costs O(k) mask
+operations rather than a scan of every vertex, and cuts at the assignment
+each child that would fail at once.
 hypergraph_color_decision colors with unit propagation on the edges. Each
 result, witness included, is fixed by the tie-breaking rules in the
 docstrings below.
@@ -67,11 +71,9 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     realizable inside chosen|candidates and branch on which of its free
     vertices gets excluded (earlier ones committed to the chosen side).
 
-    When every minimal edge has two vertices, a node is also cut when the
-    chosen vertices plus a greedy clique partition of the candidates cannot
-    beat the best size (Tomita and Seki's MCQ bound, for independent sets).
-    It cuts only subtrees with no strictly better leaf, so the result is the
-    same as without it, witness included.
+    When every minimal edge has two vertices, all below ``n``, the graph
+    search of _max_independent_set_graph runs instead. It returns the same
+    result, witness included.
     """
     full = (1 << n) - 1
     uniq = sorted(set(int(e) for e in edge_masks))
@@ -81,15 +83,9 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     edges = _inclusion_minimal(uniq)
     if not edges or n == 0:
         return n, full
-    adj = None
     # edges are sorted, so the last one bounds every vertex index
     if edges[-1] <= full and all(e.bit_count() == 2 for e in edges):
-        adj = [0] * n
-        for e in edges:
-            low = e & -e
-            u, v = low.bit_length() - 1, (e ^ low).bit_length() - 1
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+        return _max_independent_set_graph(n, edges)
 
     best_size = 0
     best_mask = 0
@@ -99,9 +95,6 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
         union = chosen | cand
         total = union.bit_count()
         if total <= best_size:
-            return
-        if adj is not None and not _clique_partition_exceeds(
-                cand, adj, best_size - chosen.bit_count()):
             return
         pick = -1
         pick_t = n + 1
@@ -126,6 +119,62 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
             forced |= bit
 
     rec(0, full)
+    return best_size, best_mask
+
+
+def _max_independent_set_graph(n: int, edges) -> tuple[int, int]:
+    """max_independent_set on a graph: ``edges`` are sorted two-bit masks.
+
+    The hypergraph search, kept in adjacency masks. Choosing a vertex drops
+    its neighbours from the candidates at once, where the hypergraph search
+    takes one single-child node per neighbour (each is then the only free
+    vertex of an edge, which that search picks first). The branching edge is
+    the first one in sorted mask order with both ends free: the lowest
+    candidate v with a candidate neighbour below it, found in ``below[v]``,
+    and the lowest such neighbour u. Excluding u comes first, then choosing
+    u and so excluding v, as in the hypergraph search. The leaves and their
+    order are the same, so is the first maximum leaf, which is the result.
+
+    A node is also cut when the chosen vertices plus a greedy clique
+    partition of the candidates cannot beat the best size (Tomita and Seki's
+    MCQ bound, for independent sets). Any cut that keeps every strictly
+    better leaf leaves that first maximum leaf in place.
+    """
+    adj = [0] * n
+    below = [0] * n
+    for e in edges:
+        low = e & -e
+        u, v = low.bit_length() - 1, (e ^ low).bit_length() - 1
+        adj[u] |= 1 << v
+        adj[v] |= low
+        below[v] |= low
+
+    best_size = 0
+    best_mask = 0
+
+    def rec(chosen: int, cand: int):
+        nonlocal best_size, best_mask
+        size = chosen.bit_count()
+        if size + cand.bit_count() <= best_size:
+            return
+        if not _clique_partition_exceeds(cand, adj, best_size - size):
+            return
+        rest = cand
+        while rest:
+            vbit = rest & -rest
+            hit = below[vbit.bit_length() - 1] & cand
+            if hit:
+                break
+            rest ^= vbit
+        else:
+            best_size = size + cand.bit_count()
+            best_mask = chosen | cand
+            return
+        ubit = hit & -hit
+        rec(chosen, cand ^ ubit)
+        rec(chosen | ubit, cand & ~(ubit | adj[ubit.bit_length() - 1]))
+
+    rec(0, (1 << n) - 1)
     return best_size, best_mask
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import os
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -249,13 +251,16 @@ def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
     Host edges covered by no occurrence remain as isolated vertices, which is
     what makes them count toward independence there. Results are memoized in
     memory, and on disk as well when the KNESERTURAN_CACHE_DIR environment
-    variable points at a writable directory. A disk entry that does not parse
-    is a miss: it is recomputed and written again. Entries are written to a
-    temporary file and renamed into place, so a reader never sees half of one.
+    variable points at a writable directory and no ``disk_cache_off`` block
+    is running. A disk entry keeps the canonical host and family JSON it was
+    computed from; an entry that does not parse, or was computed from other
+    inputs, is a miss: it is recomputed and written again. Entries are
+    written to a temporary file and renamed into place, so a reader never
+    sees half of one.
     """
     host_json = host.canonical_json()
     family_json = family.canonical_json()
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
+    cache_dir = None if _disk_cache_blocked.get() else os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
         import hashlib
         import json as _json
@@ -266,21 +271,42 @@ def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
         if os.path.exists(path):
             try:
                 with open(path) as fh:
-                    return Hypergraph.from_json_dict(_json.load(fh))
-            except (TypeError, ValueError):
+                    entry = _json.load(fh)
+                if entry["host"] == host_json and entry["family"] == family_json:
+                    return Hypergraph.from_json_dict(entry["hypergraph"])
+            except (TypeError, ValueError, KeyError):
                 pass  # truncated or garbled: recompute and overwrite
         result = _pattern_hypergraph_cached(host_json, family_json)
+        entry = {"host": host_json, "family": family_json,
+                 "hypergraph": result.to_json_dict()}
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".pattern-", suffix=".tmp", dir=cache_dir)
         try:
             with os.fdopen(fd, "w") as fh:
-                fh.write(result.canonical_json())
+                fh.write(canonical_dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
         return result
     return _pattern_hypergraph_cached(host_json, family_json)
+
+
+# set only inside disk_cache_off; a context variable, so that the block
+# covers its own thread or task and nothing else
+_disk_cache_blocked = ContextVar("disk_cache_blocked", default=False)
+
+
+@contextmanager
+def disk_cache_off():
+    """Within the block, pattern_hypergraph neither reads nor writes the disk
+    cache. Re-checks use it, so that no state an earlier run left on disk
+    feeds the values they check."""
+    token = _disk_cache_blocked.set(True)
+    try:
+        yield
+    finally:
+        _disk_cache_blocked.reset(token)
 
 
 def family_of(*hypergraphs: Hypergraph) -> PatternFamily:

@@ -333,3 +333,23 @@ def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
     # the entry is whole again, and no temporary file is left beside it
     assert list(tmp_path.iterdir()) == [entry]
     assert entry.read_text() == whole
+
+
+def test_verify_ignores_poisoned_cache_entry(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("KNESERTURAN_CACHE_DIR", str(tmp_path))
+    k4_p2 = ("compute", "ex", "--host", "complete", "--n", "4", "--pattern", "path",
+             "--len", "2")
+    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
+    (entry,) = tmp_path.iterdir()
+    poisoned = json.loads(entry.read_text())
+    poisoned["hypergraph"]["edges"] = []
+    entry.write_text(json.dumps(poisoned))
+    # compute trusts the cache and reports every host edge as free ...
+    doc = _run_json(capsys, *k4_p2)
+    assert doc["result"]["ex"] == 6
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    # ... but verify recomputes without it and rejects the value
+    code, out = _run(capsys, "verify", str(path))
+    assert code == 1
+    assert json.loads(out)["verified"] is False

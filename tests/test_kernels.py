@@ -121,12 +121,27 @@ def test_max_independent_set_matches_unpruned_search(instance):
 
 
 def test_max_clique_members_pinned():
-    k3 = patterns.family_of(hyperstruct.build_named_family("cycle", n=3))
-    k8 = hyperstruct.build_named_family("complete", n=8)
-    g = kneser.kneser_of_family(k8, k3).result
-    assert exactsolve.max_clique(g) == (8, frozenset({10, 13, 15, 24, 27, 32, 36, 55}))
-    g = kneser.build_named_kneser("kneser", n=9, k=3).graph
-    assert exactsolve.max_clique(g, cap=84) == (3, frozenset({27, 43, 49}))
+    # every named graph instance of the chi benchmark, witness included, so
+    # that a changed tie-break shows where the value alone would not
+    def kg(n, cycle):
+        host = hyperstruct.build_named_family("complete", n=n)
+        family = patterns.family_of(hyperstruct.build_named_family("cycle", n=cycle))
+        return kneser.kneser_of_family(host, family).result
+
+    def named(kind, n, k):
+        return kneser.build_named_kneser(kind, n=n, k=k).graph
+
+    pinned = [
+        (kg(8, 3), (8, {10, 13, 15, 24, 27, 32, 36, 55})),
+        (named("kneser", 9, 3), (3, {27, 43, 49})),
+        (named("kneser", 8, 3), (2, {45, 46})),
+        (named("schrijver", 9, 3), (3, {9, 13, 20})),
+        (named("schrijver", 10, 3), (3, {29, 30, 41})),
+        (kg(7, 3), (7, {4, 7, 9, 16, 20, 27, 34})),
+        (kg(6, 4), (3, {20, 21, 34})),
+    ]
+    for g, (size, members) in pinned:
+        assert exactsolve.max_clique(g, cap=84) == (size, frozenset(members))
 
 
 def _reference_graph_color_decision(n, adj, k, clique=()):

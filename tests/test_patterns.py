@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from kneserturan import (
     occurrences_to_jsonl,
     pattern_hypergraph,
 )
+from kneserturan.patterns import disk_cache_off
 from conftest import random_graph
 
 
@@ -120,6 +122,23 @@ def test_pattern_hypergraph_disk_cache(tmp_path, monkeypatch):
     assert len(files) == 1
     second = pattern_hypergraph(host, fam)
     assert second == first
+    # an entry keyed on other inputs is a miss, recomputed and written again
+    (entry,) = files
+    whole = entry.read_text()
+    swapped = json.loads(whole)
+    swapped["host"] = build_named_family("cycle", n=5).canonical_json()
+    swapped["hypergraph"]["edges"] = []
+    entry.write_text(json.dumps(swapped))
+    assert pattern_hypergraph(host, fam) == first
+    assert entry.read_text() == whole
+    # inside disk_cache_off the directory is neither read nor written
+    entry.write_text(json.dumps(swapped | {"host": json.loads(whole)["host"]}))
+    with disk_cache_off():
+        assert pattern_hypergraph(host, fam) == first
+        pattern_hypergraph(build_named_family("cycle", n=7), fam)
+    assert list(tmp_path.iterdir()) == [entry]
+    # after the block the entry, whose inputs match, is read again
+    assert pattern_hypergraph(host, fam).n_edges == 0
 
 
 def test_host_edge_cap_enforced():
