@@ -14,7 +14,6 @@ lives here as well, since the golden suite consumes it.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
@@ -548,6 +547,9 @@ def run_golden_suite(selection=None, workers: int = 1) -> dict:
             raise InvalidParameterError(f"unknown golden cases: {', '.join(sorted(unknown))}")
         cases = [c for c in MANIFEST if c.name in wanted]
     if workers > 1 and len(cases) > 1:
+        # imported here: it loads multiprocessing, which serial calls never use
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_case_record_by_name, [c.name for c in cases]))
     else:

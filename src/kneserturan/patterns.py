@@ -9,6 +9,13 @@ edges have distinct ids and can jointly match a multigraph pattern, while a
 single simple pattern never matches two parallel copies of the same edge
 plus anything else, because duplicated member sets are not isomorphic to
 distinct ones.
+
+The occurrence search finds each vertex map once rather than once per
+automorphism of the pattern: the automorphisms of each pattern are computed
+once, and Grochow and Kellis's symmetry-breaking conditions
+image[a] < image[b], read off a stabilizer chain of that group, keep exactly
+one map of each orbit. Every occurrence is still found, so the returned
+occurrences are the same as those of the search over all embeddings.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .errors import InvalidParameterError, SizeCapError
 from .hyperstruct import Hypergraph, canonical_dumps, strip_isolated
@@ -87,14 +95,20 @@ def are_isomorphic(a: Hypergraph, b: Hypergraph, ignore_isolated: bool = False) 
 
 def find_isomorphism(a: Hypergraph, b: Hypergraph) -> tuple[int, ...] | None:
     """A vertex bijection a->b carrying edge multiset onto edge multiset."""
+    return next(_isomorphisms(a, b), None)
+
+
+def _isomorphisms(a: Hypergraph, b: Hypergraph):
+    """Yield every vertex bijection a->b carrying edge multiset onto edge
+    multiset, by backtracking in a fixed order."""
     if a.n_vertices != b.n_vertices or a.n_edges != b.n_edges:
-        return None
+        return
     if sorted(len(e) for e in a.edges) != sorted(len(e) for e in b.edges):
-        return None
+        return
     sig_a = _vertex_signature(a)
     sig_b = _vertex_signature(b)
     if sorted(sig_a) != sorted(sig_b):
-        return None
+        return
     n = a.n_vertices
     edges_b = Counter(b.edges)
     # rarest signature first keeps the branching factor down
@@ -102,33 +116,66 @@ def find_isomorphism(a: Hypergraph, b: Hypergraph) -> tuple[int, ...] | None:
     order = sorted(range(n), key=lambda v: (sig_count[sig_a[v]], v))
     image = [-1] * n
     used_b = [False] * n
+    # the a-edges whose last vertex in ``order`` is mapped at each depth
+    position = {v: d for d, v in enumerate(order)}
+    completed: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    for e in a.edges:
+        completed[max(position[v] for v in e)].append(e)
 
     def mapped_edges_ok(depth: int) -> bool:
         # every a-edge fully inside the mapped domain must land on a b-edge,
-        # with multiplicities
-        dom = set(order[: depth + 1])
-        need = Counter(
-            frozenset(image[v] for v in e) for e in a.edges if set(e) <= dom
-        )
+        # with multiplicities. Only those completed at this depth need a
+        # look: their images hold image[order[depth]], which the images of
+        # the edges checked at earlier depths do not
+        need = Counter(frozenset(image[v] for v in e) for e in completed[depth])
         return all(edges_b[e] >= c for e, c in need.items())
 
-    def rec(depth: int) -> bool:
+    def rec(depth: int):
         if depth == n:
             got = Counter(frozenset(image[v] for v in e) for e in a.edges)
-            return got == edges_b
+            if got == edges_b:
+                yield tuple(image)
+            return
         v = order[depth]
         for w in range(n):
             if used_b[w] or sig_b[w] != sig_a[v]:
                 continue
             image[v] = w
             used_b[w] = True
-            if mapped_edges_ok(depth) and rec(depth + 1):
-                return True
+            if mapped_edges_ok(depth):
+                yield from rec(depth + 1)
             used_b[w] = False
             image[v] = -1
-        return False
 
-    return tuple(image) if rec(0) else None
+    yield from rec(0)
+
+
+@lru_cache(maxsize=256)
+def _automorphisms(f: Hypergraph) -> tuple[tuple[int, ...], ...]:
+    """Every vertex permutation of ``f`` that keeps its edge multiset."""
+    return tuple(_isomorphisms(f, f))
+
+
+@lru_cache(maxsize=256)
+def _symmetry_conditions(f: Hypergraph) -> tuple[tuple[int, int], ...]:
+    """Pairs (a, b) such that exactly one automorphism alpha of ``f`` makes
+    image[alpha[a]] < image[alpha[b]] hold for every pair, whatever the
+    injective image.
+
+    Grochow and Kellis's symmetry breaking (RECOMB 2007), on a stabilizer
+    chain: the lowest vertex v that some automorphism of the current group
+    moves must map below every other vertex of its orbit; then the group
+    shrinks to the automorphisms fixing v, until it is trivial.
+    """
+    group = _automorphisms(f)
+    conditions: list[tuple[int, int]] = []
+    while True:
+        moved = [v for v in range(f.n_vertices) if any(g[v] != v for g in group)]
+        if not moved:
+            return tuple(conditions)
+        v = moved[0]
+        conditions.extend((v, w) for w in sorted({g[v] for g in group}) if w != v)
+        group = [g for g in group if g[v] == v]
 
 
 def _pattern_edge_order(f: Hypergraph) -> list[int]:
@@ -142,9 +189,26 @@ def _pattern_edge_order(f: Hypergraph) -> list[int]:
 
 
 def _occurrences_of(host: Hypergraph, f: Hypergraph, cap: int, found_total: int) -> set[frozenset[int]]:
-    """All edge-id sets of subhypergraphs of ``host`` isomorphic to ``f``."""
+    """All edge-id sets of subhypergraphs of ``host`` isomorphic to ``f``.
+
+    The search maps pattern edges in turn onto unused host edges, extending
+    an injective vertex map. Two vertex maps that realise the same edge-id
+    set differ by an automorphism of ``f`` (patterns have no isolated
+    vertices), and the symmetry conditions hold for exactly one map of each
+    such orbit, so every set is still reached while each vertex map is
+    walked once instead of |Aut(f)| times. A condition is checked at the
+    first pattern edge that maps both of its vertices. Parallel host edges
+    can still realise one set several ways; ``out`` collapses those.
+    """
     order = _pattern_edge_order(f)
     pat_edges = [tuple(sorted(f.edges[i])) for i in order]
+    first_edge: dict[int, int] = {}  # pattern vertex -> first edge position
+    for t, pe in enumerate(pat_edges):
+        for v in pe:
+            first_edge.setdefault(v, t)
+    checks: list[list[tuple[int, int]]] = [[] for _ in pat_edges]
+    for a, b in _symmetry_conditions(f):
+        checks[max(first_edge[a], first_edge[b])].append((a, b))
     host_by_size: dict[int, list[int]] = {}
     for j, e in enumerate(host.edges):
         host_by_size.setdefault(len(e), []).append(j)
@@ -154,8 +218,6 @@ def _occurrences_of(host: Hypergraph, f: Hypergraph, cap: int, found_total: int)
     chosen: list[int] = []
     used_edges: set[int] = set()
     out: set[frozenset[int]] = set()
-
-    from itertools import permutations
 
     def rec(t: int):
         if t == len(pat_edges):
@@ -169,6 +231,7 @@ def _occurrences_of(host: Hypergraph, f: Hypergraph, cap: int, found_total: int)
         mapped = [v for v in pe if v in image]
         free = [v for v in pe if v not in image]
         need = {image[v] for v in mapped}
+        conds = checks[t]
         for j in host_by_size.get(len(pe), ()):
             if j in used_edges:
                 continue
@@ -186,7 +249,8 @@ def _occurrences_of(host: Hypergraph, f: Hypergraph, cap: int, found_total: int)
                 for v, w in zip(free, assign):
                     image[v] = w
                     used_hv.add(w)
-                rec(t + 1)
+                if all(image[a] < image[b] for a, b in conds):
+                    rec(t + 1)
                 for v in free:
                     used_hv.discard(image[v])
                     del image[v]

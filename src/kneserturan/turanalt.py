@@ -12,7 +12,6 @@ disjointness graphs that a verifier can re-check from the serialized record.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
@@ -367,6 +366,9 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
         scan = partial(_ordering_scan, m, tuple(occ), strong, floor)
         firsts = range(max(m - 1, 1))
         if workers > 1 and m > 1:
+            # imported here: it loads multiprocessing, which serial calls never use
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(scan, (range(f, f + 1) for f in firsts)))
         else:
@@ -570,13 +572,22 @@ def _disjointness_colorable(masks: list[int], k: int) -> bool:
 def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
     """All nonzero vertex-indexed sign vectors meeting the side condition.
 
-    Deliberately a raw scan over 3^n assignments with the containment
-    condition spelled out inline: this is the oracle the ordering-based
-    search gets property-tested against, so it shares no pruning logic
-    with it.
+    Deliberately a raw scan over 3^n assignments with the side condition
+    spelled out inline: this is the oracle the ordering-based search gets
+    property-tested against, so it shares no pruning logic with it. Which
+    edges a side contains depends on that side alone, so it is found once
+    per side mask, as a bitmask of edge indices, rather than once per vector.
     """
     n = rep.n_vertices
     masks = rep.edge_masks
+    contained: dict[int, int] = {}  # side mask -> edge indices inside it
+
+    def edges_inside(side: int) -> int:
+        got = contained.get(side)
+        if got is None:
+            got = contained[side] = sum(1 << k for k, em in enumerate(masks) if em & side == em)
+        return got
+
     out = []
     for signs in product((-1, 0, 1), repeat=n):
         plus = 0
@@ -588,20 +599,18 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
                 minus |= 1 << v
         if plus == 0 and minus == 0:
             continue
-        inside = [em for em in masks if em & plus == em or em & minus == em]
+        in_plus = edges_inside(plus)
+        in_minus = edges_inside(minus)
         if strong:
-            plus_hit = any(em & plus == em for em in masks)
-            minus_hit = any(em & minus == em for em in masks)
-            ok = not (plus_hit and minus_hit)
+            ok = not (in_plus and in_minus)
         elif i == 1:
-            ok = not inside
-        elif i == 2:
-            ok = all(
-                a & b != 0 for a, b in combinations(inside, 2)
-            )
+            ok = not (in_plus or in_minus)
         else:
+            inside = [masks[k] for k in bits_of(in_plus | in_minus)]
             c = len(inside)
-            if c <= i - 1:
+            if i == 2:
+                ok = all(a & b != 0 for a, b in combinations(inside, 2))
+            elif c <= i - 1:
                 ok = True
             else:
                 adj = [0] * c

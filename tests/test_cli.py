@@ -315,6 +315,17 @@ def test_console_entry_point():
         assert json.loads(out.stdout)["result"]["ok"] is True
 
 
+def test_import_leaves_process_pool_unloaded():
+    # the pool is imported only where --workers > 1 asks for one, so a
+    # serial call does not pay for multiprocessing at start-up
+    probe = ("import sys, kneserturan.cli; print(sorted(m for m in ("
+             "'multiprocessing', 'concurrent.futures.process', 'kneserturan.harness', "
+             "'kneserturan.turanalt') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['kneserturan.harness', 'kneserturan.turanalt']"
+
+
 def test_named_family_rejects_r_override(capsys):
     code, _ = _run(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2",
                    "--r", "3")

@@ -1,7 +1,10 @@
 import json
 import random
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneserturan import (
     Hypergraph,
@@ -17,7 +20,12 @@ from kneserturan import (
     occurrences_to_jsonl,
     pattern_hypergraph,
 )
-from kneserturan.patterns import disk_cache_off
+from kneserturan.patterns import (
+    PatternOccurrence,
+    _automorphisms,
+    _symmetry_conditions,
+    disk_cache_off,
+)
 from conftest import random_graph
 
 
@@ -158,3 +166,138 @@ def test_occurrence_count_matches_direct_scan():
                 if g.edges[i] & g.edges[j]:
                     pairs += 1
         assert len(enumerate_occurrences(g, _p2())) == pairs
+
+
+# --- symmetry breaking against the search over all embeddings ---
+
+def _occurrences_all_embeddings(host, f):
+    """Reference: the occurrence search before symmetry breaking, which walks
+    every labelled embedding of ``f`` and deduplicates edge-id sets."""
+    order = sorted(range(f.n_edges),
+                   key=lambda i: (-len(f.edges[i]), -sum(f.degrees[v] for v in f.edges[i]), i))
+    pat_edges = [tuple(sorted(f.edges[i])) for i in order]
+    image, used_hv, chosen, used_edges, out = {}, set(), [], set(), set()
+
+    def rec(t):
+        if t == len(pat_edges):
+            out.add(frozenset(chosen))
+            return
+        pe = pat_edges[t]
+        free = [v for v in pe if v not in image]
+        need = {image[v] for v in pe if v in image}
+        for j, he in enumerate(host.edges):
+            if j in used_edges or len(he) != len(pe) or not need <= he:
+                continue
+            leftover = he - need
+            if leftover & used_hv:
+                continue
+            used_edges.add(j)
+            chosen.append(j)
+            for assign in permutations(sorted(leftover)):
+                image.update(zip(free, assign))
+                used_hv.update(assign)
+                rec(t + 1)
+                for v in free:
+                    used_hv.discard(image.pop(v))
+            chosen.pop()
+            used_edges.discard(j)
+
+    rec(0)
+    return out
+
+
+def _reference_occurrences(host, family):
+    occs = [PatternOccurrence(p, s) for p in family.iso_representatives()
+            for s in _occurrences_all_embeddings(host, family.members[p])]
+    occs.sort(key=lambda o: (tuple(sorted(o.edge_ids)), o.pattern_index))
+    return tuple(occs)
+
+
+@st.composite
+def _hosts(draw):
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(("simple", "multi", "uniform3")))
+    size = 3 if kind == "uniform3" and n >= 3 else 2
+    pool = [frozenset(c) for c in combinations(range(n), size)]
+    if kind == "simple":
+        edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12, unique=True))
+    else:
+        edges = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return Hypergraph(n, tuple(edges))
+
+
+@st.composite
+def _patterns(draw):
+    # 1 to 4 edges of 2 or 3 vertices, repeats allowed, relabelled onto the
+    # vertices they use so that none is isolated
+    raw = draw(st.lists(st.sets(st.integers(0, 4), min_size=2, max_size=3),
+                        min_size=1, max_size=4))
+    used = sorted(set().union(*raw))
+    relabel = {v: i for i, v in enumerate(used)}
+    return Hypergraph(len(used), tuple(frozenset(relabel[v] for v in e) for e in raw))
+
+
+@st.composite
+def _families(draw):
+    members = draw(st.lists(_patterns(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        # an isomorphic copy under a vertex permutation
+        f = draw(st.sampled_from(members))
+        pi = draw(st.permutations(range(f.n_vertices)))
+        members.append(Hypergraph(f.n_vertices, tuple(frozenset(pi[v] for v in e)
+                                                      for e in f.edges)))
+    return family_of(*draw(st.permutations(members)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(host=_hosts(), family=_families())
+def test_occurrences_match_all_embeddings_search(host, family):
+    assert enumerate_occurrences(host, family) == _reference_occurrences(host, family)
+
+
+def test_named_occurrences_match_all_embeddings_search():
+    double_edge = Hypergraph(2, (frozenset({0, 1}), frozenset({0, 1})))
+    cases = [
+        (build_named_family("matching", n=6), build_named_family("matching", n=4)),
+        (build_named_family("complete", n=5), build_named_family("cycle", n=4)),
+        (doubled(build_named_family("complete", n=4)), build_named_family("complete", n=3)),
+        (doubled(build_named_family("complete", n=4)), doubled(build_named_family("path", length=2))),
+        (doubled(build_named_family("cycle", n=5)), double_edge),
+        (build_named_family("complete_uniform", n=5, s=3),
+         Hypergraph(4, (frozenset({0, 1, 2}), frozenset({1, 2, 3})))),
+    ]
+    for host, f in cases:
+        fam = family_of(f)
+        assert enumerate_occurrences(host, fam) == _reference_occurrences(host, fam)
+
+
+_SYMMETRIC_PATTERNS = {
+    "M4": build_named_family("matching", n=4),
+    "C4": build_named_family("cycle", n=4),
+    "K3": build_named_family("complete", n=3),
+    "P2": build_named_family("path", length=2),
+    "K4": build_named_family("complete", n=4),
+    "doubled P2": doubled(build_named_family("path", length=2)),
+    "3-uniform pair": Hypergraph(5, (frozenset({0, 1, 2}), frozenset({2, 3, 4}))),
+}
+
+
+def test_automorphism_counts():
+    sizes = {name: len(_automorphisms(f)) for name, f in _SYMMETRIC_PATTERNS.items()}
+    assert sizes == {"M4": 384, "C4": 8, "K3": 6, "P2": 2, "K4": 24, "doubled P2": 2,
+                     "3-uniform pair": 8}
+    assert len(set(_automorphisms(_SYMMETRIC_PATTERNS["M4"]))) == 384
+
+
+def test_symmetry_conditions_keep_one_map_per_orbit():
+    # whatever the injective image of the pattern's vertices, exactly one
+    # automorphism alpha makes image[alpha[a]] < image[alpha[b]] for every
+    # condition (a, b)
+    rng = random.Random(7)
+    for name, f in _SYMMETRIC_PATTERNS.items():
+        conditions = _symmetry_conditions(f)
+        for trial in range(20):
+            image = list(range(f.n_vertices)) if trial == 0 else rng.sample(range(40), f.n_vertices)
+            kept = [g for g in _automorphisms(f)
+                    if all(image[g[a]] < image[g[b]] for a, b in conditions)]
+            assert len(kept) == 1, name

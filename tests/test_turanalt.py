@@ -1,5 +1,5 @@
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,7 @@ from kneserturan import (
     verify_turan_report,
 )
 from kneserturan.hyperstruct import mask_of
-from kneserturan.turanalt import _brute_turan
+from kneserturan.turanalt import _admissible_vertex_vectors, _brute_turan, _disjointness_colorable
 from conftest import random_graph, random_hypergraph
 
 
@@ -316,6 +316,49 @@ def test_certificate_roundtrip_and_verify():
     assert again == cert
     checks = verify_certificate(again)
     assert checks == {"witness_checked": True, "exhaustive_rechecked": True}
+
+
+def _admissible_inline(rep, i, strong):
+    """Reference: the sign-vector scan with every edge mask tested against
+    both sides of every vector."""
+    masks = rep.edge_masks
+    out = []
+    for signs in product((-1, 0, 1), repeat=rep.n_vertices):
+        plus = mask_of(v for v, s in enumerate(signs) if s == 1)
+        minus = mask_of(v for v, s in enumerate(signs) if s == -1)
+        if plus == 0 and minus == 0:
+            continue
+        inside = [em for em in masks if em & plus == em or em & minus == em]
+        if strong:
+            plus_hit = any(em & plus == em for em in masks)
+            minus_hit = any(em & minus == em for em in masks)
+            ok = not (plus_hit and minus_hit)
+        elif i == 1:
+            ok = not inside
+        elif i == 2:
+            ok = all(a & b != 0 for a, b in combinations(inside, 2))
+        else:
+            ok = _disjointness_colorable(inside, i - 1)
+        if ok:
+            out.append(signs)
+    return tuple(out)
+
+
+def test_admissible_vectors_match_inline_scan():
+    rng = random.Random(44)
+    for _ in range(12):
+        rep = random_hypergraph(rng, max_vertices=7, max_edges=8)
+        for level, strong in ((1, False), (2, False), (3, False), (None, True)):
+            assert _admissible_vertex_vectors(rep, level, strong) == \
+                _admissible_inline(rep, level, strong)
+
+
+def test_kneser_10_4_certificates_recheck_exhaustively():
+    rep = build_named_kneser("kneser", n=10, k=4).instance.representation
+    for i, strong in ((1, False), (2, False), (3, False), (1, True)):
+        cert = altermatic_certificate(rep, LinearOrdering.identity(10), i=i, strong=strong)
+        assert verify_certificate(cert) == {"witness_checked": True,
+                                            "exhaustive_rechecked": True}
 
 
 def test_certificate_tampering_is_caught():
