@@ -275,20 +275,33 @@ def _assert_proper_hypergraph(h: Hypergraph, cert: ColoringCertificate):
 
 
 def _greedy_hypergraph_coloring(h: Hypergraph) -> list[int]:
-    """Sequential greedy: smallest color not completing a monochromatic edge."""
+    """Sequential greedy: smallest color not completing a monochromatic edge.
+
+    Kept in masks: only an edge's highest vertex v sees the rest colored, so
+    color c is banned on v when the rest of an edge topped by v lies inside
+    class c. The rest's lowest vertex names c.
+    """
     n = h.n_vertices
-    color = [-1] * n
+    rests: list[list[int]] = [[] for _ in range(n)]
+    for em in set(h.edge_masks):
+        top = 1 << (em.bit_length() - 1)
+        if em != top:
+            rests[top.bit_length() - 1].append(em ^ top)
+    color: list[int] = []
+    cls: list[int] = []
     for v in range(n):
         banned = set()
-        for e in h.edges:
-            if v in e:
-                others = [color[u] for u in e if u != v]
-                if others and all(c == others[0] and c >= 0 for c in others):
-                    banned.add(others[0])
+        for rest in rests[v]:
+            c = color[(rest & -rest).bit_length() - 1]
+            if not rest & ~cls[c]:
+                banned.add(c)
         c = 0
         while c in banned:
             c += 1
-        color[v] = c
+        if c == len(cls):
+            cls.append(0)
+        cls[c] |= 1 << v
+        color.append(c)
     return color
 
 

@@ -8,10 +8,17 @@ clique-partition bound cuts subtrees that cannot change the result. Both
 paths return the first maximum leaf of the same tree. graph_color_decision
 keeps its state in color and level masks, so a node costs O(k) mask
 operations rather than a scan of every vertex, and cuts at the assignment
-each child that would fail at once.
-hypergraph_color_decision colors with unit propagation on the edges. Each
-result, witness included, is fixed by the tie-breaking rules in the
-docstrings below.
+each child that would fail at once. hypergraph_color_decision runs the same
+search, with color-class masks in place of adjacency: for each vertex v
+and each edge through it, coloring v with c bans c on a member u of the
+edge once the rest of the edge (the core, without v and u) lies inside
+class c. That is one rule for every edge size, and a 2-edge, whose core is
+empty, gives the graph rule. It selects from the same level masks and makes
+the same cut, so its decision tree is that of the search that propagated
+edge by edge and scanned every vertex to select. The graph search stays
+separate: run on graphs as 2-edges, this one is slower there. Each result,
+witness included, is fixed by the tie-breaking rules in the docstrings
+below.
 """
 
 from __future__ import annotations
@@ -263,87 +270,97 @@ def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | No
 def hypergraph_color_decision(n: int, edge_masks, k: int) -> tuple[int, ...] | None:
     """k-coloring with no monochromatic edge, or None.
 
-    Unit propagation: an edge with one uncolored vertex left and all colored
-    members sharing color c bans c on that last vertex. Selection and
-    symmetry breaking mirror graph_color_decision.
+    The search of graph_color_decision, with no pre-colored clique, on one
+    rule for every edge size. For each vertex v, ``through[v]`` pairs a
+    ``core`` with ``ends``: for every distinct edge e through v and every
+    other member u of e, core is e minus v and u, and u is in ends. Coloring
+    v with c bans c on ``ends`` once ``core`` lies inside color class c, the
+    unit propagation of the edge on its last uncolored member. A 2-edge has
+    core 0, which is the graph rule.
+
+    The state is ``cls[c]`` (the vertices colored c), ``banned[c]`` (the
+    uncolored vertices on which c would complete a monochromatic edge) and
+    the ``level`` masks of graph_color_decision: the vertex selected, fewest
+    usable colors with ties to the lowest id, is the lowest bit of the first
+    non-empty level, and a vertex may open at most one brand-new color. A
+    child in which a vertex would lose its last color is cut at the
+    assignment; the search would select that vertex there and fail, so the
+    decision tree, and the coloring returned, are those of the same search
+    without the cut. A singleton edge makes the answer None; a zero mask is
+    ignored.
     """
     if n == 0:
         return ()
     if k <= 0:
         return None
-    edges = [int(e) for e in edge_masks]
-    m = len(edges)
-    incident = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in _bits(e):
-            incident[v].append(i)
-    kmask = (1 << k) - 1
+    uniq = set(int(e) for e in edge_masks)
+    if any(e.bit_count() == 1 for e in uniq):
+        return None  # monochromatic under every coloring
+    through = [{} for _ in range(n)]
+    for e in uniq:
+        members = [(v, 1 << v) for v in _bits(e)]
+        for v, vbit in members:
+            ends_of = through[v]
+            rest = e ^ vbit
+            for u, ubit in members:
+                if u != v:
+                    core = rest ^ ubit
+                    ends_of[core] = ends_of.get(core, 0) | ubit
+    through = [tuple(ends_of.items()) for ends_of in through]
     color = [-1] * n
-    forbid = [0] * n
-    rem = [e.bit_count() for e in edges]
-    present = [0] * m
-    uncolored_mask = (1 << n) - 1
-    uncolored = n
-    max_used = -1
+    cls = [0] * k
+    banned = [0] * k
+    level = [0] * (k + 1)
+    level[k] = (1 << n) - 1
 
-    def select(cap_mask: int) -> int:
-        best_v, best_cnt = -1, 1 << 30
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            cnt = (cap_mask & ~forbid[v]).bit_count()
-            if cnt < best_cnt:
-                best_v, best_cnt = v, cnt
-                if cnt == 0:
-                    break
-        return best_v
-
-    def rec() -> bool:
-        nonlocal uncolored, uncolored_mask, max_used
-        if uncolored == 0:
+    def rec(uncolored: int, max_used: int) -> bool:
+        if not uncolored:
             return True
-        cap_mask = kmask & ((1 << (max_used + 2)) - 1)
-        v = select(cap_mask)
-        usable = cap_mask & ~forbid[v]
-        if usable == 0:
-            return False
-        old_max = max_used
-        vbit = 1 << v
-        for c in _bits(usable):
-            cbit = 1 << c
+        j = 1  # the cut keeps level 0 empty
+        while not level[j]:
+            j += 1
+        vbit = level[j] & -level[j]
+        v = vbit.bit_length() - 1
+        level[j] ^= vbit
+        rest = uncolored ^ vbit
+        pairs = through[v]
+        for c in range(min(k, max_used + 2)):
+            if banned[c] & vbit:
+                continue
+            outside = ~cls[c]
+            hit = 0
+            for core, ends in pairs:
+                if not core & outside:
+                    hit |= ends
+            hit &= rest & ~banned[c]
+            if hit & level[1]:
+                continue  # a vertex would lose its last color
             color[v] = c
-            uncolored -= 1
-            uncolored_mask &= ~vbit
-            if c > max_used:
-                max_used = c
-            etrail = []
-            ftrail = []
-            ok = True
-            for i in incident[v]:
-                etrail.append((i, rem[i], present[i]))
-                rem[i] -= 1
-                present[i] |= cbit
-                if rem[i] == 0:
-                    if present[i].bit_count() == 1:
-                        ok = False
-                        break
-                elif rem[i] == 1 and present[i].bit_count() == 1:
-                    last = edges[i] & uncolored_mask
-                    u = last.bit_length() - 1
-                    if not forbid[u] & present[i]:
-                        forbid[u] |= present[i]
-                        ftrail.append((u, present[i]))
-            if ok and rec():
+            cls[c] |= vbit
+            banned[c] |= hit
+            # the vertices of hit drop one level, none of them to level 0 ...
+            todo, i = hit, 1
+            while todo:
+                moved = level[i] & todo
+                if moved:
+                    level[i] ^= moved
+                    level[i - 1] |= moved
+                    todo ^= moved
+                i += 1
+            if rec(rest, c if c > max_used else max_used):
                 return True
-            for u, bit in ftrail:
-                forbid[u] &= ~bit
-            for i, r, p in reversed(etrail):
-                rem[i] = r
-                present[i] = p
-            uncolored += 1
-            uncolored_mask |= vbit
-            color[v] = -1
-            max_used = old_max
+            # ... and climb back on backtrack
+            todo, i = hit, 1
+            while todo:
+                moved = level[i] & todo
+                if moved:
+                    level[i] ^= moved
+                    level[i + 1] |= moved
+                    todo ^= moved
+                i += 1
+            banned[c] ^= hit
+            cls[c] ^= vbit
+        level[j] |= vbit
         return False
 
-    return tuple(color) if rec() else None
+    return tuple(color) if rec((1 << n) - 1, -1) else None

@@ -116,25 +116,19 @@ def _isomorphisms(a: Hypergraph, b: Hypergraph):
     order = sorted(range(n), key=lambda v: (sig_count[sig_a[v]], v))
     image = [-1] * n
     used_b = [False] * n
-    # the a-edges whose last vertex in ``order`` is mapped at each depth
+    # the a-edges whose last vertex in ``order`` is mapped at each depth,
+    # each distinct one once with its multiplicity
     position = {v: d for d, v in enumerate(order)}
-    completed: list[list[frozenset[int]]] = [[] for _ in range(n)]
+    completed: list[Counter] = [Counter() for _ in range(n)]
     for e in a.edges:
-        completed[max(position[v] for v in e)].append(e)
-
-    def mapped_edges_ok(depth: int) -> bool:
-        # every a-edge fully inside the mapped domain must land on a b-edge,
-        # with multiplicities. Only those completed at this depth need a
-        # look: their images hold image[order[depth]], which the images of
-        # the edges checked at earlier depths do not
-        need = Counter(frozenset(image[v] for v in e) for e in completed[depth])
-        return all(edges_b[e] >= c for e, c in need.items())
+        completed[max(position[v] for v in e)][e] += 1
+    completed_at = [tuple(c.items()) for c in completed]
 
     def rec(depth: int):
         if depth == n:
-            got = Counter(frozenset(image[v] for v in e) for e in a.edges)
-            if got == edges_b:
-                yield tuple(image)
+            # each a-edge landed on a b-edge, with multiplicities, and the
+            # edge counts are equal, so the edge multisets are
+            yield tuple(image)
             return
         v = order[depth]
         for w in range(n):
@@ -142,7 +136,11 @@ def _isomorphisms(a: Hypergraph, b: Hypergraph):
                 continue
             image[v] = w
             used_b[w] = True
-            if mapped_edges_ok(depth):
+            # only the a-edges completed at this depth need a look: their
+            # images hold w, which the images of those checked at earlier
+            # depths do not
+            if all(edges_b[frozenset([image[u] for u in e])] >= c
+                   for e, c in completed_at[depth]):
                 yield from rec(depth + 1)
             used_b[w] = False
             image[v] = -1

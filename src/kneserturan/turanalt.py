@@ -577,10 +577,13 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
     property-tested against, so it shares no pruning logic with it. Which
     edges a side contains depends on that side alone, so it is found once
     per side mask, as a bitmask of edge indices, rather than once per vector.
+    From level 2 on the verdict depends only on the edges inside either
+    side, so it is found once per such bitmask.
     """
     n = rep.n_vertices
     masks = rep.edge_masks
     contained: dict[int, int] = {}  # side mask -> edge indices inside it
+    verdicts: dict[int, bool] = {}  # edge indices inside a side -> verdict
 
     def edges_inside(side: int) -> int:
         got = contained.get(side)
@@ -606,20 +609,24 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
         elif i == 1:
             ok = not (in_plus or in_minus)
         else:
-            inside = [masks[k] for k in bits_of(in_plus | in_minus)]
-            c = len(inside)
-            if i == 2:
-                ok = all(a & b != 0 for a, b in combinations(inside, 2))
-            elif c <= i - 1:
-                ok = True
-            else:
-                adj = [0] * c
-                for a in range(c):
-                    for b in range(a + 1, c):
-                        if inside[a] & inside[b] == 0:
-                            adj[a] |= 1 << b
-                            adj[b] |= 1 << a
-                ok = graph_color_decision(c, adj, i - 1) is not None
+            inside_ids = in_plus | in_minus
+            ok = verdicts.get(inside_ids)
+            if ok is None:
+                inside = [masks[k] for k in bits_of(inside_ids)]
+                c = len(inside)
+                if i == 2:
+                    ok = all(a & b != 0 for a, b in combinations(inside, 2))
+                elif c <= i - 1:
+                    ok = True
+                else:
+                    adj = [0] * c
+                    for a in range(c):
+                        for b in range(a + 1, c):
+                            if inside[a] & inside[b] == 0:
+                                adj[a] |= 1 << b
+                                adj[b] |= 1 << a
+                    ok = graph_color_decision(c, adj, i - 1) is not None
+                verdicts[inside_ids] = ok
         if ok:
             out.append(signs)
     return tuple(out)

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneserturan import (
     Hypergraph,
@@ -23,6 +25,7 @@ from kneserturan import (
     validate_graph_coloring,
     validate_hypergraph_coloring,
 )
+from kneserturan.exactsolve import _greedy_hypergraph_coloring
 from conftest import random_graph, random_hypergraph
 
 
@@ -186,3 +189,56 @@ def test_chromatic_reports_pinned():
         report = chromatic_number_graph(g, cap=g.n_vertices).to_json_dict()
         assert report == {"value": chi, "assignment": assignment,
                           "witness": {"kind": "exhausted", "refuted_colors": refuted}}
+
+
+def test_order_three_kneser_report_pinned():
+    # KG3(K5,P2): 30 vertices, 980 edges. The decision search refutes 2 and
+    # 3 colors (the hardest refutation among the order-3 powers of the chi
+    # benchmark), so the greedy's 4-coloring is the assignment
+    h = kneser_of_family(build_named_family("complete", n=5),
+                         family_of(build_named_family("path", length=2)), r=3).result
+    assert (h.n_vertices, h.n_edges) == (30, 980)
+    assert chromatic_number_hypergraph(h).to_json_dict() == {
+        "value": 4,
+        "assignment": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2,
+                       2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3],
+        "witness": {"kind": "exhausted", "refuted_colors": 3},
+    }
+
+
+def _reference_greedy_hypergraph_coloring(h):
+    """The greedy with an edge scan per vertex: the oracle for the mask
+    version."""
+    color = [-1] * h.n_vertices
+    for v in range(h.n_vertices):
+        banned = set()
+        for e in h.edges:
+            if v in e:
+                others = [color[u] for u in e if u != v]
+                if others and all(c == others[0] and c >= 0 for c in others):
+                    banned.add(others[0])
+        c = 0
+        while c in banned:
+            c += 1
+        color[v] = c
+    return color
+
+
+@st.composite
+def _hypergraphs(draw):
+    # edges of 1 to 5 vertices, some repeated
+    n = draw(st.integers(0, 14))
+    edges = []
+    if n:
+        for vs in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1,
+                                        max_size=min(n, 5)), max_size=4 * n)):
+            edges.append(frozenset(vs))
+            if draw(st.integers(0, 9)) == 0:
+                edges.append(edges[-1])
+    return Hypergraph(n, tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=_hypergraphs())
+def test_greedy_hypergraph_coloring_matches_reference(h):
+    assert _greedy_hypergraph_coloring(h) == _reference_greedy_hypergraph_coloring(h)

@@ -1,9 +1,10 @@
 """The search kernels against test-local reference searches.
 
 max_independent_set is checked against a copy of its search without the
-clique-partition bound, and graph_color_decision against a copy of the same
-search kept in per-vertex forbidden-color masks. Both must return the same
-result, witness included.
+clique-partition bound, and graph_color_decision and
+hypergraph_color_decision against copies of the same searches kept in
+per-vertex forbidden-color masks. Each must return the same result, witness
+included.
 """
 
 from hypothesis import given, settings
@@ -49,6 +50,10 @@ def test_pure_rejects_nothing_small():
     assert _pure.graph_color_decision(0, [], 1) == ()
     assert _pure.max_independent_set(0, []) == (0, 0)
     assert _pure.hypergraph_color_decision(0, [], 1) == ()
+    # degenerate hypergraph edges: a singleton is monochromatic under every
+    # coloring, a zero mask constrains nothing
+    assert _pure.hypergraph_color_decision(3, [0b011, 0b100], 2) is None
+    assert _pure.hypergraph_color_decision(2, [0, 0b11], 2) == (0, 1)
 
 
 def _unpruned_max_independent_set(n, edge_masks):
@@ -232,3 +237,116 @@ def test_graph_color_decision_matches_reference(instance):
     for k in range(9):
         assert _pure.graph_color_decision(n, adj, k, clique) == \
             _reference_graph_color_decision(n, adj, k, clique), k
+
+
+def _reference_hypergraph_color_decision(n, edge_masks, k):
+    """The search with per-edge unit propagation and an O(n) selection scan:
+    the oracle for _pure.hypergraph_color_decision, which keeps its state in
+    color-class and level masks instead."""
+    if n == 0:
+        return ()
+    if k <= 0:
+        return None
+    edges = [int(e) for e in edge_masks]
+    incident = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in _pure._bits(e):
+            incident[v].append(i)
+    kmask = (1 << k) - 1
+    color = [-1] * n
+    forbid = [0] * n
+    rem = [e.bit_count() for e in edges]
+    present = [0] * len(edges)
+    uncolored_mask = (1 << n) - 1
+    uncolored = n
+    max_used = -1
+
+    def select(cap_mask):
+        best_v, best_cnt = -1, 1 << 30
+        for v in range(n):
+            if color[v] >= 0:
+                continue
+            cnt = (cap_mask & ~forbid[v]).bit_count()
+            if cnt < best_cnt:
+                best_v, best_cnt = v, cnt
+                if cnt == 0:
+                    break
+        return best_v
+
+    def rec():
+        nonlocal uncolored, uncolored_mask, max_used
+        if uncolored == 0:
+            return True
+        cap_mask = kmask & ((1 << (max_used + 2)) - 1)
+        v = select(cap_mask)
+        usable = cap_mask & ~forbid[v]
+        if usable == 0:
+            return False
+        old_max = max_used
+        vbit = 1 << v
+        for c in _pure._bits(usable):
+            cbit = 1 << c
+            color[v] = c
+            uncolored -= 1
+            uncolored_mask &= ~vbit
+            if c > max_used:
+                max_used = c
+            etrail = []
+            ftrail = []
+            ok = True
+            for i in incident[v]:
+                etrail.append((i, rem[i], present[i]))
+                rem[i] -= 1
+                present[i] |= cbit
+                if rem[i] == 0:
+                    if present[i].bit_count() == 1:
+                        ok = False
+                        break
+                elif rem[i] == 1 and present[i].bit_count() == 1:
+                    u = (edges[i] & uncolored_mask).bit_length() - 1
+                    if not forbid[u] & present[i]:
+                        forbid[u] |= present[i]
+                        ftrail.append((u, present[i]))
+            if ok and rec():
+                return True
+            for u, bit in ftrail:
+                forbid[u] &= ~bit
+            for i, r, p in reversed(etrail):
+                rem[i] = r
+                present[i] = p
+            uncolored += 1
+            uncolored_mask |= vbit
+            color[v] = -1
+            max_used = old_max
+        return False
+
+    return tuple(color) if rec() else None
+
+
+@st.composite
+def _colorable_hypergraphs(draw):
+    # edges of 1 to 5 vertices, some repeated, some zero masks; singletons
+    # are rare so that most instances reach the search
+    n = draw(st.integers(0, 12))
+    masks = []
+    if n >= 2:
+        for vs in draw(st.lists(st.sets(st.integers(0, n - 1), min_size=2,
+                                        max_size=min(n, 5)), max_size=4 * n)):
+            masks.append(sum(1 << v for v in vs))
+            if draw(st.integers(0, 9)) == 0:
+                masks.append(masks[-1])
+    if n:
+        if draw(st.integers(0, 9)) == 0:
+            masks.append(1 << draw(st.integers(0, n - 1)))
+        if draw(st.integers(0, 9)) == 0:
+            masks.append(0)
+    return n, draw(st.permutations(masks))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_colorable_hypergraphs())
+def test_hypergraph_color_decision_matches_reference(instance):
+    n, masks = instance
+    for k in range(5):
+        assert _pure.hypergraph_color_decision(n, masks, k) == \
+            _reference_hypergraph_color_decision(n, masks, k), k

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -23,10 +24,11 @@ from kneserturan import (
 from kneserturan.patterns import (
     PatternOccurrence,
     _automorphisms,
+    _isomorphisms,
     _symmetry_conditions,
     disk_cache_off,
 )
-from conftest import random_graph
+from conftest import random_graph, random_hypergraph
 
 
 def _p2():
@@ -301,3 +303,26 @@ def test_symmetry_conditions_keep_one_map_per_orbit():
             kept = [g for g in _automorphisms(f)
                     if all(image[g[a]] < image[g[b]] for a, b in conditions)]
             assert len(kept) == 1, name
+
+
+def test_isomorphisms_match_permutation_scan():
+    # every bijection, each once, carrying the edge multiset of a onto that
+    # of b, a relabelled copy of a. The 4-cycle with opposite edges doubled
+    # keeps only 4 of the 8 symmetries of its cycle, so the multiplicities
+    # must count
+    rng = random.Random(9)
+    c4 = build_named_family("cycle", n=4)
+    cases = [Hypergraph(4, c4.edges + (c4.edges[0], c4.edges[2]))]
+    for _ in range(40):
+        a = random_hypergraph(rng, max_vertices=6, max_edges=5, min_edge_size=2)
+        cases.append(Hypergraph(a.n_vertices, a.edges + a.edges[:rng.randint(0, 2)]))
+    for a in cases:
+        pi = rng.sample(range(a.n_vertices), a.n_vertices)
+        copy = [frozenset(pi[v] for v in e) for e in a.edges]
+        rng.shuffle(copy)
+        b = Hypergraph(a.n_vertices, tuple(copy))
+        want = Counter(b.edges)
+        expected = [p for p in permutations(range(a.n_vertices))
+                    if Counter(frozenset(p[v] for v in e) for e in a.edges) == want]
+        assert sorted(_isomorphisms(a, b)) == expected
+    assert len(_automorphisms(cases[0])) == 4

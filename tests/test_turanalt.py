@@ -353,6 +353,17 @@ def test_admissible_vectors_match_inline_scan():
                 _admissible_inline(rep, level, strong)
 
 
+def test_admissible_vectors_match_inline_scan_on_dense_reps():
+    # many edges, so many sign vectors share the edges inside their sides
+    # and the memoized level-2 and level-3 verdicts are reused
+    reps = (build_named_family("complete", n=6),
+            Hypergraph(6, tuple(frozenset(e) for e in combinations(range(6), 3))[:12]))
+    for rep in reps:
+        for level in (2, 3):
+            assert _admissible_vertex_vectors(rep, level, False) == \
+                _admissible_inline(rep, level, False)
+
+
 def test_kneser_10_4_certificates_recheck_exhaustively():
     rep = build_named_kneser("kneser", n=10, k=4).instance.representation
     for i, strong in ((1, False), (2, False), (3, False), (1, True)):
