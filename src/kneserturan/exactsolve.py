@@ -254,8 +254,9 @@ def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) ->
         return ChromaticReport(1, ColoringCertificate(1, (0,) * n), {"kind": "edgeless"})
     ub_assignment = _greedy_hypergraph_coloring(h)
     ub = max(ub_assignment) + 1
+    tables = kernels.hypergraph_color_tables(n, h.edge_masks)
     for k in range(2, ub):
-        assignment = kernels.hypergraph_color_decision(n, h.edge_masks, k)
+        assignment = kernels.hypergraph_color_decision(n, h.edge_masks, k, tables)
         if assignment is not None:
             cert = ColoringCertificate(k, assignment)
             _assert_proper_hypergraph(h, cert)

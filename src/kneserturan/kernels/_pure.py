@@ -1,24 +1,26 @@
 """The search kernels, on Python-int vertex masks of any width.
 
-max_independent_set branches on the hitting-set dichotomy. On graphs it
-runs the same search on adjacency masks: choosing a vertex drops all its
-neighbours from the candidates in one step, the branching edge comes from
-masks of lower neighbours rather than a scan of the edge list, and a
-clique-partition bound cuts subtrees that cannot change the result. Both
-paths return the first maximum leaf of the same tree. graph_color_decision
-keeps its state in color and level masks, so a node costs O(k) mask
-operations rather than a scan of every vertex, and cuts at the assignment
-each child that would fail at once. hypergraph_color_decision runs the same
-search, with color-class masks in place of adjacency: for each vertex v
-and each edge through it, coloring v with c bans c on a member u of the
-edge once the rest of the edge (the core, without v and u) lies inside
-class c. That is one rule for every edge size, and a 2-edge, whose core is
-empty, gives the graph rule. It selects from the same level masks and makes
-the same cut, so its decision tree is that of the search that propagated
-edge by edge and scanned every vertex to select. The graph search stays
-separate: run on graphs as 2-edges, this one is slower there. Each result,
-witness included, is fixed by the tie-breaking rules in the docstrings
-below.
+max_independent_set branches on the hitting-set dichotomy, and cuts a node
+when a packing of realizable edges with disjoint free parts shows that it
+cannot beat the best size. On graphs it runs the same search on adjacency
+masks: choosing a vertex drops all its neighbours from the candidates in
+one step, the branching edge comes from masks of lower neighbours rather
+than a scan of the edge list, and a clique-partition bound cuts subtrees
+that cannot change the result. Both paths return the first maximum leaf of
+the same tree. graph_color_decision keeps its state in color and level
+masks, so a node costs O(k) mask operations rather than a scan of every
+vertex, and cuts at the assignment each child that would fail at once.
+hypergraph_color_decision runs the same search, with color-class masks in
+place of adjacency: for each vertex v and each edge through it, coloring v
+with c bans c on a member u of the edge once the rest of the edge (the
+core, without v and u) lies inside class c. That is one rule for every
+edge size, and a 2-edge, whose core is empty, gives the graph rule. It
+selects from the same level masks and makes the same cut, so its decision
+tree is that of the search that propagated edge by edge and scanned every
+vertex to select. Its tables, from hypergraph_color_tables, depend on the
+edges alone and can serve every k. The graph search stays separate: run on
+graphs as 2-edges, this one is slower there. Each result, witness included,
+is fixed by the tie-breaking rules in the docstrings below.
 """
 
 from __future__ import annotations
@@ -76,7 +78,17 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
 
     Branch and bound on the standard hitting-set dichotomy: pick an edge still
     realizable inside chosen|candidates and branch on which of its free
-    vertices gets excluded (earlier ones committed to the chosen side).
+    vertices gets excluded (earlier ones committed to the chosen side). The
+    pick is the first edge, in sorted mask order, with the fewest free
+    vertices.
+
+    The scan for the pick also packs, greedily in the same order, realizable
+    edges whose free parts are pairwise disjoint. Every leaf below the node
+    loses a free vertex of each packed edge, a different one for each, so
+    the node is cut when the union less the packing cannot beat the best
+    size. An edge with no free vertex ends the node at once: the subtree
+    under it has no leaf. Neither cut drops a strictly better leaf, so the
+    first maximum leaf, the result, is that of the search without them.
 
     When every minimal edge has two vertices, all below ``n``, the graph
     search of _max_independent_set_graph runs instead. It returns the same
@@ -105,19 +117,25 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
             return
         pick = -1
         pick_t = n + 1
+        packed = 0
+        packing = 0
         for e in edges:
             if e & ~union:
                 continue
-            t = (e & ~chosen).bit_count()
-            if t == 0:
+            free = e & ~chosen
+            if not free:
                 return  # an edge is fully inside the committed part
+            if not free & packed:
+                packed |= free
+                packing += 1
+            t = free.bit_count()
             if t < pick_t:
                 pick, pick_t = e, t
-                if t == 1:
-                    break
         if pick == -1:
             best_size = total
             best_mask = union
+            return
+        if total - packing <= best_size:
             return
         forced = 0
         for v in _bits(pick & ~chosen):
@@ -267,7 +285,28 @@ def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | No
     return tuple(color) if rec(uncolored, len(clique) - 1) else None
 
 
-def hypergraph_color_decision(n: int, edge_masks, k: int) -> tuple[int, ...] | None:
+def hypergraph_color_tables(n: int, edge_masks):
+    """The per-vertex ``(core, ends)`` pairs hypergraph_color_decision
+    searches on, or None when an edge is a singleton. They depend on the
+    edges alone, so a caller trying several k builds them once."""
+    uniq = set(int(e) for e in edge_masks)
+    if any(e.bit_count() == 1 for e in uniq):
+        return None  # monochromatic under every coloring
+    through = [{} for _ in range(n)]
+    for e in uniq:
+        members = [(v, 1 << v) for v in _bits(e)]
+        for v, vbit in members:
+            ends_of = through[v]
+            rest = e ^ vbit
+            for u, ubit in members:
+                if u != v:
+                    core = rest ^ ubit
+                    ends_of[core] = ends_of.get(core, 0) | ubit
+    return [tuple(ends_of.items()) for ends_of in through]
+
+
+def hypergraph_color_decision(n: int, edge_masks, k: int,
+                              tables=None) -> tuple[int, ...] | None:
     """k-coloring with no monochromatic edge, or None.
 
     The search of graph_color_decision, with no pre-colored clique, on one
@@ -287,26 +326,16 @@ def hypergraph_color_decision(n: int, edge_masks, k: int) -> tuple[int, ...] | N
     assignment; the search would select that vertex there and fail, so the
     decision tree, and the coloring returned, are those of the same search
     without the cut. A singleton edge makes the answer None; a zero mask is
-    ignored.
+    ignored. ``tables``, when given, is hypergraph_color_tables of the same
+    n and edges.
     """
     if n == 0:
         return ()
     if k <= 0:
         return None
-    uniq = set(int(e) for e in edge_masks)
-    if any(e.bit_count() == 1 for e in uniq):
-        return None  # monochromatic under every coloring
-    through = [{} for _ in range(n)]
-    for e in uniq:
-        members = [(v, 1 << v) for v in _bits(e)]
-        for v, vbit in members:
-            ends_of = through[v]
-            rest = e ^ vbit
-            for u, ubit in members:
-                if u != v:
-                    core = rest ^ ubit
-                    ends_of[core] = ends_of.get(core, 0) | ubit
-    through = [tuple(ends_of.items()) for ends_of in through]
+    through = hypergraph_color_tables(n, edge_masks) if tables is None else tables
+    if through is None:
+        return None
     color = [-1] * n
     cls = [0] * k
     banned = [0] * k

@@ -300,6 +300,12 @@ def _pattern_hypergraph_cached(host_json: str, family_json: str) -> Hypergraph:
     return Hypergraph(host.n_edges, tuple(edge_sets))
 
 
+def _digest(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _loads(text: str):
     import json
 
@@ -315,32 +321,34 @@ def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
     memory, and on disk as well when the KNESERTURAN_CACHE_DIR environment
     variable points at a writable directory and no ``disk_cache_off`` block
     is running. A disk entry keeps the canonical host and family JSON it was
-    computed from; an entry that does not parse, or was computed from other
-    inputs, is a miss: it is recomputed and written again. Entries are
-    written to a temporary file and renamed into place, so a reader never
-    sees half of one.
+    computed from, and the sha256 of its hypergraph's canonical JSON; an
+    entry that does not parse, was computed from other inputs or whose
+    hypergraph no longer matches its digest is a miss: it is recomputed and
+    written again. Entries are written to a temporary file and renamed into
+    place, so a reader never sees half of one.
     """
     host_json = host.canonical_json()
     family_json = family.canonical_json()
     cache_dir = None if _disk_cache_blocked.get() else os.environ.get(CACHE_ENV_VAR)
     if cache_dir:
-        import hashlib
         import json as _json
         import tempfile
 
-        key = hashlib.sha256((host_json + "|" + family_json).encode()).hexdigest()
+        key = _digest(host_json + "|" + family_json)
         path = os.path.join(cache_dir, f"pattern-{key}.json")
         if os.path.exists(path):
             try:
                 with open(path) as fh:
                     entry = _json.load(fh)
-                if entry["host"] == host_json and entry["family"] == family_json:
+                if (entry["host"] == host_json and entry["family"] == family_json
+                        and entry["digest"] == _digest(canonical_dumps(entry["hypergraph"]))):
                     return Hypergraph.from_json_dict(entry["hypergraph"])
             except (TypeError, ValueError, KeyError):
                 pass  # truncated or garbled: recompute and overwrite
         result = _pattern_hypergraph_cached(host_json, family_json)
-        entry = {"host": host_json, "family": family_json,
-                 "hypergraph": result.to_json_dict()}
+        hypergraph_doc = result.to_json_dict()
+        entry = {"host": host_json, "family": family_json, "hypergraph": hypergraph_doc,
+                 "digest": _digest(canonical_dumps(hypergraph_doc))}
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(prefix=".pattern-", suffix=".tmp", dir=cache_dir)
         try:

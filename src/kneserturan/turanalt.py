@@ -274,13 +274,30 @@ def ex_alt_sigma(host: Hypergraph, family: PatternFamily, sigma: LinearOrdering,
     if m > cap:
         raise SizeCapError(f"host has {m} edges, above the cap {cap}")
     occ = occurrence_masks(host, family)
-    value, colored = _best_alternating(sigma.sequence, _through_index(m, occ), strong, None)
+    tables = _alternating_tables(m, occ)
+    value, colored = _best_alternating(sigma.sequence, tables, strong, None)
     quantity = "ex-salt" if strong else "ex-alt"
     return TuranReport(quantity, value, "exact",
                        witness_coloring=AlternatingColoring(sigma, colored))
 
 
-def _best_alternating(seq, through, strong: bool, stop_at: int | None):
+def _alternating_tables(m: int, occ_masks):
+    """The tables _best_alternating searches on, which depend on the host
+    alone: for each host edge e the rests ``om - e`` of the occurrences om
+    through e that have more than one edge, and the mask of the single-edge
+    occurrences."""
+    rests: list[list[int]] = [[] for _ in range(m)]
+    singles = 0
+    for om in occ_masks:
+        if om & (om - 1) == 0:
+            singles |= om
+            continue
+        for e in bits_of(om):
+            rests[e].append(om ^ (1 << e))
+    return rests, singles
+
+
+def _best_alternating(seq, tables, strong: bool, stop_at: int | None):
     """Max colored length over alternating colorings of ``seq``.
 
     Colors along the chosen subsequence are forced once the first one is
@@ -289,44 +306,73 @@ def _best_alternating(seq, through, strong: bool, stop_at: int | None):
     With ``stop_at`` the search aborts once that length is reached; the
     returned value is then only a lower bound on the true maximum, which is
     all the ordering-minimization loop needs to discard the ordering.
+
+    ``seq`` lists the host edges 0..m-1 and ``tables`` comes from
+    _alternating_tables, built once per host. Each color class keeps a dead
+    mask: the edges that would complete an occurrence if that class took
+    them, so testing a take is one mask test rather than a scan of the
+    occurrences through the edge. When e joins a class, an occurrence
+    through e with a single edge left outside the class makes that edge
+    dead; single-edge occurrences are dead in both classes from the start.
+
+    An edge not yet decided is live for a class unless the class can no
+    longer take it: it is dead there and, in the strong form, the other
+    class already holds an occurrence. The edges still to be chosen
+    alternate, starting with the class that moves next, so they number at
+    most |live|, twice the edges live for that class, and one more than
+    twice those live for the other. A node is cut when that cannot beat the
+    best length. Take comes before skip and only a strictly longer coloring
+    is recorded, so the cut, which drops only subtrees with no strictly
+    longer coloring, leaves the result, witness and aborts included, as
+    they were without it.
     """
+    rests, singles = tables
     m = len(seq)
     best = -1
     best_choice: tuple[int, ...] = ()
     chosen: list[int] = []
     aborted = False
 
-    def rec(pos: int, red: int, blue: int, red_bad: bool, blue_bad: bool):
+    # ``side`` is the color class that takes the next edge, ``other`` the
+    # class that took the last one; each take swaps their roles
+    def rec(pos: int, rest: int, side: int, other: int, dead_side: int, dead_other: int,
+            side_bad: bool, other_bad: bool):
         nonlocal best, best_choice, aborted
-        if len(chosen) > best:
-            best = len(chosen)
+        n_chosen = len(chosen)
+        if n_chosen > best:
+            best = n_chosen
             best_choice = tuple(chosen)
             if stop_at is not None and best >= stop_at:
                 aborted = True
-        if aborted or pos == m or len(chosen) + (m - pos) <= best:
+        if aborted or pos == m:
+            return
+        room = best - n_chosen
+        if rest.bit_count() <= room:
+            return
+        live_side = rest & ~dead_side if not strong or other_bad else rest
+        live_other = rest & ~dead_other if not strong or side_bad else rest
+        if ((live_side | live_other).bit_count() <= room or 2 * live_side.bit_count() <= room
+                or 2 * live_other.bit_count() < room):
             return
         e = seq[pos]
         bit = 1 << e
-        take_red = len(chosen) % 2 == 0
-        side = (red | bit) if take_red else (blue | bit)
-        side_bad = red_bad if take_red else blue_bad
-        other_bad = blue_bad if take_red else red_bad
-        if side_bad:
-            completes = True
-        else:
-            completes = any(om & side == om for om in through[e])
+        completes = side_bad or bool(dead_side & bit)
         if not completes or (strong and not other_bad):
+            grown = side | bit
+            dead = dead_side
+            if not completes:  # a class holding an occurrence needs no dead mask
+                for r in rests[e]:
+                    x = r & ~grown
+                    if x & (x - 1) == 0:
+                        dead |= x
             chosen.append(e)
-            if take_red:
-                rec(pos + 1, side, blue, red_bad or completes, blue_bad)
-            else:
-                rec(pos + 1, red, side, red_bad, blue_bad or completes)
+            rec(pos + 1, rest ^ bit, other, grown, dead_other, dead, other_bad, completes)
             chosen.pop()
             if aborted:
                 return
-        rec(pos + 1, red, blue, red_bad, blue_bad)
+        rec(pos + 1, rest ^ bit, side, other, dead_side, dead_other, side_bad, other_bad)
 
-    rec(0, 0, 0, False, False)
+    rec(0, (1 << m) - 1, 0, 0, singles, singles, False, False)  # seq lists 0..m-1
     colored = tuple(
         (e, "red" if k % 2 == 0 else "blue") for k, e in enumerate(best_choice)
     )
@@ -377,7 +423,7 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
         coloring = AlternatingColoring(LinearOrdering(cur_seq), cur_col)
         return TuranReport(quantity, cur, "exact", witness_coloring=coloring)
 
-    through = _through_index(m, occ)
+    tables = _alternating_tables(m, occ)
     rng = random.Random(seed)
     candidates: list[tuple[int, ...]] = []
     if host.is_graph:
@@ -397,7 +443,7 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
         if seq in seen:
             continue
         seen.add(seq)
-        val, colored = _best_alternating(seq, through, strong, cur)
+        val, colored = _best_alternating(seq, tables, strong, cur)
         if val < cur:
             cur, cur_seq, cur_col = val, seq, colored
     coloring = AlternatingColoring(LinearOrdering(cur_seq), cur_col)
@@ -412,7 +458,7 @@ def _ordering_scan(m: int, occ_masks, strong: bool, floor: int, firsts: range):
     minimum is each search's ``stop_at``, and the scan ends at ``floor``.
     Returns (value, ordering, colored pairs) of the first minimizing ordering.
     """
-    through = _through_index(m, occ_masks)
+    tables = _alternating_tables(m, occ_masks)
     cur = m + 1
     cur_seq = None
     cur_col: tuple[tuple[int, str], ...] = ()
@@ -421,7 +467,7 @@ def _ordering_scan(m: int, occ_masks, strong: bool, floor: int, firsts: range):
             if tail and tail[-1] < first:
                 continue
             seq = (first,) + tail
-            val, colored = _best_alternating(seq, through, strong, cur)
+            val, colored = _best_alternating(seq, tables, strong, cur)
             if val < cur:
                 cur, cur_seq, cur_col = val, seq, colored
                 if cur <= floor:
@@ -468,6 +514,18 @@ def salt_sigma(rep: Hypergraph, sigma: LinearOrdering,
 
 def _alt_search(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool,
                 cap: int, stop_at: int | None):
+    """Depth-first search over sign vectors along ``sigma``: (best, witness).
+
+    Signing a vertex v puts into its side the hyperedges through v that lie
+    inside the grown side mask. Vertices are signed in ``sigma`` order, so
+    v is the last vertex of that mask in that order, and the list is a fact
+    of the side mask alone: it is built once per side mask, and not at all
+    while the side has fewer vertices than the smallest hyperedge. A mask
+    with no hyperedge through v inside it gives the empty list, as before.
+    The tree, the order of its nodes and every test are those of the search
+    that rebuilt the list at every node, so the value and witness are
+    unchanged.
+    """
     n = rep.n_vertices
     if len(sigma) != n:
         raise InvalidParameterError("ordering length differs from vertex count")
@@ -476,6 +534,8 @@ def _alt_search(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool,
     if n > cap:
         raise SizeCapError(f"representation has {n} vertices, above the cap {cap}")
     seq = sigma.sequence
+    smallest = min((em.bit_count() for em in rep.edge_masks), default=n + 1)
+    inside: dict[int, list[int]] = {}  # side mask -> hyperedges its last vertex completes
     incident: list[list[int]] = [[] for _ in range(n)]
     for em in rep.edge_masks:
         for v in bits_of(em):
@@ -522,7 +582,13 @@ def _alt_search(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool,
                 rec(pos + 1, plus, minus, bad_plus, bad_minus, runs, last)
                 continue
             side_mask = (plus | vbit) if s == 1 else (minus | vbit)
-            new_masks = [em for em in incident[v] if em & side_mask == em]
+            if side_mask.bit_count() < smallest:
+                new_masks = []
+            else:
+                new_masks = inside.get(side_mask)
+                if new_masks is None:
+                    new_masks = inside[side_mask] = [
+                        em for em in incident[v] if em & side_mask == em]
             new_runs = runs + (1 if s != last else 0)
             entries[pos] = s
             if strong:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -355,7 +356,13 @@ def test_verify_ignores_poisoned_cache_entry(capsys, tmp_path, monkeypatch):
     poisoned = json.loads(entry.read_text())
     poisoned["hypergraph"]["edges"] = []
     entry.write_text(json.dumps(poisoned))
-    # compute trusts the cache and reports every host edge as free ...
+    # an entry whose hypergraph no longer matches its digest is a miss ...
+    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
+    # ... but one whose digest was rewritten to match is trusted by compute,
+    # which reports every host edge as free ...
+    poisoned["digest"] = hashlib.sha256(
+        canonical_dumps(poisoned["hypergraph"]).encode()).hexdigest()
+    entry.write_text(json.dumps(poisoned))
     doc = _run_json(capsys, *k4_p2)
     assert doc["result"]["ex"] == 6
     path = tmp_path / "doc.json"

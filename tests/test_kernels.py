@@ -1,11 +1,13 @@
 """The search kernels against test-local reference searches.
 
 max_independent_set is checked against a copy of its search without the
-clique-partition bound, and graph_color_decision and
+clique-partition and packing bounds, and graph_color_decision and
 hypergraph_color_decision against copies of the same searches kept in
 per-vertex forbidden-color masks. Each must return the same result, witness
 included.
 """
+
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,7 +30,7 @@ def test_dispatcher_reports_backend():
     # one backend: each public kernel is the _pure function itself
     assert BACKEND == "pure"
     for name in ("max_independent_set", "graph_color_decision",
-                 "hypergraph_color_decision"):
+                 "hypergraph_color_decision", "hypergraph_color_tables"):
         assert getattr(kernels, name) is getattr(_pure, name), name
 
 
@@ -57,7 +59,8 @@ def test_pure_rejects_nothing_small():
 
 
 def _unpruned_max_independent_set(n, edge_masks):
-    """The search without the clique-partition bound: the oracle for _pure."""
+    """The search without the clique-partition and packing bounds: the
+    oracle for _pure."""
     full = (1 << n) - 1
     uniq = sorted(set(int(e) for e in edge_masks))
     edges = [e for e in uniq if not any(f != e and (f & ~e) == 0 for f in uniq)]
@@ -118,8 +121,32 @@ def _mixed_hypergraphs(draw):
     return n, masks
 
 
+@st.composite
+def _cycle_hypergraphs(draw):
+    # 3- and 4-uniform, on 14 to 22 vertices: the triangles or the 4-cycles
+    # of a random graph on 8 vertices, as hyperedges over its edge ids, the
+    # instances exact ex(H,K3) and ex(H,C4) search; larger than those of
+    # _mixed_hypergraphs, so the packing bound cuts deep trees
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = rng.sample([(u, v) for u in range(8) for v in range(u + 1, 8)],
+                       draw(st.integers(14, 22)))
+    ids = {frozenset(p): i for i, p in enumerate(pairs)}
+
+    def mask(*cycle):
+        ends = zip(cycle, cycle[1:] + cycle[:1])
+        got = [ids.get(frozenset(p)) for p in ends]
+        return None if None in got else sum(1 << i for i in got)
+
+    if draw(st.booleans()):
+        found = [mask(a, b, c) for a, b, c in combinations(range(8), 3)]
+    else:
+        found = [mask(*q) for a, b, c, d in combinations(range(8), 4)
+                 for q in ((a, b, c, d), (a, b, d, c), (a, c, b, d))]
+    return len(pairs), [m for m in found if m is not None]
+
+
 @settings(max_examples=120, deadline=None)
-@given(instance=st.one_of(_graphs(), _mixed_hypergraphs()))
+@given(instance=st.one_of(_graphs(), _mixed_hypergraphs(), _cycle_hypergraphs()))
 def test_max_independent_set_matches_unpruned_search(instance):
     n, masks = instance
     assert _pure.max_independent_set(n, masks) == _unpruned_max_independent_set(n, masks)
@@ -346,7 +373,11 @@ def _colorable_hypergraphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(instance=_colorable_hypergraphs())
 def test_hypergraph_color_decision_matches_reference(instance):
+    # with its tables built per call and, as chromatic_number_hypergraph
+    # does, once for every k
     n, masks = instance
+    tables = _pure.hypergraph_color_tables(n, masks)
     for k in range(5):
-        assert _pure.hypergraph_color_decision(n, masks, k) == \
-            _reference_hypergraph_color_decision(n, masks, k), k
+        expected = _reference_hypergraph_color_decision(n, masks, k)
+        assert _pure.hypergraph_color_decision(n, masks, k) == expected, k
+        assert _pure.hypergraph_color_decision(n, masks, k, tables) == expected, k

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from collections import Counter
@@ -14,6 +15,7 @@ from kneserturan import (
     SizeCapError,
     are_isomorphic,
     build_named_family,
+    canonical_dumps,
     doubled,
     enumerate_occurrences,
     family_of,
@@ -141,8 +143,17 @@ def test_pattern_hypergraph_disk_cache(tmp_path, monkeypatch):
     entry.write_text(json.dumps(swapped))
     assert pattern_hypergraph(host, fam) == first
     assert entry.read_text() == whole
-    # inside disk_cache_off the directory is neither read nor written
-    entry.write_text(json.dumps(swapped | {"host": json.loads(whole)["host"]}))
+    # so is an entry whose hypergraph no longer matches its digest
+    edited = json.loads(whole)
+    edited["hypergraph"]["edges"] = []
+    entry.write_text(json.dumps(edited))
+    assert pattern_hypergraph(host, fam) == first
+    assert entry.read_text() == whole
+    # inside disk_cache_off the directory is neither read nor written, even
+    # for an entry whose digest was rewritten to match
+    edited["digest"] = hashlib.sha256(
+        canonical_dumps(edited["hypergraph"]).encode()).hexdigest()
+    entry.write_text(json.dumps(edited))
     with disk_cache_off():
         assert pattern_hypergraph(host, fam) == first
         pattern_hypergraph(build_named_family("cycle", n=7), fam)

@@ -33,8 +33,15 @@ from kneserturan import (
     verify_certificate,
     verify_turan_report,
 )
-from kneserturan.hyperstruct import mask_of
-from kneserturan.turanalt import _admissible_vertex_vectors, _brute_turan, _disjointness_colorable
+from kneserturan.hyperstruct import SignVector, mask_of
+from kneserturan.turanalt import (
+    _admissible_vertex_vectors,
+    _alt_search,
+    _alternating_tables,
+    _best_alternating,
+    _brute_turan,
+    _disjointness_colorable,
+)
 from conftest import random_graph, random_hypergraph
 
 
@@ -286,6 +293,167 @@ def test_sandwich_chains_on_random_hosts():
         else:
             assert salt == ex  # nothing to alternate against: both sides stay free
     assert seen >= 10
+
+
+def _reference_best_alternating(seq, occ_masks, strong, stop_at):
+    """The alternating search that scans the occurrences through each edge to
+    test completion and cuts only on the count of edges left: the oracle for
+    _best_alternating, which keeps dead masks and a live-edge bound."""
+    m = len(seq)
+    through = [[] for _ in range(max(seq, default=-1) + 1)]
+    for om in occ_masks:
+        for e in range(len(through)):
+            if om >> e & 1:
+                through[e].append(om)
+    best = -1
+    best_choice = ()
+    chosen = []
+    aborted = False
+
+    def rec(pos, red, blue, red_bad, blue_bad):
+        nonlocal best, best_choice, aborted
+        if len(chosen) > best:
+            best = len(chosen)
+            best_choice = tuple(chosen)
+            if stop_at is not None and best >= stop_at:
+                aborted = True
+        if aborted or pos == m or len(chosen) + (m - pos) <= best:
+            return
+        e = seq[pos]
+        bit = 1 << e
+        take_red = len(chosen) % 2 == 0
+        side = (red | bit) if take_red else (blue | bit)
+        side_bad = red_bad if take_red else blue_bad
+        other_bad = blue_bad if take_red else red_bad
+        completes = side_bad or any(om & side == om for om in through[e])
+        if not completes or (strong and not other_bad):
+            chosen.append(e)
+            if take_red:
+                rec(pos + 1, side, blue, red_bad or completes, blue_bad)
+            else:
+                rec(pos + 1, red, side, red_bad, blue_bad or completes)
+            chosen.pop()
+            if aborted:
+                return
+        rec(pos + 1, red, blue, red_bad, blue_bad)
+
+    rec(0, 0, 0, False, False)
+    return best, tuple((e, "red" if k % 2 == 0 else "blue") for k, e in enumerate(best_choice))
+
+
+@st.composite
+def _alternating_instances(draw):
+    # occurrences of 1 to 4 edges, repeats and single edges included, along
+    # a random ordering of up to 10 edges
+    m = draw(st.integers(0, 10))
+    occ = []
+    if m:
+        for es in draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1,
+                                        max_size=min(m, 4)), max_size=14)):
+            occ.append(sum(1 << e for e in es))
+    return tuple(draw(st.permutations(range(m)))), occ, draw(st.integers(0, m + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_alternating_instances())
+def test_best_alternating_matches_reference(instance):
+    seq, occ, stop = instance
+    tables = _alternating_tables(len(seq), occ)
+    for strong in (False, True):
+        for stop_at in (None, stop):
+            assert _best_alternating(seq, tables, strong, stop_at) == \
+                _reference_best_alternating(seq, occ, strong, stop_at), (strong, stop_at)
+
+
+def _reference_alt_search(rep, sigma, i, strong, stop_at):
+    """The sign-vector search that lists the hyperedges completed by every
+    signing at every node: the oracle for _alt_search."""
+    n = rep.n_vertices
+    seq = sigma.sequence
+    incident = [[em for em in rep.edge_masks if em >> v & 1] for v in range(n)]
+    entries = [0] * n
+    contained = []
+    best = 0
+    best_entries = None
+    aborted = False
+
+    def contained_ok(new_masks, side):
+        if i == 1:
+            return not new_masks
+        if i == 2:
+            return all(oside == side and om & em for em in new_masks for om, oside in contained) \
+                and all(a & b for a, b in combinations(new_masks, 2))
+        return _disjointness_colorable([om for om, _ in contained] + new_masks, i - 1)
+
+    def rec(pos, plus, minus, bad_plus, bad_minus, runs, last):
+        nonlocal best, best_entries, aborted
+        if runs > best:
+            best = runs
+            best_entries = tuple(entries[:pos]) + (0,) * (n - pos)
+            if stop_at is not None and best >= stop_at:
+                aborted = True
+        if aborted or pos == n or runs + (n - pos) <= best:
+            return
+        v = seq[pos]
+        vbit = 1 << v
+        for s in ((1, 0) if last == 0 else (-last, last, 0)):
+            if aborted:
+                return
+            if s == 0:
+                entries[pos] = 0
+                rec(pos + 1, plus, minus, bad_plus, bad_minus, runs, last)
+                continue
+            side_mask = (plus | vbit) if s == 1 else (minus | vbit)
+            new_masks = [em for em in incident[v] if em & side_mask == em]
+            new_runs = runs + (1 if s != last else 0)
+            entries[pos] = s
+            if strong:
+                nbp = bad_plus or (s == 1 and bool(new_masks))
+                nbm = bad_minus or (s == -1 and bool(new_masks))
+                if nbp and nbm:
+                    continue
+                if s == 1:
+                    rec(pos + 1, side_mask, minus, nbp, nbm, new_runs, s)
+                else:
+                    rec(pos + 1, plus, side_mask, nbp, nbm, new_runs, s)
+                continue
+            if not contained_ok(new_masks, s):
+                continue
+            contained.extend((em, s) for em in new_masks)
+            if s == 1:
+                rec(pos + 1, side_mask, minus, bad_plus, bad_minus, new_runs, s)
+            else:
+                rec(pos + 1, plus, side_mask, bad_plus, bad_minus, new_runs, s)
+            if new_masks:
+                del contained[-len(new_masks):]
+
+    rec(0, 0, 0, False, False, 0, 0)
+    return best, None if best_entries is None else SignVector(best_entries)
+
+
+@st.composite
+def _sign_search_instances(draw):
+    # uniform or mixed edge sizes, singletons and repeated edges included
+    n = draw(st.integers(1, 9))
+    sizes = st.integers(1, n)
+    if draw(st.booleans()):
+        sizes = st.just(draw(sizes))
+    edges = []
+    for _ in range(draw(st.integers(1, 12))):
+        k = draw(sizes)
+        edges.append(frozenset(draw(st.permutations(range(n)))[:k]))
+    sigma = LinearOrdering(tuple(draw(st.permutations(range(n)))))
+    return Hypergraph(n, tuple(edges)), sigma, draw(st.integers(0, n + 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=_sign_search_instances())
+def test_alt_search_matches_reference(instance):
+    rep, sigma, stop = instance
+    for i, strong in ((1, False), (2, False), (3, False), (1, True)):
+        for stop_at in (None, stop):
+            assert _alt_search(rep, sigma, i, strong, 20, stop_at) == \
+                _reference_alt_search(rep, sigma, i, strong, stop_at), (i, strong, stop_at)
 
 
 # --- serialization and verification ---
