@@ -49,7 +49,7 @@ from .kneser import (
     kneser_of_family,
     kneser_power,
 )
-from .patterns import PatternFamily, disk_cache_off, family_of, pattern_hypergraph
+from .patterns import PatternFamily, family_of, pattern_hypergraph
 from .turanalt import (
     DEFAULT_ALT_CAP,
     DEFAULT_ORDERING_CAP,
@@ -336,7 +336,8 @@ def _resolve_ordering(args, resolved: _Resolved, fallback: str) -> dict:
     """
     if args.ordering:
         with open(args.ordering) as fh:
-            sigma = LinearOrdering(tuple(int(x) for x in json.load(fh)))
+            sequence = _ints(json.load(fh), f"the ordering file {args.ordering}")
+        sigma = LinearOrdering(tuple(sequence))
         return {"kind": "explicit", "sequence": list(sigma.sequence)}
     if args.interval:
         if resolved.family is None:
@@ -359,9 +360,7 @@ def _cap_kwargs(options: dict) -> dict:
 
 def _sigma(options: dict) -> LinearOrdering:
     _require(options["ordering"], ("sequence",), "the ordering echo")
-    sequence = options["ordering"]["sequence"]
-    if not isinstance(sequence, list) or any(type(x) is not int for x in sequence):
-        raise InvalidParameterError("malformed document: the ordering sequence is not a list of ints")
+    sequence = _ints(options["ordering"]["sequence"], "malformed document: the ordering sequence")
     return LinearOrdering(tuple(sequence))
 
 
@@ -436,8 +435,7 @@ def _verify_chi(quantity: str, operand, options: dict, result: dict) -> dict:
     if claimed != "unbounded" and type(claimed) is not int:
         raise InvalidParameterError("malformed document: chi is neither an int nor \"unbounded\"")
     if assignment is not None:
-        if not isinstance(assignment, list) or any(type(c) is not int for c in assignment):
-            raise InvalidParameterError("malformed document: the assignment is not a list of ints")
+        _ints(assignment, "malformed document: the assignment")
         validator = validate_graph_coloring if is_graph else validate_hypergraph_coloring
         if not validator(target, tuple(assignment)):
             raise VerificationError("claimed coloring is not proper")
@@ -460,9 +458,7 @@ def _check_chi_witness(target: Hypergraph, is_graph: bool, claimed, witness) -> 
         raise InvalidParameterError(f"malformed document: unknown witness kind {kind!r}")
     if kind == "clique":
         _require(witness, ("members",), "the witness")
-        members = witness["members"]
-        if not isinstance(members, list) or any(type(v) is not int for v in members):
-            raise InvalidParameterError("malformed document: the clique members are not a list of ints")
+        members = _ints(witness["members"], "malformed document: the clique members")
         if len(members) != claimed:
             raise VerificationError(f"clique witness has {len(members)} members, chi is {claimed}")
         if len(set(members)) != len(members) or \
@@ -623,6 +619,13 @@ def _require(doc, keys, what: str, scalar: type | None = None) -> None:
                 f"malformed document: in {what}, {key} is not of type {scalar.__name__}")
 
 
+def _ints(value, what: str) -> list[int]:
+    """``value`` itself if it is a list of ints; anything else is bad input."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InvalidParameterError(f"{what} is not a list of ints")
+    return value
+
+
 def _decode(from_json_dict, doc, what: str):
     """Deserialize a nested document; a value of the wrong type is bad input."""
     try:
@@ -634,9 +637,7 @@ def _decode(from_json_dict, doc, what: str):
 def _run_verify(args) -> tuple[dict, int]:
     with open(args.document) as fh:
         doc = json.load(fh)
-    # the run that wrote the document may have poisoned the disk cache
-    with disk_cache_off():
-        return _verify_document(doc)
+    return _verify_document(doc)
 
 
 def _verify_document(doc) -> tuple[dict, int]:

@@ -20,7 +20,10 @@ DEFAULT_SOLVER_CAP = 64
 class _Unbounded:
     """Distinguished chromatic value for hypergraphs with singleton edges.
 
-    Compares above every int; arithmetic is deliberately not defined.
+    A singleton: ``__new__`` returns the one instance, so ``is UNBOUNDED``
+    holds even for an unpickled value. It is greater than every int (so
+    ``int < UNBOUNDED`` holds too); no other comparison and no arithmetic is
+    defined.
     """
 
     _instance = None
@@ -38,23 +41,6 @@ class _Unbounded:
             return True
         if other is self:
             return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int) or other is self:
-            return True
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, int) or other is self:
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int):
-            return False
-        if other is self:
-            return True
         return NotImplemented
 
     def to_json(self):

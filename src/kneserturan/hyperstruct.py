@@ -140,10 +140,16 @@ class Hypergraph:
     def from_json_dict(cls, doc: dict) -> "Hypergraph":
         if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
             raise InvalidParameterError("hypergraph JSON needs 'n' and 'edges'")
+        n, edges = doc["n"], doc["edges"]
+        if type(n) is not int:
+            raise InvalidParameterError("hypergraph JSON: 'n' is not an int")
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and all(type(v) is int for v in e) for e in edges):
+            raise InvalidParameterError("hypergraph JSON: 'edges' is not a list of lists of ints")
         labels = doc.get("labels")
         return cls(
-            n_vertices=int(doc["n"]),
-            edges=tuple(frozenset(int(v) for v in e) for e in doc["edges"]),
+            n_vertices=n,
+            edges=tuple(frozenset(e) for e in edges),
             labels=tuple(labels) if labels is not None else None,
         )
 
@@ -437,12 +443,14 @@ def from_dimacs(text: str) -> Hypergraph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise InvalidParameterError(f"bad DIMACS problem line: {line!r}")
-            n, declared = int(parts[2]), int(parts[3])
+            n, declared = _dimacs_ints(parts[2:], line)
         elif parts[0] == "e":
             if n is None:
                 raise InvalidParameterError("DIMACS edge before problem line")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            edges.append(frozenset({u, v}))
+            if len(parts) != 3:
+                raise InvalidParameterError(f"bad DIMACS edge line: {line!r}")
+            u, v = _dimacs_ints(parts[1:], line)
+            edges.append(frozenset({u - 1, v - 1}))
         else:
             raise InvalidParameterError(f"unrecognized DIMACS line: {line!r}")
     if n is None:
@@ -450,3 +458,9 @@ def from_dimacs(text: str) -> Hypergraph:
     if declared is not None and declared != len(edges):
         raise InvalidParameterError("DIMACS edge count mismatch")
     return Hypergraph(n, tuple(edges))
+
+
+def _dimacs_ints(fields: list[str], line: str) -> list[int]:
+    if not all(f.isascii() and f.isdigit() for f in fields):
+        raise InvalidParameterError(f"non-integer field in DIMACS line: {line!r}")
+    return [int(f) for f in fields]

@@ -16,14 +16,14 @@ once, and Grochow and Kellis's symmetry-breaking conditions
 image[a] < image[b], read off a stabilizer chain of that group, keep exactly
 one map of each orbit. Every occurrence is still found, so the returned
 occurrences are the same as those of the search over all embeddings.
+
+The occurrence hypergraph of a host and family is memoized in memory for
+the life of the process; nothing is kept between processes.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -33,7 +33,6 @@ from .hyperstruct import Hypergraph, canonical_dumps, strip_isolated
 
 DEFAULT_OCCURRENCE_CAP = 2_000_000
 DEFAULT_HOST_EDGE_CAP = 4096
-CACHE_ENV_VAR = "KNESERTURAN_CACHE_DIR"
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,6 @@ class PatternFamily:
             if not any(are_isomorphic(self.members[r], f) for r in reps):
                 reps.append(i)
         return tuple(reps)
-
-    def canonical_json(self) -> str:
-        return canonical_dumps([f.to_json_dict() for f in self.members])
 
 
 @dataclass(frozen=True)
@@ -291,25 +287,10 @@ def occurrences_to_jsonl(occs) -> str:
 
 
 @lru_cache(maxsize=256)
-def _pattern_hypergraph_cached(host_json: str, family_json: str) -> Hypergraph:
-    host = Hypergraph.from_json_dict(_loads(host_json))
-    members = tuple(Hypergraph.from_json_dict(d) for d in _loads(family_json))
-    family = PatternFamily(members)
+def _pattern_hypergraph_cached(host: Hypergraph, family: PatternFamily) -> Hypergraph:
     occs = enumerate_occurrences(host, family)
     edge_sets = sorted({frozenset(o.edge_ids) for o in occs}, key=sorted)
     return Hypergraph(host.n_edges, tuple(edge_sets))
-
-
-def _digest(text: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _loads(text: str):
-    import json
-
-    return json.loads(text)
 
 
 def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
@@ -318,65 +299,11 @@ def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
 
     Host edges covered by no occurrence remain as isolated vertices, which is
     what makes them count toward independence there. Results are memoized in
-    memory, and on disk as well when the KNESERTURAN_CACHE_DIR environment
-    variable points at a writable directory and no ``disk_cache_off`` block
-    is running. A disk entry keeps the canonical host and family JSON it was
-    computed from, and the sha256 of its hypergraph's canonical JSON; an
-    entry that does not parse, was computed from other inputs or whose
-    hypergraph no longer matches its digest is a miss: it is recomputed and
-    written again. Entries are written to a temporary file and renamed into
-    place, so a reader never sees half of one.
+    memory for the life of the process, keyed on the host and family
+    themselves: equal values share an entry, and the same edges in another
+    order are another host, with their own edge ids.
     """
-    host_json = host.canonical_json()
-    family_json = family.canonical_json()
-    cache_dir = None if _disk_cache_blocked.get() else os.environ.get(CACHE_ENV_VAR)
-    if cache_dir:
-        import json as _json
-        import tempfile
-
-        key = _digest(host_json + "|" + family_json)
-        path = os.path.join(cache_dir, f"pattern-{key}.json")
-        if os.path.exists(path):
-            try:
-                with open(path) as fh:
-                    entry = _json.load(fh)
-                if (entry["host"] == host_json and entry["family"] == family_json
-                        and entry["digest"] == _digest(canonical_dumps(entry["hypergraph"]))):
-                    return Hypergraph.from_json_dict(entry["hypergraph"])
-            except (TypeError, ValueError, KeyError):
-                pass  # truncated or garbled: recompute and overwrite
-        result = _pattern_hypergraph_cached(host_json, family_json)
-        hypergraph_doc = result.to_json_dict()
-        entry = {"host": host_json, "family": family_json, "hypergraph": hypergraph_doc,
-                 "digest": _digest(canonical_dumps(hypergraph_doc))}
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=".pattern-", suffix=".tmp", dir=cache_dir)
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(canonical_dumps(entry))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        return result
-    return _pattern_hypergraph_cached(host_json, family_json)
-
-
-# set only inside disk_cache_off; a context variable, so that the block
-# covers its own thread or task and nothing else
-_disk_cache_blocked = ContextVar("disk_cache_blocked", default=False)
-
-
-@contextmanager
-def disk_cache_off():
-    """Within the block, pattern_hypergraph neither reads nor writes the disk
-    cache. Re-checks use it, so that no state an earlier run left on disk
-    feeds the values they check."""
-    token = _disk_cache_blocked.set(True)
-    try:
-        yield
-    finally:
-        _disk_cache_blocked.reset(token)
+    return _pattern_hypergraph_cached(host, family)
 
 
 def family_of(*hypergraphs: Hypergraph) -> PatternFamily:

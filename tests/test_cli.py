@@ -266,6 +266,29 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         assert code == 2, reason
         assert captured.out == ""
         assert f"malformed document: {reason}" in captured.err
+    # ordering files that are not a JSON list of ints
+    for sigma, reason in (({"a": 1}, "is not a list of ints"),
+                          ([0.5, 1.7, 2, 3, 4, 5], "is not a list of ints"),
+                          ([True, False, True, True, True, True], "is not a list of ints")):
+        bad.write_text(json.dumps(sigma))
+        code = main(["compute", "ex-alt", *k4_p2, "--ordering", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2, sigma
+        assert captured.out == ""
+        assert f"the ordering file {bad} {reason}" in captured.err
+    # input files with fields that are not ints
+    for text, reason in (("p edge x 1\n", "non-integer field in DIMACS line"),
+                         ("p edge 2 1\ne 1\n", "bad DIMACS edge line"),
+                         ('{"n": 5.9, "edges": [[0, 1]]}', "'n' is not an int"),
+                         ('{"n": true, "edges": [[0, 1]]}', "'n' is not an int"),
+                         ('{"n": 5, "edges": [[0, 1.8]]}', "'edges' is not a list of lists"),
+                         ('{"n": 5, "edges": [[0, true]]}', "'edges' is not a list of lists")):
+        bad.write_text(text)
+        code = main(["compute", "chi", "--input", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2, text
+        assert captured.out == ""
+        assert reason in captured.err, text
 
 
 def test_cap_escape_hatch_required(capsys):
@@ -333,41 +356,25 @@ def test_named_family_rejects_r_override(capsys):
     assert code == 2
 
 
-def test_truncated_cache_entry_is_recomputed(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KNESERTURAN_CACHE_DIR", str(tmp_path))
-    k4_p2 = ("compute", "ex", "--host", "complete", "--n", "4", "--pattern", "path",
-             "--len", "2")
-    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
-    (entry,) = tmp_path.iterdir()
-    whole = entry.read_text()
-    entry.write_text(whole[: len(whole) // 2])
-    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
-    # the entry is whole again, and no temporary file is left beside it
-    assert list(tmp_path.iterdir()) == [entry]
-    assert entry.read_text() == whole
-
-
-def test_verify_ignores_poisoned_cache_entry(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("KNESERTURAN_CACHE_DIR", str(tmp_path))
-    k4_p2 = ("compute", "ex", "--host", "complete", "--n", "4", "--pattern", "path",
-             "--len", "2")
-    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
-    (entry,) = tmp_path.iterdir()
-    poisoned = json.loads(entry.read_text())
-    poisoned["hypergraph"]["edges"] = []
-    entry.write_text(json.dumps(poisoned))
-    # an entry whose hypergraph no longer matches its digest is a miss ...
-    assert _run_json(capsys, *k4_p2)["result"]["ex"] == 2
-    # ... but one whose digest was rewritten to match is trusted by compute,
-    # which reports every host edge as free ...
-    poisoned["digest"] = hashlib.sha256(
-        canonical_dumps(poisoned["hypergraph"]).encode()).hexdigest()
-    entry.write_text(json.dumps(poisoned))
-    doc = _run_json(capsys, *k4_p2)
-    assert doc["result"]["ex"] == 6
+def test_cache_dir_variable_is_ignored(capsys, tmp_path, monkeypatch):
+    # an entry in the format of the former on-disk occurrence cache, under
+    # the name it was read from, that leaves every K4 edge free of P2s and
+    # carries a digest rewritten to match
+    host_json = build_named_family("complete", n=4).canonical_json()
+    family_json = canonical_dumps([build_named_family("path", length=2).to_json_dict()])
+    hypergraph = {"edges": [], "n": 6}
+    entry = {"host": host_json, "family": family_json, "hypergraph": hypergraph,
+             "digest": hashlib.sha256(canonical_dumps(hypergraph).encode()).hexdigest()}
+    key = hashlib.sha256(f"{host_json}|{family_json}".encode()).hexdigest()
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"pattern-{key}.json").write_text(canonical_dumps(entry))
+    monkeypatch.setenv("KNESERTURAN_CACHE_DIR", str(cache))
+    doc = _run_json(capsys, "compute", "ex", "--host", "complete", "--n", "4",
+                    "--pattern", "path", "--len", "2")
+    assert doc["result"]["ex"] == 2
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
-    # ... but verify recomputes without it and rejects the value
-    code, out = _run(capsys, "verify", str(path))
-    assert code == 1
-    assert json.loads(out)["verified"] is False
+    path.write_text(canonical_dumps(doc))
+    assert _run_json(capsys, "verify", str(path))["verified"] is True
+    assert [(p.name, p.read_text()) for p in cache.iterdir()] == \
+        [(f"pattern-{key}.json", canonical_dumps(entry))]

@@ -1,5 +1,3 @@
-import hashlib
-import json
 import random
 from collections import Counter
 from itertools import combinations, permutations
@@ -15,7 +13,6 @@ from kneserturan import (
     SizeCapError,
     are_isomorphic,
     build_named_family,
-    canonical_dumps,
     doubled,
     enumerate_occurrences,
     family_of,
@@ -27,8 +24,8 @@ from kneserturan.patterns import (
     PatternOccurrence,
     _automorphisms,
     _isomorphisms,
+    _pattern_hypergraph_cached,
     _symmetry_conditions,
-    disk_cache_off,
 )
 from conftest import random_graph, random_hypergraph
 
@@ -117,49 +114,26 @@ def test_family_validation():
 
 
 def test_pattern_hypergraph_shape():
+    _pattern_hypergraph_cached.cache_clear()
     host = build_named_family("complete", n=4)
     ph = pattern_hypergraph(host, _p2())
     assert ph.n_vertices == host.n_edges
     assert ph.n_edges == 12
-    # a second call hits the memo and agrees byte for byte
-    assert pattern_hypergraph(host, _p2()).canonical_json() == ph.canonical_json()
-
-
-def test_pattern_hypergraph_disk_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("KNESERTURAN_CACHE_DIR", str(tmp_path))
-    host = build_named_family("cycle", n=6)
-    fam = family_of(build_named_family("matching", n=2))
-    first = pattern_hypergraph(host, fam)
-    files = list(tmp_path.glob("pattern-*.json"))
-    assert len(files) == 1
-    second = pattern_hypergraph(host, fam)
-    assert second == first
-    # an entry keyed on other inputs is a miss, recomputed and written again
-    (entry,) = files
-    whole = entry.read_text()
-    swapped = json.loads(whole)
-    swapped["host"] = build_named_family("cycle", n=5).canonical_json()
-    swapped["hypergraph"]["edges"] = []
-    entry.write_text(json.dumps(swapped))
-    assert pattern_hypergraph(host, fam) == first
-    assert entry.read_text() == whole
-    # so is an entry whose hypergraph no longer matches its digest
-    edited = json.loads(whole)
-    edited["hypergraph"]["edges"] = []
-    entry.write_text(json.dumps(edited))
-    assert pattern_hypergraph(host, fam) == first
-    assert entry.read_text() == whole
-    # inside disk_cache_off the directory is neither read nor written, even
-    # for an entry whose digest was rewritten to match
-    edited["digest"] = hashlib.sha256(
-        canonical_dumps(edited["hypergraph"]).encode()).hexdigest()
-    entry.write_text(json.dumps(edited))
-    with disk_cache_off():
-        assert pattern_hypergraph(host, fam) == first
-        pattern_hypergraph(build_named_family("cycle", n=7), fam)
-    assert list(tmp_path.iterdir()) == [entry]
-    # after the block the entry, whose inputs match, is read again
-    assert pattern_hypergraph(host, fam).n_edges == 0
+    # an equal host and family, built separately, hit the memo
+    hits = _pattern_hypergraph_cached.cache_info().hits
+    again = Hypergraph.from_json_dict(host.to_json_dict())
+    assert again is not host and again == host
+    assert pattern_hypergraph(again, _p2()) is ph
+    assert _pattern_hypergraph_cached.cache_info().hits == hits + 1
+    # the same edges in another order are another host, with its own entry:
+    # permuted edge i is host edge order[i], so its occurrences move with it
+    order = (5, 3, 0, 4, 1, 2)
+    permuted = Hypergraph(4, tuple(host.edges[j] for j in order))
+    moved = pattern_hypergraph(permuted, _p2())
+    assert _pattern_hypergraph_cached.cache_info().currsize == 2
+    assert moved != ph
+    assert sorted(sorted(order[i] for i in e) for e in moved.edges) == \
+        sorted(sorted(e) for e in ph.edges)
 
 
 def test_host_edge_cap_enforced():
