@@ -155,8 +155,11 @@ def validate_hypergraph_coloring(h: Hypergraph, assignment) -> bool:
 
 def dsatur_coloring(g: Hypergraph) -> tuple[int, ...]:
     """Greedy DSATUR upper bound; ties broken by lowest vertex id."""
-    n = g.n_vertices
-    adj = g.adjacency_masks()
+    return dsatur(g.n_vertices, g.adjacency_masks())
+
+
+def dsatur(n: int, adj) -> tuple[int, ...]:
+    """dsatur_coloring of the graph on 0..n-1 with adjacency masks ``adj``."""
     color = [-1] * n
     neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     for _ in range(n):

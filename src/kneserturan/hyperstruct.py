@@ -147,6 +147,10 @@ class Hypergraph:
                 isinstance(e, list) and all(type(v) is int for v in e) for e in edges):
             raise InvalidParameterError("hypergraph JSON: 'edges' is not a list of lists of ints")
         labels = doc.get("labels")
+        if labels is not None and not (
+                isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+            raise InvalidParameterError(
+                "hypergraph JSON: 'labels' is not a list of strings or null")
         return cls(
             n_vertices=n,
             edges=tuple(frozenset(e) for e in edges),

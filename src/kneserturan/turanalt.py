@@ -17,6 +17,7 @@ from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 
 from .errors import InvalidParameterError, SizeCapError, VerificationError
+from .exactsolve import dsatur
 from .hyperstruct import (
     Hypergraph,
     LinearOrdering,
@@ -27,7 +28,7 @@ from .hyperstruct import (
     mask_of,
 )
 from .kernels import graph_color_decision, max_independent_set
-from .patterns import PatternFamily, pattern_hypergraph
+from .patterns import PatternFamily, _automorphisms, pattern_hypergraph
 
 DEFAULT_TURAN_CAP = 24
 DEFAULT_ORDERING_CAP = 8
@@ -384,46 +385,60 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
                restarts: int = 32, workers: int = 1) -> TuranReport:
     """Minimize ex_alt_sigma (or the strong form) over orderings.
 
-    Exact mode scans all permutations up to ``cap`` host edges; an ordering
-    and its reverse admit the same colorings, which halves the scan, and the
-    scan stops early at the instance's floor (ex for the plain form, ex+1 for
-    the strong form on hosts that contain an occurrence at all). Heuristic
-    mode tries interval orderings plus seeded random restarts and tags the
-    result as an upper bound on the true minimum. ``workers`` > 1 spreads the
-    exact scan over first-element prefixes; the reduction is a deterministic
-    min, so results match the sequential scan.
+    Exact mode scans the orderings of up to ``cap`` host edges (see
+    _ordering_scan for which ones) and stops early at a floor no ordering
+    can go below. An ex-sized occurrence-free edge set, colored
+    alternately, gives ex <= ex_alt_sigma, and ex + 1 <= ex_salt_sigma on
+    hosts that contain an occurrence. The altermatic bounds of Alishahi and
+    Hajiabolhassan, which the paper builds on, give chi(KG(G,F)) >= |E| -
+    ex_alt_sigma and chi(KG(G,F)) >= |E| + 1 - ex_salt_sigma for every
+    sigma, so a proper coloring of KG(G,F) with c colors gives |E| - c <=
+    ex_alt_sigma and |E| + 1 - c <= ex_salt_sigma. The floor is the larger
+    of the two bounds, or |E| on hosts without an occurrence. Heuristic mode
+    tries interval orderings plus seeded random restarts and tags the result
+    as an upper bound on the true minimum; it has no floor, which its values
+    seldom meet. ``workers`` > 1 spreads the exact scan over
+    first-element prefixes; the reduction is a deterministic min, so results
+    match the sequential scan.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     quantity = "ex-salt" if strong else "ex-alt"
     m = host.n_edges
-    occ = occurrence_masks(host, family)
+    occ_graph = pattern_hypergraph(host, family)
+    occ = occ_graph.edge_masks
     if m == 0:
         empty = AlternatingColoring(LinearOrdering(()), ())
         return TuranReport(quantity, 0, "exact", witness_coloring=empty)
+    if mode == "exact" and m > cap:
+        raise SizeCapError(f"host has {m} edges, above the ordering-scan cap {cap}")
+    tables = _alternating_tables(m, occ)
     if mode == "exact":
-        if m > cap:
-            raise SizeCapError(f"host has {m} edges, above the ordering-scan cap {cap}")
-        ex_value, _ = max_independent_set(m, occ)
-        if strong:
-            floor = m if ex_value == m else ex_value + 1
-        else:
-            floor = ex_value
-        scan = partial(_ordering_scan, m, tuple(occ), strong, floor)
-        firsts = range(max(m - 1, 1))
-        if workers > 1 and m > 1:
-            # imported here: it loads multiprocessing, which serial calls never use
-            from concurrent.futures import ProcessPoolExecutor
+        floor = _scan_floor(m, occ, strong)
+        # the identity is the scan's first ordering; when it meets the floor
+        # the symmetry group, which can be large (40,320 members for a star
+        # K1,8 under P2), is not needed
+        identity = tuple(range(m))
+        value, colored = _best_alternating(identity, tables, strong, None)
+        best = (value, identity, colored)
+        if value > floor:
+            # host-edge permutations that keep the occurrence set
+            group = _automorphisms(occ_graph)
+            scan = partial(_ordering_scan, m, tables, strong, floor, group, best)
+            firsts = range(max(m - 1, 1))
+            if workers > 1 and m > 1:
+                # imported here: it loads multiprocessing, which serial calls never use
+                from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(scan, (range(f, f + 1) for f in firsts)))
-        else:
-            results = [scan(firsts)]
-        cur, cur_seq, cur_col = min(results, key=lambda r: r[0])
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    results = list(pool.map(scan, (range(f, f + 1) for f in firsts)))
+            else:
+                results = [scan(firsts)]
+            best = min(results, key=lambda r: r[0])
+        cur, cur_seq, cur_col = best
         coloring = AlternatingColoring(LinearOrdering(cur_seq), cur_col)
         return TuranReport(quantity, cur, "exact", witness_coloring=coloring)
 
-    tables = _alternating_tables(m, occ)
     rng = random.Random(seed)
     candidates: list[tuple[int, ...]] = []
     if host.is_graph:
@@ -450,29 +465,89 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
     return TuranReport(quantity, cur, "upper-bound", witness_coloring=coloring)
 
 
-def _ordering_scan(m: int, occ_masks, strong: bool, floor: int, firsts: range):
+def _scan_floor(m: int, occ_masks, strong: bool) -> int:
+    """A lower bound on ex_alt_sigma (ex_salt_sigma with ``strong``) over
+    every ordering sigma: the larger of the two bounds in ex_alt_min."""
+    ex_value, _ = max_independent_set(m, occ_masks)
+    if ex_value == m:
+        return m
+    c = _kneser_color_count(occ_masks)
+    return max(ex_value + 1, m + 1 - c) if strong else max(ex_value, m - c)
+
+
+def _kneser_color_count(occ_masks) -> int:
+    """Colors of a DSATUR coloring of the disjointness graph of the
+    occurrence masks ``occ_masks`` of a host G and family F: an upper bound
+    on chi(KG(G,F))."""
+    c = len(occ_masks)
+    return max(dsatur(c, _disjointness_adjacency(occ_masks)), default=-1) + 1
+
+
+def _ordering_scan(m: int, tables, strong: bool, floor: int, group, start, firsts: range):
     """Least alternating maximum over the orderings that start in ``firsts``.
 
-    An ordering and its reverse admit the same colorings, so only orderings
-    whose first element is below their last are searched. The running
-    minimum is each search's ``stop_at``, and the scan ends at ``floor``.
-    Returns (value, ordering, colored pairs) of the first minimizing ordering.
+    ``start`` is the result (value, ordering, colored pairs) of the
+    identity, the scan's first ordering, which is not searched again. An
+    ordering and its reverse admit the same colorings, so only orderings
+    whose first element is below their last are searched. Of those, only
+    the lex leaders under ``group`` are searched (see _lex_leaders): a
+    host-edge permutation pi that keeps the occurrence set keeps every
+    alternating value, so s and pi(s) are worth the same. The running
+    minimum, from ``start`` on, is each search's ``stop_at``, and the scan
+    ends at ``floor``. Returns the result of the first minimizing ordering,
+    or ``start`` when no ordering searched goes below it.
+
+    The result is the one of the halved scan, which searches every ordering
+    whose first element is below its last. Suppose some pi maps the first
+    minimizing ordering s of that scan to a lexicographically smaller pi(s).
+    If the halved scan searches pi(s), pi(s) is an earlier minimizer there.
+    If not, the last element of pi(s) is below its first, which is at most
+    the first of s, so the reverse of pi(s) is searched, earlier, and is a
+    minimizer too. Either way s would not be first, so s is a lex leader and
+    is searched here. A skipped ordering has an earlier searched one of the
+    same value, which has already brought the running minimum to that value
+    or below; so the skipped one would not have moved it, and every
+    ``stop_at`` is as before. With workers, the prefix holding s still finds
+    it first, and the earlier prefixes return larger values.
     """
-    tables = _alternating_tables(m, occ_masks)
-    cur = m + 1
-    cur_seq = None
-    cur_col: tuple[tuple[int, str], ...] = ()
-    for first in firsts:
-        for tail in permutations([e for e in range(m) if e != first]):
-            if tail and tail[-1] < first:
-                continue
-            seq = (first,) + tail
-            val, colored = _best_alternating(seq, tables, strong, cur)
-            if val < cur:
-                cur, cur_seq, cur_col = val, seq, colored
-                if cur <= floor:
-                    return cur, cur_seq, cur_col
+    cur, cur_seq, cur_col = start
+    for seq in _lex_leaders(m, group, firsts):
+        if seq[-1] < seq[0] or seq == start[1]:
+            continue
+        val, colored = _best_alternating(seq, tables, strong, cur)
+        if val < cur:
+            cur, cur_seq, cur_col = val, seq, colored
+            if cur <= floor:
+                break
     return cur, cur_seq, cur_col
+
+
+def _lex_leaders(m: int, group, firsts: range):
+    """The orderings of 0..m-1 that start in ``firsts`` and are
+    lexicographically least in their orbit under ``group``, in lex order.
+
+    ``group`` holds permutations of 0..m-1 (as tuples of images), the
+    identity among them, and is closed under composition. An ordering s is
+    least in its orbit when, at every depth i, no member that fixes s[:i]
+    pointwise maps s[i] below s[i]: at the first position a member moves,
+    it must move the entry up. So each depth keeps the stabilizer of the
+    prefix, and once that holds only the identity, every completion is a
+    leader and comes from ``permutations``.
+    """
+    def extend(prefix, rest, stab):
+        if len(stab) == 1:
+            for tail in permutations(rest):
+                yield prefix + tail
+            return
+        for x in rest:
+            if all(g[x] >= x for g in stab):
+                yield from extend(prefix + (x,), [y for y in rest if y != x],
+                                  [g for g in stab if g[x] == x])
+
+    for first in firsts:
+        if all(g[first] >= first for g in group):
+            yield from extend((first,), [e for e in range(m) if e != first],
+                              [g for g in group if g[first] == first])
 
 
 def interval_ordering(host: Hypergraph, singles_last: bool = False) -> LinearOrdering:
@@ -623,13 +698,19 @@ def _disjointness_colorable(masks: list[int], k: int) -> bool:
     c = len(masks)
     if c <= k:
         return True
+    return graph_color_decision(c, _disjointness_adjacency(masks), k) is not None
+
+
+def _disjointness_adjacency(masks) -> list[int]:
+    """Adjacency masks of the disjointness graph of ``masks``."""
+    c = len(masks)
     adj = [0] * c
     for a in range(c):
         for b in range(a + 1, c):
             if masks[a] & masks[b] == 0:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
-    return graph_color_decision(c, adj, k) is not None
+    return adj
 
 
 # --- independent permuted-coordinate formulation ---

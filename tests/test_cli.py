@@ -104,6 +104,22 @@ def test_export_pattern_scheme_exports_kneser_graph(capsys):
     assert Hypergraph.from_json_dict(json.loads(out)).n_vertices == 12
 
 
+def test_export_input_labels_must_be_strings_or_null(capsys, tmp_path):
+    path = tmp_path / "host.json"
+    for labels in ("abc", {"a": 1, "b": 2, "c": 3}, [1, 2, 3], 5):
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]], "labels": labels}))
+        code = main(["export", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2, labels
+        assert captured.out == ""
+        assert "'labels' is not a list of strings or null" in captured.err, labels
+        assert "Traceback" not in captured.err
+    for labels, out in ((None, '{"edges":[[0,1],[1,2]],"n":3}\n'),
+                        (["a", "b", "c"], '{"edges":[[0,1],[1,2]],"labels":["a","b","c"],"n":3}\n')):
+        path.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]], "labels": labels}))
+        assert _run(capsys, "export", "--input", str(path)) == (0, out)
+
+
 def test_input_file_roundtrip(capsys, tmp_path):
     g = build_named_family("cycle", n=5)
     path = tmp_path / "host.json"

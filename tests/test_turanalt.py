@@ -34,13 +34,17 @@ from kneserturan import (
     verify_turan_report,
 )
 from kneserturan.hyperstruct import SignVector, mask_of
+from kneserturan import turanalt
 from kneserturan.turanalt import (
     _admissible_vertex_vectors,
     _alt_search,
     _alternating_tables,
     _best_alternating,
+    _brute_alternating_value,
     _brute_turan,
     _disjointness_colorable,
+    _lex_leaders,
+    _scan_floor,
 )
 from conftest import random_graph, random_hypergraph
 
@@ -167,6 +171,16 @@ def test_minimized_ordering_parallel_workers_agree():
     assert par.value == seq.value == 2
     assert seq.to_json_dict() == par.to_json_dict() == par2.to_json_dict()
     verify_turan_report(host, _p2(), par)
+    # doubled C4, its two copies of each edge listed apart so that the
+    # identity misses the floor: the symmetry leaves every first edge but 0
+    # without a lex leader, and those workers return the identity's result
+    c4 = build_named_family("cycle", n=4)
+    host = Hypergraph(4, c4.edges * 2)
+    for strong in (False, True):
+        seq = ex_alt_min(host, _p2(), strong=strong, workers=1)
+        par = ex_alt_min(host, _p2(), strong=strong, workers=2)
+        assert seq.to_json_dict() == par.to_json_dict()
+        verify_turan_report(host, _p2(), par)
 
 
 def test_ordering_scan_cap():
@@ -176,6 +190,123 @@ def test_ordering_scan_cap():
     heur = ex_alt_min(host, _k3(), mode="heuristic", seed=1)
     assert heur.mode == "upper-bound"
     assert heur.value >= turan_number(host, _k3()).value
+
+
+# --- the exact ordering scan: floor and symmetry ---
+
+def _reference_ordering_scan(m, occ_masks, strong):
+    """The exact scan before the chi floor and the symmetry cut: every
+    ordering whose first element is below its last, with no early stop."""
+    tables = _alternating_tables(m, occ_masks)
+    cur = m + 1
+    cur_seq = None
+    cur_col = ()
+    for first in range(max(m - 1, 1)):
+        for tail in permutations([e for e in range(m) if e != first]):
+            if tail and tail[-1] < first:
+                continue
+            seq = (first,) + tail
+            val, colored = _best_alternating(seq, tables, strong, cur)
+            if val < cur:
+                cur, cur_seq, cur_col = val, seq, colored
+    return cur, cur_seq, cur_col
+
+
+_SCAN_FAMILIES = (
+    family_of(build_named_family("path", length=2)),
+    family_of(build_named_family("complete", n=3)),
+    family_of(build_named_family("matching", n=2)),
+    family_of(Hypergraph(2, (frozenset({0, 1}), frozenset({0, 1})))),  # a doubled edge
+)
+
+
+@st.composite
+def _scan_instances(draw, max_edges):
+    # simple hosts, and multigraph hosts with some edges doubled; up to 6
+    # vertices leave room for isolated edges and occurrence-free hosts
+    n = draw(st.integers(3, 6))
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          min_size=1, max_size=max_edges, unique=True))
+    if draw(st.booleans()):
+        pairs += pairs[:draw(st.integers(0, max_edges - len(pairs)))]
+    host = Hypergraph(n, tuple(frozenset(p) for p in pairs))
+    return host, draw(st.sampled_from(_SCAN_FAMILIES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_scan_instances(7))
+def test_exact_ordering_scan_matches_unfloored_scan(instance):
+    host, fam = instance
+    occ = occurrence_masks(host, fam)
+    for strong in (False, True):
+        report = ex_alt_min(host, fam, strong=strong, mode="exact")
+        coloring = report.witness_coloring
+        got = (report.value, coloring.ordering.sequence, coloring.colored)
+        assert got == _reference_ordering_scan(host.n_edges, occ, strong), strong
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=_scan_instances(5))
+def test_scan_floor_never_exceeds_the_minimum(instance):
+    host, fam = instance
+    m = host.n_edges
+    occ = occurrence_masks(host, fam)
+    for strong in (False, True):
+        least = min(_brute_alternating_value(seq, occ, strong)
+                    for seq in permutations(range(m)))
+        assert _scan_floor(m, occ, strong) <= least == ex_alt_min(host, fam, strong=strong).value
+
+
+def _closure(gens, m):
+    group = {tuple(range(m))}
+    frontier = list(group)
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            gh = tuple(h[g[x]] for x in range(m))
+            if gh not in group:
+                group.add(gh)
+                frontier.append(gh)
+    return tuple(sorted(group))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lex_leaders_are_the_least_orderings_of_each_orbit(data):
+    m = data.draw(st.integers(1, 5))
+    gens = data.draw(st.lists(st.permutations(range(m)), max_size=2))
+    group = _closure([tuple(g) for g in gens], m)
+    leaders = [s for s in permutations(range(m))
+               if all(tuple(g[x] for x in s) >= s for g in group)]
+    assert list(_lex_leaders(m, group, range(m))) == leaders
+    first = data.draw(st.integers(0, m - 1))
+    assert list(_lex_leaders(m, group, range(first, first + 1))) == \
+        [s for s in leaders if s[0] == first]
+
+
+@pytest.mark.parametrize("host, strong, calls", [
+    (build_named_family("complete", n=4), False, 15),
+    (build_named_family("complete", n=4), True, 7),
+    (build_named_family("cycle", n=8), False, 973),
+    (build_named_family("cycle", n=8), True, 670),
+    (doubled(build_named_family("cycle", n=4)), False, 1),
+    (doubled(build_named_family("cycle", n=4)), True, 1),
+    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), False, 10),
+    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), True, 12),
+])
+def test_exact_scan_best_alternating_calls(monkeypatch, host, strong, calls):
+    # orderings searched by the exact scan, the identity included, each once
+    seen = []
+    real = turanalt._best_alternating
+
+    def counted(*args):
+        seen.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(turanalt, "_best_alternating", counted)
+    ex_alt_min(host, _p2(), strong=strong)
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
 
 
 def test_interval_ordering_layout():
