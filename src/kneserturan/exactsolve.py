@@ -12,7 +12,7 @@ from math import ceil
 
 from . import kernels
 from .errors import InvalidParameterError, SizeCapError, VerificationError
-from .hyperstruct import Hypergraph, bits_of, mask_of
+from .hyperstruct import Hypergraph, Record, bits_of, mask_of
 
 DEFAULT_SOLVER_CAP = 64
 
@@ -107,17 +107,20 @@ def max_clique(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, froze
 
 # --- colorings ---
 
-@dataclass(frozen=True)
-class ColoringCertificate:
+class ColoringCertificate(Record):
     """A proper coloring: assignment[i] is the color of vertex i."""
 
-    num_colors: int
-    assignment: tuple[int, ...]
+    _fields = ("num_colors", "assignment")
+
+    def __init__(self, num_colors: int, assignment: tuple[int, ...]):
+        self.__dict__.update(num_colors=num_colors, assignment=assignment)
 
     def to_json_dict(self) -> dict:
         return {"value": self.num_colors, "assignment": list(self.assignment)}
 
 
+# Still a dataclass, unlike the other records (see hyperstruct.Record): the
+# benchmark's --plant-wrong check builds a wrong report with dataclasses.replace.
 @dataclass(frozen=True)
 class ChromaticReport:
     value: object  # int or UNBOUNDED

@@ -14,8 +14,6 @@ lives here as well, since the golden suite consumes it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
 from .exactsolve import (
     UNBOUNDED,
@@ -24,7 +22,7 @@ from .exactsolve import (
     chromatic_number_hypergraph,
     validate_graph_coloring,
 )
-from .hyperstruct import Hypergraph, bits_of, build_named_family, doubled
+from .hyperstruct import Hypergraph, Record, bits_of, build_named_family, doubled
 from .kneser import build_named_kneser, kneser_of_family, kneser_power
 from .patterns import PatternFamily, family_of, pattern_hypergraph
 from .turanalt import turan_number
@@ -51,8 +49,7 @@ def count_p2(g: Hypergraph) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(Record):
     """Spanning set of vertex-disjoint components, triangles except a short tail.
 
     Each component is (tag, vertices): tag "K3" with three mutually adjacent
@@ -63,14 +60,12 @@ class FactorWitness:
     witness does not know its graph); consumers check edges exist.
     """
 
-    components: tuple[tuple[str, tuple[int, ...]], ...]
-
+    _fields = ("components",)
     _SIZES = {"K3": 3, "K2": 2, "2K2": 4}
     _EDGE_COUNT = {"K3": 0, "K2": 1, "2K2": 2}
 
-    def __post_init__(self):
-        comps = tuple((str(tag), tuple(int(v) for v in vs)) for tag, vs in self.components)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components):
+        comps = tuple((str(tag), tuple(int(v) for v in vs)) for tag, vs in components)
         seen: set[int] = set()
         singles = 0
         last_triangle = -1
@@ -92,6 +87,7 @@ class FactorWitness:
             raise InvalidParameterError("more than two single-edge components")
         if last_triangle > first_tail:
             raise InvalidParameterError("triangles must precede the single-edge tail")
+        self.__dict__["components"] = comps
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -223,8 +219,7 @@ def path_graph_coloring(g: Hypergraph, factor: FactorWitness) -> tuple[ColoringC
 
 # --- the golden suite ---
 
-@dataclass(frozen=True)
-class GoldenCase:
+class GoldenCase(Record):
     """One pinned chromatic-number computation.
 
     ``construction`` describes how to build the instance (see _build_case),
@@ -233,21 +228,21 @@ class GoldenCase:
     Informational cases are computed and recorded but never asserted.
     """
 
-    name: str
-    construction: dict
-    formula: str
-    params: dict
-    source: str
-    informational: bool = False
-    tags: tuple[str, ...] = ()
+    _fields = ("name", "construction", "formula", "params", "source", "informational", "tags")
+
+    def __init__(self, name: str, construction: dict, formula: str, params: dict, source: str,
+                 informational: bool = False, tags: tuple[str, ...] = ()):
+        self.__dict__.update(name=name, construction=construction, formula=formula,
+                             params=params, source=source, informational=informational,
+                             tags=tags)
 
 
-@dataclass(frozen=True)
-class _BuiltCase:
-    target: Hypergraph
-    is_graph: bool
-    host: Hypergraph | None
-    family: PatternFamily | None
+class _BuiltCase(Record):
+    _fields = ("target", "is_graph", "host", "family")
+
+    def __init__(self, target: Hypergraph, is_graph: bool, host: Hypergraph | None,
+                 family: PatternFamily | None):
+        self.__dict__.update(target=target, is_graph=is_graph, host=host, family=family)
 
 
 def _build_case(construction: dict) -> _BuiltCase:

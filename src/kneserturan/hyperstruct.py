@@ -10,7 +10,6 @@ as bitsets, one bit per vertex.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
@@ -38,34 +37,78 @@ def bits_of(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Record:
+    """Base of the immutable value records.
+
+    A subclass names its fields in ``_fields`` and stores them in the
+    instance ``__dict__`` from its own ``__init__``, after its checks.
+    Equality (same class, equal fields), hashing and repr run over the
+    fields in that order, as a frozen dataclass's do, and assigning or
+    deleting any attribute raises ``AttributeError``. ``cached_property``
+    and pickle write the ``__dict__`` directly, so both keep working.
+
+    Plain classes instead of dataclasses: each frozen dataclass execs about
+    six generated methods when its module is imported, about 1 ms a class,
+    and every CLI call starts a fresh interpreter.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Hypergraph(Record):
     """A (multi)hypergraph on vertices 0..n-1 with positionally-indexed edges.
 
     ``labels``, when present, carries one display string per vertex; it has no
     effect on any computation and survives JSON round trips.
     """
 
-    n_vertices: int
-    edges: tuple[frozenset[int], ...]
-    labels: tuple[str, ...] | None = None
+    _fields = ("n_vertices", "edges", "labels")
 
-    def __post_init__(self):
-        if not (0 <= self.n_vertices <= MAX_VERTICES):
+    def __init__(self, n_vertices: int, edges, labels: tuple[str, ...] | None = None):
+        if not (0 <= n_vertices <= MAX_VERTICES):
             raise InvalidParameterError(
-                f"vertex count {self.n_vertices} outside 0..{MAX_VERTICES}"
+                f"vertex count {n_vertices} outside 0..{MAX_VERTICES}"
             )
-        object.__setattr__(self, "edges", tuple(frozenset(e) for e in self.edges))
-        for i, e in enumerate(self.edges):
+        edges = tuple(frozenset(e) for e in edges)
+        for i, e in enumerate(edges):
             if not e:
                 raise InvalidParameterError(f"edge {i} is empty")
             for v in e:
-                if not (0 <= v < self.n_vertices):
+                if not (0 <= v < n_vertices):
                     raise InvalidParameterError(f"edge {i} has out-of-range vertex {v}")
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(str(s) for s in self.labels))
-            if len(self.labels) != self.n_vertices:
+        if labels is not None:
+            if not isinstance(labels, (list, tuple)):
+                raise InvalidParameterError(
+                    f"labels must be a list or tuple of strings, not {type(labels).__name__}")
+            labels = tuple(labels)
+            for v, s in enumerate(labels):
+                if not isinstance(s, str):
+                    raise InvalidParameterError(
+                        f"label of vertex {v} is {type(s).__name__}, not a string")
+            if len(labels) != n_vertices:
                 raise InvalidParameterError("labels length differs from vertex count")
+        self.__dict__.update(n_vertices=n_vertices, edges=edges, labels=labels)
 
     @property
     def n_edges(self) -> int:
@@ -151,11 +194,7 @@ class Hypergraph:
                 isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
             raise InvalidParameterError(
                 "hypergraph JSON: 'labels' is not a list of strings or null")
-        return cls(
-            n_vertices=n,
-            edges=tuple(frozenset(e) for e in edges),
-            labels=tuple(labels) if labels is not None else None,
-        )
+        return cls(n_vertices=n, edges=edges, labels=labels)
 
 
 def canonical_dumps(doc) -> str:
@@ -290,19 +329,19 @@ def add_isolated(h: Hypergraph, count: int) -> Hypergraph:
 
 # --- restrictions ---
 
-@dataclass(frozen=True)
-class RestrictionSpec:
+class RestrictionSpec(Record):
     """Pairwise-disjoint vertex sets selecting a restriction of a hypergraph."""
 
-    parts: tuple[frozenset[int], ...]
+    _fields = ("parts",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(frozenset(p) for p in self.parts))
+    def __init__(self, parts):
+        parts = tuple(frozenset(p) for p in parts)
         seen: set[int] = set()
-        for p in self.parts:
+        for p in parts:
             if seen & p:
                 raise InvalidParameterError("restriction parts must be pairwise disjoint")
             seen |= p
+        self.__dict__["parts"] = parts
 
 
 def induced_restriction(h: Hypergraph, spec: RestrictionSpec) -> Hypergraph:
@@ -329,18 +368,18 @@ def induced_restriction(h: Hypergraph, spec: RestrictionSpec) -> Hypergraph:
 
 # --- sign vectors and orderings ---
 
-@dataclass(frozen=True)
-class SignVector:
+class SignVector(Record):
     """A vector over {-1, 0, +1}, not identically zero."""
 
-    entries: tuple[int, ...]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(x) for x in self.entries))
-        if any(x not in (-1, 0, 1) for x in self.entries):
+    def __init__(self, entries):
+        entries = tuple(int(x) for x in entries)
+        if any(x not in (-1, 0, 1) for x in entries):
             raise InvalidParameterError("sign vector entries must be -1, 0, or +1")
-        if not any(self.entries):
+        if not any(entries):
             raise InvalidParameterError("sign vector must have a nonzero entry")
+        self.__dict__["entries"] = entries
 
     def __len__(self):
         return len(self.entries)
@@ -381,20 +420,19 @@ def alt_of_vector(entries) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class LinearOrdering:
+class LinearOrdering(Record):
     """A sequence listing the ground elements 0..n-1, each exactly once.
 
     Position j of a sign vector refers to ``sequence[j]``.
     """
 
-    sequence: tuple[int, ...]
+    _fields = ("sequence",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sequence", tuple(int(v) for v in self.sequence))
-        n = len(self.sequence)
-        if sorted(self.sequence) != list(range(n)):
+    def __init__(self, sequence):
+        sequence = tuple(int(v) for v in sequence)
+        if sorted(sequence) != list(range(len(sequence))):
             raise InvalidParameterError("ordering must be a permutation of 0..n-1")
+        self.__dict__["sequence"] = sequence
 
     def __len__(self):
         return len(self.sequence)

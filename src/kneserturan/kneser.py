@@ -11,22 +11,21 @@ vertex bijection tying the two together.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
 
 from .errors import InvalidParameterError, SizeCapError
-from .hyperstruct import Hypergraph, build_named_family
+from .hyperstruct import Hypergraph, Record, build_named_family
 from .patterns import PatternFamily, find_isomorphism, pattern_hypergraph
 
 DEFAULT_GRAPH_CAP = 4096
 DEFAULT_POWER_CAP = 512
 
 
-@dataclass(frozen=True)
-class KneserInstance:
-    representation: Hypergraph
-    r: int
-    result: Hypergraph
+class KneserInstance(Record):
+    _fields = ("representation", "r", "result")
+
+    def __init__(self, representation: Hypergraph, r: int, result: Hypergraph):
+        self.__dict__.update(representation=representation, r=r, result=result)
 
 
 def kneser_power(rep: Hypergraph, r: int = 2, cap: int | None = None) -> KneserInstance:
@@ -76,15 +75,16 @@ def kneser_of_family(host: Hypergraph, family: PatternFamily, r: int = 2,
 
 # --- named instances ---
 
-@dataclass(frozen=True)
-class NamedKneser:
-    kind: str
-    params: tuple[tuple[str, int], ...]
-    host: Hypergraph
-    family: PatternFamily
-    instance: KneserInstance
-    direct: Hypergraph
-    bijection: tuple[int, ...]  # instance.result vertex -> direct vertex
+class NamedKneser(Record):
+    """``bijection[v]`` is the vertex of ``direct`` for vertex v of ``instance.result``."""
+
+    _fields = ("kind", "params", "host", "family", "instance", "direct", "bijection")
+
+    def __init__(self, kind: str, params: tuple[tuple[str, int], ...], host: Hypergraph,
+                 family: PatternFamily, instance: KneserInstance, direct: Hypergraph,
+                 bijection: tuple[int, ...]):
+        self.__dict__.update(kind=kind, params=params, host=host, family=family,
+                             instance=instance, direct=direct, bijection=bijection)
 
     @property
     def graph(self) -> Hypergraph:

@@ -24,28 +24,26 @@ the life of the process; nothing is kept between processes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
 from .errors import InvalidParameterError, SizeCapError
-from .hyperstruct import Hypergraph, canonical_dumps, strip_isolated
+from .hyperstruct import Hypergraph, Record, canonical_dumps, strip_isolated
 
 DEFAULT_OCCURRENCE_CAP = 2_000_000
 DEFAULT_HOST_EDGE_CAP = 4096
 
 
-@dataclass(frozen=True)
-class PatternFamily:
+class PatternFamily(Record):
     """A finite family of patterns. Members may not have isolated vertices."""
 
-    members: tuple[Hypergraph, ...]
+    _fields = ("members",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        if not self.members:
+    def __init__(self, members):
+        members = tuple(members)
+        if not members:
             raise InvalidParameterError("pattern family must be nonempty")
-        for i, f in enumerate(self.members):
+        for i, f in enumerate(members):
             if f.n_edges == 0:
                 raise InvalidParameterError(f"pattern {i} has no edges")
             if f.isolated_vertices:
@@ -53,6 +51,7 @@ class PatternFamily:
                     f"pattern {i} has isolated vertices {sorted(f.isolated_vertices)}; "
                     "strip them first (they never affect occurrences)"
                 )
+        self.__dict__["members"] = members
 
     def iso_representatives(self) -> tuple[int, ...]:
         """Lowest member index of each isomorphism class, in index order."""
@@ -63,10 +62,11 @@ class PatternFamily:
         return tuple(reps)
 
 
-@dataclass(frozen=True)
-class PatternOccurrence:
-    pattern_index: int
-    edge_ids: frozenset[int]
+class PatternOccurrence(Record):
+    _fields = ("pattern_index", "edge_ids")
+
+    def __init__(self, pattern_index: int, edge_ids: frozenset[int]):
+        self.__dict__.update(pattern_index=pattern_index, edge_ids=edge_ids)
 
     def to_json_dict(self) -> dict:
         return {"pattern": self.pattern_index, "edges": sorted(self.edge_ids)}

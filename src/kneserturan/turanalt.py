@@ -21,6 +21,7 @@ from .exactsolve import dsatur
 from .hyperstruct import (
     Hypergraph,
     LinearOrdering,
+    Record,
     SignVector,
     alt_of_vector,
     apply_ordering,
@@ -38,34 +39,31 @@ DEFAULT_ALT_PRIME_CAP = 12
 
 # --- report types ---
 
-@dataclass(frozen=True)
-class AlternatingColoring:
+class AlternatingColoring(Record):
     """A partial red/blue coloring that strictly alternates along an ordering.
 
     ``colored`` pairs hyperedge ids with "red" or "blue", listed in the order
     the ids occur in ``ordering``; consecutive entries must differ in color.
     """
 
-    ordering: LinearOrdering
-    colored: tuple[tuple[int, str], ...]
+    _fields = ("ordering", "colored")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "colored", tuple((int(e), str(c)) for e, c in self.colored)
-        )
-        pos = self.ordering.inverse()
+    def __init__(self, ordering: LinearOrdering, colored):
+        colored = tuple((int(e), str(c)) for e, c in colored)
+        pos = ordering.inverse()
         last_pos = -1
         last_color = None
-        for e, c in self.colored:
+        for e, c in colored:
             if c not in ("red", "blue"):
                 raise InvalidParameterError(f"unknown color {c!r}")
-            if not (0 <= e < len(self.ordering)):
+            if not (0 <= e < len(ordering)):
                 raise InvalidParameterError(f"colored id {e} outside the ordering")
             if pos[e] <= last_pos:
                 raise InvalidParameterError("colored ids must follow the ordering")
             if c == last_color:
                 raise InvalidParameterError("consecutive colored ids share a color")
             last_pos, last_color = pos[e], c
+        self.__dict__.update(ordering=ordering, colored=colored)
 
     def __len__(self):
         return len(self.colored)
@@ -87,6 +85,8 @@ class AlternatingColoring:
         )
 
 
+# Still a dataclass, unlike the other records (see hyperstruct.Record): the
+# benchmark's --plant-wrong check builds a wrong report with dataclasses.replace.
 @dataclass(frozen=True)
 class TuranReport:
     """Result of one of the Turan-style maximizations, with its witness.
@@ -131,8 +131,7 @@ class TuranReport:
         )
 
 
-@dataclass(frozen=True)
-class AltermaticCertificate:
+class AltermaticCertificate(Record):
     """A chromatic lower bound read off one ordering of a representation.
 
     The certified bound is |V| - alt_value + i - 1 (strong form: |V| + 1 -
@@ -142,24 +141,21 @@ class AltermaticCertificate:
     alt_value must have been exhaustive for the given ordering.
     """
 
-    representation: Hypergraph
-    ordering: LinearOrdering
-    i: int
-    strong: bool
-    alt_value: int
-    value: int
-    witness: SignVector | None
+    _fields = ("representation", "ordering", "i", "strong", "alt_value", "value", "witness")
 
-    def __post_init__(self):
-        if self.i < 1:
+    def __init__(self, representation: Hypergraph, ordering: LinearOrdering, i: int,
+                 strong: bool, alt_value: int, value: int, witness: SignVector | None):
+        if i < 1:
             raise InvalidParameterError("level must be >= 1")
-        n = self.representation.n_vertices
-        if self.strong:
-            expected = n + 1 - self.alt_value
+        n = representation.n_vertices
+        if strong:
+            expected = n + 1 - alt_value
         else:
-            expected = n - self.alt_value + self.i - 1
-        if self.value != expected:
+            expected = n - alt_value + i - 1
+        if value != expected:
             raise VerificationError("certificate value does not match its alternation count")
+        self.__dict__.update(representation=representation, ordering=ordering, i=i,
+                             strong=strong, alt_value=alt_value, value=value, witness=witness)
 
     def to_json_dict(self) -> dict:
         return {

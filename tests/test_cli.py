@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -364,6 +365,45 @@ def test_import_leaves_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "['kneserturan.harness', 'kneserturan.turanalt']"
+
+
+def test_verify_leaves_process_pool_unloaded(capsys, tmp_path):
+    doc = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
+    path = tmp_path / "chi.json"
+    path.write_text(canonical_dumps(doc))
+    probe = ("import sys; from kneserturan.cli import main; code = main(['verify', sys.argv[1]]); "
+             "print(code, sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe, str(path)], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    verdict, loaded = out.stdout.strip().splitlines()
+    assert json.loads(verdict)["verified"] is True
+    assert loaded == "0 []"
+
+
+def test_cli_import_loads_traced_modules_and_two_dataclasses():
+    # The benchmark's tracer wraps the functions in perfbench/tracer.py TRACED
+    # after `import kneserturan.cli` alone, so that import must load every
+    # module they live in. The records are plain classes, since a dataclass
+    # costs about 1 ms of code generation in every fresh interpreter; only
+    # ChromaticReport and TuranReport stay dataclasses, because the
+    # benchmark's --plant-wrong check corrupts them with dataclasses.replace.
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    probe = (
+        "import sys, dataclasses, kneserturan.cli\n"
+        f"sys.path.insert(0, {str(perfbench)!r})\n"
+        "from tracer import TRACED\n"
+        "print(sorted({m for m, _ in TRACED if 'kneserturan.' + m not in sys.modules}))\n"
+        "print(sorted({v.__qualname__ for k, mod in list(sys.modules.items())\n"
+        "              if k.startswith('kneserturan') for v in vars(mod).values()\n"
+        "              if isinstance(v, type) and v.__module__ == k\n"
+        "              and dataclasses.is_dataclass(v)}))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    missing, dataclasses = out.stdout.strip().splitlines()
+    assert missing == "[]"
+    assert dataclasses == "['ChromaticReport', 'TuranReport']"
 
 
 def test_named_family_rejects_r_override(capsys):

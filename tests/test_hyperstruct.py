@@ -41,6 +41,27 @@ def test_out_of_range_vertex_rejected():
         Hypergraph(2, (frozenset({0, 4}),))
 
 
+@pytest.mark.parametrize("labels, reason", [
+    ("abc", "not str"),
+    ([1, 2, 3], "label of vertex 0 is int"),
+    (("a", b"b", "c"), "label of vertex 1 is bytes"),
+    ({"a": 1, "b": 2, "c": 3}, "not dict"),
+    (iter(["a", "b", "c"]), "not list_iterator"),
+    (5, "not int"),
+])
+def test_hypergraph_labels_must_be_a_sequence_of_strings(labels, reason):
+    with pytest.raises(InvalidParameterError, match=reason):
+        Hypergraph(3, [{0, 1}, {1, 2}], labels)
+
+
+def test_hypergraph_labels_accept_lists_and_tuples_of_strings():
+    for labels in (["a", "b", "c"], ("a", "b", "c")):
+        assert Hypergraph(3, [{0, 1}], labels).labels == ("a", "b", "c")
+    assert Hypergraph(3, [{0, 1}]).labels is None
+    with pytest.raises(InvalidParameterError, match="length"):
+        Hypergraph(3, [{0, 1}], ["a", "b"])
+
+
 def test_degrees_and_isolated():
     h = Hypergraph(4, (frozenset({0, 1}), frozenset({0, 2})))
     assert h.degrees == (2, 1, 1, 0)
