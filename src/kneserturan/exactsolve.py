@@ -183,8 +183,11 @@ def dsatur(n: int, adj) -> tuple[int, ...]:
 def chromatic_number_graph(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> ChromaticReport:
     """Exact chromatic number of a simple graph.
 
-    Clique lower bound plus DSATUR upper bound, then iterative deepening on a
-    k-colorability decision search with the clique pre-colored.
+    Clique lower bound plus DSATUR upper bound, then iterative deepening with
+    the clique pre-colored: kernels.graph_colorable refutes each k below chi,
+    and kernels.graph_color_decision runs only at the first k it accepts, so
+    the coloring is that of the lowest-id search at every k. A None there
+    raises VerificationError, as the two searches must agree.
     """
     if not g.is_graph:
         raise InvalidParameterError("chromatic_number_graph needs a 2-uniform hypergraph")
@@ -207,16 +210,21 @@ def chromatic_number_graph(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> Chro
         _assert_proper_graph(g, cert)
         return ChromaticReport(ub, cert, {"kind": "clique", "members": clique_list})
     for k in range(omega, ub):
+        if not kernels.graph_colorable(n, adj, k, clique_list):
+            continue
         assignment = kernels.graph_color_decision(n, adj, k, clique_list)
-        if assignment is not None:
-            cert = ColoringCertificate(k, assignment)
-            _assert_proper_graph(g, cert)
-            witness = (
-                {"kind": "clique", "members": clique_list}
-                if k == omega
-                else {"kind": "exhausted", "refuted_colors": k - 1}
+        if assignment is None:
+            raise VerificationError(
+                f"graph_colorable accepts {k} colors, graph_color_decision refutes them"
             )
-            return ChromaticReport(k, cert, witness)
+        cert = ColoringCertificate(k, assignment)
+        _assert_proper_graph(g, cert)
+        witness = (
+            {"kind": "clique", "members": clique_list}
+            if k == omega
+            else {"kind": "exhausted", "refuted_colors": k - 1}
+        )
+        return ChromaticReport(k, cert, witness)
     cert = ColoringCertificate(ub, greedy)
     _assert_proper_graph(g, cert)
     return ChromaticReport(ub, cert, {"kind": "exhausted", "refuted_colors": ub - 1})

@@ -10,6 +10,11 @@ that cannot change the result. Both paths return the first maximum leaf of
 the same tree. graph_color_decision keeps its state in color and level
 masks, so a node costs O(k) mask operations rather than a scan of every
 vertex, and cuts at the assignment each child that would fail at once.
+graph_colorable runs the same recursion and only answers whether a
+coloring exists: at a branching node it selects by a score of contested
+free colors rather than by lowest id, which shrinks refutations (5 colors
+on schrijver(10,3): 40,879 nodes against 337,682) but changes the coloring
+found, so colorings come from graph_color_decision alone.
 hypergraph_color_decision runs the same search, with color-class masks in
 place of adjacency: for each vertex v and each edge through it, coloring v
 with c bans c on a member u of the edge once the rest of the edge (the
@@ -222,6 +227,27 @@ def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | No
     neighbour there and fail, so the decision tree, and the coloring
     returned, are those of the same search without the cut.
     """
+    return _color_graph(n, adj, k, clique, False)
+
+
+def graph_colorable(n: int, adj, k: int, clique=()) -> bool:
+    """Whether graph_color_decision finds a coloring, by a smaller search.
+
+    The same search, with one change to the selection at a branching node
+    (the first non-empty level is 2 or above): of the vertices there it takes
+    the one whose free colors are most contested, a variant of San Segundo's
+    PASS rule for DSATUR ties (Computers & OR 39(7), 2012). Its score is the
+    sum, over its usable colors c, of its uncolored neighbours on which c is
+    still free; ties go to the lowest id. Forced vertices, on level 1, keep
+    the lowest-id order. The answer is that of graph_color_decision, but the
+    coloring found, if any, is not, so only the answer is returned.
+    """
+    return _color_graph(n, adj, k, clique, True) is not None
+
+
+def _color_graph(n: int, adj, k: int, clique, scored: bool) -> tuple[int, ...] | None:
+    """The search behind graph_color_decision (``scored`` false) and
+    graph_colorable (``scored`` true); see their docstrings."""
     if n == 0:
         return ()
     if k <= 0 or len(clique) > k:
@@ -245,7 +271,21 @@ def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | No
             j += 1
         if j == 0:
             return False  # only the pre-colored clique leaves a vertex here
-        vbit = level[j] & -level[j]
+        tied = level[j]
+        vbit = tied & -tied
+        if scored and j > 1 and tied != vbit:
+            usable = banned[:min(k, max_used + 2)]
+            best = -1
+            while tied:
+                ubit = tied & -tied
+                tied ^= ubit
+                nbrs = adj[ubit.bit_length() - 1] & uncolored
+                score = 0
+                for b in usable:
+                    if not b & ubit:
+                        score += (nbrs & ~b).bit_count()
+                if score > best:
+                    best, vbit = score, ubit
         v = vbit.bit_length() - 1
         level[j] ^= vbit
         rest = uncolored ^ vbit

@@ -694,6 +694,9 @@ def _disjointness_colorable(masks: list[int], k: int) -> bool:
     c = len(masks)
     if c <= k:
         return True
+    # existence only, but the lowest-id search: these graphs are small and
+    # their searches wide and easy, so graph_colorable's scoring costs more
+    # than it saves (about twice the kernel time over 16 certificates)
     return graph_color_decision(c, _disjointness_adjacency(masks), k) is not None
 
 
@@ -768,6 +771,7 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
                             if inside[a] & inside[b] == 0:
                                 adj[a] |= 1 << b
                                 adj[b] |= 1 << a
+                    # lowest-id search, as in _disjointness_colorable
                     ok = graph_color_decision(c, adj, i - 1) is not None
                 verdicts[inside_ids] = ok
         if ok:

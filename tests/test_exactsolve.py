@@ -9,6 +9,7 @@ from kneserturan import (
     Hypergraph,
     SizeCapError,
     UNBOUNDED,
+    VerificationError,
     augment_representation,
     build_named_family,
     build_named_kneser,
@@ -19,13 +20,18 @@ from kneserturan import (
     dsatur_coloring,
     family_of,
     independence_number,
+    kernels,
     kneser_of_family,
     kneser_power,
     max_clique,
     validate_graph_coloring,
     validate_hypergraph_coloring,
 )
-from kneserturan.exactsolve import _greedy_hypergraph_coloring
+from kneserturan.exactsolve import (
+    ChromaticReport,
+    ColoringCertificate,
+    _greedy_hypergraph_coloring,
+)
 from conftest import random_graph, random_hypergraph
 
 
@@ -204,6 +210,59 @@ def test_order_three_kneser_report_pinned():
                        2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3],
         "witness": {"kind": "exhausted", "refuted_colors": 3},
     }
+
+
+def _chromatic_report_deciding_every_k(g):
+    """chromatic_number_graph(g).to_json_dict() as the loop gave it that ran
+    graph_color_decision at every k from omega up, with no graph_colorable."""
+    n = g.n_vertices
+    if n == 0:
+        return ChromaticReport(0, ColoringCertificate(0, ()), {"kind": "empty"}).to_json_dict()
+    if g.n_edges == 0:
+        return ChromaticReport(1, ColoringCertificate(1, (0,) * n),
+                               {"kind": "edgeless"}).to_json_dict()
+    adj = g.adjacency_masks()
+    omega, clique = max_clique(g)
+    clique_list = sorted(clique)
+    greedy = dsatur_coloring(g)
+    ub = max(greedy) + 1
+    if omega == ub:
+        return ChromaticReport(ub, ColoringCertificate(ub, greedy),
+                               {"kind": "clique", "members": clique_list}).to_json_dict()
+    for k in range(omega, ub):
+        assignment = kernels.graph_color_decision(n, adj, k, clique_list)
+        if assignment is not None:
+            witness = ({"kind": "clique", "members": clique_list} if k == omega
+                       else {"kind": "exhausted", "refuted_colors": k - 1})
+            return ChromaticReport(k, ColoringCertificate(k, assignment),
+                                   witness).to_json_dict()
+    return ChromaticReport(ub, ColoringCertificate(ub, greedy),
+                           {"kind": "exhausted", "refuted_colors": ub - 1}).to_json_dict()
+
+
+@st.composite
+def _simple_graphs(draw):
+    # n may be 0, and the graph may have no edge
+    n = draw(st.integers(0, 14))
+    p = draw(st.sampled_from((0.0, 0.2, 0.4, 0.6, 0.8, 1.0)))
+    rng = draw(st.randoms(use_true_random=False))
+    return Hypergraph(n, tuple(frozenset((u, v)) for u in range(n)
+                               for v in range(u + 1, n) if rng.random() < p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_simple_graphs())
+def test_chromatic_report_matches_deciding_every_k(g):
+    assert chromatic_number_graph(g).to_json_dict() == _chromatic_report_deciding_every_k(g)
+
+
+def test_chromatic_raises_when_the_searches_disagree(monkeypatch):
+    # C5: omega 2, chi 3. A graph_colorable that accepts every k sends the
+    # loop to graph_color_decision at k = 2, which refutes it
+    c5 = build_named_family("cycle", n=5)
+    monkeypatch.setattr(kernels, "graph_colorable", lambda n, adj, k, clique=(): True)
+    with pytest.raises(VerificationError, match="accepts 2 colors"):
+        chromatic_number_graph(c5)
 
 
 def _reference_greedy_hypergraph_coloring(h):

@@ -4,9 +4,11 @@ max_independent_set is checked against a copy of its search without the
 clique-partition and packing bounds, and graph_color_decision and
 hypergraph_color_decision against copies of the same searches kept in
 per-vertex forbidden-color masks. Each must return the same result, witness
-included.
+included. graph_colorable must answer as graph_color_decision does, and the
+node counts of both on named instances are pinned.
 """
 
+import sys
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -29,7 +31,7 @@ def _random_adj(rng, n, p):
 def test_dispatcher_reports_backend():
     # one backend: each public kernel is the _pure function itself
     assert BACKEND == "pure"
-    for name in ("max_independent_set", "graph_color_decision",
+    for name in ("max_independent_set", "graph_color_decision", "graph_colorable",
                  "hypergraph_color_decision", "hypergraph_color_tables"):
         assert getattr(kernels, name) is getattr(_pure, name), name
 
@@ -176,9 +178,14 @@ def test_max_clique_members_pinned():
         assert exactsolve.max_clique(g, cap=84) == (size, frozenset(members))
 
 
-def _reference_graph_color_decision(n, adj, k, clique=()):
+def _reference_graph_color_decision(n, adj, k, clique=(), scored=False):
     """The per-vertex search with an O(n) selection scan: the oracle for
-    _pure.graph_color_decision, which keeps its state in masks instead."""
+    _pure.graph_color_decision, which keeps its state in masks instead.
+    With ``scored``, ties among vertices with two or more of the k colors
+    free go to the largest sum, over their usable colors, of the uncolored
+    neighbours that still have the color free, then to the lowest id: the
+    selection of graph_colorable. Colors above the one new color are free
+    everywhere, so this is also the case before the first color opens."""
     if n == 0:
         return ()
     if k <= 0 or len(clique) > k:
@@ -205,6 +212,16 @@ def _reference_graph_color_decision(n, adj, k, clique=()):
                 best_v, best_cnt = v, cnt
                 if cnt == 0:
                     break
+        if scored and best_cnt + k - cap_mask.bit_count() >= 2:
+            best_score = -1
+            for v in range(n):
+                usable = cap_mask & ~forbid[v]
+                if color[v] >= 0 or usable.bit_count() != best_cnt:
+                    continue
+                score = sum(1 for c in _pure._bits(usable) for u in _pure._bits(adj[v])
+                            if color[u] < 0 and not forbid[u] >> c & 1)
+                if score > best_score:
+                    best_v, best_score = v, score
         return best_v
 
     def rec():
@@ -241,10 +258,10 @@ def _reference_graph_color_decision(n, adj, k, clique=()):
 
 
 @st.composite
-def _precolored_graphs(draw):
+def _precolored_graphs(draw, max_n=24):
     # a greedy clique grown in a random vertex order, then cut short or
     # dropped; n may be 0
-    n = draw(st.integers(0, 24))
+    n = draw(st.integers(0, max_n))
     p = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
     rng = draw(st.randoms(use_true_random=False))
     adj = _random_adj(rng, n, p)
@@ -259,11 +276,74 @@ def _precolored_graphs(draw):
 @given(instance=_precolored_graphs())
 def test_graph_color_decision_matches_reference(instance):
     # every k from 0 to 8, so each graph is also asked just below its
-    # chromatic number and k may be below the clique size
+    # chromatic number and k may be below the clique size. The coloring the
+    # scored search behind graph_colorable finds fixes the vertex it selects
+    # at each branching node on the path to it, so it is checked too
     n, adj, clique = instance
     for k in range(9):
         assert _pure.graph_color_decision(n, adj, k, clique) == \
             _reference_graph_color_decision(n, adj, k, clique), k
+        assert _pure._color_graph(n, adj, k, clique, True) == \
+            _reference_graph_color_decision(n, adj, k, clique, scored=True), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_precolored_graphs(max_n=16))
+def test_graph_colorable_agrees_with_decision(instance):
+    # the scored search answers as the lowest-id search does, with the
+    # drawn clique pre-colored and with none
+    n, adj, clique = instance
+    for cl in {clique, ()}:
+        for k in range(1, 7):
+            assert _pure.graph_colorable(n, adj, k, cl) == \
+                (_pure.graph_color_decision(n, adj, k, cl) is not None), (cl, k)
+
+
+def test_graph_colorable_agrees_with_decision_on_a_wide_graph():
+    # kneser(9,3): 84 vertices, wider than a machine word; chi is 5
+    g = kneser.build_named_kneser("kneser", n=9, k=3).graph
+    adj = g.adjacency_masks()
+    clique = sorted(exactsolve.max_clique(g, cap=84)[1])
+    for cl in (clique, ()):
+        for k in range(1, 7):
+            assert _pure.graph_colorable(84, adj, k, cl) == \
+                (_pure.graph_color_decision(84, adj, k, cl) is not None) == (k >= 5)
+
+
+def _search_nodes(search, n, adj, k, clique):
+    """The calls of the coloring recursion ``rec`` during one search: the
+    number of nodes it visits, which no machine changes."""
+    nodes = 0
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec":
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        search(n, adj, k, clique)
+    finally:
+        sys.setprofile(None)
+    return nodes
+
+
+def test_coloring_search_nodes_pinned():
+    # each named instance just below its chi, with the clique that
+    # chromatic_number_graph pre-colors; a changed selection rule in either
+    # search shows here as a changed count
+    pinned = (
+        ("schrijver", 10, 3, 5, 337_682, 40_879),
+        ("kneser", 9, 3, 4, 2_014, 471),
+        ("schrijver", 9, 3, 4, 3_436, 954),
+    )
+    for kind, n, k, colors, lowest_id, scored in pinned:
+        g = kneser.build_named_kneser(kind, n=n, k=k).graph
+        adj = g.adjacency_masks()
+        clique = sorted(exactsolve.max_clique(g, cap=g.n_vertices)[1])
+        got = (_search_nodes(_pure.graph_color_decision, g.n_vertices, adj, colors, clique),
+               _search_nodes(_pure.graph_colorable, g.n_vertices, adj, colors, clique))
+        assert got == (lowest_id, scored), (kind, n, k)
 
 
 def _reference_hypergraph_color_decision(n, edge_masks, k):
