@@ -207,6 +207,9 @@ def _instance_config(args) -> dict:
             params[flag] = value
         if kind != "permutation" and args.r not in (None, 2):
             raise InvalidParameterError("named families are order-2 instances; --r does not apply")
+        if args.double or args.pattern:
+            raise InvalidParameterError("named families have no host; --double and --pattern "
+                                        "need --host or --input")
         return {"scheme": "named", "kind": kind, "params": params}
 
     if args.host and args.input:

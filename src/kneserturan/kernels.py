@@ -7,37 +7,40 @@ masks: choosing a vertex drops all its neighbours from the candidates in
 one step, the branching edge comes from masks of lower neighbours rather
 than a scan of the edge list, and a clique-partition bound cuts subtrees
 that cannot change the result. Both paths return the first maximum leaf of
-the same tree. graph_color_decision keeps its state in color and level
-masks, so a node costs O(k) mask operations rather than a scan of every
-vertex, and cuts at the assignment each child that would fail at once.
-graph_colorable runs the same recursion and only answers whether a
-coloring exists: at a branching node it selects by a score of contested
-free colors rather than by lowest id, which shrinks refutations (5 colors
-on schrijver(10,3): 40,879 nodes against 337,682) but changes the coloring
-found, so colorings come from graph_color_decision alone.
-hypergraph_color_decision runs the same search, with color-class masks in
-place of adjacency: for each vertex v and each edge through it, coloring v
-with c bans c on a member u of the edge once the rest of the edge (the
-core, without v and u) lies inside class c. That is one rule for every
-edge size, and a 2-edge, whose core is empty, gives the graph rule. It
-selects from the same level masks and makes the same cut, so its decision
-tree is that of the search that propagated edge by edge and scanned every
-vertex to select. Its tables, from hypergraph_color_tables, depend on the
-edges alone and can serve every k. The graph search stays separate: run on
-graphs as 2-edges, this one is slower there. Each result, witness included,
-is fixed by the tie-breaking rules in the docstrings below.
+the same tree.
+
+One coloring search, _color_search, serves graphs and hypergraphs. It keeps
+its state in color-class, banned-color and level masks, so a node costs
+O(k) mask operations rather than a scan of every vertex, and cuts at the
+assignment each child that would fail at once. It runs on two lists
+indexed by vertex: ``adj[v]`` holds the neighbours of v by a 2-edge, and the
+pairs ``(core, ends)`` of ``pairs[v]`` stand for the larger edges through v:
+for every such edge e and every other member u of e, core is e minus v and
+u, and u is in ends. Coloring v with c bans c on ``adj[v]``, and on the ends
+of each pair whose core lies inside color class c, the unit propagation of
+an edge on its last uncolored member. That is one rule for every edge size:
+a 2-edge is the pair of the empty core, kept in ``adj`` so that a graph,
+whose pairs are all empty, never scans a pair.
+graph_color_decision and hypergraph_color_decision return the coloring of
+the search that selects by fewest usable colors with ties to the lowest id.
+graph_colorable answers only whether a coloring exists: at a branching node
+it selects by a score of contested free colors rather than by lowest id,
+which shrinks refutations (5 colors on schrijver(10,3): 40,879 nodes
+against 337,682) but changes the coloring found, so colorings come from
+graph_color_decision alone. The two lists of hypergraph_color_decision,
+from hypergraph_color_tables, depend on the edges alone and serve every k.
+Each result, witness included, is fixed by the tie-breaking rules in the
+docstrings below.
 """
 
 from __future__ import annotations
 
 from itertools import groupby
 
+from .hyperstruct import bits_of
 
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# the one backend there is, named in benchmark and diagnostic output
+BACKEND = "pure"
 
 
 def _inclusion_minimal(uniq):
@@ -143,7 +146,7 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
         if total - packing <= best_size:
             return
         forced = 0
-        for v in _bits(pick & ~chosen):
+        for v in bits_of(pick & ~chosen):
             bit = 1 << v
             rec(chosen | forced, cand & ~(forced | bit))
             forced |= bit
@@ -227,7 +230,7 @@ def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | No
     neighbour there and fail, so the decision tree, and the coloring
     returned, are those of the same search without the cut.
     """
-    return _color_graph(n, adj, k, clique, False)
+    return _color_search(n, adj, [()] * n, k, clique, False)
 
 
 def graph_colorable(n: int, adj, k: int, clique=()) -> bool:
@@ -242,17 +245,80 @@ def graph_colorable(n: int, adj, k: int, clique=()) -> bool:
     the lowest-id order. The answer is that of graph_color_decision, but the
     coloring found, if any, is not, so only the answer is returned.
     """
-    return _color_graph(n, adj, k, clique, True) is not None
+    return _color_search(n, adj, [()] * n, k, clique, True) is not None
 
 
-def _color_graph(n: int, adj, k: int, clique, scored: bool) -> tuple[int, ...] | None:
-    """The search behind graph_color_decision (``scored`` false) and
-    graph_colorable (``scored`` true); see their docstrings."""
+def hypergraph_color_tables(n: int, edge_masks):
+    """The lists ``(adj, pairs)`` hypergraph_color_decision searches on, or
+    None when an edge is a singleton. They depend on the edges alone, so a
+    caller trying several k builds them once."""
+    uniq = set(int(e) for e in edge_masks)
+    if any(e.bit_count() == 1 for e in uniq):
+        return None  # monochromatic under every coloring
+    through = [{} for _ in range(n)]
+    for e in uniq:
+        members = [(v, 1 << v) for v in bits_of(e)]
+        for v, vbit in members:
+            ends_of = through[v]
+            rest = e ^ vbit
+            for u, ubit in members:
+                if u != v:
+                    core = rest ^ ubit
+                    ends_of[core] = ends_of.get(core, 0) | ubit
+    adj = [ends_of.pop(0, 0) for ends_of in through]
+    return adj, [tuple(ends_of.items()) for ends_of in through]
+
+
+def hypergraph_color_decision(n: int, edge_masks, k: int,
+                              tables=None) -> tuple[int, ...] | None:
+    """k-coloring with no monochromatic edge, or None.
+
+    The search of graph_color_decision, with no pre-colored clique, on one
+    rule for every edge size. For every distinct edge e through a vertex v
+    and every other member u of e, ``pairs[v]`` pairs a ``core``, e minus v
+    and u, with ``ends``, which holds u. Coloring v with c bans c on
+    ``ends`` once ``core`` lies inside color class c, the unit propagation
+    of the edge on its last uncolored member. A 2-edge has core 0, which is
+    the graph rule; its ends are kept apart in ``adj[v]``, the neighbours of
+    v, so ``pairs[v]`` has one pair per non-empty core.
+
+    The state is that of graph_color_decision, with ``cls[c]`` (the vertices
+    colored c) beside it and ``banned[c]`` marking the uncolored vertices on
+    which c would complete a monochromatic edge. The selection (fewest usable
+    colors, ties to the lowest id), the one-new-color rule and the cut at the
+    assignment are the same, so the decision tree, and the coloring returned,
+    are those of the same search without the cut. A singleton edge makes the
+    answer None; a zero mask is ignored. ``tables``, when given, is
+    hypergraph_color_tables of the same n and edges.
+    """
+    if n == 0:
+        return ()
+    if k <= 0:
+        return None
+    if tables is None:
+        tables = hypergraph_color_tables(n, edge_masks)
+        if tables is None:
+            return None
+    adj, pairs = tables
+    return _color_search(n, adj, pairs, k, (), False)
+
+
+def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[int, ...] | None:
+    """The search behind graph_color_decision and graph_colorable, which
+    give every vertex empty pairs, and hypergraph_color_decision, whose
+    ``adj`` and ``pairs_of`` come from hypergraph_color_tables; see their
+    docstrings. ``clique`` and ``scored`` come from the graph callers alone:
+    the pre-coloring and the score read ``adj`` only.
+
+    ``cls[c]`` holds the vertices colored c that have pairs, and no others:
+    a core lies inside an edge of three or more vertices, every member of
+    which has pairs, so no other vertex is ever tested against ``cls``."""
     if n == 0:
         return ()
     if k <= 0 or len(clique) > k:
         return None
     color = [-1] * n
+    cls = [0] * k
     banned = [0] * k
     uncolored = (1 << n) - 1
     for c, v in enumerate(clique):
@@ -260,7 +326,7 @@ def _color_graph(n: int, adj, k: int, clique, scored: bool) -> tuple[int, ...] |
         uncolored &= ~(1 << v)
         banned[c] |= adj[v]
     level = [0] * (k + 1)
-    for v in _bits(uncolored):
+    for v in bits_of(uncolored):
         level[k - sum(b >> v & 1 for b in banned)] |= 1 << v
 
     def rec(uncolored: int, max_used: int) -> bool:
@@ -289,14 +355,25 @@ def _color_graph(n: int, adj, k: int, clique, scored: bool) -> tuple[int, ...] |
         v = vbit.bit_length() - 1
         level[j] ^= vbit
         rest = uncolored ^ vbit
+        pairs = pairs_of[v]
         nbrs = adj[v] & rest
         for c in range(min(k, max_used + 2)):
             if banned[c] & vbit:
                 continue
-            hit = nbrs & ~banned[c]
+            if pairs:
+                hit = nbrs
+                outside = ~cls[c]
+                for core, ends in pairs:
+                    if not core & outside:
+                        hit |= ends
+                hit &= rest & ~banned[c]
+            else:
+                hit = nbrs & ~banned[c]
             if hit & level[1]:
-                continue  # a neighbour would lose its last color
+                continue  # a vertex would lose its last color
             color[v] = c
+            if pairs:
+                cls[c] |= vbit
             banned[c] |= hit
             # the vertices of hit drop one level, none of them to level 0 ...
             todo, i = hit, 1
@@ -319,117 +396,9 @@ def _color_graph(n: int, adj, k: int, clique, scored: bool) -> tuple[int, ...] |
                     todo ^= moved
                 i += 1
             banned[c] ^= hit
+            if pairs:
+                cls[c] ^= vbit
         level[j] |= vbit
         return False
 
     return tuple(color) if rec(uncolored, len(clique) - 1) else None
-
-
-def hypergraph_color_tables(n: int, edge_masks):
-    """The per-vertex ``(core, ends)`` pairs hypergraph_color_decision
-    searches on, or None when an edge is a singleton. They depend on the
-    edges alone, so a caller trying several k builds them once."""
-    uniq = set(int(e) for e in edge_masks)
-    if any(e.bit_count() == 1 for e in uniq):
-        return None  # monochromatic under every coloring
-    through = [{} for _ in range(n)]
-    for e in uniq:
-        members = [(v, 1 << v) for v in _bits(e)]
-        for v, vbit in members:
-            ends_of = through[v]
-            rest = e ^ vbit
-            for u, ubit in members:
-                if u != v:
-                    core = rest ^ ubit
-                    ends_of[core] = ends_of.get(core, 0) | ubit
-    return [tuple(ends_of.items()) for ends_of in through]
-
-
-def hypergraph_color_decision(n: int, edge_masks, k: int,
-                              tables=None) -> tuple[int, ...] | None:
-    """k-coloring with no monochromatic edge, or None.
-
-    The search of graph_color_decision, with no pre-colored clique, on one
-    rule for every edge size. For each vertex v, ``through[v]`` pairs a
-    ``core`` with ``ends``: for every distinct edge e through v and every
-    other member u of e, core is e minus v and u, and u is in ends. Coloring
-    v with c bans c on ``ends`` once ``core`` lies inside color class c, the
-    unit propagation of the edge on its last uncolored member. A 2-edge has
-    core 0, which is the graph rule.
-
-    The state is ``cls[c]`` (the vertices colored c), ``banned[c]`` (the
-    uncolored vertices on which c would complete a monochromatic edge) and
-    the ``level`` masks of graph_color_decision: the vertex selected, fewest
-    usable colors with ties to the lowest id, is the lowest bit of the first
-    non-empty level, and a vertex may open at most one brand-new color. A
-    child in which a vertex would lose its last color is cut at the
-    assignment; the search would select that vertex there and fail, so the
-    decision tree, and the coloring returned, are those of the same search
-    without the cut. A singleton edge makes the answer None; a zero mask is
-    ignored. ``tables``, when given, is hypergraph_color_tables of the same
-    n and edges.
-    """
-    if n == 0:
-        return ()
-    if k <= 0:
-        return None
-    through = hypergraph_color_tables(n, edge_masks) if tables is None else tables
-    if through is None:
-        return None
-    color = [-1] * n
-    cls = [0] * k
-    banned = [0] * k
-    level = [0] * (k + 1)
-    level[k] = (1 << n) - 1
-
-    def rec(uncolored: int, max_used: int) -> bool:
-        if not uncolored:
-            return True
-        j = 1  # the cut keeps level 0 empty
-        while not level[j]:
-            j += 1
-        vbit = level[j] & -level[j]
-        v = vbit.bit_length() - 1
-        level[j] ^= vbit
-        rest = uncolored ^ vbit
-        pairs = through[v]
-        for c in range(min(k, max_used + 2)):
-            if banned[c] & vbit:
-                continue
-            outside = ~cls[c]
-            hit = 0
-            for core, ends in pairs:
-                if not core & outside:
-                    hit |= ends
-            hit &= rest & ~banned[c]
-            if hit & level[1]:
-                continue  # a vertex would lose its last color
-            color[v] = c
-            cls[c] |= vbit
-            banned[c] |= hit
-            # the vertices of hit drop one level, none of them to level 0 ...
-            todo, i = hit, 1
-            while todo:
-                moved = level[i] & todo
-                if moved:
-                    level[i] ^= moved
-                    level[i - 1] |= moved
-                    todo ^= moved
-                i += 1
-            if rec(rest, c if c > max_used else max_used):
-                return True
-            # ... and climb back on backtrack
-            todo, i = hit, 1
-            while todo:
-                moved = level[i] & todo
-                if moved:
-                    level[i] ^= moved
-                    level[i + 1] |= moved
-                    todo ^= moved
-                i += 1
-            banned[c] ^= hit
-            cls[c] ^= vbit
-        level[j] |= vbit
-        return False
-
-    return tuple(color) if rec((1 << n) - 1, -1) else None

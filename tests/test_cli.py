@@ -412,6 +412,20 @@ def test_named_family_rejects_r_override(capsys):
     assert code == 2
 
 
+def test_named_family_rejects_double(capsys):
+    # KG(5,2) has no host to double; chi 3 of the plain graph is not an answer
+    code = main(["compute", "chi", "--family", "kneser", "--n", "5", "--k", "2", "--double"])
+    assert code == 2
+    assert "--double" in capsys.readouterr().err
+
+
+def test_named_family_rejects_pattern(capsys):
+    code = main(["compute", "chi", "--family", "kneser", "--n", "5", "--k", "2",
+                 "--pattern", "path", "--len", "2"])
+    assert code == 2
+    assert "--pattern" in capsys.readouterr().err
+
+
 def test_cache_dir_variable_is_ignored(capsys, tmp_path, monkeypatch):
     # an entry in the format of the former on-disk occurrence cache, under
     # the name it was read from, that leaves every K4 edge free of P2s and

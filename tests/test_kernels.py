@@ -5,7 +5,10 @@ clique-partition and packing bounds, and graph_color_decision and
 hypergraph_color_decision against copies of the same searches kept in
 per-vertex forbidden-color masks. Each must return the same result, witness
 included. graph_colorable must answer as graph_color_decision does, and the
-node counts of both on named instances are pinned.
+node counts of both on named instances are pinned, as are those of
+hypergraph_color_decision on two order-3 powers. On graphs, given as
+2-edges, hypergraph_color_decision returns the coloring of
+graph_color_decision.
 """
 
 import sys
@@ -15,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneserturan import exactsolve, hyperstruct, kernels, kneser, patterns
-from kneserturan.kernels import BACKEND, _pure
+from kneserturan.hyperstruct import bits_of
 
 
 def _random_adj(rng, n, p):
@@ -29,11 +32,7 @@ def _random_adj(rng, n, p):
 
 
 def test_dispatcher_reports_backend():
-    # one backend: each public kernel is the _pure function itself
-    assert BACKEND == "pure"
-    for name in ("max_independent_set", "graph_color_decision", "graph_colorable",
-                 "hypergraph_color_decision", "hypergraph_color_tables"):
-        assert getattr(kernels, name) is getattr(_pure, name), name
+    assert kernels.BACKEND == "pure"
 
 
 def test_wide_instances_fall_back_to_pure():
@@ -51,18 +50,18 @@ def test_wide_instances_fall_back_to_pure():
 
 def test_pure_rejects_nothing_small():
     # decision problems on empty instances
-    assert _pure.graph_color_decision(0, [], 1) == ()
-    assert _pure.max_independent_set(0, []) == (0, 0)
-    assert _pure.hypergraph_color_decision(0, [], 1) == ()
+    assert kernels.graph_color_decision(0, [], 1) == ()
+    assert kernels.max_independent_set(0, []) == (0, 0)
+    assert kernels.hypergraph_color_decision(0, [], 1) == ()
     # degenerate hypergraph edges: a singleton is monochromatic under every
     # coloring, a zero mask constrains nothing
-    assert _pure.hypergraph_color_decision(3, [0b011, 0b100], 2) is None
-    assert _pure.hypergraph_color_decision(2, [0, 0b11], 2) == (0, 1)
+    assert kernels.hypergraph_color_decision(3, [0b011, 0b100], 2) is None
+    assert kernels.hypergraph_color_decision(2, [0, 0b11], 2) == (0, 1)
 
 
 def _unpruned_max_independent_set(n, edge_masks):
     """The search without the clique-partition and packing bounds: the
-    oracle for _pure."""
+    oracle for kernels.max_independent_set."""
     full = (1 << n) - 1
     uniq = sorted(set(int(e) for e in edge_masks))
     edges = [e for e in uniq if not any(f != e and (f & ~e) == 0 for f in uniq)]
@@ -90,7 +89,7 @@ def _unpruned_max_independent_set(n, edge_masks):
             best[:] = [total, union]
             return
         forced = 0
-        for v in _pure._bits(pick & ~chosen):
+        for v in bits_of(pick & ~chosen):
             bit = 1 << v
             rec(chosen | forced, cand & ~(forced | bit))
             forced |= bit
@@ -151,7 +150,7 @@ def _cycle_hypergraphs(draw):
 @given(instance=st.one_of(_graphs(), _mixed_hypergraphs(), _cycle_hypergraphs()))
 def test_max_independent_set_matches_unpruned_search(instance):
     n, masks = instance
-    assert _pure.max_independent_set(n, masks) == _unpruned_max_independent_set(n, masks)
+    assert kernels.max_independent_set(n, masks) == _unpruned_max_independent_set(n, masks)
 
 
 def test_max_clique_members_pinned():
@@ -180,7 +179,7 @@ def test_max_clique_members_pinned():
 
 def _reference_graph_color_decision(n, adj, k, clique=(), scored=False):
     """The per-vertex search with an O(n) selection scan: the oracle for
-    _pure.graph_color_decision, which keeps its state in masks instead.
+    kernels.graph_color_decision, which keeps its state in masks instead.
     With ``scored``, ties among vertices with two or more of the k colors
     free go to the largest sum, over their usable colors, of the uncolored
     neighbours that still have the color free, then to the lowest id: the
@@ -199,7 +198,7 @@ def _reference_graph_color_decision(n, adj, k, clique=(), scored=False):
         color[v] = c
         uncolored -= 1
         max_used = c
-        for u in _pure._bits(adj[v]):
+        for u in bits_of(adj[v]):
             forbid[u] |= 1 << c
 
     def select(cap_mask):
@@ -218,7 +217,7 @@ def _reference_graph_color_decision(n, adj, k, clique=(), scored=False):
                 usable = cap_mask & ~forbid[v]
                 if color[v] >= 0 or usable.bit_count() != best_cnt:
                     continue
-                score = sum(1 for c in _pure._bits(usable) for u in _pure._bits(adj[v])
+                score = sum(1 for c in bits_of(usable) for u in bits_of(adj[v])
                             if color[u] < 0 and not forbid[u] >> c & 1)
                 if score > best_score:
                     best_v, best_score = v, score
@@ -234,14 +233,14 @@ def _reference_graph_color_decision(n, adj, k, clique=(), scored=False):
         if usable == 0:
             return False
         old_max = max_used
-        for c in _pure._bits(usable):
+        for c in bits_of(usable):
             bit = 1 << c
             color[v] = c
             uncolored -= 1
             if c > max_used:
                 max_used = c
             touched = []
-            for u in _pure._bits(adj[v]):
+            for u in bits_of(adj[v]):
                 if color[u] < 0 and not forbid[u] & bit:
                     forbid[u] |= bit
                     touched.append(u)
@@ -281,9 +280,9 @@ def test_graph_color_decision_matches_reference(instance):
     # at each branching node on the path to it, so it is checked too
     n, adj, clique = instance
     for k in range(9):
-        assert _pure.graph_color_decision(n, adj, k, clique) == \
+        assert kernels.graph_color_decision(n, adj, k, clique) == \
             _reference_graph_color_decision(n, adj, k, clique), k
-        assert _pure._color_graph(n, adj, k, clique, True) == \
+        assert kernels._color_search(n, adj, [()] * n, k, clique, True) == \
             _reference_graph_color_decision(n, adj, k, clique, scored=True), k
 
 
@@ -295,8 +294,8 @@ def test_graph_colorable_agrees_with_decision(instance):
     n, adj, clique = instance
     for cl in {clique, ()}:
         for k in range(1, 7):
-            assert _pure.graph_colorable(n, adj, k, cl) == \
-                (_pure.graph_color_decision(n, adj, k, cl) is not None), (cl, k)
+            assert kernels.graph_colorable(n, adj, k, cl) == \
+                (kernels.graph_color_decision(n, adj, k, cl) is not None), (cl, k)
 
 
 def test_graph_colorable_agrees_with_decision_on_a_wide_graph():
@@ -306,13 +305,14 @@ def test_graph_colorable_agrees_with_decision_on_a_wide_graph():
     clique = sorted(exactsolve.max_clique(g, cap=84)[1])
     for cl in (clique, ()):
         for k in range(1, 7):
-            assert _pure.graph_colorable(84, adj, k, cl) == \
-                (_pure.graph_color_decision(84, adj, k, cl) is not None) == (k >= 5)
+            assert kernels.graph_colorable(84, adj, k, cl) == \
+                (kernels.graph_color_decision(84, adj, k, cl) is not None) == (k >= 5)
 
 
-def _search_nodes(search, n, adj, k, clique):
-    """The calls of the coloring recursion ``rec`` during one search: the
-    number of nodes it visits, which no machine changes."""
+def _search_nodes(search, *args):
+    """The calls of the coloring recursion ``rec`` during one call of
+    ``search`` on ``args``: the number of nodes it visits, which no machine
+    changes."""
     nodes = 0
 
     def profile(frame, event, arg):
@@ -322,7 +322,7 @@ def _search_nodes(search, n, adj, k, clique):
 
     sys.setprofile(profile)
     try:
-        search(n, adj, k, clique)
+        search(*args)
     finally:
         sys.setprofile(None)
     return nodes
@@ -341,14 +341,31 @@ def test_coloring_search_nodes_pinned():
         g = kneser.build_named_kneser(kind, n=n, k=k).graph
         adj = g.adjacency_masks()
         clique = sorted(exactsolve.max_clique(g, cap=g.n_vertices)[1])
-        got = (_search_nodes(_pure.graph_color_decision, g.n_vertices, adj, colors, clique),
-               _search_nodes(_pure.graph_colorable, g.n_vertices, adj, colors, clique))
+        got = (_search_nodes(kernels.graph_color_decision, g.n_vertices, adj, colors, clique),
+               _search_nodes(kernels.graph_colorable, g.n_vertices, adj, colors, clique))
         assert got == (lowest_id, scored), (kind, n, k)
+
+
+def test_hypergraph_search_nodes_pinned():
+    # order-3 powers at k = 2, 3, 4, as chromatic_number_hypergraph asks
+    # them: KG3(K5,P2) has chi 4 and KG3(M9,M2) chi 3
+    order_three = (
+        ("complete", {"n": 5}, "path", {"length": 2}, (167, 10_132, 31)),
+        ("matching", {"n": 9}, "matching", {"n": 2}, (567, 37, 37)),
+    )
+    for host, host_params, pattern, pattern_params, counts in order_three:
+        h = kneser.kneser_of_family(
+            hyperstruct.build_named_family(host, **host_params),
+            patterns.family_of(hyperstruct.build_named_family(pattern, **pattern_params)),
+            r=3).result
+        got = tuple(_search_nodes(kernels.hypergraph_color_decision, h.n_vertices,
+                                  h.edge_masks, k) for k in (2, 3, 4))
+        assert got == counts, (host, pattern)
 
 
 def _reference_hypergraph_color_decision(n, edge_masks, k):
     """The search with per-edge unit propagation and an O(n) selection scan:
-    the oracle for _pure.hypergraph_color_decision, which keeps its state in
+    the oracle for kernels.hypergraph_color_decision, which keeps its state in
     color-class and level masks instead."""
     if n == 0:
         return ()
@@ -357,7 +374,7 @@ def _reference_hypergraph_color_decision(n, edge_masks, k):
     edges = [int(e) for e in edge_masks]
     incident = [[] for _ in range(n)]
     for i, e in enumerate(edges):
-        for v in _pure._bits(e):
+        for v in bits_of(e):
             incident[v].append(i)
     kmask = (1 << k) - 1
     color = [-1] * n
@@ -391,7 +408,7 @@ def _reference_hypergraph_color_decision(n, edge_masks, k):
             return False
         old_max = max_used
         vbit = 1 << v
-        for c in _pure._bits(usable):
+        for c in bits_of(usable):
             cbit = 1 << c
             color[v] = c
             uncolored -= 1
@@ -456,8 +473,31 @@ def test_hypergraph_color_decision_matches_reference(instance):
     # with its tables built per call and, as chromatic_number_hypergraph
     # does, once for every k
     n, masks = instance
-    tables = _pure.hypergraph_color_tables(n, masks)
+    tables = kernels.hypergraph_color_tables(n, masks)
     for k in range(5):
         expected = _reference_hypergraph_color_decision(n, masks, k)
-        assert _pure.hypergraph_color_decision(n, masks, k) == expected, k
-        assert _pure.hypergraph_color_decision(n, masks, k, tables) == expected, k
+        assert kernels.hypergraph_color_decision(n, masks, k) == expected, k
+        assert kernels.hypergraph_color_decision(n, masks, k, tables) == expected, k
+
+
+@st.composite
+def _graphs_as_edges(draw):
+    # a random graph on up to 14 vertices, and its edges as masks in a
+    # shuffled order with some of them repeated
+    n = draw(st.integers(0, 14))
+    p = draw(st.sampled_from((0.1, 0.3, 0.5, 0.7, 0.9)))
+    rng = draw(st.randoms(use_true_random=False))
+    adj = _random_adj(rng, n, p)
+    masks = [(1 << u) | (1 << v) for u in range(n) for v in bits_of(adj[u])
+             if u < v]
+    masks += [m for m in masks if rng.random() < 0.2]
+    return n, adj, draw(st.permutations(masks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=_graphs_as_edges())
+def test_hypergraph_color_decision_matches_graph_search_on_graphs(instance):
+    n, adj, masks = instance
+    for k in range(7):
+        assert kernels.hypergraph_color_decision(n, masks, k) == \
+            kernels.graph_color_decision(n, adj, k), k
