@@ -405,11 +405,16 @@ def _compute_alternating(quantity: str, operand, options: dict) -> dict:
 
 
 def _compute_alt_sigma(rep: Hypergraph, options: dict) -> dict:
+    if options["strong"]:
+        raise InvalidParameterError("alt-sigma has no strong form: use salt-sigma")
     value = alt_sigma_level(rep, _sigma(options), i=options["i"], **_cap_kwargs(options))
     return {"alt": value, "i": options["i"]}
 
 
 def _compute_salt_sigma(rep: Hypergraph, options: dict) -> dict:
+    if options["i"] != 1:
+        raise InvalidParameterError(
+            "salt-sigma has no level: --i applies to alt-sigma and certificate")
     return {"salt": salt_sigma(rep, _sigma(options), **_cap_kwargs(options))}
 
 

@@ -294,23 +294,32 @@ def _alternating_tables(m: int, occ_masks):
     return rests, singles
 
 
-def _best_alternating(seq, tables, strong: bool, stop_at: int | None):
+def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int = 1):
     """Max colored length over alternating colorings of ``seq``.
 
     Colors along the chosen subsequence are forced once the first one is
-    fixed, and swapping red and blue globally is a symmetry of both variants,
-    so the first colored edge is taken red. Returns (length, colored pairs).
-    With ``stop_at`` the search aborts once that length is reached; the
-    returned value is then only a lower bound on the true maximum, which is
-    all the ordering-minimization loop needs to discard the ordering.
+    fixed, and swapping red and blue globally is a symmetry of every
+    variant, so the first colored edge is taken red. Returns (length,
+    colored pairs). With ``stop_at`` the search aborts once that length is
+    reached; the returned value is then only a lower bound on the true
+    maximum, which is all the ordering-minimization loop needs to discard
+    the ordering.
 
     ``seq`` lists the host edges 0..m-1 and ``tables`` comes from
-    _alternating_tables, built once per host. Each color class keeps a dead
-    mask: the edges that would complete an occurrence if that class took
-    them, so testing a take is one mask test rather than a scan of the
-    occurrences through the edge. When e joins a class, an occurrence
-    through e with a single edge left outside the class makes that edge
-    dead; single-edge occurrences are dead in both classes from the start.
+    _alternating_tables, built once per host. A take is allowed while the
+    classes meet the side condition, which only grows harder as they grow.
+    At ``level`` 1 no class may hold an occurrence (the strong form: one
+    class may). Each class then keeps a dead mask: the edges that would
+    complete an occurrence if that class took them, so testing a take is one
+    mask test rather than a scan of the occurrences through the edge. When e
+    joins a class, an occurrence through e with a single edge left outside
+    the class makes that edge dead; single-edge occurrences are dead in both
+    classes from the start. From ``level`` 2 on (plain form only) the
+    disjointness graph of the occurrences inside either class must stay
+    (level - 1)-colorable; a take lists the occurrences it completes and
+    tests the grown list, and no edge is dead. An occurrence inside one
+    class is disjoint from any inside the other, so one flat list serves
+    both classes.
 
     An edge not yet decided is live for a class unless the class can no
     longer take it: it is dead there and, in the strong form, the other
@@ -328,6 +337,7 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None):
     best = -1
     best_choice: tuple[int, ...] = ()
     chosen: list[int] = []
+    inside: list[int] = []  # from level 2: the occurrences inside either class
     aborted = False
 
     # ``side`` is the color class that takes the next edge, ``other`` the
@@ -353,23 +363,40 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None):
             return
         e = seq[pos]
         bit = 1 << e
-        completes = side_bad or bool(dead_side & bit)
-        if not completes or (strong and not other_bad):
-            grown = side | bit
-            dead = dead_side
-            if not completes:  # a class holding an occurrence needs no dead mask
-                for r in rests[e]:
-                    x = r & ~grown
-                    if x & (x - 1) == 0:
-                        dead |= x
-            chosen.append(e)
-            rec(pos + 1, rest ^ bit, other, grown, dead_other, dead, other_bad, completes)
-            chosen.pop()
-            if aborted:
-                return
+        if level == 1:
+            completes = side_bad or bool(dead_side & bit)
+            if not completes or (strong and not other_bad):
+                grown = side | bit
+                dead = dead_side
+                if not completes:  # a class holding an occurrence needs no dead mask
+                    for r in rests[e]:
+                        x = r & ~grown
+                        if x & (x - 1) == 0:
+                            dead |= x
+                chosen.append(e)
+                rec(pos + 1, rest ^ bit, other, grown, dead_other, dead, other_bad, completes)
+                chosen.pop()
+                if aborted:
+                    return
+        else:  # the dead masks stay 0 and the bad flags False
+            # a loop: before Python 3.12 a comprehension here would make
+            # ``side`` and ``bit`` closure cells of rec, slowing every node
+            new = [bit] if singles & bit else []
+            for r in rests[e]:
+                if r & side == r:
+                    new.append(r | bit)
+            if not new or _disjointness_colorable(inside + new, level - 1):
+                chosen.append(e)
+                inside.extend(new)
+                rec(pos + 1, rest ^ bit, other, side | bit, 0, 0, False, False)
+                chosen.pop()
+                del inside[len(inside) - len(new):]
+                if aborted:
+                    return
         rec(pos + 1, rest ^ bit, side, other, dead_side, dead_other, side_bad, other_bad)
 
-    rec(0, (1 << m) - 1, 0, 0, singles, singles, False, False)  # seq lists 0..m-1
+    start_dead = singles if level == 1 else 0
+    rec(0, (1 << m) - 1, 0, 0, start_dead, start_dead, False, False)  # seq lists 0..m-1
     colored = tuple(
         (e, "red" if k % 2 == 0 else "blue") for k, e in enumerate(best_choice)
     )
@@ -563,130 +590,42 @@ def interval_ordering(host: Hypergraph, singles_last: bool = False) -> LinearOrd
 # --- sign-vector alternation of a representation ---
 
 def alt_sigma_level(rep: Hypergraph, sigma: LinearOrdering, i: int = 1,
-                    cap: int = DEFAULT_ALT_CAP, stop_at: int | None = None) -> int:
+                    cap: int = DEFAULT_ALT_CAP) -> int:
     """Max alternation of a sign vector whose signed sides stay level-i small.
 
     Position j of the vector signs vertex sigma[j]. A vector is admissible
     when the disjointness graph of the hyperedges contained in a single side
     is (i-1)-colorable; i=1 means no side contains a hyperedge, i=2 means the
     contained hyperedges pairwise intersect. Growing a side only grows that
-    graph, which is what makes the depth-first pruning sound.
+    graph, so a vector with t runs keeps its sides admissible when each run
+    shrinks to one entry: the value is the longest alternating choice of
+    vertices along sigma, which _best_alternating finds with the vertices as
+    its edges and the hyperedges as its occurrences.
     """
-    value, _ = _alt_search(rep, sigma, i, False, cap, stop_at)
+    value, _ = _alternation(rep, sigma, i, False, cap)
     return value
 
 
-def salt_sigma(rep: Hypergraph, sigma: LinearOrdering,
-               cap: int = DEFAULT_ALT_CAP, stop_at: int | None = None) -> int:
+def salt_sigma(rep: Hypergraph, sigma: LinearOrdering, cap: int = DEFAULT_ALT_CAP) -> int:
     """Max alternation with at most one signed side containing a hyperedge."""
-    value, _ = _alt_search(rep, sigma, 1, True, cap, stop_at)
+    value, _ = _alternation(rep, sigma, 1, True, cap)
     return value
 
 
-def _alt_search(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool,
-                cap: int, stop_at: int | None):
-    """Depth-first search over sign vectors along ``sigma``: (best, witness).
-
-    Signing a vertex v puts into its side the hyperedges through v that lie
-    inside the grown side mask. Vertices are signed in ``sigma`` order, so
-    v is the last vertex of that mask in that order, and the list is a fact
-    of the side mask alone: it is built once per side mask, and not at all
-    while the side has fewer vertices than the smallest hyperedge. A mask
-    with no hyperedge through v inside it gives the empty list, as before.
-    The tree, the order of its nodes and every test are those of the search
-    that rebuilt the list at every node, so the value and witness are
-    unchanged.
-    """
+def _alternation(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool, cap: int):
+    """(value, colored pairs) of the exhaustive alternating search on ``rep``
+    along ``sigma`` at level ``i``, or in the strong form."""
     n = rep.n_vertices
     if len(sigma) != n:
         raise InvalidParameterError("ordering length differs from vertex count")
     if i < 1:
         raise InvalidParameterError("level must be >= 1")
+    if strong and i != 1:
+        raise InvalidParameterError("the strong form has no level: i must be 1")
     if n > cap:
         raise SizeCapError(f"representation has {n} vertices, above the cap {cap}")
-    seq = sigma.sequence
-    smallest = min((em.bit_count() for em in rep.edge_masks), default=n + 1)
-    inside: dict[int, list[int]] = {}  # side mask -> hyperedges its last vertex completes
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for em in rep.edge_masks:
-        for v in bits_of(em):
-            incident[v].append(em)
-    entries = [0] * n
-    contained: list[tuple[int, int]] = []
-    best = 0
-    best_entries: tuple[int, ...] | None = None
-    aborted = False
-
-    def contained_ok(new_masks: list[int], side: int) -> bool:
-        if i == 1:
-            return not new_masks
-        if i == 2:
-            for em in new_masks:
-                for om, oside in contained:
-                    if oside != side or om & em == 0:
-                        return False
-            for a in range(len(new_masks)):
-                for b in range(a + 1, len(new_masks)):
-                    if new_masks[a] & new_masks[b] == 0:
-                        return False
-            return True
-        return _disjointness_colorable([om for om, _ in contained] + new_masks, i - 1)
-
-    def rec(pos: int, plus: int, minus: int, bad_plus: bool, bad_minus: bool,
-            runs: int, last: int):
-        nonlocal best, best_entries, aborted
-        if runs > best:
-            best = runs
-            best_entries = tuple(entries[:pos]) + (0,) * (n - pos)
-            if stop_at is not None and best >= stop_at:
-                aborted = True
-        if aborted or pos == n or runs + (n - pos) <= best:
-            return
-        v = seq[pos]
-        vbit = 1 << v
-        signs = (1, 0) if last == 0 else (-last, last, 0)
-        for s in signs:
-            if aborted:
-                return
-            if s == 0:
-                entries[pos] = 0
-                rec(pos + 1, plus, minus, bad_plus, bad_minus, runs, last)
-                continue
-            side_mask = (plus | vbit) if s == 1 else (minus | vbit)
-            if side_mask.bit_count() < smallest:
-                new_masks = []
-            else:
-                new_masks = inside.get(side_mask)
-                if new_masks is None:
-                    new_masks = inside[side_mask] = [
-                        em for em in incident[v] if em & side_mask == em]
-            new_runs = runs + (1 if s != last else 0)
-            entries[pos] = s
-            if strong:
-                if s == 1:
-                    nbp = bad_plus or bool(new_masks)
-                    if nbp and bad_minus:
-                        continue
-                    rec(pos + 1, side_mask, minus, nbp, bad_minus, new_runs, s)
-                else:
-                    nbm = bad_minus or bool(new_masks)
-                    if nbm and bad_plus:
-                        continue
-                    rec(pos + 1, plus, side_mask, bad_plus, nbm, new_runs, s)
-                continue
-            if not contained_ok(new_masks, s):
-                continue
-            contained.extend((em, s) for em in new_masks)
-            if s == 1:
-                rec(pos + 1, side_mask, minus, bad_plus, bad_minus, new_runs, s)
-            else:
-                rec(pos + 1, plus, side_mask, bad_plus, bad_minus, new_runs, s)
-            if new_masks:
-                del contained[-len(new_masks):]
-
-    rec(0, 0, 0, False, False, 0, 0)
-    witness = SignVector(best_entries) if best_entries is not None else None
-    return best, witness
+    tables = _alternating_tables(n, rep.edge_masks)
+    return _best_alternating(sigma.sequence, tables, strong, None, i)
 
 
 def _disjointness_colorable(masks: list[int], k: int) -> bool:
@@ -694,6 +633,8 @@ def _disjointness_colorable(masks: list[int], k: int) -> bool:
     c = len(masks)
     if c <= k:
         return True
+    if k == 1:  # one color: the masks must pairwise intersect
+        return all(a & b for a, b in combinations(masks, 2))
     # existence only, but the lowest-id search: these graphs are small and
     # their searches wide and easy, so graph_colorable's scoring costs more
     # than it saves (about twice the kernel time over 16 certificates)
@@ -795,13 +736,19 @@ def alt_prime_sigma_level(rep: Hypergraph, sigma: LinearOrdering, i: int = 1,
         raise InvalidParameterError("level must be >= 1")
     if n > cap:
         raise SizeCapError(f"representation has {n} vertices, above the cap {cap}")
+    return _vector_alternation(rep, sigma, i, False)
+
+
+def _vector_alternation(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool) -> int:
+    """Max alternation along ``sigma`` over _admissible_vertex_vectors: the
+    exhaustive scan behind alt_prime_sigma_level and verify_certificate."""
     seq = sigma.sequence
     best = 0
-    for signs in _admissible_vertex_vectors(rep, i, False):
+    for signs in _admissible_vertex_vectors(rep, None if strong else i, strong):
         val = alt_of_vector(signs[v] for v in seq)
         if val > best:
             best = val
-            if best == n:
+            if best == len(seq):
                 break
     return best
 
@@ -815,10 +762,20 @@ def altermatic_certificate(rep: Hypergraph, sigma: LinearOrdering, i: int = 1,
 
     The certified value bounds the chromatic number of the disjointness
     graph of ``rep`` from below, whatever ordering is supplied; better
-    orderings give better bounds.
+    orderings give better bounds. The strong form has no level, so it takes
+    only i = 1. The witness signs the vertices the search chose +1, -1, +1,
+    ... at their positions in ``sigma`` and leaves the rest 0; it is None
+    when the search chose no vertex.
     """
-    alt_value, witness = _alt_search(rep, sigma, i, strong, cap, None)
+    alt_value, colored = _alternation(rep, sigma, i, strong, cap)
     n = rep.n_vertices
+    witness = None
+    if colored:
+        pos = sigma.inverse()
+        entries = [0] * n
+        for e, color in colored:
+            entries[pos[e]] = 1 if color == "red" else -1
+        witness = SignVector(entries)
     value = (n + 1 - alt_value) if strong else (n - alt_value + i - 1)
     return AltermaticCertificate(rep, sigma, i, strong, alt_value, value, witness)
 
@@ -838,8 +795,6 @@ def _witness_admissible(cert: AltermaticCertificate) -> bool:
         return not (plus_hit and minus_hit)
     if cert.i == 1:
         return not inside
-    if cert.i == 2:
-        return all(a & b != 0 for a, b in combinations(inside, 2))
     return _disjointness_colorable(inside, cert.i - 1)
 
 
@@ -857,13 +812,7 @@ def verify_certificate(cert: AltermaticCertificate, brute_cap: int = 10) -> dict
     summary = {"witness_checked": True, "exhaustive_rechecked": False}
     n = cert.representation.n_vertices
     if n <= brute_cap:
-        seq = cert.ordering.sequence
-        level = None if cert.strong else cert.i
-        best = 0
-        for signs in _admissible_vertex_vectors(cert.representation, level, cert.strong):
-            val = alt_of_vector(signs[v] for v in seq)
-            if val > best:
-                best = val
+        best = _vector_alternation(cert.representation, cert.ordering, cert.i, cert.strong)
         if best != cert.alt_value:
             raise VerificationError(
                 f"recorded alternation {cert.alt_value} but exhaustive re-check found {best}"

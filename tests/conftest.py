@@ -1,6 +1,8 @@
-"""Shared seeded generators. No fixtures with state; tests build what they need."""
+"""Shared seeded generators and a search-node counter. No fixtures with
+state; tests build what they need."""
 
 import random
+import sys
 
 from kneserturan import Hypergraph
 
@@ -26,3 +28,25 @@ def random_graph(rng: random.Random, n: int, p: float) -> Hypergraph:
     if not edges:
         edges.append(frozenset({0, 1}))
     return Hypergraph(n, tuple(edges))
+
+
+def search_nodes(search, *args):
+    """The calls of a recursion named ``rec`` in the module of ``search``
+    during one call of ``search`` on ``args``: the number of nodes that
+    search visits, which no machine changes. Recursions of other modules it
+    calls, such as the kernels, are not counted."""
+    nodes = 0
+    module = search.__module__
+
+    def profile(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "rec" \
+                and frame.f_globals.get("__name__") == module:
+            nodes += 1
+
+    sys.setprofile(profile)
+    try:
+        search(*args)
+    finally:
+        sys.setprofile(None)
+    return nodes

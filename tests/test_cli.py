@@ -426,6 +426,28 @@ def test_named_family_rejects_pattern(capsys):
     assert "--pattern" in capsys.readouterr().err
 
 
+def test_alt_sigma_rejects_strong(capsys):
+    # the strong alternation is salt-sigma; alt-sigma computes only the plain one
+    code = main(["compute", "alt-sigma", "--family", "kneser", "--n", "5", "--k", "2", "--strong"])
+    assert code == 2
+    assert "salt-sigma" in capsys.readouterr().err
+
+
+def test_salt_sigma_rejects_level(capsys):
+    code = main(["compute", "salt-sigma", "--family", "kneser", "--n", "5", "--k", "2",
+                 "--i", "3"])
+    assert code == 2
+    assert "--i" in capsys.readouterr().err
+
+
+def test_strong_certificate_rejects_level(capsys):
+    # the strong value ignores i, so a document recording i = 2 would misstate it
+    code = main(["compute", "certificate", "--family", "kneser", "--n", "5", "--k", "2",
+                 "--strong", "--i", "2"])
+    assert code == 2
+    assert "i must be 1" in capsys.readouterr().err
+
+
 def test_cache_dir_variable_is_ignored(capsys, tmp_path, monkeypatch):
     # an entry in the format of the former on-disk occurrence cache, under
     # the name it was read from, that leaves every K4 edge free of P2s and

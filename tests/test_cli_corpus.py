@@ -112,9 +112,9 @@ DIGESTS = {
     "certificate-interval verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
     "certificate-named": "46997c16c867791559b628954b2141c37fad2090abba869e3cdd29a86136f36c",
     "certificate-named verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "certificate-pattern": "395bb407bf4e6fe404865b089159e210c5a3e3bc25d332f7a83a9829178553c4",
+    "certificate-pattern": "dbf860b97a47c59da735e09e6bdec521935d0a3f88b28da3538317af8a565ac5",
     "certificate-pattern verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "certificate-strong": "bc36d9b3a5c3f29a043ba744e3e63b0f1e69fef0f990b6e04cd531c3abae5603",
+    "certificate-strong": "06efd9f0c5ac2a569222cffbb15449d08bbb1903a4b90b564e47991e898da119",
     "certificate-strong verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
     "chi-input": "dd7e35677e7ffe25da8a59c59e1df89ffa0a613d3c0b8e140b4aa09a5f73cd67",
     "chi-input verify": "6d2a58be3f176be8bf4bf5b860b49c65386c32c02c0c6124fd3de8cea85423aa",

@@ -11,7 +11,6 @@ hypergraph_color_decision on two order-3 powers. On graphs, given as
 graph_color_decision.
 """
 
-import sys
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 from kneserturan import exactsolve, hyperstruct, kernels, kneser, patterns
 from kneserturan.hyperstruct import bits_of
+from conftest import search_nodes
 
 
 def _random_adj(rng, n, p):
@@ -309,25 +309,6 @@ def test_graph_colorable_agrees_with_decision_on_a_wide_graph():
                 (kernels.graph_color_decision(84, adj, k, cl) is not None) == (k >= 5)
 
 
-def _search_nodes(search, *args):
-    """The calls of the coloring recursion ``rec`` during one call of
-    ``search`` on ``args``: the number of nodes it visits, which no machine
-    changes."""
-    nodes = 0
-
-    def profile(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code.co_name == "rec":
-            nodes += 1
-
-    sys.setprofile(profile)
-    try:
-        search(*args)
-    finally:
-        sys.setprofile(None)
-    return nodes
-
-
 def test_coloring_search_nodes_pinned():
     # each named instance just below its chi, with the clique that
     # chromatic_number_graph pre-colors; a changed selection rule in either
@@ -341,8 +322,8 @@ def test_coloring_search_nodes_pinned():
         g = kneser.build_named_kneser(kind, n=n, k=k).graph
         adj = g.adjacency_masks()
         clique = sorted(exactsolve.max_clique(g, cap=g.n_vertices)[1])
-        got = (_search_nodes(kernels.graph_color_decision, g.n_vertices, adj, colors, clique),
-               _search_nodes(kernels.graph_colorable, g.n_vertices, adj, colors, clique))
+        got = (search_nodes(kernels.graph_color_decision, g.n_vertices, adj, colors, clique),
+               search_nodes(kernels.graph_colorable, g.n_vertices, adj, colors, clique))
         assert got == (lowest_id, scored), (kind, n, k)
 
 
@@ -358,7 +339,7 @@ def test_hypergraph_search_nodes_pinned():
             hyperstruct.build_named_family(host, **host_params),
             patterns.family_of(hyperstruct.build_named_family(pattern, **pattern_params)),
             r=3).result
-        got = tuple(_search_nodes(kernels.hypergraph_color_decision, h.n_vertices,
+        got = tuple(search_nodes(kernels.hypergraph_color_decision, h.n_vertices,
                                   h.edge_masks, k) for k in (2, 3, 4))
         assert got == counts, (host, pattern)
 
