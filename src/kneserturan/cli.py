@@ -130,7 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("auto", "exact", "heuristic"), default="auto")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--restarts", type=int, default=64)
-    sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("verify", help="re-check a document produced by this tool")
     sp.add_argument("document", metavar="FILE")
@@ -138,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("golden", help="recompute the pinned closed-form suite")
     sp.add_argument("--only", metavar="NAMES", help="comma-separated case names")
-    sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--pretty", action="store_true")
 
     sp = sub.add_parser("export", help="serialize an instance (no config wrapper)")
@@ -399,22 +397,16 @@ def _compute_alternating(quantity: str, operand, options: dict) -> dict:
             limit = DEFAULT_ORDERING_CAP if options["cap"] is None else options["cap"]
             mode = "exact" if host.n_edges <= limit else "heuristic"
         report = ex_alt_min(host, family, strong=strong, mode=mode, seed=options["seed"],
-                            restarts=options["restarts"], workers=options["workers"],
-                            **_cap_kwargs(options))
+                            restarts=options["restarts"], **_cap_kwargs(options))
     return {quantity: report.value, "report": report.to_json_dict()}
 
 
 def _compute_alt_sigma(rep: Hypergraph, options: dict) -> dict:
-    if options["strong"]:
-        raise InvalidParameterError("alt-sigma has no strong form: use salt-sigma")
     value = alt_sigma_level(rep, _sigma(options), i=options["i"], **_cap_kwargs(options))
     return {"alt": value, "i": options["i"]}
 
 
 def _compute_salt_sigma(rep: Hypergraph, options: dict) -> dict:
-    if options["i"] != 1:
-        raise InvalidParameterError(
-            "salt-sigma has no level: --i applies to alt-sigma and certificate")
     return {"salt": salt_sigma(rep, _sigma(options), **_cap_kwargs(options))}
 
 
@@ -512,6 +504,8 @@ class _Quantity(NamedTuple):
     or None for quantities that read no ordering. ``compute`` reads only the
     operand and the options echo, so verify can rerun it from a document.
     ``result_keys`` are the result fields verify reads, the headline first.
+    ``reads`` names which of the options in _QUANTITY_OPTIONS the quantity
+    reads; compute refuses any other one set away from its default.
     """
 
     result_keys: tuple[str, ...]
@@ -520,6 +514,7 @@ class _Quantity(NamedTuple):
     compute: Callable[[object, dict], dict]
     verify: Callable[[str, object, dict, dict], dict]
     ordering: str | None = None
+    reads: tuple[str, ...] = ()
 
 
 def _alternating_cap(args) -> int:
@@ -545,17 +540,24 @@ _QUANTITIES = {
     "ex-salt": _Quantity(("ex-salt", "report"), _host_and_family, _alternating_cap,
                          partial(_compute_alternating, "ex-salt"), _verify_turan, "minimized"),
     "alt-sigma": _Quantity(("alt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
-                           _compute_alt_sigma, _verify_recompute, "identity"),
+                           _compute_alt_sigma, _verify_recompute, "identity", ("i",)),
     "salt-sigma": _Quantity(("salt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
                             _compute_salt_sigma, _verify_recompute, "identity"),
     "certificate": _Quantity(("value", "certificate"), _rep_of, lambda args: DEFAULT_ALT_CAP,
-                             _compute_certificate, _verify_certificate, "identity"),
+                             _compute_certificate, _verify_certificate, "identity",
+                             ("i", "strong")),
 }
 
 
 # --- verbs ---
 
-_OPTION_KEYS = ("r", "i", "strong", "mode", "seed", "restarts", "workers", "cap", "ordering")
+_OPTION_KEYS = ("r", "i", "strong", "mode", "seed", "restarts", "cap", "ordering")
+
+# the options only some quantities read: (name, default, what to use instead)
+_QUANTITY_OPTIONS = (
+    ("i", 1, ""),
+    ("strong", False, "; the strong alternations are ex-salt and salt-sigma"),
+)
 
 
 def _options_echo(args, cap, ordering_echo) -> dict:
@@ -580,6 +582,11 @@ def _run_build(args) -> tuple[dict, int]:
 
 def _run_compute(args) -> tuple[dict, int]:
     quantity = _QUANTITIES[args.quantity]
+    for option, default, hint in _QUANTITY_OPTIONS:
+        if getattr(args, option) != default and option not in quantity.reads:
+            users = " and ".join(n for n, q in _QUANTITIES.items() if option in q.reads)
+            raise InvalidParameterError(
+                f"{args.quantity} does not read --{option}, which applies to {users}{hint}")
     resolved = _rebuild_instance(_instance_config(args))
     cap = _cap_for(quantity.default_cap(args), args)
     operand = quantity.operand(resolved)
@@ -603,8 +610,8 @@ def _run_export(args) -> tuple[str, int]:
 
 def _run_golden(args) -> tuple[dict, int]:
     selection = args.only.split(",") if args.only else None
-    report = run_golden_suite(selection, workers=args.workers)
-    config = {"verb": "golden", "selection": selection, "workers": args.workers}
+    report = run_golden_suite(selection)
+    config = {"verb": "golden", "selection": selection}
     return {"config": config, "result": report}, 0 if report["ok"] else 1
 
 
@@ -687,7 +694,7 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
         raise InvalidParameterError(f"cannot verify quantity {name!r}")
     quantity = _QUANTITIES[name]
     _require(config["options"], _OPTION_KEYS, "options")
-    _require(config["options"], ("i", "seed", "restarts", "workers"), "options", int)
+    _require(config["options"], ("i", "seed", "restarts"), "options", int)
     if quantity.ordering:
         _require(config["options"]["ordering"], ("kind",), "the ordering echo")
     _require(result, quantity.result_keys, "result")

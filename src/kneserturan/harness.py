@@ -522,11 +522,7 @@ def _case_record(case: GoldenCase) -> dict:
     return record
 
 
-def _case_record_by_name(name: str) -> dict:
-    return _case_record(_BY_NAME[name])
-
-
-def run_golden_suite(selection=None, workers: int = 1) -> dict:
+def run_golden_suite(selection=None) -> dict:
     """Recompute the manifest and compare against the recorded formulas.
 
     ``selection`` restricts to the named cases (manifest order is kept).
@@ -541,14 +537,7 @@ def run_golden_suite(selection=None, workers: int = 1) -> dict:
         if unknown:
             raise InvalidParameterError(f"unknown golden cases: {', '.join(sorted(unknown))}")
         cases = [c for c in MANIFEST if c.name in wanted]
-    if workers > 1 and len(cases) > 1:
-        # imported here: it loads multiprocessing, which serial calls never use
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_case_record_by_name, [c.name for c in cases]))
-    else:
-        records = [_case_record(c) for c in cases]
+    records = [_case_record(c) for c in cases]
     ok = all(
         r["error"] is None and (r["informational"] or r["match"]) for r in records
     )

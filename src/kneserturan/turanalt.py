@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .errors import InvalidParameterError, SizeCapError, VerificationError
@@ -134,8 +134,9 @@ class TuranReport:
 class AltermaticCertificate(Record):
     """A chromatic lower bound read off one ordering of a representation.
 
-    The certified bound is |V| - alt_value + i - 1 (strong form: |V| + 1 -
-    alt_value, where alt_value is then the salt count). Sound for the
+    The certified bound is |V| - alt_value + i - 1 (strong form, which has
+    no level and takes only i = 1: |V| + 1 - alt_value, where alt_value is
+    then the salt count). Sound for the
     disjointness graph of the representation because the minimum over all
     orderings can only be smaller than the recorded one; the search behind
     alt_value must have been exhaustive for the given ordering.
@@ -147,6 +148,8 @@ class AltermaticCertificate(Record):
                  strong: bool, alt_value: int, value: int, witness: SignVector | None):
         if i < 1:
             raise InvalidParameterError("level must be >= 1")
+        if strong and i != 1:
+            raise InvalidParameterError("the strong form has no level: i must be 1")
         n = representation.n_vertices
         if strong:
             expected = n + 1 - alt_value
@@ -405,24 +408,23 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
 
 def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
                mode: str = "exact", cap: int = DEFAULT_ORDERING_CAP, seed: int = 0,
-               restarts: int = 32, workers: int = 1) -> TuranReport:
+               restarts: int = 32) -> TuranReport:
     """Minimize ex_alt_sigma (or the strong form) over orderings.
 
-    Exact mode scans the orderings of up to ``cap`` host edges (see
-    _ordering_scan for which ones) and stops early at a floor no ordering
-    can go below. An ex-sized occurrence-free edge set, colored
-    alternately, gives ex <= ex_alt_sigma, and ex + 1 <= ex_salt_sigma on
-    hosts that contain an occurrence. The altermatic bounds of Alishahi and
-    Hajiabolhassan, which the paper builds on, give chi(KG(G,F)) >= |E| -
-    ex_alt_sigma and chi(KG(G,F)) >= |E| + 1 - ex_salt_sigma for every
-    sigma, so a proper coloring of KG(G,F) with c colors gives |E| - c <=
-    ex_alt_sigma and |E| + 1 - c <= ex_salt_sigma. The floor is the larger
-    of the two bounds, or |E| on hosts without an occurrence. Heuristic mode
-    tries interval orderings plus seeded random restarts and tags the result
-    as an upper bound on the true minimum; it has no floor, which its values
-    seldom meet. ``workers`` > 1 spreads the exact scan over
-    first-element prefixes; the reduction is a deterministic min, so results
-    match the sequential scan.
+    Both modes run _least_alternating over their orderings. Exact mode
+    scans the orderings of up to ``cap`` host edges (see _scan_orderings for
+    which ones) and stops early at a floor no ordering can go below. An
+    ex-sized occurrence-free edge set, colored alternately, gives ex <=
+    ex_alt_sigma, and ex + 1 <= ex_salt_sigma on hosts that contain an
+    occurrence. The altermatic bounds of Alishahi and Hajiabolhassan, which
+    the paper builds on, give chi(KG(G,F)) >= |E| - ex_alt_sigma and
+    chi(KG(G,F)) >= |E| + 1 - ex_salt_sigma for every sigma, so a proper
+    coloring of KG(G,F) with c colors gives |E| - c <= ex_alt_sigma and
+    |E| + 1 - c <= ex_salt_sigma. The floor is the larger of the two
+    bounds, or |E| on hosts without an occurrence. Heuristic mode tries
+    interval orderings plus seeded random restarts and tags the result as
+    an upper bound on the true minimum; it has no floor, which its values
+    seldom meet.
     """
     if mode not in ("exact", "heuristic"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
@@ -437,55 +439,47 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
         raise SizeCapError(f"host has {m} edges, above the ordering-scan cap {cap}")
     tables = _alternating_tables(m, occ)
     if mode == "exact":
+        orderings = _scan_orderings(m, occ_graph)
         floor = _scan_floor(m, occ, strong)
-        # the identity is the scan's first ordering; when it meets the floor
-        # the symmetry group, which can be large (40,320 members for a star
-        # K1,8 under P2), is not needed
-        identity = tuple(range(m))
-        value, colored = _best_alternating(identity, tables, strong, None)
-        best = (value, identity, colored)
-        if value > floor:
-            # host-edge permutations that keep the occurrence set
-            group = _automorphisms(occ_graph)
-            scan = partial(_ordering_scan, m, tables, strong, floor, group, best)
-            firsts = range(max(m - 1, 1))
-            if workers > 1 and m > 1:
-                # imported here: it loads multiprocessing, which serial calls never use
-                from concurrent.futures import ProcessPoolExecutor
-
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(scan, (range(f, f + 1) for f in firsts)))
-            else:
-                results = [scan(firsts)]
-            best = min(results, key=lambda r: r[0])
-        cur, cur_seq, cur_col = best
-        coloring = AlternatingColoring(LinearOrdering(cur_seq), cur_col)
-        return TuranReport(quantity, cur, "exact", witness_coloring=coloring)
-
-    rng = random.Random(seed)
-    candidates: list[tuple[int, ...]] = []
-    if host.is_graph:
-        candidates.append(interval_ordering(host).sequence)
-        sizes = {len(c) for c in host.parallel_classes}
-        if 1 in sizes and len(sizes) > 1:
-            candidates.append(interval_ordering(host, singles_last=True).sequence)
     else:
-        candidates.append(tuple(range(m)))
-    for _ in range(max(1, restarts)):
-        candidates.append(tuple(rng.sample(range(m), m)))
-    seen: set[tuple[int, ...]] = set()
-    cur = m + 1
-    cur_seq = None
-    cur_col = ()
-    for seq in candidates:
-        if seq in seen:
-            continue
-        seen.add(seq)
-        val, colored = _best_alternating(seq, tables, strong, cur)
-        if val < cur:
-            cur, cur_seq, cur_col = val, seq, colored
-    coloring = AlternatingColoring(LinearOrdering(cur_seq), cur_col)
-    return TuranReport(quantity, cur, "upper-bound", witness_coloring=coloring)
+        rng = random.Random(seed)
+        candidates: list[tuple[int, ...]] = []
+        if host.is_graph:
+            candidates.append(interval_ordering(host).sequence)
+            sizes = {len(c) for c in host.parallel_classes}
+            if 1 in sizes and len(sizes) > 1:
+                candidates.append(interval_ordering(host, singles_last=True).sequence)
+        else:
+            candidates.append(tuple(range(m)))
+        for _ in range(max(1, restarts)):
+            candidates.append(tuple(rng.sample(range(m), m)))
+        orderings = dict.fromkeys(candidates)
+        floor = -1
+    value, seq, colored = _least_alternating(orderings, tables, strong, floor)
+    coloring = AlternatingColoring(LinearOrdering(seq), colored)
+    tag = "exact" if mode == "exact" else "upper-bound"
+    return TuranReport(quantity, value, tag, witness_coloring=coloring)
+
+
+def _least_alternating(orderings, tables, strong: bool, floor: int):
+    """(value, ordering, colored pairs) of the first ordering in
+    ``orderings`` whose alternating maximum is least.
+
+    The running minimum is each search's ``stop_at``, so a search that
+    reaches it aborts with a value that cannot move it. The scan ends as
+    soon as the minimum is at most ``floor``; orderings after that are
+    never drawn from the iterable.
+    """
+    best = None
+    least = None
+    for seq in orderings:
+        val, colored = _best_alternating(seq, tables, strong, least)
+        if least is None or val < least:
+            least = val
+            best = (val, seq, colored)
+            if val <= floor:
+                break
+    return best
 
 
 def _scan_floor(m: int, occ_masks, strong: bool) -> int:
@@ -506,43 +500,40 @@ def _kneser_color_count(occ_masks) -> int:
     return max(dsatur(c, _disjointness_adjacency(occ_masks)), default=-1) + 1
 
 
-def _ordering_scan(m: int, tables, strong: bool, floor: int, group, start, firsts: range):
-    """Least alternating maximum over the orderings that start in ``firsts``.
+def _scan_orderings(m: int, occ_graph: Hypergraph):
+    """The orderings of the exact scan of m host edges whose occurrences
+    make up ``occ_graph``: the identity, then the other lex leaders.
 
-    ``start`` is the result (value, ordering, colored pairs) of the
-    identity, the scan's first ordering, which is not searched again. An
-    ordering and its reverse admit the same colorings, so only orderings
-    whose first element is below their last are searched. Of those, only
-    the lex leaders under ``group`` are searched (see _lex_leaders): a
-    host-edge permutation pi that keeps the occurrence set keeps every
-    alternating value, so s and pi(s) are worth the same. The running
-    minimum, from ``start`` on, is each search's ``stop_at``, and the scan
-    ends at ``floor``. Returns the result of the first minimizing ordering,
-    or ``start`` when no ordering searched goes below it.
+    The identity comes first and the symmetry group is built only when the
+    scan asks for a second ordering, so a scan whose identity meets its
+    floor never builds it (it can be large: 40,320 members for a star K1,8
+    under P2). An ordering and its reverse admit the same colorings, so
+    only orderings whose first element is at most their last are yielded.
+    Of those, only the lex leaders under the host-edge permutations that
+    keep the occurrence set are yielded (see _lex_leaders): such a
+    permutation pi keeps every alternating value, so s and pi(s) are worth
+    the same.
 
-    The result is the one of the halved scan, which searches every ordering
-    whose first element is below its last. Suppose some pi maps the first
-    minimizing ordering s of that scan to a lexicographically smaller pi(s).
-    If the halved scan searches pi(s), pi(s) is an earlier minimizer there.
-    If not, the last element of pi(s) is below its first, which is at most
-    the first of s, so the reverse of pi(s) is searched, earlier, and is a
-    minimizer too. Either way s would not be first, so s is a lex leader and
-    is searched here. A skipped ordering has an earlier searched one of the
-    same value, which has already brought the running minimum to that value
-    or below; so the skipped one would not have moved it, and every
-    ``stop_at`` is as before. With workers, the prefix holding s still finds
-    it first, and the earlier prefixes return larger values.
+    The orderings come in lex order (the identity is the least of all), and
+    the first least of them is the first least ordering of the halved scan,
+    which searches every ordering whose first element is below its last.
+    Suppose some pi maps the first minimizing ordering s of that scan to a
+    lexicographically smaller pi(s). If the halved scan searches pi(s),
+    pi(s) is an earlier minimizer there. If not, the last element of pi(s)
+    is below its first, which is at most the first of s, so the reverse of
+    pi(s) is searched, earlier, and is a minimizer too. Either way s would
+    not be first, so s is a lex leader and is yielded here. A skipped
+    ordering has an earlier yielded one of the same value, which has
+    already brought the running minimum of _least_alternating to that value
+    or below; so the skipped one would not have moved it, and skipping it
+    changes no later search's ``stop_at``.
     """
-    cur, cur_seq, cur_col = start
-    for seq in _lex_leaders(m, group, firsts):
-        if seq[-1] < seq[0] or seq == start[1]:
-            continue
-        val, colored = _best_alternating(seq, tables, strong, cur)
-        if val < cur:
-            cur, cur_seq, cur_col = val, seq, colored
-            if cur <= floor:
-                break
-    return cur, cur_seq, cur_col
+    identity = tuple(range(m))
+    yield identity
+    group = _automorphisms(occ_graph)
+    for seq in _lex_leaders(m, group, range(max(m - 1, 1))):
+        if seq[0] <= seq[-1] and seq != identity:
+            yield seq
 
 
 def _lex_leaders(m: int, group, firsts: range):

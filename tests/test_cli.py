@@ -357,8 +357,8 @@ def test_console_entry_point():
 
 
 def test_import_leaves_process_pool_unloaded():
-    # the pool is imported only where --workers > 1 asks for one, so a
-    # serial call does not pay for multiprocessing at start-up
+    # no code path imports a process pool, so no call pays for loading
+    # multiprocessing at start-up
     probe = ("import sys, kneserturan.cli; print(sorted(m for m in ("
              "'multiprocessing', 'concurrent.futures.process', 'kneserturan.harness', "
              "'kneserturan.turanalt') if m in sys.modules))")
@@ -446,6 +446,50 @@ def test_strong_certificate_rejects_level(capsys):
                  "--strong", "--i", "2"])
     assert code == 2
     assert "i must be 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("quantity, flag", [
+    ("ex-alt", ("--strong",)),
+    ("ex-salt", ("--i", "3")),
+    ("chi", ("--strong",)),
+])
+def test_quantity_rejects_options_it_does_not_read(capsys, quantity, flag):
+    # ex-salt is the strong ex-alt and takes no level; chi takes neither
+    code = main(["compute", quantity, "--host", "complete", "--n", "4",
+                 "--pattern", "path", "--len", "2", *flag])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{quantity} does not read {flag[0]}" in captured.err
+
+
+def test_verify_rejects_strong_certificate_with_level(capsys, tmp_path):
+    # the shape a strong certificate with i = 2 had before compute refused it
+    doc = _run_json(capsys, "compute", "certificate", "--host", "complete", "--n", "4",
+                    "--pattern", "path", "--len", "2", "--strong")
+    doc["result"]["certificate"]["i"] = 2
+    doc["config"]["options"]["i"] = 2
+    path = tmp_path / "cert.json"
+    for edited in (doc, doc["result"]["certificate"]):
+        path.write_text(canonical_dumps(edited))
+        code = main(["verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "i must be 1" in captured.err
+
+
+def test_verify_accepts_a_workers_option_echo(capsys, tmp_path):
+    # documents written while compute had --workers echo it among the options
+    doc = _run_json(capsys, "compute", "ex-alt", "--host", "complete", "--n", "4",
+                    "--pattern", "path", "--len", "2")
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    code, fresh = _run(capsys, "verify", str(path))
+    assert code == 0
+    doc["config"]["options"]["workers"] = 1
+    path.write_text(canonical_dumps(doc))
+    assert _run(capsys, "verify", str(path)) == (0, fresh)
 
 
 def test_cache_dir_variable_is_ignored(capsys, tmp_path, monkeypatch):

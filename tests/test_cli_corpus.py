@@ -78,91 +78,91 @@ CASES = {
 }
 
 DIGESTS = {
-    "alpha-input": "b022278d6fcc3c67c7d99098ecae464da22dd2bdde264af34cc1cc70e5734bd1",
+    "alpha-input": "735b6bbf6bb203554460cdb9ed21f53298f24b785d82bbb5ec88282682d7b1e9",
     "alpha-input verify": "5359d34ceaf9eb40b10674e631cfc3a9dd34d1e6f4263239045a3c141f947c48",
-    "alpha-named": "356e3578dfc98155840fc4cf1f4c2c9bdc4d1f79539e71d031de92caea16375f",
+    "alpha-named": "d357665d6ca4bffd7b071bc1ee8801dc3c2ebe77ff5953c8deac7dca600bf27d",
     "alpha-named verify": "5359d34ceaf9eb40b10674e631cfc3a9dd34d1e6f4263239045a3c141f947c48",
-    "alpha-pattern": "308f32dedff30dd264b44a4b3d8203f0fd38ee0fda223b182a59549e3ad3fecb",
+    "alpha-pattern": "e8878c46ca42a35ba3a7f37be258f18162a70c92fd9a46badaa83ffe3246ede2",
     "alpha-pattern verify": "5359d34ceaf9eb40b10674e631cfc3a9dd34d1e6f4263239045a3c141f947c48",
-    "alt-sigma-input": "733f3ac467451237e6d6210f8566641bddca59b866c2adb76fa6758b78d345ec",
+    "alt-sigma-input": "5c200107fd930b529f6ea459bf31a2c9e8d7adc05611d58afea9fd5431d8e4c7",
     "alt-sigma-input verify": "51cdaff0fd5e6605b5f59cf82b3199e0a2e86ceaf0f2e379726333b4a42c35c7",
-    "alt-sigma-named": "3856011c67991ec92eef58be0789ad9fcc8512b4eceb4a6b2da884b0e3d1ad80",
+    "alt-sigma-named": "6634fe093873d6e454dbc2d7f4836f2d477a5e863c945d99e5147ba2893ff0c2",
     "alt-sigma-named verify": "51cdaff0fd5e6605b5f59cf82b3199e0a2e86ceaf0f2e379726333b4a42c35c7",
-    "alt-sigma-ordering": "afeae68e31dd257f81e561e24880c0dae2b55293dc58c5604d295c30f2cd9d8b",
+    "alt-sigma-ordering": "2d61476306a70885ac8f87b426fa77b55d379ad5a338aa312b9cb776a3df08ef",
     "alt-sigma-ordering verify": "51cdaff0fd5e6605b5f59cf82b3199e0a2e86ceaf0f2e379726333b4a42c35c7",
-    "alt-sigma-pattern": "55eda7b4910ab7fb993708c06d116299f3dbc67e61b57307b2211bbc55ad0ec9",
+    "alt-sigma-pattern": "9ed733648b5c700cd9015f9cc0fbc22c09d7a55343a0534266d80f8946fbe299",
     "alt-sigma-pattern verify": "51cdaff0fd5e6605b5f59cf82b3199e0a2e86ceaf0f2e379726333b4a42c35c7",
-    "beta-input": "4fc7818c1d246efe5de3b9e125d353b7e5b4efdd8b93c491a96a61650e1b7f32",
+    "beta-input": "173173034e621219fedb703086b447f10c8b6e7fff28e25da73fefd1e9fe0389",
     "beta-input verify": "a009185825d4a2c1c39c49254a5880417454f3bbb18bb765fc3ddb4b9c460d40",
-    "beta-named": "e7e9f676a232a92c72ac46ec94eb3960ef1ce61509ef1567301e9b5f2d62789d",
+    "beta-named": "f40ea6cc9a587ff591ecf1b4cbc82f3a8be0656141c00ef8fa0be090e266e37c",
     "beta-named verify": "a009185825d4a2c1c39c49254a5880417454f3bbb18bb765fc3ddb4b9c460d40",
-    "beta-pattern": "461fc840a92e84ff5923e37e8a6ff23f3ff536a46e50e715bc3a573e28d83ec3",
+    "beta-pattern": "679c71d59049d8e89508ce88d3fcbe29a0ccf72108ead828b9dfaea3cb108f12",
     "beta-pattern verify": "a009185825d4a2c1c39c49254a5880417454f3bbb18bb765fc3ddb4b9c460d40",
-    "build-input-r3": "93fa629b73f133d5a90f4af6e497acbc8b2e9d266b3f8b73833caa125cf2344c",
+    "build-input-r3": "b77c665825ad6c8547aa2c5155773a0d1f6d9a0bc2ff8ef2a1ca1b59265a7d88",
     "build-input-r3 verify": "2f798902bdcbf4ce7368d854b45cd123384e41bf34f245a49fb3569b6011a39e",
-    "build-named": "16ce8687e83fd58aa67fb16244dad5f54a13cb09343ad133fec1413c4176b20f",
+    "build-named": "e806ba70c46aec387afa72e5d142a3c1630dafc4d36683aae3a8450639c4f06e",
     "build-named verify": "2f798902bdcbf4ce7368d854b45cd123384e41bf34f245a49fb3569b6011a39e",
-    "build-pattern": "b71714e39a7f869881d1dcc853f6f745a0872b0506c1d3eb55f3392e9c2ae18e",
+    "build-pattern": "0342a02ec7d9a02dc562e2d6b24ced33632ce961b61a1e85e93938f5fc942ef7",
     "build-pattern verify": "2f798902bdcbf4ce7368d854b45cd123384e41bf34f245a49fb3569b6011a39e",
-    "certificate-identity": "3a6a31ae7a41ca3c87fd8325d6cff587ce5a9a31696a1d9f8a1142ee5183c4a2",
+    "certificate-identity": "93833ac5acb67384d7a7bec01aa84e35f07b2c44cad3ed1eac3c1d204974bb7f",
     "certificate-identity verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "certificate-input": "fd7a6b522be85c16fd48a929e248787a589102f2db8f6c8ec3b1450ccee0901e",
+    "certificate-input": "93d73771d92746d27bb4ceba03ee7dcc74ccd7138a343a4f2064f7783102b7ec",
     "certificate-input verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "certificate-interval": "dea7db9da599c8f50949b94a222d23072bc72919fe7f4cb545a38934ac160767",
+    "certificate-interval": "bba16c9d7c867fa600215c40cedff5cb18c50c4119ac33435f4b4efad6d0401d",
     "certificate-interval verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "certificate-named": "46997c16c867791559b628954b2141c37fad2090abba869e3cdd29a86136f36c",
+    "certificate-named": "f65641f84538938c654da449bf5b9858b85f6549c80a8d1dc9fca3844ab3cb76",
     "certificate-named verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "certificate-pattern": "dbf860b97a47c59da735e09e6bdec521935d0a3f88b28da3538317af8a565ac5",
+    "certificate-pattern": "4a4f3da575c19c6274b2a6427b5502e3b672aadc5e78380bf103be6d25921ffc",
     "certificate-pattern verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "certificate-strong": "06efd9f0c5ac2a569222cffbb15449d08bbb1903a4b90b564e47991e898da119",
+    "certificate-strong": "a5bd4d40a93e4e71c6548881a2fb7aecda44f4c5d8fb63f2b456a252a081ea41",
     "certificate-strong verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
-    "chi-input": "dd7e35677e7ffe25da8a59c59e1df89ffa0a613d3c0b8e140b4aa09a5f73cd67",
+    "chi-input": "8f7c5c5d888d88a3e8838d39644a20d06af99272cd1338562cd25db1c5836ad4",
     "chi-input verify": "6d2a58be3f176be8bf4bf5b860b49c65386c32c02c0c6124fd3de8cea85423aa",
-    "chi-named": "b0ced58106d96e9773f00a19a19a345aba3eea4b00157ec3e1275ae94747b8bc",
+    "chi-named": "1b80ce1df96bcf91b4752ac758cedb2e1a95ca0355dd76f911f7d0991f54af9a",
     "chi-named verify": "6d2a58be3f176be8bf4bf5b860b49c65386c32c02c0c6124fd3de8cea85423aa",
-    "chi-pattern": "8a9b39067bf3d12c1755b44aa34eff477198b3d6f71a26562e17ee9c81af8cb2",
+    "chi-pattern": "940faa236614ac5edfcae23f24272684bb19793345c208cd9414a89ab2b249f9",
     "chi-pattern verify": "6d2a58be3f176be8bf4bf5b860b49c65386c32c02c0c6124fd3de8cea85423aa",
-    "chi-pretty": "1fc2b5e56ca879976b5e7a468c28d0fddfc45319681e57dae5316f82d8dd8087",
-    "chi-r3": "d39840a08b4111047fe9d1b12904735a08c6ce686d2568bdba5ff19d344910e4",
+    "chi-pretty": "d0fab4da1c37af009238a23f292bb48d5ba39a55771d37e59c74f7a63f985c6d",
+    "chi-r3": "076c96cbd63461eb775a8769a6868de18e7bbbea97d5930bf485e184cea72322",
     "chi-r3 verify": "6d2a58be3f176be8bf4bf5b860b49c65386c32c02c0c6124fd3de8cea85423aa",
-    "ex-alt-heuristic": "fe6adbc27aa778287b6f39593dac12d120f00c5715c56fdf57acda473428961c",
+    "ex-alt-heuristic": "bfdd1d34e2d4acf3c52ca30e5912ef36fa34fc89e6639dce031ae8fd69197dce",
     "ex-alt-heuristic verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
-    "ex-alt-input": "1ae70203acd5aed0db2386919b570ce42e5b73a169252e50fd299d07a9741460",
+    "ex-alt-input": "43eed5cdae7f992fc6b112396693f0b10436c0f6c6d671e5b1a89cde9546b460",
     "ex-alt-input verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
-    "ex-alt-interval": "66d3b3e9595c344951be4c52f0b6e813bfb5193c415ad1db9381c1222b197268",
+    "ex-alt-interval": "7ea67f3f262ba4af52b3fe7a0eccc87d3e2ae21788b20e981864f3201d35f125",
     "ex-alt-interval verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
-    "ex-alt-named": "dc64efb8045a70a8ca31aa1a197dc1971e9889f3de57c74a81c72b83aa44caac",
+    "ex-alt-named": "d9e4e5ca76aa0f563157b5ba0cb02db0d3ac6e5d88acb00c085afc7b5d29759e",
     "ex-alt-named verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
-    "ex-alt-ordering": "d3c2e66720bac9cffb4b80b6966c1f452526735473068c520c8afe49c9940b5b",
+    "ex-alt-ordering": "7176e58766e67817b7a6358b23c21d91c1859f32c1ce858922b14a69320795d6",
     "ex-alt-ordering verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
-    "ex-alt-pattern": "96a6ba3441de273ec88c2cf24039a03a8cd9e68949f332e04c9b7fbaeb7581ed",
+    "ex-alt-pattern": "eb22ef774c7a4aa5c2d5f60998bf2aa6909cd32e26c85db90b008e632b5ffcd9",
     "ex-alt-pattern verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
-    "ex-heuristic": "f6a93e52cb1a774412a4705cb99fd58dd85e7962ae6e367ee7378668ad3d405d",
+    "ex-heuristic": "e1bebeb5597a4480fda56399949f89c5829d87b604fdb3e5f61b71a5823582cb",
     "ex-heuristic verify": "ab5183ab4a1c259f44f13d6ee44c078a6d2056b7eaf2a7f10c78f8f467295c32",
-    "ex-input": "42295ae6f04d6ba20e2e1a2946786d21f1b58892aae4472fe846c3a36a6a6653",
+    "ex-input": "ea27c66341e3bc175da90f0616e24bf8cb9307a1492e03e6cf7b577498cf7375",
     "ex-input verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
-    "ex-k5-k3": "699555def4e9f2bbb3921fe809fc96ee242bd411303c9fd4eba7ff81f8d93ffc",
+    "ex-k5-k3": "280e489ae1806952be51a54c9528a9526dac14413fe1554d2f61fe932001139f",
     "ex-k5-k3 verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
-    "ex-named": "925f743c4d57a1122f49508bdf26bdc1dabeeed07c4f4d87d8f58db7cc6a3f16",
+    "ex-named": "11ea6e394547c664d979531e5735237e6379e78c1d11881fdf6a915f5d997a21",
     "ex-named verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
-    "ex-pattern": "30cea4115c73ae1d722278e25a36eeb2fcad2fb4107093c58d8c820bab8e5c32",
+    "ex-pattern": "9ac15a96b2098c18052947388a9109c978c73f1f108f5de24d2a47123e3644d7",
     "ex-pattern verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
-    "ex-salt-identity": "697f316ead950958b048c27c125f4b21191ddea888d60a12e1c8e62ae609698c",
+    "ex-salt-identity": "e403b26cca95d3ad7a3a51207591f4fc950e8b2572d01ce796ef89c9a7853a53",
     "ex-salt-identity verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
-    "ex-salt-input": "c769c4b8ea0907f7b46f26581a5d41325a60b059a5bc1c4ed743f19dcdd45cc5",
+    "ex-salt-input": "aa26a9002281c19bb78004c9bf5bea4ce3fc80f5414618c8cdf752433c7e28d0",
     "ex-salt-input verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
-    "ex-salt-named": "c317ed714734f852e1ea3aa1afd1daadf2c665f67ed0b844a72c2cce5ca58bdd",
+    "ex-salt-named": "6db9d8f8536020cc048e66eaea98e45b914363a4ee311aa662facb233497230a",
     "ex-salt-named verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
-    "ex-salt-pattern": "2a2cd3e798a0350a2eedde33d3d9b7a94b4bbac3399823c686ce65bd86c3ffbb",
+    "ex-salt-pattern": "1515e1c3b66f520797ee9b8cd54a3fc56c79f16394401ac63b4ebc02daa1f0d6",
     "ex-salt-pattern verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
     "export-dimacs": "a4486877b0bbf1d5fa1902ffd5041f8a1c95f518b73e21c9074878b61855b7e5",
     "export-json": "9517fca07cc5a7f103629b1ca1ef74e687887dea8f19dc9657b9195c37865019",
-    "golden": "a5a9ba91756a1d91aa93dedf9b60d5214e66451ea10b62c7b9fb8d65c7daa1ff",
-    "salt-sigma-input": "610177143dc3bad5bdf94c5e26b0e4fad3ac7af02379d5300247a1a18ef36685",
+    "golden": "209ddaa3e30cf1a140589d749c54ec8b885720dc24fc25427ce5d2523a9a3e6f",
+    "salt-sigma-input": "246eb6f67eadb93f8f2aa57282345470ddb05f5619399fcd4de577edbb4ae7a8",
     "salt-sigma-input verify": "791d1bcfd421a7e8492ce428e3fd52c93a1bf77254d8c6892116ee403e895438",
-    "salt-sigma-named": "b03d2b9148881dbdd3fced26eee7e9e71f288a397a472fb77234689930fda4ce",
+    "salt-sigma-named": "af47b9bff8d06d571f84b52b70d786e071bf9d7db857d9f080f5612a4f7d4cf9",
     "salt-sigma-named verify": "791d1bcfd421a7e8492ce428e3fd52c93a1bf77254d8c6892116ee403e895438",
-    "salt-sigma-pattern": "97e285556a8f93fc2c9a700cb13aa6e1ee4bac88a43ea69c96576d107942fbe9",
+    "salt-sigma-pattern": "a85bd23e963dd9f1dea59e5fa628a3149e88c8fd9b2a66e85d0a484bb9f1df0f",
     "salt-sigma-pattern verify": "791d1bcfd421a7e8492ce428e3fd52c93a1bf77254d8c6892116ee403e895438",
 }
 

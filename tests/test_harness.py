@@ -165,8 +165,6 @@ def test_golden_selection_and_workers():
     assert one["ok"]
     with pytest.raises(InvalidParameterError):
         run_golden_suite(["no-such-case"])
-    fast = ["kneser-4-2", "kneser-5-2", "circular-5-2"]
-    assert run_golden_suite(fast, workers=2) == run_golden_suite(fast)
 
 
 def test_golden_report_is_deterministic():
