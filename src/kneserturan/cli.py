@@ -24,32 +24,29 @@ from typing import NamedTuple
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
 from .exactsolve import (
     DEFAULT_SOLVER_CAP,
-    chromatic_number_graph,
-    chromatic_number_hypergraph,
+    chromatic_number,
     covering_number,
     independence_number,
     validate_graph_coloring,
     validate_hypergraph_coloring,
 )
 from .harness import run_golden_suite
-from .hyperstruct import (
-    Hypergraph,
-    LinearOrdering,
-    build_named_family,
-    canonical_dumps,
-    doubled,
-    from_dimacs,
-    to_dimacs,
-)
+from .hyperstruct import Hypergraph, LinearOrdering, canonical_dumps, from_dimacs, to_dimacs
 from .kneser import (
+    _FAMILY_FLAGS,
+    _NAMED_FLAGS,
     DEFAULT_GRAPH_CAP,
     DEFAULT_POWER_CAP,
-    NamedKneser,
-    build_named_kneser,
-    kneser_of_family,
-    kneser_power,
+    _decode,
+    _family_params,
+    _ints,
+    _rebuild_instance,
+    _rep_of,
+    _require,
+    _Resolved,
+    _target_of,
 )
-from .patterns import PatternFamily, family_of, pattern_hypergraph
+from .patterns import PatternFamily
 from .turanalt import (
     DEFAULT_ALT_CAP,
     DEFAULT_ORDERING_CAP,
@@ -66,25 +63,6 @@ from .turanalt import (
     verify_certificate,
     verify_turan_report,
 )
-
-# cli flag name -> keyword of build_named_family, per host/pattern kind
-_FAMILY_FLAGS = {
-    "complete": (("n", "n"),),
-    "cycle": (("n", "n"),),
-    "path": (("len", "length"),),
-    "matching": (("n", "n"),),
-    "complete-bipartite": (("m", "m"), ("n", "n")),
-    "complete-uniform": (("n", "n"), ("s", "s")),
-}
-
-_NAMED_FLAGS = {
-    "kneser": ("n", "k"),
-    "schrijver": ("n", "k"),
-    "circular": ("n", "d"),
-    "generalized-kneser": ("n", "k", "s"),
-    "permutation": ("m", "n", "r"),
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -146,34 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # --- instance resolution ---
-
-class _Resolved(NamedTuple):
-    """An instance rebuilt from its config echo.
-
-    ``host`` is the named instance's host, the host of a pattern instance or
-    the raw hypergraph; ``family`` is None only for the raw scheme.
-    """
-
-    config: dict
-    host: Hypergraph
-    family: PatternFamily | None = None
-    named: NamedKneser | None = None
-    r: int | None = None
-
-
-def _family_params(kind: str, getter, prefix: str = "") -> dict:
-    if kind not in _FAMILY_FLAGS:
-        raise InvalidParameterError(f"unknown graph kind {kind!r}; choose from "
-                                    + ", ".join(sorted(_FAMILY_FLAGS)))
-    params = {}
-    for flag, _ in _FAMILY_FLAGS[kind]:
-        value = getter(flag)
-        if value is None:
-            want = " and ".join(f"--{prefix}{f}" for f, _ in _FAMILY_FLAGS[kind])
-            raise InvalidParameterError(f"{kind} needs {want}")
-        params[flag] = value
-    return params
-
 
 def _load_hypergraph(path: str) -> Hypergraph:
     with open(path) as fh:
@@ -239,52 +189,6 @@ def _instance_config(args) -> dict:
     return {"scheme": "raw", "host": host_cfg, "r": args.r}
 
 
-def _family_of_echo(cfg: dict, what: str) -> Hypergraph:
-    _require(cfg, ("kind", "params"), what)
-    _require(cfg, ("kind",), what, str)
-    _require(cfg["params"], (), f"the params of {what}")
-    params = _family_params(cfg["kind"], cfg["params"].get)
-    _require(params, tuple(params), f"the params of {what}", int)
-    return build_named_family(cfg["kind"], **{
-        kw: params[flag] for flag, kw in _FAMILY_FLAGS[cfg["kind"]]
-    })
-
-
-def _rebuild_instance(config: dict) -> _Resolved:
-    """Inverse of the config echo: reconstruct exactly what a run resolved."""
-    _require(config, ("scheme",), "the instance")
-    scheme = config["scheme"]
-    if scheme == "named":
-        _require(config, ("kind", "params"), "the named instance")
-        _require(config, ("kind",), "the named instance", str)
-        kind = config["kind"]
-        if kind not in _NAMED_FLAGS:
-            raise InvalidParameterError(f"malformed document: unknown family {kind!r}")
-        _require(config["params"], _NAMED_FLAGS[kind], "the named instance params", int)
-        named = build_named_kneser(kind, **{f: config["params"][f] for f in _NAMED_FLAGS[kind]})
-        return _Resolved(config, named.host, named.family, named, r=2)
-    if scheme not in ("pattern", "raw"):
-        raise InvalidParameterError(f"malformed document: unknown instance scheme {scheme!r}")
-    _require(config, ("host", "pattern") if scheme == "pattern" else ("host",), "the instance")
-    host_cfg = config["host"]
-    _require(host_cfg, (), "the host")
-    if "doc" in host_cfg:
-        host = _decode(Hypergraph.from_json_dict, host_cfg["doc"], "the host")
-    else:
-        host = _family_of_echo(host_cfg, "the host")
-    if "double" in host_cfg:
-        _require(host_cfg, ("double",), "the host", bool)
-    if host_cfg.get("double"):
-        host = doubled(host)
-    r = config.get("r", 2 if scheme == "pattern" else None)
-    if r is not None and type(r) is not int:
-        raise InvalidParameterError("malformed document: in the instance, r is not of type int")
-    if scheme == "pattern":
-        family = family_of(_family_of_echo(config["pattern"], "the pattern"))
-        return _Resolved(config, host, family, r=r)
-    return _Resolved(config, host, r=r)
-
-
 def _cap_for(default: int, args) -> int | None:
     """Resolve --cap against the operation's default, enforcing the escape flag."""
     if args.cap is None:
@@ -299,28 +203,6 @@ def _cap_for(default: int, args) -> int | None:
 
 def _build_cap(resolved: _Resolved) -> int:
     return DEFAULT_GRAPH_CAP if (resolved.r or 2) == 2 else DEFAULT_POWER_CAP
-
-
-def _target_of(resolved: _Resolved, cap: int | None = None) -> tuple[Hypergraph, bool]:
-    """The object a chi/alpha/beta/build/export verb acts on."""
-    if resolved.named is not None:
-        return resolved.named.graph, True
-    if resolved.family is not None:
-        instance = kneser_of_family(resolved.host, resolved.family, r=resolved.r, cap=cap)
-        return instance.result, resolved.r == 2
-    if resolved.r is not None:
-        instance = kneser_power(resolved.host, r=resolved.r, cap=cap)
-        return instance.result, resolved.r == 2
-    return resolved.host, resolved.host.is_graph
-
-
-def _rep_of(resolved: _Resolved) -> Hypergraph:
-    """The representation whose sign-vector quantities are being asked for."""
-    if resolved.named is not None:
-        return resolved.named.instance.representation
-    if resolved.family is not None:
-        return pattern_hypergraph(resolved.host, resolved.family)
-    return resolved.host
 
 
 def _host_and_family(resolved: _Resolved) -> tuple[Hypergraph, PatternFamily]:
@@ -365,16 +247,14 @@ def _sigma(options: dict) -> LinearOrdering:
     return LinearOrdering(tuple(sequence))
 
 
-def _compute_chi(operand, options: dict) -> dict:
-    target, is_graph = operand
-    solve = chromatic_number_graph if is_graph else chromatic_number_hypergraph
-    report = solve(target, **_cap_kwargs(options)).to_json_dict()
+def _compute_chi(target: Hypergraph, options: dict) -> dict:
+    report = chromatic_number(target, **_cap_kwargs(options)).to_json_dict()
     return {"chi": report["value"], "assignment": report["assignment"],
             "witness": report["witness"]}
 
 
-def _compute_vertex_set(quantity: str, solve, operand, options: dict) -> dict:
-    value, witness = solve(operand[0], **_cap_kwargs(options))
+def _compute_vertex_set(quantity: str, solve, target: Hypergraph, options: dict) -> dict:
+    value, witness = solve(target, **_cap_kwargs(options))
     return {quantity: value, "witness_vertices": sorted(witness)}
 
 
@@ -427,8 +307,7 @@ def _verify_recompute(quantity: str, operand, options: dict, result: dict) -> di
     return {"recomputed": True}
 
 
-def _verify_chi(quantity: str, operand, options: dict, result: dict) -> dict:
-    target, is_graph = operand
+def _verify_chi(quantity: str, target: Hypergraph, options: dict, result: dict) -> dict:
     checks = {}
     assignment = result.get("assignment")
     claimed = result["chi"]
@@ -436,21 +315,21 @@ def _verify_chi(quantity: str, operand, options: dict, result: dict) -> dict:
         raise InvalidParameterError("malformed document: chi is neither an int nor \"unbounded\"")
     if assignment is not None:
         _ints(assignment, "malformed document: the assignment")
-        validator = validate_graph_coloring if is_graph else validate_hypergraph_coloring
+        validator = validate_graph_coloring if target.is_graph else validate_hypergraph_coloring
         if not validator(target, tuple(assignment)):
             raise VerificationError("claimed coloring is not proper")
         if claimed != "unbounded" and len(set(assignment)) > claimed:
             raise VerificationError("coloring uses more colors than claimed")
         checks["coloring_proper"] = True
-    checks.update(_verify_recompute(quantity, operand, options, result))
-    _check_chi_witness(target, is_graph, claimed, result["witness"])
+    checks.update(_verify_recompute(quantity, target, options, result))
+    _check_chi_witness(target, claimed, result["witness"])
     return checks
 
 
 _CHI_WITNESS_KINDS = ("clique", "edgeless", "empty", "exhausted", "has-edges", "singleton-edge")
 
 
-def _check_chi_witness(target: Hypergraph, is_graph: bool, claimed, witness) -> None:
+def _check_chi_witness(target: Hypergraph, claimed, witness) -> None:
     """The lower-bound witness of a chi document must back the claimed value."""
     _require(witness, ("kind",), "the witness", str)
     kind = witness["kind"]
@@ -465,7 +344,7 @@ def _check_chi_witness(target: Hypergraph, is_graph: bool, claimed, witness) -> 
                 any(not 0 <= v < target.n_vertices for v in members):
             raise VerificationError("clique witness members repeat or are out of range")
         # on a hypergraph target no two members count as adjacent
-        adj = target.adjacency_masks() if is_graph else [0] * target.n_vertices
+        adj = target.adjacency_masks() if target.is_graph else [0] * target.n_vertices
         if any(not adj[u] >> v & 1 for u, v in combinations(members, 2)):
             raise VerificationError("clique witness members are not pairwise adjacent")
     elif kind == "exhausted":
@@ -560,6 +439,15 @@ _QUANTITY_OPTIONS = (
 )
 
 
+def _check_options(name: str, options: dict) -> None:
+    """Refuse any option of _QUANTITY_OPTIONS away from its default that ``name`` does not read."""
+    for option, default, hint in _QUANTITY_OPTIONS:
+        if options[option] != default and option not in _QUANTITIES[name].reads:
+            users = " and ".join(n for n, q in _QUANTITIES.items() if option in q.reads)
+            raise InvalidParameterError(
+                f"{name} does not read --{option}, which applies to {users}{hint}")
+
+
 def _options_echo(args, cap, ordering_echo) -> dict:
     echo = {key: getattr(args, key, None) for key in _OPTION_KEYS}
     echo.update(strong=bool(echo["strong"]), cap=cap, ordering=ordering_echo)
@@ -569,7 +457,7 @@ def _options_echo(args, cap, ordering_echo) -> dict:
 def _run_build(args) -> tuple[dict, int]:
     resolved = _rebuild_instance(_instance_config(args))
     cap = _cap_for(_build_cap(resolved), args)
-    target, _ = _target_of(resolved, cap)
+    target = _target_of(resolved, cap)
     config = {"verb": "build", "instance": resolved.config,
               "options": _options_echo(args, cap, None)}
     result = {
@@ -582,11 +470,7 @@ def _run_build(args) -> tuple[dict, int]:
 
 def _run_compute(args) -> tuple[dict, int]:
     quantity = _QUANTITIES[args.quantity]
-    for option, default, hint in _QUANTITY_OPTIONS:
-        if getattr(args, option) != default and option not in quantity.reads:
-            users = " and ".join(n for n, q in _QUANTITIES.items() if option in q.reads)
-            raise InvalidParameterError(
-                f"{args.quantity} does not read --{option}, which applies to {users}{hint}")
+    _check_options(args.quantity, vars(args))
     resolved = _rebuild_instance(_instance_config(args))
     cap = _cap_for(quantity.default_cap(args), args)
     operand = quantity.operand(resolved)
@@ -600,9 +484,10 @@ def _run_compute(args) -> tuple[dict, int]:
 def _run_export(args) -> tuple[str, int]:
     resolved = _rebuild_instance(_instance_config(args))
     cap = _cap_for(_build_cap(resolved), args)
-    target, is_graph = _target_of(resolved, cap)
+    target = _target_of(resolved, cap)
     if args.format == "dimacs":
-        if not is_graph or not target.is_graph:
+        # an order-3 or higher power stays a hypergraph even when it has no edges
+        if resolved.r not in (None, 2) or not target.is_graph:
             raise InvalidParameterError("DIMACS export needs a 2-uniform result")
         return to_dimacs(target), 0
     return target.canonical_json() + "\n", 0
@@ -616,37 +501,6 @@ def _run_golden(args) -> tuple[dict, int]:
 
 
 _CERTIFICATE_KEYS = ("representation", "ordering", "i", "strong", "alt_value", "value")
-
-
-def _require(doc, keys, what: str, scalar: type | None = None) -> None:
-    """A malformed document is bad input (exit 2), not a failed verification.
-
-    With ``scalar``, each of ``keys`` must also hold a value of that type.
-    """
-    if not isinstance(doc, dict):
-        raise InvalidParameterError(f"malformed document: {what} is not a JSON object")
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise InvalidParameterError(f"malformed document: {what} lacks " + ", ".join(missing))
-    for key in keys:
-        if scalar is not None and type(doc[key]) is not scalar:
-            raise InvalidParameterError(
-                f"malformed document: in {what}, {key} is not of type {scalar.__name__}")
-
-
-def _ints(value, what: str) -> list[int]:
-    """``value`` itself if it is a list of ints; anything else is bad input."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise InvalidParameterError(f"{what} is not a list of ints")
-    return value
-
-
-def _decode(from_json_dict, doc, what: str):
-    """Deserialize a nested document; a value of the wrong type is bad input."""
-    try:
-        return from_json_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed document: {what}: {exc}") from None
 
 
 def _run_verify(args) -> tuple[dict, int]:
@@ -680,7 +534,7 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     verb = config["verb"]
     if verb == "build":
         _require(result, ("hypergraph",), "result")
-        target, _ = _target_of(_rebuild_instance(config["instance"]))
+        target = _target_of(_rebuild_instance(config["instance"]))
         if target.to_json_dict() != result["hypergraph"]:
             raise VerificationError("rebuilt hypergraph differs from the document")
         return {"verified": True, "kind": "build", "checks": {"rebuilt": True}}, 0
@@ -695,6 +549,7 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     quantity = _QUANTITIES[name]
     _require(config["options"], _OPTION_KEYS, "options")
     _require(config["options"], ("i", "seed", "restarts"), "options", int)
+    _check_options(name, config["options"])
     if quantity.ordering:
         _require(config["options"]["ordering"], ("kind",), "the ordering echo")
     _require(result, quantity.result_keys, "result")

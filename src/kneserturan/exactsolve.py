@@ -275,6 +275,13 @@ def _assert_proper_hypergraph(h: Hypergraph, cert: ColoringCertificate):
         raise VerificationError("solver produced a monochromatic hyperedge")
 
 
+def chromatic_number(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> ChromaticReport:
+    """chromatic_number_graph on a 2-uniform h, chromatic_number_hypergraph otherwise."""
+    # looked up as globals at each call, so a rebinding of either solver is seen
+    solve = chromatic_number_graph if h.is_graph else chromatic_number_hypergraph
+    return solve(h, cap)
+
+
 def _greedy_hypergraph_coloring(h: Hypergraph) -> list[int]:
     """Sequential greedy: smallest color not completing a monochromatic edge.
 

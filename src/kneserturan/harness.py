@@ -6,7 +6,9 @@ stable sets of a cycle, triangle patterns in complete graphs, circular
 complete graphs, doubled multigraphs, and two-edge-path graphs.
 Asymptotic or conjectured formulas are carried as informational probes:
 the suite computes the small cases and records both numbers without
-asserting agreement.
+asserting agreement. A case's construction is the instance echo of a
+``compute chi`` document, built by the kneser._rebuild_instance and
+kneser._target_of that compute and verify use.
 
 The two-edge-path construction (triangle factor plus explicit coloring)
 lives here as well, since the golden suite consumes it.
@@ -15,16 +17,10 @@ lives here as well, since the golden suite consumes it.
 from __future__ import annotations
 
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
-from .exactsolve import (
-    UNBOUNDED,
-    ColoringCertificate,
-    chromatic_number_graph,
-    chromatic_number_hypergraph,
-    validate_graph_coloring,
-)
-from .hyperstruct import Hypergraph, Record, bits_of, build_named_family, doubled
-from .kneser import build_named_kneser, kneser_of_family, kneser_power
-from .patterns import PatternFamily, family_of, pattern_hypergraph
+from .exactsolve import UNBOUNDED, ColoringCertificate, chromatic_number, validate_graph_coloring
+from .hyperstruct import Hypergraph, Record, bits_of, build_named_family
+from .kneser import _rebuild_instance, _Resolved, _target_of, kneser_power
+from .patterns import family_of, pattern_hypergraph
 from .turanalt import turan_number
 
 DEFAULT_FACTOR_CAP = 15
@@ -222,8 +218,9 @@ def path_graph_coloring(g: Hypergraph, factor: FactorWitness) -> tuple[ColoringC
 class GoldenCase(Record):
     """One pinned chromatic-number computation.
 
-    ``construction`` describes how to build the instance (see _build_case),
-    ``formula`` is a key into _FORMULAS evaluated on ``params``, and
+    ``construction`` is the instance echo of a ``compute chi`` document, as
+    kneser._rebuild_instance reads it; ``formula`` is a key into _FORMULAS
+    evaluated on ``params`` and the resolved instance, and
     ``source`` names the classical result the expected value comes from.
     Informational cases are computed and recorded but never asserted.
     """
@@ -237,40 +234,15 @@ class GoldenCase(Record):
                              tags=tags)
 
 
-class _BuiltCase(Record):
-    _fields = ("target", "is_graph", "host", "family")
-
-    def __init__(self, target: Hypergraph, is_graph: bool, host: Hypergraph | None,
-                 family: PatternFamily | None):
-        self.__dict__.update(target=target, is_graph=is_graph, host=host, family=family)
-
-
-def _build_case(construction: dict) -> _BuiltCase:
-    via = construction["via"]
-    if via == "named":
-        named = build_named_kneser(construction["kind"], **construction["params"])
-        return _BuiltCase(named.graph, True, None, None)
-    if via == "pattern":
-        kind, host_params = construction["host"]
-        host = build_named_family(kind, **host_params)
-        if construction.get("double"):
-            host = doubled(host)
-        family = family_of(*[build_named_family(k, **ps) for k, ps in construction["family"]])
-        r = construction.get("r", 2)
-        instance = kneser_of_family(host, family, r=r)
-        return _BuiltCase(instance.result, r == 2, host, family)
-    raise InvalidParameterError(f"unknown construction scheme {via!r}")
-
-
 def _frankl_value(params: dict) -> int:
     n, k = params["n"], params["k"]
     s, r = divmod(n, k - 1)
     return (k - 1) * s * (s - 1) // 2 + r * s
 
 
-def _edges_minus_ex(built: _BuiltCase) -> int:
-    report = turan_number(built.host, built.family, mode="exact")
-    return built.host.n_edges - report.value
+def _edges_minus_ex(resolved: _Resolved) -> int:
+    report = turan_number(resolved.host, resolved.family, mode="exact")
+    return resolved.host.n_edges - report.value
 
 
 _FORMULAS = {
@@ -288,7 +260,7 @@ _FORMULAS = {
 def _kneser_case(n: int, k: int) -> GoldenCase:
     return GoldenCase(
         name=f"kneser-{n}-{k}",
-        construction={"via": "named", "kind": "kneser", "params": {"n": n, "k": k}},
+        construction={"scheme": "named", "kind": "kneser", "params": {"n": n, "k": k}},
         formula="n-2k+2",
         params={"n": n, "k": k},
         source="Lovasz 1978",
@@ -299,7 +271,7 @@ def _kneser_case(n: int, k: int) -> GoldenCase:
 def _schrijver_case(n: int, k: int) -> GoldenCase:
     return GoldenCase(
         name=f"schrijver-{n}-{k}",
-        construction={"via": "named", "kind": "schrijver", "params": {"n": n, "k": k}},
+        construction={"scheme": "named", "kind": "schrijver", "params": {"n": n, "k": k}},
         formula="n-2k+2",
         params={"n": n, "k": k},
         source="Schrijver 1978",
@@ -310,12 +282,9 @@ def _schrijver_case(n: int, k: int) -> GoldenCase:
 def _matching_power_case(n: int) -> GoldenCase:
     return GoldenCase(
         name=f"matching-power-3-{n}",
-        construction={
-            "via": "pattern",
-            "host": ("matching", {"n": n}),
-            "family": [("matching", {"n": 2})],
-            "r": 3,
-        },
+        construction={"scheme": "pattern", "r": 3,
+                      "host": {"kind": "matching", "params": {"n": n}, "double": False},
+                      "pattern": {"kind": "matching", "params": {"n": 2}}},
         formula="ceil((n-r(k-1))/(r-1))",
         params={"n": n, "k": 2, "r": 3},
         source="Alon-Frankl-Lovasz 1986",
@@ -326,11 +295,9 @@ def _matching_power_case(n: int) -> GoldenCase:
 def _triangle_case(n: int, informational: bool = False, source: str = "Tort 1983") -> GoldenCase:
     return GoldenCase(
         name=f"triangles-in-k{n}",
-        construction={
-            "via": "pattern",
-            "host": ("complete", {"n": n}),
-            "family": [("cycle", {"n": 3})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "complete", "params": {"n": n}, "double": False},
+                      "pattern": {"kind": "cycle", "params": {"n": 3}}},
         formula="floor((n-1)^2/4)",
         params={"n": n},
         source=source,
@@ -361,7 +328,7 @@ MANIFEST: tuple[GoldenCase, ...] = (
     _triangle_case(6),
     GoldenCase(
         name="circular-5-2",
-        construction={"via": "named", "kind": "circular", "params": {"n": 5, "d": 2}},
+        construction={"scheme": "named", "kind": "circular", "params": {"n": 5, "d": 2}},
         formula="ceil(n/d)",
         params={"n": 5, "d": 2},
         source="circular complete graph",
@@ -369,7 +336,7 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="permutation-2-2-2",
-        construction={"via": "named", "kind": "permutation", "params": {"m": 2, "n": 2, "r": 2}},
+        construction={"scheme": "named", "kind": "permutation", "params": {"m": 2, "n": 2, "r": 2}},
         formula="constant",
         params={"value": 2},
         source="direct check: this instance is a single edge",
@@ -377,12 +344,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="doubled-triangle-k3",
-        construction={
-            "via": "pattern",
-            "host": ("cycle", {"n": 3}),
-            "double": True,
-            "family": [("cycle", {"n": 3})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "cycle", "params": {"n": 3}, "double": True},
+                      "pattern": {"kind": "cycle", "params": {"n": 3}}},
         formula="|E|-ex",
         params={},
         source="doubled multigraph",
@@ -390,12 +354,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="doubled-c4-p2",
-        construction={
-            "via": "pattern",
-            "host": ("cycle", {"n": 4}),
-            "double": True,
-            "family": [("path", {"length": 2})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "cycle", "params": {"n": 4}, "double": True},
+                      "pattern": {"kind": "path", "params": {"len": 2}}},
         formula="|E|-ex",
         params={},
         source="doubled multigraph",
@@ -403,12 +364,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="doubled-k4-k3",
-        construction={
-            "via": "pattern",
-            "host": ("complete", {"n": 4}),
-            "double": True,
-            "family": [("cycle", {"n": 3})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "complete", "params": {"n": 4}, "double": True},
+                      "pattern": {"kind": "cycle", "params": {"n": 3}}},
         formula="|E|-ex",
         params={},
         source="doubled multigraph",
@@ -416,11 +374,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="paths-in-k4",
-        construction={
-            "via": "pattern",
-            "host": ("complete", {"n": 4}),
-            "family": [("path", {"length": 2})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "complete", "params": {"n": 4}, "double": False},
+                      "pattern": {"kind": "path", "params": {"len": 2}}},
         formula="|E|-floor(2n/3)",
         params={},
         source="triangle-factor coloring",
@@ -428,11 +384,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="paths-in-c5",
-        construction={
-            "via": "pattern",
-            "host": ("cycle", {"n": 5}),
-            "family": [("path", {"length": 2})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "cycle", "params": {"n": 5}, "double": False},
+                      "pattern": {"kind": "path", "params": {"len": 2}}},
         formula="constant",
         params={"value": 3},
         source="odd hole; no triangle factor, the floor formula gives 2",
@@ -440,11 +394,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="probe-cliques-6-4",
-        construction={
-            "via": "pattern",
-            "host": ("complete", {"n": 6}),
-            "family": [("complete", {"n": 4})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "complete", "params": {"n": 6}, "double": False},
+                      "pattern": {"kind": "complete", "params": {"n": 4}}},
         formula="(k-1)binom(s,2)+rs",
         params={"n": 6, "k": 4},
         source="Frankl 1985, asymptotic in n",
@@ -453,11 +405,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="probe-cliques-7-4",
-        construction={
-            "via": "pattern",
-            "host": ("complete", {"n": 7}),
-            "family": [("complete", {"n": 4})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "complete", "params": {"n": 7}, "double": False},
+                      "pattern": {"kind": "complete", "params": {"n": 4}}},
         formula="(k-1)binom(s,2)+rs",
         params={"n": 7, "k": 4},
         source="Frankl 1985, asymptotic in n",
@@ -466,11 +416,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="probe-even-cycles-5-4",
-        construction={
-            "via": "pattern",
-            "host": ("complete", {"n": 5}),
-            "family": [("cycle", {"n": 4})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "complete", "params": {"n": 5}, "double": False},
+                      "pattern": {"kind": "cycle", "params": {"n": 4}}},
         formula="|E|-ex",
         params={},
         source="open: whether the upper bound is tight for even cycles",
@@ -479,11 +427,9 @@ MANIFEST: tuple[GoldenCase, ...] = (
     ),
     GoldenCase(
         name="probe-odd-cycles-5-5",
-        construction={
-            "via": "pattern",
-            "host": ("complete", {"n": 5}),
-            "family": [("cycle", {"n": 5})],
-        },
+        construction={"scheme": "pattern", "r": 2,
+                      "host": {"kind": "complete", "params": {"n": 5}, "double": False},
+                      "pattern": {"kind": "cycle", "params": {"n": 5}}},
         formula="floor((n-1)^2/4)",
         params={"n": 5},
         source="conjectured to match the triangle formula for odd cycles",
@@ -508,13 +454,10 @@ def _case_record(case: GoldenCase) -> dict:
         "error": None,
     }
     try:
-        built = _build_case(case.construction)
-        record["expected"] = _FORMULAS[case.formula](case.params, built)
-        if built.is_graph:
-            chi = chromatic_number_graph(built.target)
-        else:
-            chi = chromatic_number_hypergraph(built.target)
-        value = chi.value
+        resolved = _rebuild_instance(case.construction)
+        target = _target_of(resolved)
+        record["expected"] = _FORMULAS[case.formula](case.params, resolved)
+        value = chromatic_number(target).value
         record["computed"] = value.to_json() if value is UNBOUNDED else value
         record["match"] = record["computed"] == record["expected"]
     except KneserTuranError as exc:

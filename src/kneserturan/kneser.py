@@ -7,15 +7,20 @@ hyperedges of H. With r=2 this is the disjointness graph. Stock families
 permutation graphs) are built twice: once through a representation and the
 occurrence machinery, once from their textbook definition, with an explicit
 vertex bijection tying the two together.
+
+The instance echo that every CLI document and every golden case carries
+(scheme named, pattern or raw) is resolved here too, by _rebuild_instance;
+_target_of builds the hypergraph a verb acts on from it.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, SizeCapError
-from .hyperstruct import Hypergraph, Record, build_named_family
-from .patterns import PatternFamily, find_isomorphism, pattern_hypergraph
+from .hyperstruct import Hypergraph, Record, build_named_family, doubled
+from .patterns import PatternFamily, family_of, find_isomorphism, pattern_hypergraph
 
 DEFAULT_GRAPH_CAP = 4096
 DEFAULT_POWER_CAP = 512
@@ -139,7 +144,7 @@ def _key_label(key) -> str:
 
 
 def _build_kneser(n: int, k: int) -> NamedKneser:
-    _require(n >= 2 * k and k >= 1, "kneser needs n >= 2k >= 2")
+    _ensure(n >= 2 * k and k >= 1, "kneser needs n >= 2k >= 2")
     host = build_named_family("matching", n=n)
     family = PatternFamily((build_named_family("matching", n=k),))
     keys = [tuple(c) for c in combinations(range(n), k)]
@@ -160,7 +165,7 @@ def _two_stable(n: int, k: int):
 
 
 def _build_schrijver(n: int, k: int) -> NamedKneser:
-    _require(n >= 2 * k and k >= 1, "schrijver needs n >= 2k >= 2")
+    _ensure(n >= 2 * k and k >= 1, "schrijver needs n >= 2k >= 2")
     host = build_named_family("cycle", n=n)
     family = PatternFamily((build_named_family("matching", n=k),))
     keys = list(_two_stable(n, k))
@@ -173,7 +178,7 @@ def _build_schrijver(n: int, k: int) -> NamedKneser:
 
 
 def _build_circular(n: int, d: int) -> NamedKneser:
-    _require(d >= 1 and n >= 2 * d, "circular needs n >= 2d >= 2")
+    _ensure(d >= 1 and n >= 2 * d, "circular needs n >= 2d >= 2")
     host = build_named_family("cycle", n=n)
     family = PatternFamily((build_named_family("path", length=d),))
 
@@ -190,7 +195,7 @@ def _build_circular(n: int, d: int) -> NamedKneser:
 
 
 def _build_generalized_kneser(n: int, k: int, s: int) -> NamedKneser:
-    _require(0 <= s < k <= n, "generalized_kneser needs n >= k > s >= 0")
+    _ensure(0 <= s < k <= n, "generalized_kneser needs n >= k > s >= 0")
     host = build_named_family("complete_uniform", n=n, s=s + 1)
     family = PatternFamily((build_named_family("complete_uniform", n=k, s=s + 1),))
     subset_of = {i: set(e) for i, e in enumerate(host.edges)}
@@ -211,7 +216,7 @@ def _build_generalized_kneser(n: int, k: int, s: int) -> NamedKneser:
 
 
 def _build_permutation(m: int, n: int, r: int) -> NamedKneser:
-    _require(1 <= r <= min(m, n), "permutation needs 1 <= r <= min(m, n)")
+    _ensure(1 <= r <= min(m, n), "permutation needs 1 <= r <= min(m, n)")
     host = build_named_family("complete_bipartite", m=m, n=n)
     family = PatternFamily((build_named_family("matching", n=r),))
 
@@ -236,7 +241,7 @@ def _build_permutation(m: int, n: int, r: int) -> NamedKneser:
     )
 
 
-def _require(condition: bool, message: str):
+def _ensure(condition: bool, message: str):
     if not condition:
         raise InvalidParameterError(message)
 
@@ -283,3 +288,149 @@ def verify_representation(kind: str, cap: int = 16, **params) -> tuple[bool, dic
         witness["mismatch"] = {"isomorphism_search": "failed"}
         return False, witness
     return True, witness
+
+
+# --- instance echoes ---
+
+# cli flag name -> keyword of build_named_family, per host/pattern kind
+_FAMILY_FLAGS = {
+    "complete": (("n", "n"),),
+    "cycle": (("n", "n"),),
+    "path": (("len", "length"),),
+    "matching": (("n", "n"),),
+    "complete-bipartite": (("m", "m"), ("n", "n")),
+    "complete-uniform": (("n", "n"), ("s", "s")),
+}
+
+_NAMED_FLAGS = {
+    "kneser": ("n", "k"),
+    "schrijver": ("n", "k"),
+    "circular": ("n", "d"),
+    "generalized-kneser": ("n", "k", "s"),
+    "permutation": ("m", "n", "r"),
+}
+
+
+class _Resolved(NamedTuple):
+    """An instance rebuilt from its config echo.
+
+    ``host`` is the named instance's host, the host of a pattern instance or
+    the raw hypergraph; ``family`` is None only for the raw scheme.
+    """
+
+    config: dict
+    host: Hypergraph
+    family: PatternFamily | None = None
+    named: NamedKneser | None = None
+    r: int | None = None
+
+
+def _family_params(kind: str, getter, prefix: str = "") -> dict:
+    if kind not in _FAMILY_FLAGS:
+        raise InvalidParameterError(f"unknown graph kind {kind!r}; choose from "
+                                    + ", ".join(sorted(_FAMILY_FLAGS)))
+    params = {}
+    for flag, _ in _FAMILY_FLAGS[kind]:
+        value = getter(flag)
+        if value is None:
+            want = " and ".join(f"--{prefix}{f}" for f, _ in _FAMILY_FLAGS[kind])
+            raise InvalidParameterError(f"{kind} needs {want}")
+        params[flag] = value
+    return params
+
+
+def _family_of_echo(cfg: dict, what: str) -> Hypergraph:
+    _require(cfg, ("kind", "params"), what)
+    _require(cfg, ("kind",), what, str)
+    _require(cfg["params"], (), f"the params of {what}")
+    params = _family_params(cfg["kind"], cfg["params"].get)
+    _require(params, tuple(params), f"the params of {what}", int)
+    return build_named_family(cfg["kind"], **{
+        kw: params[flag] for flag, kw in _FAMILY_FLAGS[cfg["kind"]]
+    })
+
+
+def _rebuild_instance(config: dict) -> _Resolved:
+    """Inverse of the config echo: reconstruct exactly what a run resolved."""
+    _require(config, ("scheme",), "the instance")
+    scheme = config["scheme"]
+    if scheme == "named":
+        _require(config, ("kind", "params"), "the named instance")
+        _require(config, ("kind",), "the named instance", str)
+        kind = config["kind"]
+        if kind not in _NAMED_FLAGS:
+            raise InvalidParameterError(f"malformed document: unknown family {kind!r}")
+        _require(config["params"], _NAMED_FLAGS[kind], "the named instance params", int)
+        named = build_named_kneser(kind, **{f: config["params"][f] for f in _NAMED_FLAGS[kind]})
+        return _Resolved(config, named.host, named.family, named, r=2)
+    if scheme not in ("pattern", "raw"):
+        raise InvalidParameterError(f"malformed document: unknown instance scheme {scheme!r}")
+    _require(config, ("host", "pattern") if scheme == "pattern" else ("host",), "the instance")
+    host_cfg = config["host"]
+    _require(host_cfg, (), "the host")
+    if "doc" in host_cfg:
+        host = _decode(Hypergraph.from_json_dict, host_cfg["doc"], "the host")
+    else:
+        host = _family_of_echo(host_cfg, "the host")
+    if "double" in host_cfg:
+        _require(host_cfg, ("double",), "the host", bool)
+    if host_cfg.get("double"):
+        host = doubled(host)
+    r = config.get("r", 2 if scheme == "pattern" else None)
+    if r is not None and type(r) is not int:
+        raise InvalidParameterError("malformed document: in the instance, r is not of type int")
+    if scheme == "pattern":
+        family = family_of(_family_of_echo(config["pattern"], "the pattern"))
+        return _Resolved(config, host, family, r=r)
+    return _Resolved(config, host, r=r)
+
+
+def _target_of(resolved: _Resolved, cap: int | None = None) -> Hypergraph:
+    """The object a chi/alpha/beta/build/export verb acts on."""
+    if resolved.named is not None:
+        return resolved.named.graph
+    if resolved.family is not None:
+        return kneser_of_family(resolved.host, resolved.family, r=resolved.r, cap=cap).result
+    if resolved.r is not None:
+        return kneser_power(resolved.host, r=resolved.r, cap=cap).result
+    return resolved.host
+
+
+def _rep_of(resolved: _Resolved) -> Hypergraph:
+    """The representation whose sign-vector quantities are being asked for."""
+    if resolved.named is not None:
+        return resolved.named.instance.representation
+    if resolved.family is not None:
+        return pattern_hypergraph(resolved.host, resolved.family)
+    return resolved.host
+
+
+def _require(doc, keys, what: str, scalar: type | None = None) -> None:
+    """A malformed document is bad input (exit 2), not a failed verification.
+
+    With ``scalar``, each of ``keys`` must also hold a value of that type.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"malformed document: {what} is not a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise InvalidParameterError(f"malformed document: {what} lacks " + ", ".join(missing))
+    for key in keys:
+        if scalar is not None and type(doc[key]) is not scalar:
+            raise InvalidParameterError(
+                f"malformed document: in {what}, {key} is not of type {scalar.__name__}")
+
+
+def _ints(value, what: str) -> list[int]:
+    """``value`` itself if it is a list of ints; anything else is bad input."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InvalidParameterError(f"{what} is not a list of ints")
+    return value
+
+
+def _decode(from_json_dict, doc, what: str):
+    """Deserialize a nested document; a value of the wrong type is bad input."""
+    try:
+        return from_json_dict(doc)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"malformed document: {what}: {exc}") from None

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import subprocess
@@ -6,8 +7,16 @@ from pathlib import Path
 
 import pytest
 
-from kneserturan import Hypergraph, build_named_family, canonical_dumps, from_dimacs
-from kneserturan.cli import main
+from kneserturan import (
+    MANIFEST,
+    Hypergraph,
+    build_named_family,
+    canonical_dumps,
+    from_dimacs,
+    run_golden_suite,
+)
+from kneserturan.cli import _build_parser, _compute_chi, _options_echo, main
+from kneserturan.kneser import _rebuild_instance, _target_of
 
 
 def _run(capsys, *argv):
@@ -477,6 +486,76 @@ def test_verify_rejects_strong_certificate_with_level(capsys, tmp_path):
         assert code == 2
         assert captured.out == ""
         assert "i must be 1" in captured.err
+
+
+def test_verify_applies_the_option_check_of_compute(capsys, tmp_path):
+    flags = ("ex-alt", "--host", "complete", "--n", "4", "--pattern", "path", "--len", "2")
+    assert main(["compute", *flags, "--strong", "--i", "3"]) == 2
+    reason = capsys.readouterr().err
+    assert "ex-alt does not read --i" in reason
+    doc = _run_json(capsys, "compute", *flags)
+    doc["config"]["options"].update(strong=True, i=3)
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == reason
+
+
+def test_manifest_constructions_are_compute_chi_instance_echoes(capsys, tmp_path):
+    # each golden construction, wrapped as a compute chi document under the
+    # default options, passes verify and carries the chi golden computes
+    options = _options_echo(_build_parser().parse_args(["compute", "chi"]), None, None)
+    computed = {record["name"]: record["computed"] for record in run_golden_suite()["cases"]}
+    path = tmp_path / "doc.json"
+    for case in MANIFEST:
+        config = {"verb": "compute", "quantity": "chi", "instance": case.construction,
+                  "options": options}
+        result = _compute_chi(_target_of(_rebuild_instance(case.construction)), options)
+        path.write_text(canonical_dumps({"config": config, "result": result}))
+        code, out = _run(capsys, "verify", str(path))
+        assert code == 0, (case.name, out)
+        assert json.loads(out)["verified"] is True
+        assert result["chi"] == computed[case.name], case.name
+
+
+def test_order_three_power_without_edges(capsys, tmp_path):
+    # the two host edges share a vertex, so the order-3 power has two vertices
+    # and no edge: it is 2-uniform vacuously, yet still no graph to export
+    flags = ("--host", "path", "--len", "2", "--r", "3")
+    code = main(["export", "--format", "dimacs", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "2-uniform" in captured.err
+    doc = _run_json(capsys, "compute", "chi", *flags)
+    assert doc["result"] == {"assignment": [0, 0], "chi": 1, "witness": {"kind": "edgeless"}}
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    assert _run_json(capsys, "verify", str(path))["verified"] is True
+
+
+def _imported_modules(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "kneserturan." * bool(node.level) + (node.module or "")
+            yield base.rstrip(".")
+            yield from (f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+
+
+def test_only_main_imports_cli():
+    # cli imports the library modules, so none of them may import cli back
+    src = Path(__file__).resolve().parents[1] / "src" / "kneserturan"
+    importers = [
+        path.name for path in sorted(src.glob("*.py"))
+        if any(name == "kneserturan.cli" or name.startswith("kneserturan.cli.")
+               for name in _imported_modules(ast.parse(path.read_text())))
+    ]
+    assert importers == ["__main__.py"]
 
 
 def test_verify_accepts_a_workers_option_echo(capsys, tmp_path):

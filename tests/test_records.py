@@ -27,7 +27,6 @@ from kneserturan import (
     build_named_kneser,
     kneser_power,
 )
-from kneserturan.harness import _BuiltCase
 
 
 def _path_graph():
@@ -41,7 +40,7 @@ def _certificate(i):
 
 
 def _golden(name):
-    return GoldenCase(name, {"via": "named", "kind": "kneser", "params": {"n": 5, "k": 2}},
+    return GoldenCase(name, {"scheme": "named", "kind": "kneser", "params": {"n": 5, "k": 2}},
                       "n-2k+2", {"n": 5, "k": 2}, "Lovasz 1978", tags=("kneser",))
 
 
@@ -100,10 +99,6 @@ CASES = {
     GoldenCase: (
         ("name", "construction", "formula", "params", "source", "informational", "tags"),
         lambda v: _golden(("kneser-5-2", "petersen")[v]),
-    ),
-    _BuiltCase: (
-        ("target", "is_graph", "host", "family"),
-        lambda v: _BuiltCase(_path_graph(), v == 0, None, None),
     ),
 }
 
