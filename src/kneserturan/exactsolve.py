@@ -86,21 +86,21 @@ def covering_number(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, 
 
 
 def max_clique(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, frozenset[int]]:
-    """Maximum clique of a simple graph via independence in the complement."""
+    """Maximum clique of a simple graph via independence in the complement.
+
+    The complement's adjacency masks go straight to
+    kernels.max_independent_set_graph, so the result, witness included, is
+    that of kernels.max_independent_set on the complement's edges.
+    """
     if not g.is_simple_graph:
         raise InvalidParameterError("max_clique needs a simple 2-uniform hypergraph")
     _check_cap(g, cap, "max_clique")
     n = g.n_vertices
     adj = g.adjacency_masks()
     full = (1 << n) - 1
-    # each non-adjacent pair once, from its lower vertex
-    co_edges = [
-        (1 << u) | (1 << v)
-        for u in range(n)
-        for v in bits_of(full & ~adj[u] & ~((2 << u) - 1))
-    ]
-    size, mask = kernels.max_independent_set(n, co_edges)
-    if any(mask & ~adj[v] & ~(1 << v) for v in bits_of(mask)):
+    co_adj = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
+    size, mask = kernels.max_independent_set_graph(n, co_adj)
+    if any(mask & co_adj[v] for v in bits_of(mask)):
         raise VerificationError("clique witness has a missing edge")
     return size, frozenset(bits_of(mask))
 
@@ -162,21 +162,35 @@ def dsatur_coloring(g: Hypergraph) -> tuple[int, ...]:
 
 
 def dsatur(n: int, adj) -> tuple[int, ...]:
-    """dsatur_coloring of the graph on 0..n-1 with adjacency masks ``adj``."""
+    """dsatur_coloring of the graph on 0..n-1 with adjacency masks ``adj``.
+
+    ``seen[v]`` is the mask of colors on the colored neighbours of v, and
+    ``bucket[s]`` the mask of uncolored vertices that see s colors. Each step
+    colors the lowest vertex of the highest non-empty bucket with the lowest
+    color it does not see: most colors seen, ties to the lowest id.
+    """
     color = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    seen = [0] * n
+    bucket = [(1 << n) - 1] + [0] * n
+    uncolored = bucket[0]
+    top = 0
     for _ in range(n):
-        v = min(
-            (u for u in range(n) if color[u] < 0),
-            key=lambda u: (-len(neighbor_colors[u]), u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        color[v] = c
-        for u in bits_of(adj[v]):
-            if color[u] < 0:
-                neighbor_colors[u].add(c)
+        while not bucket[top]:
+            top -= 1
+        vbit = bucket[top] & -bucket[top]
+        bucket[top] ^= vbit
+        uncolored ^= vbit
+        v = vbit.bit_length() - 1
+        cbit = (seen[v] + 1) & ~seen[v]
+        color[v] = cbit.bit_length() - 1
+        for u in bits_of(adj[v] & uncolored):
+            if not seen[u] & cbit:
+                s = seen[u].bit_count()
+                ubit = 1 << u
+                bucket[s] ^= ubit
+                bucket[s + 1] |= ubit
+                seen[u] |= cbit
+                top = max(top, s + 1)
     return tuple(color)
 
 
@@ -243,6 +257,12 @@ def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) ->
     A singleton hyperedge is monochromatic under every assignment, so any
     hypergraph containing one gets the distinguished value UNBOUNDED. The
     empty-vertex hypergraph gets 0.
+
+    Below the greedy upper bound, kernels.hypergraph_colorable, the scored
+    twin of the lowest-id search, refutes each k from 2 up, and
+    kernels.hypergraph_color_decision runs only at the first k it accepts,
+    so the coloring is that of the lowest-id search at every k. A None there
+    raises VerificationError, as the two searches must agree.
     """
     _check_cap(h, cap, "chromatic_number_hypergraph")
     n = h.n_vertices
@@ -256,14 +276,19 @@ def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) ->
     ub = max(ub_assignment) + 1
     tables = kernels.hypergraph_color_tables(n, h.edge_masks)
     for k in range(2, ub):
+        if not kernels.hypergraph_colorable(n, h.edge_masks, k, tables):
+            continue
         assignment = kernels.hypergraph_color_decision(n, h.edge_masks, k, tables)
-        if assignment is not None:
-            cert = ColoringCertificate(k, assignment)
-            _assert_proper_hypergraph(h, cert)
-            witness = (
-                {"kind": "has-edges"} if k == 2 else {"kind": "exhausted", "refuted_colors": k - 1}
+        if assignment is None:
+            raise VerificationError(
+                f"hypergraph_colorable accepts {k} colors, hypergraph_color_decision refutes them"
             )
-            return ChromaticReport(k, cert, witness)
+        cert = ColoringCertificate(k, assignment)
+        _assert_proper_hypergraph(h, cert)
+        witness = (
+            {"kind": "has-edges"} if k == 2 else {"kind": "exhausted", "refuted_colors": k - 1}
+        )
+        return ChromaticReport(k, cert, witness)
     cert = ColoringCertificate(ub, tuple(ub_assignment))
     _assert_proper_hypergraph(h, cert)
     witness = {"kind": "has-edges"} if ub == 2 else {"kind": "exhausted", "refuted_colors": ub - 1}

@@ -37,6 +37,16 @@ def bits_of(mask: int):
         mask ^= low
 
 
+def adjacency_of(n: int, edge_masks) -> list[int]:
+    """Per-vertex neighbour masks on 0..n-1 of the two-bit ``edge_masks``."""
+    adj = [0] * n
+    for e in edge_masks:
+        low = e & -e
+        adj[low.bit_length() - 1] |= e ^ low
+        adj[(e ^ low).bit_length() - 1] |= low
+    return adj
+
+
 class Record:
     """Base of the immutable value records.
 
@@ -133,7 +143,7 @@ class Hypergraph(Record):
     def is_uniform(self, r: int) -> bool:
         return all(len(e) == r for e in self.edges)
 
-    @property
+    @cached_property
     def is_graph(self) -> bool:
         return self.is_uniform(2)
 
@@ -154,16 +164,16 @@ class Hypergraph(Record):
             groups.setdefault(tuple(sorted(e)), []).append(i)
         return tuple(tuple(groups[k]) for k in sorted(groups))
 
-    def adjacency_masks(self) -> list[int]:
-        """For a graph: per-vertex neighbor bitmasks. Errors on non-graphs."""
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """For a graph: per-vertex neighbor bitmasks, one tuple built once
+        and shared by every caller. Errors on non-graphs."""
         if not self.is_graph:
             raise InvalidParameterError("adjacency masks need a 2-uniform hypergraph")
-        adj = [0] * self.n_vertices
-        for e in self.edges:
-            u, v = sorted(e)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
+        return self._adjacency
+
+    @cached_property
+    def _adjacency(self) -> tuple[int, ...]:
+        return tuple(adjacency_of(self.n_vertices, self.edge_masks))
 
     # --- serialization ---
 

@@ -23,12 +23,15 @@ a 2-edge is the pair of the empty core, kept in ``adj`` so that a graph,
 whose pairs are all empty, never scans a pair.
 graph_color_decision and hypergraph_color_decision return the coloring of
 the search that selects by fewest usable colors with ties to the lowest id.
-graph_colorable answers only whether a coloring exists: at a branching node
-it selects by a score of contested free colors rather than by lowest id,
-which shrinks refutations (5 colors on schrijver(10,3): 40,879 nodes
-against 337,682) but changes the coloring found, so colorings come from
-graph_color_decision alone. The two lists of hypergraph_color_decision,
-from hypergraph_color_tables, depend on the edges alone and serve every k.
+graph_colorable and hypergraph_colorable answer only whether a coloring
+exists: at a branching node they select by a score of contested free colors
+rather than by lowest id, which shrinks refutations (5 colors on
+schrijver(10,3): 40,879 nodes against 337,682; 3 colors on KG3(K5,P2):
+1,239 against 10,132) but changes the coloring found, so colorings come
+from the two decision searches alone. The score counts the vertices a color
+would ban, through ``adj`` and, on a hypergraph, through the pairs too. The
+two lists of the hypergraph searches, from hypergraph_color_tables, depend
+on the edges alone and serve every k.
 Each result, witness included, is fixed by the tie-breaking rules in the
 docstrings below.
 """
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from itertools import groupby
 
-from .hyperstruct import bits_of
+from .hyperstruct import adjacency_of, bits_of
 
 # the one backend there is, named in benchmark and diagnostic output
 BACKEND = "pure"
@@ -99,8 +102,8 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     first maximum leaf, the result, is that of the search without them.
 
     When every minimal edge has two vertices, all below ``n``, the graph
-    search of _max_independent_set_graph runs instead. It returns the same
-    result, witness included.
+    search of max_independent_set_graph runs instead, on the adjacency masks
+    of those edges. It returns the same result, witness included.
     """
     full = (1 << n) - 1
     uniq = sorted(set(int(e) for e in edge_masks))
@@ -112,7 +115,7 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
         return n, full
     # edges are sorted, so the last one bounds every vertex index
     if edges[-1] <= full and all(e.bit_count() == 2 for e in edges):
-        return _max_independent_set_graph(n, edges)
+        return max_independent_set_graph(n, adjacency_of(n, edges))
 
     best_size = 0
     best_mask = 0
@@ -155,8 +158,8 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     return best_size, best_mask
 
 
-def _max_independent_set_graph(n: int, edges) -> tuple[int, int]:
-    """max_independent_set on a graph: ``edges`` are sorted two-bit masks.
+def max_independent_set_graph(n: int, adj) -> tuple[int, int]:
+    """max_independent_set on a graph with adjacency masks ``adj``.
 
     The hypergraph search, kept in adjacency masks. Choosing a vertex drops
     its neighbours from the candidates at once, where the hypergraph search
@@ -166,21 +169,15 @@ def _max_independent_set_graph(n: int, edges) -> tuple[int, int]:
     candidate v with a candidate neighbour below it, found in ``below[v]``,
     and the lowest such neighbour u. Excluding u comes first, then choosing
     u and so excluding v, as in the hypergraph search. The leaves and their
-    order are the same, so is the first maximum leaf, which is the result.
+    order are the same, so is the first maximum leaf, which is the result:
+    that of max_independent_set on the edges of ``adj``.
 
     A node is also cut when the chosen vertices plus a greedy clique
     partition of the candidates cannot beat the best size (Tomita and Seki's
     MCQ bound, for independent sets). Any cut that keeps every strictly
     better leaf leaves that first maximum leaf in place.
     """
-    adj = [0] * n
-    below = [0] * n
-    for e in edges:
-        low = e & -e
-        u, v = low.bit_length() - 1, (e ^ low).bit_length() - 1
-        adj[u] |= 1 << v
-        adj[v] |= low
-        below[v] |= low
+    below = [a & ((1 << v) - 1) for v, a in enumerate(adj)]
 
     best_size = 0
     best_mask = 0
@@ -291,6 +288,25 @@ def hypergraph_color_decision(n: int, edge_masks, k: int,
     answer None; a zero mask is ignored. ``tables``, when given, is
     hypergraph_color_tables of the same n and edges.
     """
+    return _hypergraph_search(n, edge_masks, k, tables, False)
+
+
+def hypergraph_colorable(n: int, edge_masks, k: int, tables=None) -> bool:
+    """Whether hypergraph_color_decision finds a coloring, by a smaller search.
+
+    The scored twin of hypergraph_color_decision, as graph_colorable is of
+    graph_color_decision. The score of a tied vertex u counts, for each
+    usable color c free at u, the vertices that coloring u with c would ban:
+    ``adj[u]`` plus the ``ends`` of every pair of u whose core lies inside
+    color class c, limited to the uncolored vertices on which c is still
+    free. On a graph, whose pairs are all empty, that is the score of
+    graph_colorable. Only the answer is returned, for the coloring found is
+    not that of hypergraph_color_decision.
+    """
+    return _hypergraph_search(n, edge_masks, k, tables, True) is not None
+
+
+def _hypergraph_search(n: int, edge_masks, k: int, tables, scored: bool):
     if n == 0:
         return ()
     if k <= 0:
@@ -300,15 +316,17 @@ def hypergraph_color_decision(n: int, edge_masks, k: int,
         if tables is None:
             return None
     adj, pairs = tables
-    return _color_search(n, adj, pairs, k, (), False)
+    return _color_search(n, adj, pairs, k, (), scored)
 
 
 def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[int, ...] | None:
     """The search behind graph_color_decision and graph_colorable, which
-    give every vertex empty pairs, and hypergraph_color_decision, whose
-    ``adj`` and ``pairs_of`` come from hypergraph_color_tables; see their
-    docstrings. ``clique`` and ``scored`` come from the graph callers alone:
-    the pre-coloring and the score read ``adj`` only.
+    give every vertex empty pairs, and hypergraph_color_decision and
+    hypergraph_colorable, whose ``adj`` and ``pairs_of`` come from
+    hypergraph_color_tables; see their docstrings. ``clique`` comes from the
+    graph callers alone, and the pre-coloring reads ``adj`` only. The score
+    reads the pairs too, when any vertex has them; that choice is made once
+    per search, so a graph never pays for the pair scan.
 
     ``cls[c]`` holds the vertices colored c that have pairs, and no others:
     a core lies inside an edge of three or more vertices, every member of
@@ -317,6 +335,7 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
         return ()
     if k <= 0 or len(clique) > k:
         return None
+    pair_scored = scored and any(pairs_of)
     color = [-1] * n
     cls = [0] * k
     banned = [0] * k
@@ -328,6 +347,16 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
     level = [0] * (k + 1)
     for v in bits_of(uncolored):
         level[k - sum(b >> v & 1 for b in banned)] |= 1 << v
+
+    def bans(nbrs: int, pairs, c: int, live: int) -> int:
+        # the vertices of live on which coloring a vertex with neighbours
+        # nbrs and pairs by c would ban c
+        hit = nbrs
+        outside = ~cls[c]
+        for core, ends in pairs:
+            if not core & outside:
+                hit |= ends
+        return hit & live & ~banned[c]
 
     def rec(uncolored: int, max_used: int) -> bool:
         if not uncolored:
@@ -345,11 +374,17 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
             while tied:
                 ubit = tied & -tied
                 tied ^= ubit
-                nbrs = adj[ubit.bit_length() - 1] & uncolored
+                u = ubit.bit_length() - 1
+                nbrs = adj[u] & uncolored
                 score = 0
-                for b in usable:
-                    if not b & ubit:
-                        score += (nbrs & ~b).bit_count()
+                if pair_scored:
+                    for c, b in enumerate(usable):
+                        if not b & ubit:
+                            score += bans(nbrs, pairs_of[u], c, uncolored).bit_count()
+                else:
+                    for b in usable:
+                        if not b & ubit:
+                            score += (nbrs & ~b).bit_count()
                 if score > best:
                     best, vbit = score, ubit
         v = vbit.bit_length() - 1
@@ -360,15 +395,7 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
         for c in range(min(k, max_used + 2)):
             if banned[c] & vbit:
                 continue
-            if pairs:
-                hit = nbrs
-                outside = ~cls[c]
-                for core, ends in pairs:
-                    if not core & outside:
-                        hit |= ends
-                hit &= rest & ~banned[c]
-            else:
-                hit = nbrs & ~banned[c]
+            hit = bans(nbrs, pairs, c, rest) if pairs else nbrs & ~banned[c]
             if hit & level[1]:
                 continue  # a vertex would lose its last color
             color[v] = c

@@ -265,6 +265,17 @@ def test_chromatic_raises_when_the_searches_disagree(monkeypatch):
         chromatic_number_graph(c5)
 
 
+def test_hypergraph_chromatic_raises_when_the_searches_disagree(monkeypatch):
+    # KG3(M9,M2) has chi 3. A hypergraph_colorable that accepts every k
+    # sends the loop to hypergraph_color_decision at k = 2, which refutes it
+    h = kneser_of_family(build_named_family("matching", n=9),
+                         family_of(build_named_family("matching", n=2)), r=3).result
+    monkeypatch.setattr(kernels, "hypergraph_colorable",
+                        lambda n, edge_masks, k, tables=None: True)
+    with pytest.raises(VerificationError, match="accepts 2 colors"):
+        chromatic_number_hypergraph(h)
+
+
 def _reference_greedy_hypergraph_coloring(h):
     """The greedy with an edge scan per vertex: the oracle for the mask
     version."""

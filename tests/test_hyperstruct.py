@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -75,6 +76,28 @@ def test_parallel_classes_on_doubled_triangle():
     assert all(dt.multiplicity(i) == 2 for i in range(6))
     assert dt.is_graph
     assert not dt.is_simple_graph
+
+
+def test_cached_graph_facts_leave_the_record_unchanged():
+    # adjacency_masks() is built once and shared; the cached attributes sit
+    # in __dict__ beside the fields but change no equality, hash, repr or
+    # pickle round trip
+    def triangle():
+        return Hypergraph(4, ({0, 1}, {1, 2}, {0, 2}), labels=("a", "b", "c", "d"))
+
+    g, fresh = triangle(), triangle()
+    adj = g.adjacency_masks()
+    assert adj == (0b110, 0b101, 0b011, 0)
+    assert g.adjacency_masks() is adj
+    assert "is_graph" in vars(g)
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    again = pickle.loads(pickle.dumps(g))
+    assert again == g and hash(again) == hash(g) and repr(again) == repr(g)
+    assert again.adjacency_masks() == adj
+    three = Hypergraph(3, ({0, 1, 2}, {0, 1}))
+    for _ in range(2):
+        with pytest.raises(InvalidParameterError, match="2-uniform"):
+            three.adjacency_masks()
 
 
 def test_builder_shapes():

@@ -11,6 +11,7 @@ hypergraph_color_decision on two order-3 powers. On graphs, given as
 graph_color_decision.
 """
 
+import random
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -329,12 +330,14 @@ def test_coloring_search_nodes_pinned():
 
 def test_hypergraph_search_nodes_pinned():
     # order-3 powers at k = 2, 3, 4, as chromatic_number_hypergraph asks
-    # them: KG3(K5,P2) has chi 4 and KG3(M9,M2) chi 3
+    # them: KG3(K5,P2) has chi 4 and KG3(M9,M2) chi 3; the lowest-id counts
+    # of hypergraph_color_decision, then the scored ones of
+    # hypergraph_colorable
     order_three = (
-        ("complete", {"n": 5}, "path", {"length": 2}, (167, 10_132, 31)),
-        ("matching", {"n": 9}, "matching", {"n": 2}, (567, 37, 37)),
+        ("complete", {"n": 5}, "path", {"length": 2}, (167, 10_132, 31), (13, 1_239, 31)),
+        ("matching", {"n": 9}, "matching", {"n": 2}, (567, 37, 37), (27, 37, 37)),
     )
-    for host, host_params, pattern, pattern_params, counts in order_three:
+    for host, host_params, pattern, pattern_params, counts, scored in order_three:
         h = kneser.kneser_of_family(
             hyperstruct.build_named_family(host, **host_params),
             patterns.family_of(hyperstruct.build_named_family(pattern, **pattern_params)),
@@ -342,6 +345,9 @@ def test_hypergraph_search_nodes_pinned():
         got = tuple(search_nodes(kernels.hypergraph_color_decision, h.n_vertices,
                                   h.edge_masks, k) for k in (2, 3, 4))
         assert got == counts, (host, pattern)
+        got = tuple(search_nodes(kernels.hypergraph_colorable, h.n_vertices,
+                                  h.edge_masks, k) for k in (2, 3, 4))
+        assert got == scored, (host, pattern)
 
 
 def _reference_hypergraph_color_decision(n, edge_masks, k):
@@ -482,3 +488,92 @@ def test_hypergraph_color_decision_matches_graph_search_on_graphs(instance):
     for k in range(7):
         assert kernels.hypergraph_color_decision(n, masks, k) == \
             kernels.graph_color_decision(n, adj, k), k
+
+
+@st.composite
+def _order_three_powers(draw):
+    # the 3-uniform Kneser power of a random host on 6 vertices with P2 or
+    # M2: the instances chromatic_number_hypergraph refutes on
+    rng = draw(st.randoms(use_true_random=False))
+    pairs = rng.sample([(u, v) for u in range(6) for v in range(u + 1, 6)],
+                       draw(st.integers(3, 8)))
+    pattern = draw(st.sampled_from((("path", {"length": 2}), ("matching", {"n": 2}))))
+    h = kneser.kneser_of_family(
+        hyperstruct.Hypergraph(6, pairs),
+        patterns.family_of(hyperstruct.build_named_family(pattern[0], **pattern[1])),
+        r=3).result
+    return h.n_vertices, h.edge_masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(instance=st.one_of(_mixed_hypergraphs(), _order_three_powers()))
+def test_hypergraph_colorable_agrees_with_decision(instance):
+    n, masks = instance
+    tables = kernels.hypergraph_color_tables(n, masks)
+    for k in range(5):
+        assert kernels.hypergraph_colorable(n, masks, k) == \
+            (kernels.hypergraph_color_decision(n, masks, k, tables) is not None), k
+
+
+def _co_edge_max_clique(g):
+    """max_clique as the co-edge list gave it, each non-adjacent pair once
+    from its lower vertex, through kernels.max_independent_set: the oracle
+    for exactsolve.max_clique, which hands the complement's masks to the
+    graph search."""
+    n = g.n_vertices
+    adj = g.adjacency_masks()
+    full = (1 << n) - 1
+    co_edges = [(1 << u) | (1 << v)
+                for u in range(n) for v in bits_of(full & ~adj[u] & ~((2 << u) - 1))]
+    size, mask = kernels.max_independent_set(n, co_edges)
+    return size, frozenset(bits_of(mask))
+
+
+@settings(max_examples=120, deadline=None)
+@given(instance=_graphs())
+def test_max_clique_matches_co_edge_search(instance):
+    n, masks = instance
+    g = hyperstruct.Hypergraph(n, [bits_of(e) for e in masks])
+    assert exactsolve.max_clique(g) == _co_edge_max_clique(g)
+
+
+def test_max_clique_matches_co_edge_search_on_complete_and_edgeless_graphs():
+    for n in (0, 1, 2, 7, 40):
+        complete = hyperstruct.Hypergraph(n, combinations(range(n), 2))
+        edgeless = hyperstruct.Hypergraph(n, ())
+        for g in (complete, edgeless):
+            assert exactsolve.max_clique(g) == _co_edge_max_clique(g), (n, g.n_edges)
+
+
+def _reference_dsatur(n, adj):
+    """DSATUR on sets of neighbour colors with an O(n) selection scan: the
+    oracle for exactsolve.dsatur, which keeps saturation buckets and color
+    masks."""
+    color = [-1] * n
+    neighbor_colors = [set() for _ in range(n)]
+    for _ in range(n):
+        v = min((u for u in range(n) if color[u] < 0),
+                key=lambda u: (-len(neighbor_colors[u]), u))
+        c = 0
+        while c in neighbor_colors[v]:
+            c += 1
+        color[v] = c
+        for u in bits_of(adj[v]):
+            if color[u] < 0:
+                neighbor_colors[u].add(c)
+    return tuple(color)
+
+
+@settings(max_examples=120, deadline=None)
+@given(instance=_graphs())
+def test_dsatur_matches_reference(instance):
+    n, masks = instance
+    adj = hyperstruct.Hypergraph(n, [bits_of(e) for e in masks]).adjacency_masks()
+    assert exactsolve.dsatur(n, adj) == _reference_dsatur(n, adj)
+
+
+def test_dsatur_matches_reference_on_empty_and_wide_graphs():
+    wide = kneser.build_named_kneser("kneser", n=9, k=3).graph.adjacency_masks()
+    dense = _random_adj(random.Random(7), 90, 0.4)
+    for n, adj in ((0, ()), (1, (0,)), (84, wide), (90, dense)):
+        assert exactsolve.dsatur(n, adj) == _reference_dsatur(n, adj), n
