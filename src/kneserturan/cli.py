@@ -34,7 +34,7 @@ from .harness import run_golden_suite
 from .hyperstruct import Hypergraph, LinearOrdering, canonical_dumps, from_dimacs, to_dimacs
 from .kneser import (
     _FAMILY_FLAGS,
-    _NAMED_FLAGS,
+    _NAMED_KINDS,
     DEFAULT_GRAPH_CAP,
     DEFAULT_POWER_CAP,
     _decode,
@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def instance_args(sp):
-        sp.add_argument("--family", metavar="KIND", help="named instance: " + ", ".join(sorted(_NAMED_FLAGS)))
+        sp.add_argument("--family", metavar="KIND", help="named instance: " + ", ".join(sorted(_NAMED_KINDS)))
         sp.add_argument("--host", metavar="KIND", help="named host graph: " + ", ".join(sorted(_FAMILY_FLAGS)))
         sp.add_argument("--input", metavar="FILE", help="host or representation from a JSON/DIMACS file")
         sp.add_argument("--pattern", metavar="KIND", help="pattern to look for inside the host")
@@ -143,14 +143,15 @@ def _instance_config(args) -> dict:
 
     if args.family:
         kind = args.family.replace("_", "-")
-        if kind not in _NAMED_FLAGS:
+        if kind not in _NAMED_KINDS:
             raise InvalidParameterError(f"unknown family {args.family!r}; choose from "
-                                        + ", ".join(sorted(_NAMED_FLAGS)))
+                                        + ", ".join(sorted(_NAMED_KINDS)))
+        flags, _ = _NAMED_KINDS[kind]
         params = {}
-        for flag in _NAMED_FLAGS[kind]:
+        for flag in flags:
             value = getattr(args, flag)
             if value is None:
-                want = " ".join(f"--{f}" for f in _NAMED_FLAGS[kind])
+                want = " ".join(f"--{f}" for f in flags)
                 raise InvalidParameterError(f"family {kind} needs {want}")
             params[flag] = value
         if kind != "permutation" and args.r not in (None, 2):

@@ -2,7 +2,8 @@
 
 Every reported number carries a machine-checkable witness. Chromatic numbers
 come with a proper coloring plus a lower-bound witness (a clique when one is
-tight, otherwise the exhausted k that the decision search refuted).
+tight, otherwise the exhausted k that the decision search refuted); both the
+graph and the hypergraph front end settle them in one loop, _settle.
 """
 
 from __future__ import annotations
@@ -197,11 +198,8 @@ def dsatur(n: int, adj) -> tuple[int, ...]:
 def chromatic_number_graph(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> ChromaticReport:
     """Exact chromatic number of a simple graph.
 
-    Clique lower bound plus DSATUR upper bound, then iterative deepening with
-    the clique pre-colored: kernels.graph_colorable refutes each k below chi,
-    and kernels.graph_color_decision runs only at the first k it accepts, so
-    the coloring is that of the lowest-id search at every k. A None there
-    raises VerificationError, as the two searches must agree.
+    _settle searches between the clique bound and the DSATUR count, with the
+    clique pre-colored in kernels.graph_colorable and kernels.graph_color_decision.
     """
     if not g.is_graph:
         raise InvalidParameterError("chromatic_number_graph needs a 2-uniform hypergraph")
@@ -214,41 +212,10 @@ def chromatic_number_graph(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> Chro
     if g.n_edges == 0:
         cert = ColoringCertificate(1, (0,) * n)
         return ChromaticReport(1, cert, {"kind": "edgeless"})
-    adj = g.adjacency_masks()
     omega, clique = max_clique(g, cap)
     clique_list = sorted(clique)
-    greedy = dsatur_coloring(g)
-    ub = max(greedy) + 1
-    if omega == ub:
-        cert = ColoringCertificate(ub, greedy)
-        _assert_proper_graph(g, cert)
-        return ChromaticReport(ub, cert, {"kind": "clique", "members": clique_list})
-    for k in range(omega, ub):
-        if not kernels.graph_colorable(n, adj, k, clique_list):
-            continue
-        assignment = kernels.graph_color_decision(n, adj, k, clique_list)
-        if assignment is None:
-            raise VerificationError(
-                f"graph_colorable accepts {k} colors, graph_color_decision refutes them"
-            )
-        cert = ColoringCertificate(k, assignment)
-        _assert_proper_graph(g, cert)
-        witness = (
-            {"kind": "clique", "members": clique_list}
-            if k == omega
-            else {"kind": "exhausted", "refuted_colors": k - 1}
-        )
-        return ChromaticReport(k, cert, witness)
-    cert = ColoringCertificate(ub, greedy)
-    _assert_proper_graph(g, cert)
-    return ChromaticReport(ub, cert, {"kind": "exhausted", "refuted_colors": ub - 1})
-
-
-def _assert_proper_graph(g: Hypergraph, cert: ColoringCertificate):
-    if not validate_graph_coloring(g, cert.assignment):
-        raise VerificationError("solver produced an improper coloring")
-    if any(c < 0 or c >= cert.num_colors for c in cert.assignment):
-        raise VerificationError("coloring uses out-of-range colors")
+    return _settle(g, omega, {"kind": "clique", "members": clique_list}, dsatur_coloring(g),
+                   "graph_colorable", "graph_color_decision", g.adjacency_masks(), clique_list)
 
 
 def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> ChromaticReport:
@@ -258,11 +225,9 @@ def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) ->
     hypergraph containing one gets the distinguished value UNBOUNDED. The
     empty-vertex hypergraph gets 0.
 
-    Below the greedy upper bound, kernels.hypergraph_colorable, the scored
-    twin of the lowest-id search, refutes each k from 2 up, and
-    kernels.hypergraph_color_decision runs only at the first k it accepts,
-    so the coloring is that of the lowest-id search at every k. A None there
-    raises VerificationError, as the two searches must agree.
+    Otherwise _settle searches from 2 up to the sequential greedy's count
+    with kernels.hypergraph_colorable, the scored twin of the lowest-id
+    search, and kernels.hypergraph_color_decision.
     """
     _check_cap(h, cap, "chromatic_number_hypergraph")
     n = h.n_vertices
@@ -272,32 +237,47 @@ def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) ->
         return ChromaticReport(0, ColoringCertificate(0, ()), {"kind": "empty"})
     if h.n_edges == 0:
         return ChromaticReport(1, ColoringCertificate(1, (0,) * n), {"kind": "edgeless"})
-    ub_assignment = _greedy_hypergraph_coloring(h)
-    ub = max(ub_assignment) + 1
+    greedy = _greedy_hypergraph_coloring(h)
     tables = kernels.hypergraph_color_tables(n, h.edge_masks)
-    for k in range(2, ub):
-        if not kernels.hypergraph_colorable(n, h.edge_masks, k, tables):
-            continue
-        assignment = kernels.hypergraph_color_decision(n, h.edge_masks, k, tables)
-        if assignment is None:
-            raise VerificationError(
-                f"hypergraph_colorable accepts {k} colors, hypergraph_color_decision refutes them"
-            )
-        cert = ColoringCertificate(k, assignment)
-        _assert_proper_hypergraph(h, cert)
-        witness = (
-            {"kind": "has-edges"} if k == 2 else {"kind": "exhausted", "refuted_colors": k - 1}
-        )
-        return ChromaticReport(k, cert, witness)
-    cert = ColoringCertificate(ub, tuple(ub_assignment))
-    _assert_proper_hypergraph(h, cert)
-    witness = {"kind": "has-edges"} if ub == 2 else {"kind": "exhausted", "refuted_colors": ub - 1}
-    return ChromaticReport(ub, cert, witness)
+    return _settle(h, 2, {"kind": "has-edges"}, greedy,
+                   "hypergraph_colorable", "hypergraph_color_decision", h.edge_masks, tables)
 
 
-def _assert_proper_hypergraph(h: Hypergraph, cert: ColoringCertificate):
-    if not validate_hypergraph_coloring(h, cert.assignment):
-        raise VerificationError("solver produced a monochromatic hyperedge")
+def _settle(h: Hypergraph, low: int, low_witness: dict, greedy, colorable: str,
+            decision: str, masks, extra) -> ChromaticReport:
+    """chi of h, at least ``low`` and at most the colors of ``greedy``.
+
+    kernels.<colorable> refutes each k from ``low`` below the greedy count,
+    and kernels.<decision> runs only at the first k it accepts, so the
+    coloring is that of the lowest-id search at every k; if every k is
+    refuted, it is ``greedy``'s. Both kernels take (n, masks, k, extra). A
+    None from the decision raises VerificationError, as the two searches
+    must agree. The witness is ``low_witness`` when chi is ``low``, and the
+    refuted chi - 1 otherwise.
+    """
+    n = h.n_vertices
+    ub = max(greedy) + 1
+    accepts, decide = getattr(kernels, colorable), getattr(kernels, decision)
+    for k in range(low, ub):
+        if accepts(n, masks, k, extra):
+            assignment = decide(n, masks, k, extra)
+            if assignment is None:
+                raise VerificationError(f"{colorable} accepts {k} colors, {decision} refutes them")
+            break
+    else:
+        k, assignment = ub, tuple(greedy)
+    cert = ColoringCertificate(k, assignment)
+    _assert_proper(h, cert)
+    witness = low_witness if k == low else {"kind": "exhausted", "refuted_colors": k - 1}
+    return ChromaticReport(k, cert, witness)
+
+
+def _assert_proper(h: Hypergraph, cert: ColoringCertificate):
+    validate = validate_graph_coloring if h.is_graph else validate_hypergraph_coloring
+    if not validate(h, cert.assignment):
+        raise VerificationError("solver produced an improper coloring")
+    if any(c < 0 or c >= cert.num_colors for c in cert.assignment):
+        raise VerificationError("coloring uses out-of-range colors")
 
 
 def chromatic_number(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> ChromaticReport:

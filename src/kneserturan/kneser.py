@@ -4,9 +4,10 @@ The r-th Kneser power of a representation hypergraph H has one vertex per
 hyperedge of H and one r-uniform hyperedge per r-set of pairwise disjoint
 hyperedges of H. With r=2 this is the disjointness graph. Stock families
 (Kneser, stable/Schrijver, circular complete, low-intersection, partial
-permutation graphs) are built twice: once through a representation and the
-occurrence machinery, once from their textbook definition, with an explicit
-vertex bijection tying the two together.
+permutation graphs) are each a host and a pattern, built through the
+occurrence machinery like any other instance. Only verify_representation
+also builds their textbook definition, with an explicit vertex bijection
+tying the two together.
 
 The instance echo that every CLI document and every golden case carries
 (scheme named, pattern or raw) is resolved here too, by _rebuild_instance;
@@ -81,15 +82,14 @@ def kneser_of_family(host: Hypergraph, family: PatternFamily, r: int = 2,
 # --- named instances ---
 
 class NamedKneser(Record):
-    """``bijection[v]`` is the vertex of ``direct`` for vertex v of ``instance.result``."""
+    """A member of a named family: its host, its pattern and their Kneser graph."""
 
-    _fields = ("kind", "params", "host", "family", "instance", "direct", "bijection")
+    _fields = ("kind", "params", "host", "family", "instance")
 
     def __init__(self, kind: str, params: tuple[tuple[str, int], ...], host: Hypergraph,
-                 family: PatternFamily, instance: KneserInstance, direct: Hypergraph,
-                 bijection: tuple[int, ...]):
+                 family: PatternFamily, instance: KneserInstance):
         self.__dict__.update(kind=kind, params=params, host=host, family=family,
-                             instance=instance, direct=direct, bijection=bijection)
+                             instance=instance)
 
     @property
     def graph(self) -> Hypergraph:
@@ -98,62 +98,33 @@ class NamedKneser(Record):
 
 def build_named_kneser(kind: str, **params) -> NamedKneser:
     """kind: kneser(n,k), schrijver(n,k), circular(n,d),
-    generalized_kneser(n,k,s), permutation(m,n,r)."""
-    kind = kind.replace("-", "_")
+    generalized-kneser(n,k,s), permutation(m,n,r); "_" may stand for "-"."""
+    host, family, _ = _named_parts(kind, params)
+    return NamedKneser(kind.replace("_", "-"), tuple(sorted(params.items())), host, family,
+                       kneser_of_family(host, family))
+
+
+def _named_parts(kind: str, params: dict):
+    """The host, the pattern and the textbook thunk of a named instance."""
     try:
-        builder = _NAMED_BUILDERS[kind]
+        _, builder = _NAMED_KINDS[kind.replace("_", "-")]
     except KeyError:
         raise InvalidParameterError(f"unknown named Kneser kind {kind!r}") from None
     return builder(**params)
 
 
-def _assemble(kind, params, host, family, occ_key, direct_vertices, direct_adjacent):
-    """Shared plumbing: rep side via occurrences, direct side from a predicate.
-
-    occ_key maps an occurrence edge-id set to the canonical key of the direct
-    vertex it represents; direct_vertices is the canonically ordered key list;
-    direct_adjacent decides adjacency between two keys.
-    """
-    rep = pattern_hypergraph(host, family)
-    instance = kneser_power(rep, 2)
-    index = {key: i for i, key in enumerate(direct_vertices)}
-    labels = tuple(_key_label(k) for k in direct_vertices)
-    d_edges = [
-        frozenset({i, j})
-        for i in range(len(direct_vertices))
-        for j in range(i + 1, len(direct_vertices))
-        if direct_adjacent(direct_vertices[i], direct_vertices[j])
-    ]
-    direct = Hypergraph(len(direct_vertices), tuple(d_edges), labels)
-    bijection = tuple(index[occ_key(e)] for e in rep.edges)
-    if sorted(bijection) != list(range(direct.n_vertices)):
-        raise InvalidParameterError("representation does not biject onto the direct form")
-    return NamedKneser(
-        kind=kind,
-        params=tuple(sorted(params.items())),
-        host=host,
-        family=family,
-        instance=instance,
-        direct=direct,
-        bijection=bijection,
-    )
+def _sorted_key(e: frozenset[int]) -> tuple[int, ...]:
+    return tuple(sorted(e))
 
 
-def _key_label(key) -> str:
-    return ",".join(map(str, key))
+def _disjoint(a, b) -> bool:
+    return not set(a) & set(b)
 
 
-def _build_kneser(n: int, k: int) -> NamedKneser:
+def _kneser(n: int, k: int):
     _ensure(n >= 2 * k and k >= 1, "kneser needs n >= 2k >= 2")
-    host = build_named_family("matching", n=n)
-    family = PatternFamily((build_named_family("matching", n=k),))
-    keys = [tuple(c) for c in combinations(range(n), k)]
-    return _assemble(
-        "kneser", {"n": n, "k": k}, host, family,
-        occ_key=lambda e: tuple(sorted(e)),
-        direct_vertices=keys,
-        direct_adjacent=lambda a, b: not set(a) & set(b),
-    )
+    return (build_named_family("matching", n=n), family_of(build_named_family("matching", n=k)),
+            lambda: (_sorted_key, list(combinations(range(n), k)), _disjoint))
 
 
 def _two_stable(n: int, k: int):
@@ -164,81 +135,54 @@ def _two_stable(n: int, k: int):
             yield c
 
 
-def _build_schrijver(n: int, k: int) -> NamedKneser:
+def _schrijver(n: int, k: int):
     _ensure(n >= 2 * k and k >= 1, "schrijver needs n >= 2k >= 2")
-    host = build_named_family("cycle", n=n)
-    family = PatternFamily((build_named_family("matching", n=k),))
-    keys = list(_two_stable(n, k))
-    return _assemble(
-        "schrijver", {"n": n, "k": k}, host, family,
-        occ_key=lambda e: tuple(sorted(e)),
-        direct_vertices=keys,
-        direct_adjacent=lambda a, b: not set(a) & set(b),
-    )
+    return (build_named_family("cycle", n=n), family_of(build_named_family("matching", n=k)),
+            lambda: (_sorted_key, list(_two_stable(n, k)), _disjoint))
 
 
-def _build_circular(n: int, d: int) -> NamedKneser:
+def _circular(n: int, d: int):
     _ensure(d >= 1 and n >= 2 * d, "circular needs n >= 2d >= 2")
-    host = build_named_family("cycle", n=n)
-    family = PatternFamily((build_named_family("path", length=d),))
 
     def start_of(e: frozenset[int]) -> tuple[int]:
         (s,) = [i for i in e if (i - 1) % n not in e]
         return (s,)
 
-    return _assemble(
-        "circular", {"n": n, "d": d}, host, family,
-        occ_key=start_of,
-        direct_vertices=[(i,) for i in range(n)],
-        direct_adjacent=lambda a, b: d <= abs(a[0] - b[0]) <= n - d,
-    )
+    return (build_named_family("cycle", n=n), family_of(build_named_family("path", length=d)),
+            lambda: (start_of, [(i,) for i in range(n)],
+                     lambda a, b: d <= abs(a[0] - b[0]) <= n - d))
 
 
-def _build_generalized_kneser(n: int, k: int, s: int) -> NamedKneser:
+def _generalized_kneser(n: int, k: int, s: int):
     _ensure(0 <= s < k <= n, "generalized_kneser needs n >= k > s >= 0")
     host = build_named_family("complete_uniform", n=n, s=s + 1)
-    family = PatternFamily((build_named_family("complete_uniform", n=k, s=s + 1),))
-    subset_of = {i: set(e) for i, e in enumerate(host.edges)}
 
     def union_key(e: frozenset[int]) -> tuple[int, ...]:
         out: set[int] = set()
         for i in e:
-            out |= subset_of[i]
+            out |= host.edges[i]
         return tuple(sorted(out))
 
-    keys = [tuple(c) for c in combinations(range(n), k)]
-    return _assemble(
-        "generalized_kneser", {"n": n, "k": k, "s": s}, host, family,
-        occ_key=union_key,
-        direct_vertices=keys,
-        direct_adjacent=lambda a, b: len(set(a) & set(b)) <= s,
-    )
+    return (host, family_of(build_named_family("complete_uniform", n=k, s=s + 1)),
+            lambda: (union_key, list(combinations(range(n), k)),
+                     lambda a, b: len(set(a) & set(b)) <= s))
 
 
-def _build_permutation(m: int, n: int, r: int) -> NamedKneser:
+def _permutation(m: int, n: int, r: int):
     _ensure(1 <= r <= min(m, n), "permutation needs 1 <= r <= min(m, n)")
-    host = build_named_family("complete_bipartite", m=m, n=n)
-    family = PatternFamily((build_named_family("matching", n=r),))
 
     def pairs_key(e: frozenset[int]) -> tuple[tuple[int, int], ...]:
         # host edge id u*n + v stands for the pair (row u, column v)
         return tuple(sorted((i // n, i % n) for i in e))
 
-    keys = sorted(
-        tuple(sorted(zip(rows, cols)))
-        for rows in combinations(range(m), r)
-        for cols in permutations(range(n), r)
-    )
+    def textbook():
+        keys = sorted(tuple(sorted(zip(rows, cols)))
+                      for rows in combinations(range(m), r)
+                      for cols in permutations(range(n), r))
+        return pairs_key, keys, _disjoint
 
-    def intersecting(a, b) -> bool:
-        return bool(set(a) & set(b))
-
-    return _assemble(
-        "permutation", {"m": m, "n": n, "r": r}, host, family,
-        occ_key=pairs_key,
-        direct_vertices=keys,
-        direct_adjacent=lambda a, b: not intersecting(a, b),
-    )
+    return (build_named_family("complete_bipartite", m=m, n=n),
+            family_of(build_named_family("matching", n=r)), textbook)
 
 
 def _ensure(condition: bool, message: str):
@@ -246,37 +190,61 @@ def _ensure(condition: bool, message: str):
         raise InvalidParameterError(message)
 
 
-_NAMED_BUILDERS = {
-    "kneser": _build_kneser,
-    "schrijver": _build_schrijver,
-    "circular": _build_circular,
-    "generalized_kneser": _build_generalized_kneser,
-    "permutation": _build_permutation,
+# The named families, keyed by their CLI spelling: the CLI flags, in the order
+# of the builder's arguments, and the builder. A builder checks its arguments
+# and returns (host, pattern, textbook); textbook() gives (key_of, keys,
+# adjacent) for _textbook_form, which only verify_representation calls.
+_NAMED_KINDS = {
+    "kneser": (("n", "k"), _kneser),
+    "schrijver": (("n", "k"), _schrijver),
+    "circular": (("n", "d"), _circular),
+    "generalized-kneser": (("n", "k", "s"), _generalized_kneser),
+    "permutation": (("m", "n", "r"), _permutation),
 }
 
 
-def verify_representation(kind: str, cap: int = 16, **params) -> tuple[bool, dict]:
-    """Check that the representation-built graph matches the direct form.
+def _textbook_form(rep: Hypergraph, key_of, keys, adjacent) -> tuple[Hypergraph, tuple[int, ...]]:
+    """A named instance from its textbook definition, and the bijection onto it.
 
-    Validates the explicit construction bijection edge-for-edge in both
+    ``keys`` are the textbook vertices in canonical order, ``adjacent`` decides
+    adjacency of two keys, and ``key_of`` maps a rep edge (an occurrence) to the
+    key it stands for. ``bijection[v]`` is the textbook vertex of vertex v of
+    the Kneser graph of ``rep``.
+    """
+    index = {key: i for i, key in enumerate(keys)}
+    edges = tuple(frozenset({i, j}) for i, j in combinations(range(len(keys)), 2)
+                  if adjacent(keys[i], keys[j]))
+    direct = Hypergraph(len(keys), edges, tuple(",".join(map(str, key)) for key in keys))
+    bijection = tuple(index[key_of(e)] for e in rep.edges)
+    if sorted(bijection) != list(range(len(keys))):
+        raise InvalidParameterError("representation does not biject onto the direct form")
+    return direct, bijection
+
+
+def verify_representation(kind: str, cap: int = 16, **params) -> tuple[bool, dict]:
+    """Check that the representation-built graph matches the textbook form.
+
+    Validates the bijection onto the textbook form edge-for-edge in both
     directions, then cross-checks with a from-scratch exhaustive isomorphism
     search. Instances above ``cap`` vertices are refused (the exhaustive
-    search is factorial); pass a larger cap deliberately if needed.
+    search is factorial) before the textbook form is built; pass a larger
+    cap deliberately if needed.
     """
-    named = build_named_kneser(kind, **params)
-    g = named.graph
+    host, family, textbook = _named_parts(kind, params)
+    rep = pattern_hypergraph(host, family)
+    g = kneser_power(rep, 2).result
     if g.n_vertices > cap:
         raise SizeCapError(
             f"instance has {g.n_vertices} vertices, above the verification cap {cap}"
         )
-    pi = named.bijection
+    direct, pi = _textbook_form(rep, *textbook())
     lhs = {frozenset({pi[u], pi[v]}) for u, v in (sorted(e) for e in g.edges)}
-    rhs = set(named.direct.edges)
+    rhs = set(direct.edges)
     witness: dict = {
         "kind": kind,
-        "params": dict(named.params),
+        "params": dict(sorted(params.items())),
         "bijection": list(pi),
-        "direct_labels": list(named.direct.labels or ()),
+        "direct_labels": list(direct.labels or ()),
     }
     if lhs != rhs:
         witness["mismatch"] = {
@@ -284,7 +252,7 @@ def verify_representation(kind: str, cap: int = 16, **params) -> tuple[bool, dic
             "extra": sorted(map(sorted, lhs - rhs)),
         }
         return False, witness
-    if find_isomorphism(g, named.direct) is None:
+    if find_isomorphism(g, direct) is None:
         witness["mismatch"] = {"isomorphism_search": "failed"}
         return False, witness
     return True, witness
@@ -302,26 +270,16 @@ _FAMILY_FLAGS = {
     "complete-uniform": (("n", "n"), ("s", "s")),
 }
 
-_NAMED_FLAGS = {
-    "kneser": ("n", "k"),
-    "schrijver": ("n", "k"),
-    "circular": ("n", "d"),
-    "generalized-kneser": ("n", "k", "s"),
-    "permutation": ("m", "n", "r"),
-}
-
-
 class _Resolved(NamedTuple):
     """An instance rebuilt from its config echo.
 
-    ``host`` is the named instance's host, the host of a pattern instance or
-    the raw hypergraph; ``family`` is None only for the raw scheme.
+    ``host`` is the host of a named or pattern instance, or the raw
+    hypergraph; ``family`` is None only for the raw scheme.
     """
 
     config: dict
     host: Hypergraph
     family: PatternFamily | None = None
-    named: NamedKneser | None = None
     r: int | None = None
 
 
@@ -358,11 +316,12 @@ def _rebuild_instance(config: dict) -> _Resolved:
         _require(config, ("kind", "params"), "the named instance")
         _require(config, ("kind",), "the named instance", str)
         kind = config["kind"]
-        if kind not in _NAMED_FLAGS:
+        if kind not in _NAMED_KINDS:
             raise InvalidParameterError(f"malformed document: unknown family {kind!r}")
-        _require(config["params"], _NAMED_FLAGS[kind], "the named instance params", int)
-        named = build_named_kneser(kind, **{f: config["params"][f] for f in _NAMED_FLAGS[kind]})
-        return _Resolved(config, named.host, named.family, named, r=2)
+        flags, builder = _NAMED_KINDS[kind]
+        _require(config["params"], flags, "the named instance params", int)
+        host, family, _ = builder(**{f: config["params"][f] for f in flags})
+        return _Resolved(config, host, family, r=2)
     if scheme not in ("pattern", "raw"):
         raise InvalidParameterError(f"malformed document: unknown instance scheme {scheme!r}")
     _require(config, ("host", "pattern") if scheme == "pattern" else ("host",), "the instance")
@@ -387,8 +346,6 @@ def _rebuild_instance(config: dict) -> _Resolved:
 
 def _target_of(resolved: _Resolved, cap: int | None = None) -> Hypergraph:
     """The object a chi/alpha/beta/build/export verb acts on."""
-    if resolved.named is not None:
-        return resolved.named.graph
     if resolved.family is not None:
         return kneser_of_family(resolved.host, resolved.family, r=resolved.r, cap=cap).result
     if resolved.r is not None:
@@ -398,8 +355,6 @@ def _target_of(resolved: _Resolved, cap: int | None = None) -> Hypergraph:
 
 def _rep_of(resolved: _Resolved) -> Hypergraph:
     """The representation whose sign-vector quantities are being asked for."""
-    if resolved.named is not None:
-        return resolved.named.instance.representation
     if resolved.family is not None:
         return pattern_hypergraph(resolved.host, resolved.family)
     return resolved.host

@@ -15,6 +15,7 @@ from kneserturan import (
     from_dimacs,
     run_golden_suite,
 )
+from kneserturan import kneser
 from kneserturan.cli import _build_parser, _compute_chi, _options_echo, main
 from kneserturan.kneser import _rebuild_instance, _target_of
 
@@ -324,6 +325,28 @@ def test_cap_escape_hatch_required(capsys):
     code, _ = _run(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2",
                    "--cap", "100000", "--i-know-this-is-huge")
     assert code == 0
+
+
+@pytest.mark.parametrize("verb", ["build", "export"])
+def test_build_and_export_obey_the_cap(capsys, verb):
+    # KG(5,2) and KG(K5,P1) both have 10 vertices, one per host edge
+    for instance in (("--family", "kneser", "--n", "5", "--k", "2"),
+                     ("--host", "complete", "--n", "5", "--pattern", "path", "--len", "1")):
+        code = main([verb, *instance, "--cap", "9"])
+        captured = capsys.readouterr()
+        assert code == 2, instance
+        assert captured.out == ""
+        assert "size cap" in captured.err
+
+
+def test_compute_chi_on_a_named_family_skips_the_textbook_form(capsys, monkeypatch):
+    # only verify_representation builds the textbook form of a named family
+    def refuse(*args):
+        raise AssertionError("the textbook form was built")
+
+    monkeypatch.setattr(kneser, "_textbook_form", refuse)
+    doc = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
+    assert doc["result"]["chi"] == 3
 
 
 def test_interval_needs_host_edges(capsys, tmp_path):

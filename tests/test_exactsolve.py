@@ -276,6 +276,20 @@ def test_hypergraph_chromatic_raises_when_the_searches_disagree(monkeypatch):
         chromatic_number_hypergraph(h)
 
 
+def test_hypergraph_chromatic_rejects_out_of_range_colors(monkeypatch):
+    # KG3(K5,M2) has chi 3 below the greedy's 4, so hypergraph_color_decision
+    # colors it at k = 3. Its color 0 renamed to 3 leaves the coloring proper
+    # but outside 0..2
+    h = kneser_of_family(build_named_family("complete", n=5),
+                         family_of(build_named_family("matching", n=2)), r=3).result
+    decide = kernels.hypergraph_color_decision
+    monkeypatch.setattr(kernels, "hypergraph_color_decision",
+                        lambda n, edge_masks, k, tables=None:
+                        tuple(c or k for c in decide(n, edge_masks, k, tables)))
+    with pytest.raises(VerificationError, match="out-of-range"):
+        chromatic_number_hypergraph(h)
+
+
 def _reference_greedy_hypergraph_coloring(h):
     """The greedy with an edge scan per vertex: the oracle for the mask
     version."""

@@ -12,8 +12,10 @@ from kneserturan import (
     family_of,
     kneser_of_family,
     kneser_power,
+    pattern_hypergraph,
     verify_representation,
 )
+from kneserturan.kneser import _rebuild_instance, _rep_of, _target_of
 
 
 def test_kneser_power_is_disjointness():
@@ -70,6 +72,23 @@ def test_named_kinds_match_their_direct_forms():
         ok, witness = verify_representation(kind, **params)
         assert ok, (kind, params, witness.get("mismatch"))
         assert sorted(witness["bijection"]) == list(range(len(witness["bijection"])))
+
+
+@pytest.mark.parametrize("kind, params, host, pattern", [
+    ("kneser", {"n": 5, "k": 2}, ("matching", {"n": 5}), ("matching", {"n": 2})),
+    ("schrijver", {"n": 6, "k": 2}, ("cycle", {"n": 6}), ("matching", {"n": 2})),
+    ("circular", {"n": 7, "d": 2}, ("cycle", {"n": 7}), ("path", {"length": 2})),
+    ("generalized-kneser", {"n": 5, "k": 3, "s": 1},
+     ("complete_uniform", {"n": 5, "s": 2}), ("complete_uniform", {"n": 3, "s": 2})),
+    ("permutation", {"m": 2, "n": 3, "r": 2},
+     ("complete_bipartite", {"m": 2, "n": 3}), ("matching", {"n": 2})),
+])
+def test_named_echo_is_its_host_and_pattern(kind, params, host, pattern):
+    host = build_named_family(host[0], **host[1])
+    family = family_of(build_named_family(pattern[0], **pattern[1]))
+    resolved = _rebuild_instance({"scheme": "named", "kind": kind, "params": params})
+    assert _target_of(resolved) == kneser_of_family(host, family).result
+    assert _rep_of(resolved) == pattern_hypergraph(host, family)
 
 
 def test_generalized_kneser_with_zero_overlap_is_kneser():

@@ -76,7 +76,7 @@ CASES = {
         lambda v: kneser_power(build_named_family("complete", n=5 - v), 2),
     ),
     NamedKneser: (
-        ("kind", "params", "host", "family", "instance", "direct", "bijection"),
+        ("kind", "params", "host", "family", "instance"),
         lambda v: build_named_kneser("kneser", n=5 + v, k=2),
     ),
     ColoringCertificate: (
