@@ -3,9 +3,10 @@
 Construction: hypergraphs and multigraphs (hyperstruct), occurrence
 enumeration (patterns), Kneser powers and the named families (kneser).
 Quantities: independence, covering, and chromatic numbers (exactsolve),
-generalized and alternating Turan numbers plus ordering certificates
-(turanalt). The harness module recomputes the closed-form results, and
-cli exposes everything as a command-line tool.
+generalized and alternating Turan numbers, the Turan coloring, and ordering
+certificates (turanalt). The harness module runs the golden suite of
+closed-form chromatic numbers, and cli exposes everything as a
+command-line tool.
 """
 
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
@@ -13,10 +14,8 @@ from .exactsolve import (
     UNBOUNDED,
     ChromaticReport,
     ColoringCertificate,
-    augment_representation,
     chromatic_number_graph,
     chromatic_number_hypergraph,
-    cover_coloring,
     covering_number,
     dsatur_coloring,
     independence_number,
@@ -26,19 +25,13 @@ from .exactsolve import (
 )
 from .harness import (
     MANIFEST,
-    FactorWitness,
     GoldenCase,
-    count_p2,
-    find_triangle_factor,
-    path_graph_coloring,
     run_golden_suite,
 )
 from .hyperstruct import (
     Hypergraph,
     LinearOrdering,
-    RestrictionSpec,
     SignVector,
-    add_isolated,
     alt_of_vector,
     apply_ordering,
     bits_of,
@@ -47,7 +40,6 @@ from .hyperstruct import (
     canonical_dumps,
     doubled,
     from_dimacs,
-    induced_restriction,
     mask_of,
     strip_isolated,
     to_dimacs,
@@ -67,7 +59,6 @@ from .patterns import (
     enumerate_occurrences,
     family_of,
     find_isomorphism,
-    occurrences_to_jsonl,
     pattern_hypergraph,
 )
 from .turanalt import (
@@ -82,6 +73,7 @@ from .turanalt import (
     interval_ordering,
     occurrence_masks,
     salt_sigma,
+    turan_coloring,
     turan_number,
     verify_certificate,
     verify_turan_report,

@@ -31,7 +31,7 @@ from .exactsolve import (
     validate_hypergraph_coloring,
 )
 from .harness import run_golden_suite
-from .hyperstruct import Hypergraph, LinearOrdering, canonical_dumps, from_dimacs, to_dimacs
+from .hyperstruct import Hypergraph, LinearOrdering, canonical_dumps, from_dimacs, mask_of, to_dimacs
 from .kneser import (
     _FAMILY_FLAGS,
     _NAMED_KINDS,
@@ -308,6 +308,27 @@ def _verify_recompute(quantity: str, operand, options: dict, result: dict) -> di
     return {"recomputed": True}
 
 
+def _verify_vertex_set(quantity: str, target: Hypergraph, options: dict, result: dict) -> dict:
+    """A witness that is not a list of ints is malformed. Otherwise recompute
+    the headline, then check the witness: distinct vertices of the target,
+    as many as the headline says, that contain no hyperedge (alpha) or meet
+    every hyperedge (beta)."""
+    witness = _ints(result["witness_vertices"], "malformed document: the witness vertices")
+    checks = _verify_recompute(quantity, target, options, result)
+    if len(set(witness)) != len(witness) or \
+            any(not 0 <= v < target.n_vertices for v in witness):
+        raise VerificationError("witness vertices repeat or are out of range")
+    if len(witness) != result[quantity]:
+        raise VerificationError(f"witness has {len(witness)} vertices, {quantity} is "
+                                f"{result[quantity]}")
+    mask = mask_of(witness)
+    if quantity == "alpha" and any(em & ~mask == 0 for em in target.edge_masks):
+        raise VerificationError("witness vertices contain a hyperedge")
+    if quantity == "beta" and any(em & mask == 0 for em in target.edge_masks):
+        raise VerificationError("witness vertices miss a hyperedge")
+    return checks
+
+
 def _verify_chi(quantity: str, target: Hypergraph, options: dict, result: dict) -> dict:
     checks = {}
     assignment = result.get("assignment")
@@ -408,11 +429,13 @@ def _alternating_cap(args) -> int:
 _QUANTITIES = {
     "chi": _Quantity(("chi", "witness"), _target_of, lambda args: DEFAULT_SOLVER_CAP,
                      _compute_chi, _verify_chi),
-    "alpha": _Quantity(("alpha",), _target_of, lambda args: DEFAULT_SOLVER_CAP,
+    "alpha": _Quantity(("alpha", "witness_vertices"), _target_of,
+                       lambda args: DEFAULT_SOLVER_CAP,
                        partial(_compute_vertex_set, "alpha", independence_number),
-                       _verify_recompute),
-    "beta": _Quantity(("beta",), _target_of, lambda args: DEFAULT_SOLVER_CAP,
-                      partial(_compute_vertex_set, "beta", covering_number), _verify_recompute),
+                       _verify_vertex_set),
+    "beta": _Quantity(("beta", "witness_vertices"), _target_of,
+                      lambda args: DEFAULT_SOLVER_CAP,
+                      partial(_compute_vertex_set, "beta", covering_number), _verify_vertex_set),
     "ex": _Quantity(("ex", "report"), _host_and_family, lambda args: DEFAULT_TURAN_CAP,
                     _compute_ex, _verify_turan),
     "ex-alt": _Quantity(("ex-alt", "report"), _host_and_family, _alternating_cap,

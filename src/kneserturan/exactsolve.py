@@ -9,7 +9,6 @@ graph and the hypergraph front end settle them in one loop, _settle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
 
 from . import kernels
 from .errors import InvalidParameterError, SizeCapError, VerificationError
@@ -316,71 +315,3 @@ def _greedy_hypergraph_coloring(h: Hypergraph) -> list[int]:
         cls[c] |= 1 << v
         color.append(c)
     return color
-
-
-# --- structural colorings for Kneser powers ---
-
-def cover_coloring(rep: Hypergraph, r: int = 2, cap: int = DEFAULT_SOLVER_CAP) -> tuple[ColoringCertificate, dict]:
-    """Proper coloring of the r-th Kneser power from an independent-set cover.
-
-    Splits the complement of a maximum independent set into blocks of size
-    r-1 (taken in ascending vertex order) and colors each rep edge by the
-    first block it meets. r pairwise disjoint edges cannot all meet the same
-    (r-1)-sized block, and no edge avoids every block since the removed set
-    is independent, so the coloring is proper with ceil((n - alpha)/(r - 1))
-    palette colors. Returns the certificate plus the block structure.
-    """
-    if r < 2:
-        raise InvalidParameterError("cover_coloring needs r >= 2")
-    alpha, ind = independence_number(rep, cap)
-    rest = [v for v in range(rep.n_vertices) if v not in ind]
-    blocks = [rest[i : i + r - 1] for i in range(0, len(rest), r - 1)]
-    assignment = []
-    for em in rep.edge_masks:
-        c = next(
-            (i for i, blk in enumerate(blocks) if em & mask_of(blk)),
-            None,
-        )
-        if c is None:
-            raise VerificationError("edge inside the independent set; cover broken")
-        assignment.append(c)
-    q = len(blocks)
-    if rep.n_edges and q != ceil((rep.n_vertices - alpha) / (r - 1)):
-        raise VerificationError("block count drifted from the ceiling formula")
-    cert = ColoringCertificate(q, tuple(assignment))
-    meta = {"independent_set": sorted(ind), "blocks": blocks, "r": r}
-    return cert, meta
-
-
-def augment_representation(rep: Hypergraph, coloring: ColoringCertificate) -> Hypergraph:
-    """Attach one fresh vertex per color to the edges of that color.
-
-    The disjointness graph on edge ids is unchanged: edges that met before
-    still meet, and disjoint edges got distinct colors, hence distinct new
-    vertices. The augmented hypergraph's covering number equals the chromatic
-    number of the rep's Kneser graph; both facts are asserted here.
-    """
-    from .kneser import kneser_power  # local import to avoid a cycle
-
-    if len(coloring.assignment) != rep.n_edges:
-        raise InvalidParameterError("coloring length differs from edge count")
-    kg = kneser_power(rep, 2)
-    if not validate_graph_coloring(kg.result, coloring.assignment):
-        raise InvalidParameterError("coloring is not proper for the Kneser graph")
-    t = coloring.num_colors
-    n = rep.n_vertices
-    edges = tuple(
-        e | {n + coloring.assignment[j]} for j, e in enumerate(rep.edges)
-    )
-    augmented = Hypergraph(n + t, edges)
-    kg_aug = kneser_power(augmented, 2)
-    if set(kg_aug.result.edges) != set(kg.result.edges):
-        raise VerificationError("augmentation altered the Kneser graph")
-    chi = chromatic_number_graph(kg.result).value
-    beta, _ = covering_number(augmented)
-    if beta != chi:
-        raise VerificationError(
-            f"augmented covering number {beta} differs from chromatic number {chi}; "
-            "pass a coloring with exactly chi colors"
-        )
-    return augmented

@@ -1,4 +1,4 @@
-"""Core value types: hypergraphs, sign vectors, orderings, restrictions.
+"""Core value types: hypergraphs, sign vectors, orderings.
 
 Vertices are always the dense range 0..n-1. Hyperedges are indexed by their
 position in the edge list; two edges with the same member set but different
@@ -325,55 +325,6 @@ def strip_isolated(h: Hypergraph) -> tuple[Hypergraph, tuple[int, ...]]:
     edges = tuple(frozenset(index[v] for v in e) for e in h.edges)
     labels = tuple(h.labels[v] for v in kept) if h.labels is not None else None
     return Hypergraph(len(kept), edges, labels), kept
-
-
-def add_isolated(h: Hypergraph, count: int) -> Hypergraph:
-    """Append ``count`` fresh isolated vertices after the existing ones."""
-    if count < 0:
-        raise InvalidParameterError("count must be >= 0")
-    labels = None
-    if h.labels is not None:
-        labels = h.labels + tuple(str(h.n_vertices + i) for i in range(count))
-    return Hypergraph(h.n_vertices + count, h.edges, labels)
-
-
-# --- restrictions ---
-
-class RestrictionSpec(Record):
-    """Pairwise-disjoint vertex sets selecting a restriction of a hypergraph."""
-
-    _fields = ("parts",)
-
-    def __init__(self, parts):
-        parts = tuple(frozenset(p) for p in parts)
-        seen: set[int] = set()
-        for p in parts:
-            if seen & p:
-                raise InvalidParameterError("restriction parts must be pairwise disjoint")
-            seen |= p
-        self.__dict__["parts"] = parts
-
-
-def induced_restriction(h: Hypergraph, spec: RestrictionSpec) -> Hypergraph:
-    """Restrict ``h`` to the union of the parts.
-
-    Keeps exactly the hyperedges contained in a single part (multiplicities
-    preserved, original relative edge order). The surviving vertices are
-    renumbered densely; ``labels`` records their original identities.
-    """
-    for p in spec.parts:
-        for v in p:
-            if not (0 <= v < h.n_vertices):
-                raise InvalidParameterError(f"restriction vertex {v} out of range")
-    union = sorted(set().union(*spec.parts)) if spec.parts else []
-    index = {v: i for i, v in enumerate(union)}
-    part_masks = [mask_of(p) for p in spec.parts]
-    edges = []
-    for e, m in zip(h.edges, h.edge_masks):
-        if any(m & ~pm == 0 for pm in part_masks):
-            edges.append(frozenset(index[v] for v in e))
-    old_labels = h.labels if h.labels is not None else tuple(str(v) for v in range(h.n_vertices))
-    return Hypergraph(len(union), tuple(edges), tuple(old_labels[v] for v in union))
 
 
 # --- sign vectors and orderings ---

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import InvalidParameterError, SizeCapError
-from .hyperstruct import Hypergraph, Record, canonical_dumps, strip_isolated
+from .hyperstruct import Hypergraph, Record, strip_isolated
 
 DEFAULT_OCCURRENCE_CAP = 2_000_000
 DEFAULT_HOST_EDGE_CAP = 4096
@@ -280,10 +280,6 @@ def enumerate_occurrences(
         occs.extend(PatternOccurrence(p, s) for s in sets)
     occs.sort(key=lambda o: (tuple(sorted(o.edge_ids)), o.pattern_index))
     return tuple(occs)
-
-
-def occurrences_to_jsonl(occs) -> str:
-    return "".join(canonical_dumps(o.to_json_dict()) + "\n" for o in occs)
 
 
 @lru_cache(maxsize=256)

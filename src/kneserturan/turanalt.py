@@ -1,6 +1,8 @@
 """Turan-style maxima, alternating colorings, and alternation certificates.
 
-turan_number finds the largest occurrence-free spanning subhypergraph. The
+turan_number finds the largest occurrence-free spanning subhypergraph, and
+turan_coloring colors the disjointness graph of the occurrences from such a
+set with |E| - ex colors, the paper's upper bound on its chromatic number. The
 alternating variants color a subsequence of hyperedges red/blue so colors
 strictly alternate along a chosen ordering; ex_alt wants both color classes
 occurrence-free, ex_salt settles for one. Minimizing those over orderings,
@@ -17,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .errors import InvalidParameterError, SizeCapError, VerificationError
-from .exactsolve import dsatur
+from .exactsolve import ColoringCertificate, dsatur
 from .hyperstruct import (
     Hypergraph,
     LinearOrdering,
@@ -256,6 +258,51 @@ def _brute_turan(m: int, occ_masks) -> int:
             if all(om & mask != om for om in occ_masks):
                 return t
     return 0
+
+
+# --- the Turan coloring ---
+
+def turan_coloring(host: Hypergraph, family: PatternFamily, kept,
+                   clusters=()) -> ColoringCertificate:
+    """Proper coloring of KG(host, family) from the host edge ids ``kept``.
+
+    An occurrence that leaves ``kept`` gets the rank of its lowest host edge
+    outside ``kept``; one inside ``kept`` gets |E \\ kept| plus the index of
+    the first of ``clusters`` (edge-id sets inside ``kept``) that holds it.
+    The palette has |E \\ kept| + len(clusters) colors: |E| - ex when ``kept``
+    is a maximum occurrence-free set and there are no clusters. Every color
+    class is checked to pairwise intersect before the coloring is returned.
+    """
+    m = host.n_edges
+
+    def ids_mask(ids) -> int:
+        ids = list(ids)
+        if any(not 0 <= e < m for e in ids):
+            raise InvalidParameterError(f"host edge id outside 0..{m - 1}")
+        return mask_of(ids)
+
+    kept_mask = ids_mask(kept)
+    cluster_masks = [ids_mask(c) for c in clusters]
+    if any(c & ~kept_mask for c in cluster_masks):
+        raise InvalidParameterError("a cluster has an edge outside the kept set")
+    outside = [e for e in range(m) if not kept_mask >> e & 1]
+    rank = {e: j for j, e in enumerate(outside)}
+    classes: dict[int, list[int]] = {}
+    assignment = []
+    for om in occurrence_masks(host, family):
+        rest = om & ~kept_mask
+        if rest:
+            color = rank[(rest & -rest).bit_length() - 1]
+        else:
+            color = next((len(outside) + i for i, c in enumerate(cluster_masks)
+                          if om & ~c == 0), None)
+            if color is None:
+                raise InvalidParameterError("an occurrence inside the kept set is in no cluster")
+        classes.setdefault(color, []).append(om)
+        assignment.append(color)
+    if any(a & b == 0 for ms in classes.values() for a, b in combinations(ms, 2)):
+        raise VerificationError("a color class holds two disjoint occurrences")
+    return ColoringCertificate(len(outside) + len(cluster_masks), tuple(assignment))
 
 
 # --- alternating Turan numbers ---

@@ -25,14 +25,13 @@ from kneserturan import (
     ex_alt_min,
     ex_alt_sigma,
     family_of,
-    find_triangle_factor,
     independence_number,
     interval_ordering,
     kneser_of_family,
     kneser_power,
-    path_graph_coloring,
     pattern_hypergraph,
     run_golden_suite,
+    turan_coloring,
     turan_number,
     validate_graph_coloring,
     verify_certificate,
@@ -236,9 +235,12 @@ def test_c09_path_pattern_graphs():
     c5 = build_named_family("cycle", n=5)
     chi_c5 = chromatic_number_graph(kneser_of_family(c5, fam).result).value
     colorings_ok = True
-    for g in (k4, build_named_family("complete", n=6)):
-        factor = find_triangle_factor(g)
-        cert, _ = path_graph_coloring(g, factor)
+    # the factors as host edge ids: 01 and 23 of K4; the triangles 012 and
+    # 345 of K6, which are also the clusters
+    k6 = build_named_family("complete", n=6)
+    for g, kept, clusters in ((k4, (0, 5), ()),
+                              (k6, (0, 1, 5, 12, 13, 14), ((0, 1, 5), (12, 13, 14)))):
+        cert = turan_coloring(g, fam, kept, clusters)
         kg = kneser_of_family(g, fam).result
         colorings_ok = colorings_ok and validate_graph_coloring(kg, cert.assignment)
         colorings_ok = colorings_ok and cert.num_colors == g.n_edges - (2 * g.n_vertices) // 3

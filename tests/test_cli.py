@@ -188,6 +188,32 @@ def test_verify_rejects_tampered_chi_witness(capsys, tmp_path):
         assert reason in verdict["reason"], verdict["reason"]
 
 
+# KG(6,2): alpha 5 with witness [0, 5, 6, 7, 8], beta 10; vertices 0 and 9
+# are adjacent, and so are 5 and 14
+@pytest.mark.parametrize("quantity, witness, code, reason", (
+    ("alpha", "junk", 2, None),
+    ("alpha", [], 1, "witness has 0 vertices, alpha is 5"),
+    ("alpha", [0, 0, 0, 0, 0], 1, "repeat"),
+    ("alpha", [100, 101, 102, 103, 104], 1, "out of range"),
+    ("alpha", [0, 5, 6, 7, 9], 1, "contain a hyperedge"),
+    ("beta", [999], 1, "out of range"),
+    ("beta", [0, 1, 2, 3, 4, 9, 10, 11, 12, 13], 1, "miss a hyperedge"),
+), ids=("alpha-junk", "alpha-empty", "alpha-repeat", "alpha-out-of-range",
+        "alpha-not-independent", "beta-out-of-range", "beta-not-a-cover"))
+def test_verify_checks_the_vertex_set_witness(capsys, tmp_path, quantity, witness, code,
+                                              reason):
+    doc = _run_json(capsys, "compute", quantity, "--family", "kneser", "--n", "6", "--k", "2")
+    doc["result"]["witness_vertices"] = witness
+    path = tmp_path / "run.json"
+    path.write_text(canonical_dumps(doc))
+    got, out = _run(capsys, "verify", str(path))
+    assert got == code, out
+    if reason is not None:
+        verdict = json.loads(out)
+        assert verdict["verified"] is False
+        assert reason in verdict["reason"], verdict["reason"]
+
+
 def test_verify_certificate_document(capsys, tmp_path):
     doc = _run_json(capsys, "compute", "certificate", "--host", "cycle", "--n", "5",
                     "--identity")

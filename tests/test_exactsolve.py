@@ -10,19 +10,16 @@ from kneserturan import (
     SizeCapError,
     UNBOUNDED,
     VerificationError,
-    augment_representation,
     build_named_family,
     build_named_kneser,
     chromatic_number_graph,
     chromatic_number_hypergraph,
-    cover_coloring,
     covering_number,
     dsatur_coloring,
     family_of,
     independence_number,
     kernels,
     kneser_of_family,
-    kneser_power,
     max_clique,
     validate_graph_coloring,
     validate_hypergraph_coloring,
@@ -127,36 +124,6 @@ def test_solver_cap_is_enforced():
         chromatic_number_graph(g, cap=4)
     with pytest.raises(SizeCapError):
         independence_number(g, cap=4)
-
-
-def test_cover_coloring_on_disjoint_edges():
-    rep = build_named_family("matching", n=5)
-    cert, meta = cover_coloring(rep)
-    kg = kneser_power(rep).result  # complete graph on the five edge ids
-    assert validate_graph_coloring(kg, cert.assignment)
-    assert cert.num_colors == 5
-    assert meta["r"] == 2
-    assert all(len(b) == 1 for b in meta["blocks"])
-
-
-def test_cover_coloring_tracks_alpha():
-    rng = random.Random(34)
-    for _ in range(15):
-        rep = random_hypergraph(rng, max_vertices=7, max_edges=5, min_edge_size=2)
-        cert, meta = cover_coloring(rep)
-        kg = kneser_power(rep).result
-        assert validate_graph_coloring(kg, cert.assignment)
-        alpha, _ = independence_number(rep)
-        assert cert.num_colors == rep.n_vertices - alpha
-
-
-def test_augment_representation_makes_covering_equal_chi():
-    rep = build_named_family("matching", n=3)
-    chi = chromatic_number_graph(kneser_power(rep).result).value
-    report = chromatic_number_graph(kneser_power(rep).result)
-    augmented = augment_representation(rep, report.coloring)
-    beta, _ = covering_number(augmented)
-    assert beta == chi == 3
 
 
 def test_chromatic_report_carries_lower_witness():

@@ -1,26 +1,22 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from kneserturan import (
-    FactorWitness,
     Hypergraph,
     InvalidParameterError,
     MANIFEST,
-    SizeCapError,
-    VerificationError,
     build_named_family,
     chromatic_number_graph,
-    count_p2,
     family_of,
-    find_triangle_factor,
     kneser_of_family,
-    path_graph_coloring,
     run_golden_suite,
-    turan_number,
+    turan_coloring,
     validate_graph_coloring,
 )
-from conftest import random_graph
+
+_P2 = family_of(build_named_family("path", length=2))
 
 
 def _two_triangles():
@@ -28,106 +24,72 @@ def _two_triangles():
                           frozenset({3, 4}), frozenset({4, 5}), frozenset({3, 5})))
 
 
-def test_count_p2_values():
-    assert count_p2(build_named_family("complete", n=4)) == 12
-    assert count_p2(build_named_family("cycle", n=5)) == 5
-    assert count_p2(build_named_family("complete_bipartite", m=1, n=4)) == 6
-    with pytest.raises(InvalidParameterError):
-        count_p2(Hypergraph(3, (frozenset({0, 1}), frozenset({0, 1}))))
-
-
-def test_find_triangle_factor_small_cases():
-    k4 = find_triangle_factor(build_named_family("complete", n=4))
-    assert k4 is not None
-    assert [tag for tag, _ in k4.components] == ["K2", "K2"]
-    assert k4.vertex_set == frozenset(range(4))
-
-    k6 = find_triangle_factor(build_named_family("complete", n=6))
-    assert k6.triangle_count == 2
-
-    k7 = find_triangle_factor(build_named_family("complete", n=7))
-    assert [tag for tag, _ in k7.components] == ["K3", "K2", "K2"]
-
-    assert find_triangle_factor(build_named_family("cycle", n=5)) is None
-    assert find_triangle_factor(_two_triangles()).triangle_count == 2
-
-
-def test_find_triangle_factor_cap():
-    with pytest.raises(SizeCapError):
-        find_triangle_factor(build_named_family("complete", n=16))
-
-
-def test_factor_witness_validation():
-    FactorWitness((("K3", (0, 1, 2)), ("K2", (3, 4))))
-    with pytest.raises(InvalidParameterError):
-        FactorWitness((("K3", (0, 1, 2)), ("K2", (2, 3))))  # shared vertex
-    with pytest.raises(InvalidParameterError):
-        FactorWitness((("K2", (0, 1)), ("K2", (2, 3)), ("K2", (4, 5))))
-    with pytest.raises(InvalidParameterError):
-        FactorWitness((("K2", (0, 1)), ("K3", (2, 3, 4))))  # tail before triangle
-    with pytest.raises(InvalidParameterError):
-        FactorWitness((("K4", (0, 1, 2, 3)),))
-    # a 2K2 component stands for two single edges and exhausts the budget
-    w = FactorWitness((("K3", (0, 1, 2)), ("2K2", (3, 4, 5, 6))))
-    assert w.vertex_set == frozenset(range(7))
-    with pytest.raises(InvalidParameterError):
-        FactorWitness((("2K2", (0, 1, 2, 3)), ("K2", (4, 5))))
-
-
-def test_factor_witness_json_roundtrip():
-    w = FactorWitness((("K3", (2, 4, 5)), ("K2", (0, 1))))
-    assert FactorWitness.from_json_dict(w.to_json_dict()) == w
+def _factor_coloring(g, components):
+    """turan_coloring of the two-edge-path graph of ``g`` that keeps the edges
+    of a {K3, K2} factor, given as vertex tuples, with its triangles as the
+    clusters."""
+    ids = {e: i for i, e in enumerate(g.edges)}
+    parts = [[ids[frozenset(p)] for p in combinations(c, 2)] for c in components]
+    kept = [e for part in parts for e in part]
+    return turan_coloring(g, _P2, kept, [part for part in parts if len(part) == 3])
 
 
 def test_path_coloring_on_k4():
     g = build_named_family("complete", n=4)
-    cert, meta = path_graph_coloring(g, find_triangle_factor(g))
+    cert = _factor_coloring(g, ((0, 1), (2, 3)))
     assert cert.num_colors == 6 - (2 * 4) // 3  # == 4
-    assert meta["kneser_vertices"] == 12
+    assert len(cert.assignment) == 12
+    assert validate_graph_coloring(kneser_of_family(g, _P2).result, cert.assignment)
 
 
 def test_path_coloring_on_k6():
     g = build_named_family("complete", n=6)
-    cert, meta = path_graph_coloring(g, find_triangle_factor(g))
+    cert = _factor_coloring(g, ((0, 1, 2), (3, 4, 5)))
     assert cert.num_colors == 15 - (2 * 6) // 3  # == 11
+    assert validate_graph_coloring(kneser_of_family(g, _P2).result, cert.assignment)
 
 
 def test_path_coloring_on_two_triangles():
     g = _two_triangles()
-    cert, _ = path_graph_coloring(g, find_triangle_factor(g))
+    cert = _factor_coloring(g, ((0, 1, 2), (3, 4, 5)))
     assert cert.num_colors == 2
-    kg = kneser_of_family(g, family_of(build_named_family("path", length=2))).result
+    kg = kneser_of_family(g, _P2).result
     assert chromatic_number_graph(kg).value == 2
 
 
 def test_path_coloring_rejects_foreign_factor():
-    # a factor that does not describe the graph is invalid input, not a
-    # verification failure: coverage and edge membership are preconditions
+    # a kept set that is not a factor of the graph is invalid input, not a
+    # verification failure: the paths inside a kept triangle need a cluster
     g = build_named_family("complete", n=4)
-    wrong = FactorWitness((("K3", (0, 1, 2)),))  # vertex 3 uncovered
+    ids = {e: i for i, e in enumerate(g.edges)}
+    triangle = [ids[frozenset(p)] for p in ((0, 1), (0, 2), (1, 2))]
     with pytest.raises(InvalidParameterError):
-        path_graph_coloring(g, wrong)
-    # a claimed triangle with a missing edge
-    c5 = build_named_family("cycle", n=5)
-    fake = FactorWitness((("K3", (0, 1, 2)), ("K2", (3, 4))))
+        turan_coloring(g, _P2, triangle)
     with pytest.raises(InvalidParameterError):
-        path_graph_coloring(c5, fake)
+        turan_coloring(g, _P2, [0, g.n_edges])
 
 
 def test_factored_graphs_reach_the_floor_formula():
-    # wherever a factor exists the coloring is optimal: chi equals the palette
+    # t triangles and s <= 2 single edges planted on a random vertex order,
+    # plus random edges: the factor coloring has |E| - floor(2n/3) colors,
+    # and chi equals that wherever the Kneser graph is small enough to solve
     rng = random.Random(51)
-    fam = family_of(build_named_family("path", length=2))
     checked = 0
-    for _ in range(30):
-        g = random_graph(rng, rng.randint(4, 7), rng.choice((0.5, 0.7)))
-        factor = find_triangle_factor(g)
-        if factor is None:
-            continue
-        cert, _ = path_graph_coloring(g, factor)
-        expected = g.n_edges - (2 * g.n_vertices) // 3
+    for _ in range(40):
+        t, s = rng.randint(1, 2), rng.randint(0, 2)
+        n = 3 * t + 2 * s
+        order = rng.sample(range(n), n)
+        factor = [order[3 * i:3 * i + 3] for i in range(t)] + \
+            [order[3 * t + 2 * j:3 * t + 2 * j + 2] for j in range(s)]
+        edges = {frozenset(p) for c in factor for p in combinations(c, 2)}
+        density = rng.choice((0.3, 0.5))
+        edges |= {frozenset(p) for p in combinations(range(n), 2) if rng.random() < density}
+        g = Hypergraph(n, tuple(sorted(edges, key=sorted)))
+        cert = _factor_coloring(g, factor)
+        expected = g.n_edges - (2 * n) // 3
         assert cert.num_colors == expected
-        kg = kneser_of_family(g, fam).result
+        kg = kneser_of_family(g, _P2).result
+        assert validate_graph_coloring(kg, cert.assignment)
         if kg.n_vertices <= 40:
             assert chromatic_number_graph(kg).value == expected
             checked += 1
@@ -159,7 +121,7 @@ def test_golden_suite_records_probes_without_asserting():
     assert tort_small["match"] is False
 
 
-def test_golden_selection_and_workers():
+def test_golden_selection():
     one = run_golden_suite(["kneser-4-2"])
     assert [r["name"] for r in one["cases"]] == ["kneser-4-2"]
     assert one["ok"]

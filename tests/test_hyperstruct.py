@@ -8,9 +8,7 @@ from kneserturan import (
     Hypergraph,
     InvalidParameterError,
     LinearOrdering,
-    RestrictionSpec,
     SignVector,
-    add_isolated,
     alt_of_vector,
     apply_ordering,
     bits_of,
@@ -19,7 +17,6 @@ from kneserturan import (
     canonical_dumps,
     doubled,
     from_dimacs,
-    induced_restriction,
     mask_of,
     strip_isolated,
     to_dimacs,
@@ -223,23 +220,9 @@ def test_build_multigraph_list_and_dict():
         build_multigraph(base, [2])
 
 
-def test_strip_and_add_isolated():
+def test_strip_isolated():
     h = Hypergraph(5, (frozenset({1, 3}),))
     small, kept = strip_isolated(h)
     assert small.n_vertices == 2
     assert kept == (1, 3)
     assert small.edges == (frozenset({0, 1}),)
-    grown = add_isolated(small, 3)
-    assert grown.n_vertices == 5
-    assert grown.edges == small.edges
-
-
-def test_induced_restriction_keeps_inside_edges():
-    g = build_named_family("complete", n=5)
-    spec = RestrictionSpec((frozenset({0, 1, 2}), frozenset({3, 4})))
-    r = induced_restriction(g, spec)
-    # edges inside one part survive: the K3 on {0,1,2} and the edge {3,4}
-    assert r.n_vertices == 5
-    assert r.n_edges == 4
-    with pytest.raises(InvalidParameterError):
-        RestrictionSpec((frozenset({0, 1}), frozenset({1, 2})))

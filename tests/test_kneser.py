@@ -6,7 +6,6 @@ from kneserturan import (
     Hypergraph,
     InvalidParameterError,
     SizeCapError,
-    add_isolated,
     build_named_family,
     build_named_kneser,
     family_of,
@@ -32,7 +31,7 @@ def test_parallel_rep_edges_are_never_adjacent():
 
 def test_isolated_rep_vertices_do_not_matter():
     rep = build_named_family("cycle", n=5)
-    bigger = add_isolated(rep, 3)
+    bigger = Hypergraph(rep.n_vertices + 3, rep.edges)
     assert kneser_power(rep).result == kneser_power(bigger).result
 
 

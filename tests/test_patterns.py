@@ -17,7 +17,6 @@ from kneserturan import (
     enumerate_occurrences,
     family_of,
     find_isomorphism,
-    occurrences_to_jsonl,
     pattern_hypergraph,
 )
 from kneserturan.patterns import (
@@ -95,13 +94,12 @@ def test_family_members_collapse_by_isomorphism():
     assert len(enumerate_occurrences(host, fam)) == 4  # triangles of K4, once each
 
 
-def test_occurrences_sorted_and_jsonl_stable():
+def test_occurrences_sorted():
     host = build_named_family("complete", n=4)
     occs = enumerate_occurrences(host, _p2())
     keys = [tuple(sorted(o.edge_ids)) for o in occs]
     assert keys == sorted(keys)
-    assert occurrences_to_jsonl(occs) == occurrences_to_jsonl(occs)
-    assert occurrences_to_jsonl(occs).count("\n") == 12
+    assert len(occs) == 12
 
 
 def test_family_validation():

@@ -13,7 +13,6 @@ from kneserturan import (
     AltermaticCertificate,
     AlternatingColoring,
     ColoringCertificate,
-    FactorWitness,
     GoldenCase,
     Hypergraph,
     KneserInstance,
@@ -21,7 +20,6 @@ from kneserturan import (
     NamedKneser,
     PatternFamily,
     PatternOccurrence,
-    RestrictionSpec,
     SignVector,
     build_named_family,
     build_named_kneser,
@@ -50,10 +48,6 @@ CASES = {
     Hypergraph: (
         ("n_vertices", "edges", "labels"),
         lambda v: Hypergraph(3, [{0, 1}, {1, 2}], ("a", "b", "c") if v == 0 else None),
-    ),
-    RestrictionSpec: (
-        ("parts",),
-        lambda v: RestrictionSpec(({0, 1}, {2 + v})),
     ),
     SignVector: (
         ("entries",),
@@ -91,10 +85,6 @@ CASES = {
     AltermaticCertificate: (
         ("representation", "ordering", "i", "strong", "alt_value", "value", "witness"),
         lambda v: _certificate(1 + v),
-    ),
-    FactorWitness: (
-        ("components",),
-        lambda v: FactorWitness((("K3", (0, 1, 2)),) + ((("K2", (3, 4)),) if v else ())),
     ),
     GoldenCase: (
         ("name", "construction", "formula", "params", "source", "informational", "tags"),

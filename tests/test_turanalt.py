@@ -25,11 +25,14 @@ from kneserturan import (
     ex_alt_sigma,
     family_of,
     interval_ordering,
+    kneser_of_family,
     kneser_power,
     occurrence_masks,
     pattern_hypergraph,
     salt_sigma,
+    turan_coloring,
     turan_number,
+    validate_graph_coloring,
     verify_certificate,
     verify_turan_report,
 )
@@ -59,6 +62,10 @@ def _k3():
 
 def _c4():
     return family_of(build_named_family("cycle", n=4))
+
+
+def _2k2():
+    return family_of(build_named_family("matching", n=2))
 
 
 # --- plain maximization ---
@@ -124,6 +131,25 @@ def test_exact_turan_number_matches_subset_scan(edges, family):
     assert len(report.witness_edges) == report.value
     kept = mask_of(report.witness_edges)
     assert all(om & kept != om for om in occ)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_turan_coloring_is_proper_with_edges_minus_ex_colors(data):
+    # the paper's upper bound: each occurrence colored by its lowest host
+    # edge outside a maximum occurrence-free set, on simple and doubled hosts
+    n = data.draw(st.integers(2, 7))
+    pairs = data.draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                               min_size=1, max_size=9, unique=True))
+    host = Hypergraph(n, tuple(frozenset(p) for p in pairs))
+    if data.draw(st.booleans()):
+        host = doubled(host)
+    fam = data.draw(st.sampled_from((_p2, _k3, _2k2)))()
+    report = turan_number(host, fam, mode="exact")
+    cert = turan_coloring(host, fam, report.witness_edges)
+    assert cert.num_colors == host.n_edges - report.value
+    assert len(set(cert.assignment)) == cert.num_colors
+    assert validate_graph_coloring(kneser_of_family(host, fam).result, cert.assignment)
 
 
 # --- alternating variants at a fixed ordering ---
