@@ -9,6 +9,8 @@ closed-form chromatic numbers, and cli exposes everything as a
 command-line tool.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
 from .exactsolve import (
     UNBOUNDED,
@@ -41,7 +43,6 @@ from .hyperstruct import (
     doubled,
     from_dimacs,
     mask_of,
-    strip_isolated,
     to_dimacs,
 )
 from .kneser import (
@@ -54,7 +55,6 @@ from .kneser import (
 )
 from .patterns import (
     PatternFamily,
-    PatternOccurrence,
     are_isomorphic,
     enumerate_occurrences,
     family_of,
@@ -81,4 +81,6 @@ from .turanalt import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names, not the submodules that importing them binds here
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

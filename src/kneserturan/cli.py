@@ -24,6 +24,7 @@ from typing import NamedTuple
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
 from .exactsolve import (
     DEFAULT_SOLVER_CAP,
+    UNBOUNDED,
     chromatic_number,
     covering_number,
     independence_number,
@@ -333,14 +334,14 @@ def _verify_chi(quantity: str, target: Hypergraph, options: dict, result: dict) 
     checks = {}
     assignment = result.get("assignment")
     claimed = result["chi"]
-    if claimed != "unbounded" and type(claimed) is not int:
+    if claimed != UNBOUNDED and type(claimed) is not int:
         raise InvalidParameterError("malformed document: chi is neither an int nor \"unbounded\"")
     if assignment is not None:
         _ints(assignment, "malformed document: the assignment")
         validator = validate_graph_coloring if target.is_graph else validate_hypergraph_coloring
         if not validator(target, tuple(assignment)):
             raise VerificationError("claimed coloring is not proper")
-        if claimed != "unbounded" and len(set(assignment)) > claimed:
+        if claimed != UNBOUNDED and len(set(assignment)) > claimed:
             raise VerificationError("coloring uses more colors than claimed")
         checks["coloring_proper"] = True
     checks.update(_verify_recompute(quantity, target, options, result))
@@ -352,11 +353,30 @@ _CHI_WITNESS_KINDS = ("clique", "edgeless", "empty", "exhausted", "has-edges", "
 
 
 def _check_chi_witness(target: Hypergraph, claimed, witness) -> None:
-    """The lower-bound witness of a chi document must back the claimed value."""
+    """The lower-bound witness of a chi document must back the claimed value.
+
+    "empty" backs chi 0 on no vertex, "edgeless" chi 1 on some vertex and no
+    edge, "has-edges" chi 2 on some edge, and "singleton-edge" chi
+    "unbounded" on a one-vertex edge, the only kind that backs "unbounded".
+    A clique backs its size; "exhausted" backs one more than the colors it
+    says were refuted.
+    """
     _require(witness, ("kind",), "the witness", str)
     kind = witness["kind"]
     if kind not in _CHI_WITNESS_KINDS:
         raise InvalidParameterError(f"malformed document: unknown witness kind {kind!r}")
+    if (claimed == UNBOUNDED) != (kind == "singleton-edge"):
+        raise VerificationError(f"a {kind} witness cannot back chi {claimed}")
+    edges = target.edges
+    fits = {
+        "empty": claimed == 0 and target.n_vertices == 0,
+        "edgeless": claimed == 1 and target.n_vertices > 0 and not edges,
+        "has-edges": claimed == 2 and bool(edges),
+        "singleton-edge": any(len(e) == 1 for e in edges),
+    }
+    if not fits.get(kind, True):
+        raise VerificationError(f"the {kind} witness does not fit chi {claimed} "
+                                f"on {target.n_vertices} vertices and {len(edges)} edges")
     if kind == "clique":
         _require(witness, ("members",), "the witness")
         members = _ints(witness["members"], "malformed document: the clique members")
@@ -371,7 +391,7 @@ def _check_chi_witness(target: Hypergraph, claimed, witness) -> None:
             raise VerificationError("clique witness members are not pairwise adjacent")
     elif kind == "exhausted":
         _require(witness, ("refuted_colors",), "the witness", int)
-        if claimed == "unbounded" or witness["refuted_colors"] != claimed - 1:
+        if witness["refuted_colors"] != claimed - 1:
             raise VerificationError("the refuted color count is not chi - 1")
 
 

@@ -140,21 +140,13 @@ class Hypergraph(Record):
     def isolated_vertices(self) -> frozenset[int]:
         return frozenset(v for v in range(self.n_vertices) if self.degrees[v] == 0)
 
-    def is_uniform(self, r: int) -> bool:
-        return all(len(e) == r for e in self.edges)
-
     @cached_property
     def is_graph(self) -> bool:
-        return self.is_uniform(2)
+        return all(len(e) == 2 for e in self.edges)
 
     @cached_property
     def is_simple_graph(self) -> bool:
         return self.is_graph and len(set(self.edges)) == self.n_edges
-
-    def multiplicity(self, edge_id: int) -> int:
-        """Number of edges (including this one) with the same member set."""
-        members = self.edges[edge_id]
-        return sum(1 for e in self.edges if e == members)
 
     @cached_property
     def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
@@ -296,16 +288,12 @@ def _positive(value, name: str) -> int:
 def build_multigraph(base: Hypergraph, multiplicities) -> Hypergraph:
     """Replicate each base edge ``multiplicities[i]`` times (counts >= 1).
 
-    ``multiplicities`` is a sequence or an {edge_id: count} map; missing map
-    entries default to 1. Copies of base edge i are contiguous in the output,
-    so parallel classes appear as id runs in base order.
+    Copies of base edge i are contiguous in the output, so parallel classes
+    appear as id runs in base order.
     """
-    if isinstance(multiplicities, dict):
-        counts = [int(multiplicities.get(i, 1)) for i in range(base.n_edges)]
-    else:
-        counts = [int(c) for c in multiplicities]
-        if len(counts) != base.n_edges:
-            raise InvalidParameterError("multiplicity list length differs from edge count")
+    counts = [int(c) for c in multiplicities]
+    if len(counts) != base.n_edges:
+        raise InvalidParameterError("multiplicity list length differs from edge count")
     if any(c < 1 for c in counts):
         raise InvalidParameterError("multiplicities must be >= 1")
     edges = []
@@ -316,15 +304,6 @@ def build_multigraph(base: Hypergraph, multiplicities) -> Hypergraph:
 
 def doubled(base: Hypergraph) -> Hypergraph:
     return build_multigraph(base, [2] * base.n_edges)
-
-
-def strip_isolated(h: Hypergraph) -> tuple[Hypergraph, tuple[int, ...]]:
-    """Drop degree-0 vertices; also return old ids of the kept vertices."""
-    kept = tuple(v for v in range(h.n_vertices) if h.degrees[v] > 0)
-    index = {v: i for i, v in enumerate(kept)}
-    edges = tuple(frozenset(index[v] for v in e) for e in h.edges)
-    labels = tuple(h.labels[v] for v in kept) if h.labels is not None else None
-    return Hypergraph(len(kept), edges, labels), kept
 
 
 # --- sign vectors and orderings ---
@@ -344,26 +323,6 @@ class SignVector(Record):
 
     def __len__(self):
         return len(self.entries)
-
-    @property
-    def plus_support(self) -> frozenset[int]:
-        return frozenset(i for i, x in enumerate(self.entries) if x == 1)
-
-    @property
-    def minus_support(self) -> frozenset[int]:
-        return frozenset(i for i, x in enumerate(self.entries) if x == -1)
-
-    @classmethod
-    def from_supports(cls, n: int, plus, minus) -> "SignVector":
-        plus, minus = frozenset(plus), frozenset(minus)
-        if plus & minus:
-            raise InvalidParameterError("supports overlap")
-        entries = [0] * n
-        for v in plus:
-            entries[v] = 1
-        for v in minus:
-            entries[v] = -1
-        return cls(tuple(entries))
 
 
 def alt_of_vector(entries) -> int:

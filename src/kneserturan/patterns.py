@@ -28,10 +28,10 @@ from functools import lru_cache
 from itertools import permutations
 
 from .errors import InvalidParameterError, SizeCapError
-from .hyperstruct import Hypergraph, Record, strip_isolated
+from .hyperstruct import Hypergraph, Record
 
-DEFAULT_OCCURRENCE_CAP = 2_000_000
-DEFAULT_HOST_EDGE_CAP = 4096
+OCCURRENCE_CAP = 2_000_000
+HOST_EDGE_CAP = 4096
 
 
 class PatternFamily(Record):
@@ -62,16 +62,6 @@ class PatternFamily(Record):
         return tuple(reps)
 
 
-class PatternOccurrence(Record):
-    _fields = ("pattern_index", "edge_ids")
-
-    def __init__(self, pattern_index: int, edge_ids: frozenset[int]):
-        self.__dict__.update(pattern_index=pattern_index, edge_ids=edge_ids)
-
-    def to_json_dict(self) -> dict:
-        return {"pattern": self.pattern_index, "edges": sorted(self.edge_ids)}
-
-
 def _vertex_signature(h: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
     """Per-vertex fingerprint: (degree, sorted incident edge sizes)."""
     sizes: list[list[int]] = [[] for _ in range(h.n_vertices)]
@@ -81,11 +71,8 @@ def _vertex_signature(h: Hypergraph) -> list[tuple[int, tuple[int, ...]]]:
     return [(h.degrees[v], tuple(sorted(sizes[v]))) for v in range(h.n_vertices)]
 
 
-def are_isomorphic(a: Hypergraph, b: Hypergraph, ignore_isolated: bool = False) -> bool:
+def are_isomorphic(a: Hypergraph, b: Hypergraph) -> bool:
     """Exact multihypergraph isomorphism by backtracking vertex bijection."""
-    if ignore_isolated:
-        a, _ = strip_isolated(a)
-        b, _ = strip_isolated(b)
     return find_isomorphism(a, b) is not None
 
 
@@ -182,7 +169,7 @@ def _pattern_edge_order(f: Hypergraph) -> list[int]:
     return sorted(range(f.n_edges), key=lambda i: (-len(f.edges[i]), -weight[i], i))
 
 
-def _occurrences_of(host: Hypergraph, f: Hypergraph, cap: int, found_total: int) -> set[frozenset[int]]:
+def _occurrences_of(host: Hypergraph, f: Hypergraph, found_total: int) -> set[frozenset[int]]:
     """All edge-id sets of subhypergraphs of ``host`` isomorphic to ``f``.
 
     The search maps pattern edges in turn onto unused host edges, extending
@@ -216,10 +203,8 @@ def _occurrences_of(host: Hypergraph, f: Hypergraph, cap: int, found_total: int)
     def rec(t: int):
         if t == len(pat_edges):
             out.add(frozenset(chosen))
-            if found_total + len(out) > cap:
-                raise SizeCapError(
-                    f"occurrence count exceeds cap {cap}; raise the cap explicitly"
-                )
+            if found_total + len(out) > OCCURRENCE_CAP:
+                raise SizeCapError(f"occurrence count exceeds the cap {OCCURRENCE_CAP}")
             return
         pe = pat_edges[t]
         mapped = [v for v in pe if v in image]
@@ -255,43 +240,32 @@ def _occurrences_of(host: Hypergraph, f: Hypergraph, cap: int, found_total: int)
     return out
 
 
-def enumerate_occurrences(
-    host: Hypergraph,
-    family: PatternFamily,
-    occurrence_cap: int = DEFAULT_OCCURRENCE_CAP,
-    host_edge_cap: int = DEFAULT_HOST_EDGE_CAP,
-) -> tuple[PatternOccurrence, ...]:
-    """Every occurrence of every family member in the host, deduplicated.
+def enumerate_occurrences(host: Hypergraph, family: PatternFamily) -> tuple[frozenset[int], ...]:
+    """The edge-id set of every occurrence of every family member in the host.
 
-    One entry per distinct edge-id set per pattern isomorphism class
-    (isomorphic members are collapsed to the lowest index). Output sorted by
-    sorted edge-id tuple, then pattern index. Exceeding the caps raises
+    Each set appears once, sorted by its sorted ids. Patterns have no
+    isolated vertices, so a set fixes its subhypergraph and with it the one
+    isomorphism class of members it is an occurrence of. More than
+    HOST_EDGE_CAP host edges or OCCURRENCE_CAP occurrences raise
     SizeCapError; there is no silent truncation.
     """
-    if host.n_edges > host_edge_cap:
-        raise SizeCapError(
-            f"host has {host.n_edges} edges, above the cap {host_edge_cap}"
-        )
-    occs: list[PatternOccurrence] = []
-    total = 0
+    if host.n_edges > HOST_EDGE_CAP:
+        raise SizeCapError(f"host has {host.n_edges} edges, above the cap {HOST_EDGE_CAP}")
+    occs: list[frozenset[int]] = []
     for p in family.iso_representatives():
-        sets = _occurrences_of(host, family.members[p], occurrence_cap, total)
-        total += len(sets)
-        occs.extend(PatternOccurrence(p, s) for s in sets)
-    occs.sort(key=lambda o: (tuple(sorted(o.edge_ids)), o.pattern_index))
+        occs.extend(_occurrences_of(host, family.members[p], len(occs)))
+    occs.sort(key=sorted)
     return tuple(occs)
 
 
 @lru_cache(maxsize=256)
 def _pattern_hypergraph_cached(host: Hypergraph, family: PatternFamily) -> Hypergraph:
-    occs = enumerate_occurrences(host, family)
-    edge_sets = sorted({frozenset(o.edge_ids) for o in occs}, key=sorted)
-    return Hypergraph(host.n_edges, tuple(edge_sets))
+    return Hypergraph(host.n_edges, enumerate_occurrences(host, family))
 
 
 def pattern_hypergraph(host: Hypergraph, family: PatternFamily) -> Hypergraph:
     """The hypergraph whose vertices are host edge ids and whose edges are
-    the occurrence id-sets (duplicates across patterns collapsed).
+    the occurrence id-sets of enumerate_occurrences.
 
     Host edges covered by no occurrence remain as isolated vertices, which is
     what makes them count toward independence there. Results are memoized in

@@ -36,7 +36,9 @@ from .patterns import PatternFamily, _automorphisms, pattern_hypergraph
 DEFAULT_TURAN_CAP = 24
 DEFAULT_ORDERING_CAP = 8
 DEFAULT_ALT_CAP = 20
-DEFAULT_ALT_PRIME_CAP = 12
+ALT_PRIME_CAP = 12
+BRUTE_TURAN_CAP = 16
+BRUTE_CERTIFICATE_CAP = 10
 
 
 # --- report types ---
@@ -194,14 +196,6 @@ def occurrence_masks(host: Hypergraph, family: PatternFamily) -> tuple[int, ...]
     return pattern_hypergraph(host, family).edge_masks
 
 
-def _through_index(m: int, occ_masks) -> list[list[int]]:
-    through: list[list[int]] = [[] for _ in range(m)]
-    for om in occ_masks:
-        for e in bits_of(om):
-            through[e].append(om)
-    return through
-
-
 # --- plain Turan number ---
 
 def turan_number(host: Hypergraph, family: PatternFamily, mode: str = "auto",
@@ -230,7 +224,9 @@ def turan_number(host: Hypergraph, family: PatternFamily, mode: str = "auto",
 
 
 def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[int, int]:
-    through = _through_index(m, occ_masks)
+    """Best of ``restarts`` seeded greedy passes, each taking in shuffled
+    order every edge that completes no occurrence with the edges taken."""
+    rests, singles = _alternating_tables(m, occ_masks)
     rng = random.Random(seed)
     best_size, best_mask = 0, 0
     order = list(range(m))
@@ -239,9 +235,8 @@ def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[in
         mask = 0
         size = 0
         for e in order:
-            grown = mask | (1 << e)
-            if all(om & grown != om for om in through[e]):
-                mask = grown
+            if not singles >> e & 1 and all(r & ~mask for r in rests[e]):
+                mask |= 1 << e
                 size += 1
         if size > best_size:
             best_size, best_mask = size, mask
@@ -758,22 +753,21 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
     return tuple(out)
 
 
-def alt_prime_sigma_level(rep: Hypergraph, sigma: LinearOrdering, i: int = 1,
-                          cap: int = DEFAULT_ALT_PRIME_CAP) -> int:
+def alt_prime_sigma_level(rep: Hypergraph, sigma: LinearOrdering, i: int = 1) -> int:
     """Permuted-coordinate alternation: sides come from the raw supports,
     the alternation count from reading the vector in ``sigma`` order.
 
     Brute enumeration over all sign vectors (admissibility is ordering-free
     and cached per representation), kept separate from the ordering-based
-    search so the two can check each other. The cap is accordingly tight.
+    search so the two can check each other. ALT_PRIME_CAP is accordingly tight.
     """
     n = rep.n_vertices
     if len(sigma) != n:
         raise InvalidParameterError("ordering length differs from vertex count")
     if i < 1:
         raise InvalidParameterError("level must be >= 1")
-    if n > cap:
-        raise SizeCapError(f"representation has {n} vertices, above the cap {cap}")
+    if n > ALT_PRIME_CAP:
+        raise SizeCapError(f"representation has {n} vertices, above the cap {ALT_PRIME_CAP}")
     return _vector_alternation(rep, sigma, i, False)
 
 
@@ -836,20 +830,20 @@ def _witness_admissible(cert: AltermaticCertificate) -> bool:
     return _disjointness_colorable(inside, cert.i - 1)
 
 
-def verify_certificate(cert: AltermaticCertificate, brute_cap: int = 10) -> dict:
+def verify_certificate(cert: AltermaticCertificate) -> dict:
     """Re-check a serialized certificate without trusting the search.
 
     Always validates the witness vector against the side condition and the
-    recorded alternation count. Up to ``brute_cap`` vertices it additionally
-    re-derives the alternation maximum by scanning every sign vector, which
-    confirms the search really was exhaustive. Raises VerificationError on
-    any mismatch; returns a summary of which checks ran.
+    recorded alternation count. Up to BRUTE_CERTIFICATE_CAP vertices it
+    additionally re-derives the alternation maximum by scanning every sign
+    vector, which confirms the search really was exhaustive. Raises
+    VerificationError on any mismatch; returns a summary of which checks ran.
     """
     if not _witness_admissible(cert):
         raise VerificationError("certificate witness fails its side condition")
     summary = {"witness_checked": True, "exhaustive_rechecked": False}
     n = cert.representation.n_vertices
-    if n <= brute_cap:
+    if n <= BRUTE_CERTIFICATE_CAP:
         best = _vector_alternation(cert.representation, cert.ordering, cert.i, cert.strong)
         if best != cert.alt_value:
             raise VerificationError(
@@ -859,14 +853,13 @@ def verify_certificate(cert: AltermaticCertificate, brute_cap: int = 10) -> dict
     return summary
 
 
-def verify_turan_report(host: Hypergraph, family: PatternFamily,
-                        report: TuranReport, recompute_cap: int = 16) -> dict:
+def verify_turan_report(host: Hypergraph, family: PatternFamily, report: TuranReport) -> dict:
     """Re-check a Turan report's witness, and its value where feasible.
 
     Witness checks are unconditional: extremal edge sets must be occurrence
     free and match the value; witness colorings must alternate, match the
     value, and keep the right number of classes occurrence-free. For exact
-    plain-ex reports within ``recompute_cap`` edges the value is re-derived
+    plain-ex reports within BRUTE_TURAN_CAP edges the value is re-derived
     by a full subset scan that shares nothing with the branch-and-bound.
     """
     m = host.n_edges
@@ -884,7 +877,7 @@ def verify_turan_report(host: Hypergraph, family: PatternFamily,
             mask |= 1 << e
         if any(om & mask == om for om in occ):
             raise VerificationError("witness edge set contains a pattern occurrence")
-        if report.mode == "exact" and m <= recompute_cap:
+        if report.mode == "exact" and m <= BRUTE_TURAN_CAP:
             if _brute_turan(m, occ) != report.value:
                 raise VerificationError("exhaustive subset scan disagrees with the report")
             summary["value_rechecked"] = True
@@ -906,7 +899,7 @@ def verify_turan_report(host: Hypergraph, family: PatternFamily,
         raise VerificationError("a color class contains a pattern occurrence")
     if report.quantity == "ex-salt" and not any(free):
         raise VerificationError("both color classes contain pattern occurrences")
-    if m <= recompute_cap:
+    if m <= BRUTE_TURAN_CAP:
         strong = report.quantity == "ex-salt"
         best = _brute_alternating_value(coloring.ordering.sequence, occ, strong)
         if best != report.value:

@@ -3,9 +3,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kneserturan import (
     MANIFEST,
@@ -186,6 +189,76 @@ def test_verify_rejects_tampered_chi_witness(capsys, tmp_path):
         verdict = json.loads(out)
         assert verdict["verified"] is False
         assert reason in verdict["reason"], verdict["reason"]
+
+
+@pytest.mark.parametrize("kind", ("empty", "edgeless", "has-edges", "singleton-edge"))
+def test_verify_rejects_a_chi_witness_kind_that_does_not_fit(capsys, tmp_path, kind):
+    # each of these kinds backs one value on one shape of target; the
+    # Petersen graph has chi 3, ten vertices and fifteen edges
+    doc = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
+    doc["result"]["witness"] = {"kind": kind}
+    path = tmp_path / "run.json"
+    path.write_text(canonical_dumps(doc))
+    code, out = _run(capsys, "verify", str(path))
+    assert code == 1, out
+    verdict = json.loads(out)
+    assert verdict["verified"] is False
+    assert kind in verdict["reason"], verdict["reason"]
+
+
+@st.composite
+def _small_inputs(draw):
+    """A graph on at most 7 vertices, sometimes with one more hyperedge of one
+    or three vertices, so that every chi witness kind comes up."""
+    n = draw(st.integers(0, 7))
+    pairs = list(combinations(range(n), 2))
+    edges = []
+    if pairs:
+        edges = [list(e) for e in draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))]
+    if n >= 3 and draw(st.integers(0, 3)) == 0:
+        size = draw(st.sampled_from((1, 3)))
+        edges.append(sorted(draw(st.sets(st.integers(0, n - 1), min_size=size, max_size=size))))
+    return {"n": n, "edges": edges}
+
+
+_CHI_KIND_VALUES = {"empty": 0, "edgeless": 1, "has-edges": 2, "singleton-edge": "unbounded"}
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=_small_inputs(), data=st.data())
+def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp_path, graph,
+                                                                     data):
+    # capsys and tmp_path serve every example: each one overwrites the files
+    # and reads its own output
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(graph))
+    path = tmp_path / "doc.json"
+
+    def verify(doc):
+        path.write_text(canonical_dumps(doc))
+        code, out = _run(capsys, "verify", str(path))
+        return code, json.loads(out)
+
+    for quantity, flags in (("chi", ()), ("alpha", ()), ("beta", ()),
+                            ("ex", ("--pattern", "path", "--len", "2"))):
+        doc = _run_json(capsys, "compute", quantity, "--input", str(source), *flags)
+        code, verdict = verify(doc)
+        assert code == 0 and verdict["verified"] is True, (quantity, verdict)
+        result = doc["result"]
+        if quantity == "chi":
+            result["witness"] = {"kind": data.draw(st.sampled_from(
+                [k for k, v in _CHI_KIND_VALUES.items() if v != result["chi"]]))}
+        elif quantity == "ex":
+            ids = result["report"]["witness_edges"]
+            ids.append(min(set(range(len(graph["edges"]) + 1)) - set(ids)))
+        elif result["witness_vertices"]:
+            result["witness_vertices"].pop(data.draw(
+                st.integers(0, len(result["witness_vertices"]) - 1)))
+        else:
+            continue  # nothing to drop from an empty witness
+        code, verdict = verify(doc)
+        assert code == 1 and verdict["verified"] is False, (quantity, verdict)
 
 
 # KG(6,2): alpha 5 with witness [0, 5, 6, 7, 8], beta 10; vertices 0 and 9

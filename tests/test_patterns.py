@@ -19,8 +19,8 @@ from kneserturan import (
     find_isomorphism,
     pattern_hypergraph,
 )
+from kneserturan import patterns
 from kneserturan.patterns import (
-    PatternOccurrence,
     _automorphisms,
     _isomorphisms,
     _pattern_hypergraph_cached,
@@ -37,7 +37,7 @@ def test_two_edge_paths_in_k4():
     # one P2 per vertex per pair of incident edges: 4 * C(3,2) = 12
     occs = enumerate_occurrences(build_named_family("complete", n=4), _p2())
     assert len(occs) == 12
-    assert all(len(o.edge_ids) == 2 for o in occs)
+    assert all(len(o) == 2 for o in occs)
 
 
 def test_disjoint_edge_pairs_in_c5():
@@ -64,7 +64,7 @@ def test_simple_pattern_never_uses_parallel_copies():
     host2 = doubled(build_named_family("complete", n=3))
     occs = enumerate_occurrences(host2, family_of(double_edge))
     assert len(occs) == 3
-    assert sorted(sorted(o.edge_ids) for o in occs) == [[0, 1], [2, 3], [4, 5]]
+    assert sorted(sorted(o) for o in occs) == [[0, 1], [2, 3], [4, 5]]
 
 
 def test_isomorphism_basics():
@@ -97,7 +97,7 @@ def test_family_members_collapse_by_isomorphism():
 def test_occurrences_sorted():
     host = build_named_family("complete", n=4)
     occs = enumerate_occurrences(host, _p2())
-    keys = [tuple(sorted(o.edge_ids)) for o in occs]
+    keys = [tuple(sorted(o)) for o in occs]
     assert keys == sorted(keys)
     assert len(occs) == 12
 
@@ -134,10 +134,11 @@ def test_pattern_hypergraph_shape():
         sorted(sorted(e) for e in ph.edges)
 
 
-def test_host_edge_cap_enforced():
+def test_host_edge_cap_enforced(monkeypatch):
     host = build_named_family("complete", n=5)
+    monkeypatch.setattr(patterns, "HOST_EDGE_CAP", 4)
     with pytest.raises(SizeCapError):
-        enumerate_occurrences(host, _p2(), host_edge_cap=4)
+        enumerate_occurrences(host, _p2())
 
 
 def test_occurrence_count_matches_direct_scan():
@@ -192,10 +193,11 @@ def _occurrences_all_embeddings(host, f):
 
 
 def _reference_occurrences(host, family):
-    occs = [PatternOccurrence(p, s) for p in family.iso_representatives()
+    occs = [s for p in family.iso_representatives()
             for s in _occurrences_all_embeddings(host, family.members[p])]
-    occs.sort(key=lambda o: (tuple(sorted(o.edge_ids)), o.pattern_index))
-    return tuple(occs)
+    # an edge-id set fixes its subhypergraph, so no two classes share one
+    assert len(set(occs)) == len(occs)
+    return tuple(sorted(occs, key=sorted))
 
 
 @st.composite

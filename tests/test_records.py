@@ -19,7 +19,6 @@ from kneserturan import (
     LinearOrdering,
     NamedKneser,
     PatternFamily,
-    PatternOccurrence,
     SignVector,
     build_named_family,
     build_named_kneser,
@@ -60,10 +59,6 @@ CASES = {
     PatternFamily: (
         ("members",),
         lambda v: PatternFamily((build_named_family("path", length=2 + v),)),
-    ),
-    PatternOccurrence: (
-        ("pattern_index", "edge_ids"),
-        lambda v: PatternOccurrence(v, frozenset({1, 2})),
     ),
     KneserInstance: (
         ("representation", "r", "result"),
