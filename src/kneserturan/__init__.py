@@ -22,7 +22,6 @@ from .exactsolve import (
     dsatur_coloring,
     independence_number,
     max_clique,
-    validate_graph_coloring,
     validate_hypergraph_coloring,
 )
 from .harness import (
@@ -65,7 +64,6 @@ from .turanalt import (
     AltermaticCertificate,
     AlternatingColoring,
     TuranReport,
-    alt_prime_sigma_level,
     alt_sigma_level,
     altermatic_certificate,
     ex_alt_min,

@@ -28,22 +28,19 @@ from .exactsolve import (
     chromatic_number,
     covering_number,
     independence_number,
-    validate_graph_coloring,
     validate_hypergraph_coloring,
 )
 from .harness import run_golden_suite
-from .hyperstruct import Hypergraph, LinearOrdering, canonical_dumps, from_dimacs, mask_of, to_dimacs
+from .hyperstruct import (Hypergraph, LinearOrdering, _ints, _require, canonical_dumps,
+                          from_dimacs, mask_of, to_dimacs)
 from .kneser import (
     _FAMILY_FLAGS,
     _NAMED_KINDS,
     DEFAULT_GRAPH_CAP,
     DEFAULT_POWER_CAP,
-    _decode,
     _family_params,
-    _ints,
     _rebuild_instance,
     _rep_of,
-    _require,
     _Resolved,
     _target_of,
 )
@@ -130,7 +127,7 @@ def _load_hypergraph(path: str) -> Hypergraph:
     with open(path) as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        return _decode(Hypergraph.from_json_dict, json.loads(text), "the input file")
+        return Hypergraph.from_json_dict(json.loads(text))
     return from_dimacs(text)
 
 
@@ -187,7 +184,8 @@ def _instance_config(args) -> dict:
         pattern_kind = args.pattern.replace("_", "-")
         pattern = {"kind": pattern_kind,
                    "params": _family_params(pattern_kind, pattern_getter, prefix="pattern-")}
-        return {"scheme": "pattern", "host": host_cfg, "pattern": pattern, "r": args.r or 2}
+        return {"scheme": "pattern", "host": host_cfg, "pattern": pattern,
+                "r": 2 if args.r is None else args.r}
     return {"scheme": "raw", "host": host_cfg, "r": args.r}
 
 
@@ -274,18 +272,22 @@ def _compute_alternating(quantity: str, operand, options: dict) -> dict:
         report = ex_alt_sigma(host, family, _sigma(options), strong=strong,
                               **_cap_kwargs(options))
     else:
-        mode = options["mode"]
-        if mode == "auto":
-            limit = DEFAULT_ORDERING_CAP if options["cap"] is None else options["cap"]
-            mode = "exact" if host.n_edges <= limit else "heuristic"
-        report = ex_alt_min(host, family, strong=strong, mode=mode, seed=options["seed"],
-                            restarts=options["restarts"], **_cap_kwargs(options))
+        report = ex_alt_min(host, family, strong=strong, mode=options["mode"],
+                            seed=options["seed"], restarts=options["restarts"],
+                            **_cap_kwargs(options))
     return {quantity: report.value, "report": report.to_json_dict()}
 
 
 def _compute_alt_sigma(rep: Hypergraph, options: dict) -> dict:
     value = alt_sigma_level(rep, _sigma(options), i=options["i"], **_cap_kwargs(options))
     return {"alt": value, "i": options["i"]}
+
+
+def _verify_alt_sigma(quantity: str, rep: Hypergraph, options: dict, result: dict) -> dict:
+    _require(result, ("i",), "result", int)
+    if result["i"] != options["i"]:
+        raise VerificationError(f"result i is {result['i']}, the options echo says {options['i']}")
+    return _verify_recompute(quantity, rep, options, result)
 
 
 def _compute_salt_sigma(rep: Hypergraph, options: dict) -> dict:
@@ -334,17 +336,16 @@ def _verify_chi(quantity: str, target: Hypergraph, options: dict, result: dict) 
     checks = {}
     assignment = result.get("assignment")
     claimed = result["chi"]
-    if claimed != UNBOUNDED and type(claimed) is not int:
-        raise InvalidParameterError("malformed document: chi is neither an int nor \"unbounded\"")
     if assignment is not None:
         _ints(assignment, "malformed document: the assignment")
-        validator = validate_graph_coloring if target.is_graph else validate_hypergraph_coloring
-        if not validator(target, tuple(assignment)):
+        if not validate_hypergraph_coloring(target, assignment):
             raise VerificationError("claimed coloring is not proper")
         if claimed != UNBOUNDED and len(set(assignment)) > claimed:
             raise VerificationError("coloring uses more colors than claimed")
         checks["coloring_proper"] = True
     checks.update(_verify_recompute(quantity, target, options, result))
+    if assignment is None and claimed != UNBOUNDED:
+        raise VerificationError(f"chi {claimed} comes without a coloring")
     _check_chi_witness(target, claimed, result["witness"])
     return checks
 
@@ -397,19 +398,20 @@ def _check_chi_witness(target: Hypergraph, claimed, witness) -> None:
 
 def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
     host, family = operand
-    _require(result["report"], ("quantity", "value", "mode"), "the report")
-    coloring = result["report"].get("witness_coloring")
-    if coloring is not None:
-        _require(coloring, ("ordering", "colored"), "the witness coloring")
-    report = _decode(TuranReport.from_json_dict, result["report"], "the report")
-    if report.value != result[quantity]:
-        raise VerificationError("report value differs from the headline value")
-    return verify_turan_report(host, family, report)
+    report = TuranReport.from_json_dict(result["report"])
+    if (report.quantity, report.value) != (quantity, result[quantity]):
+        raise VerificationError("report quantity or value differs from the headline")
+    checks = verify_turan_report(host, family, report)
+    if quantity != "ex" and "sequence" in options["ordering"] and \
+            report.witness_coloring.ordering != _sigma(options):
+        raise VerificationError("the witness ordering differs from the options echo")
+    return checks
 
 
 def _verify_certificate(quantity: str, rep: Hypergraph, options: dict, result: dict) -> dict:
-    _require(result["certificate"], _CERTIFICATE_KEYS, "the certificate")
-    cert = _decode(AltermaticCertificate.from_json_dict, result["certificate"], "the certificate")
+    cert = AltermaticCertificate.from_json_dict(result["certificate"])
+    if (cert.i, cert.strong, cert.ordering) != (options["i"], options["strong"], _sigma(options)):
+        raise VerificationError("certificate level, form or ordering differs from the options echo")
     if cert.representation.canonical_json() != rep.canonical_json():
         raise VerificationError("certificate representation differs from the configured instance")
     if cert.value != result["value"]:
@@ -462,8 +464,8 @@ _QUANTITIES = {
                         partial(_compute_alternating, "ex-alt"), _verify_turan, "minimized"),
     "ex-salt": _Quantity(("ex-salt", "report"), _host_and_family, _alternating_cap,
                          partial(_compute_alternating, "ex-salt"), _verify_turan, "minimized"),
-    "alt-sigma": _Quantity(("alt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
-                           _compute_alt_sigma, _verify_recompute, "identity", ("i",)),
+    "alt-sigma": _Quantity(("alt", "i"), _rep_of, lambda args: DEFAULT_ALT_CAP,
+                           _compute_alt_sigma, _verify_alt_sigma, "identity", ("i",)),
     "salt-sigma": _Quantity(("salt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
                             _compute_salt_sigma, _verify_recompute, "identity"),
     "certificate": _Quantity(("value", "certificate"), _rep_of, lambda args: DEFAULT_ALT_CAP,
@@ -544,9 +546,6 @@ def _run_golden(args) -> tuple[dict, int]:
     return {"config": config, "result": report}, 0 if report["ok"] else 1
 
 
-_CERTIFICATE_KEYS = ("representation", "ordering", "i", "strong", "alt_value", "value")
-
-
 def _run_verify(args) -> tuple[dict, int]:
     with open(args.document) as fh:
         doc = json.load(fh)
@@ -556,14 +555,12 @@ def _run_verify(args) -> tuple[dict, int]:
 def _verify_document(doc) -> tuple[dict, int]:
     _require(doc, (), "the document")
     if "alt_value" in doc:
-        _require(doc, _CERTIFICATE_KEYS, "the certificate")
-        checks = verify_certificate(_decode(AltermaticCertificate.from_json_dict, doc,
-                                            "the certificate"))
+        checks = verify_certificate(AltermaticCertificate.from_json_dict(doc))
         return {"verified": True, "kind": "certificate", "checks": checks}, 0
     if "config" in doc and "result" in doc:
         return _verify_run_document(doc)
     if "edges" in doc and "n" in doc:
-        h = _decode(Hypergraph.from_json_dict, doc, "the hypergraph")
+        h = Hypergraph.from_json_dict(doc)
         again = json.loads(h.canonical_json())
         if again != doc:
             raise VerificationError("hypergraph document is not in canonical form")
@@ -578,15 +575,18 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     verb = config["verb"]
     if verb == "build":
         _require(result, ("hypergraph",), "result")
+        _require(result, ("n_vertices", "n_edges"), "result", int)
         target = _target_of(_rebuild_instance(config["instance"]))
-        if target.to_json_dict() != result["hypergraph"]:
+        if (target.to_json_dict(), target.n_vertices, target.n_edges) != \
+                (result["hypergraph"], result["n_vertices"], result["n_edges"]):
             raise VerificationError("rebuilt hypergraph differs from the document")
         return {"verified": True, "kind": "build", "checks": {"rebuilt": True}}, 0
     if verb != "compute":
         raise InvalidParameterError(f"cannot verify documents from verb {verb!r}; "
                                     "re-run golden reports with the golden verb")
 
-    _require(config, ("quantity", "options"), "config")
+    _require(config, ("options",), "config")
+    _require(config, ("quantity",), "config", str)
     name = config["quantity"]
     if name not in _QUANTITIES:
         raise InvalidParameterError(f"cannot verify quantity {name!r}")
@@ -597,6 +597,8 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     if quantity.ordering:
         _require(config["options"]["ordering"], ("kind",), "the ordering echo")
     _require(result, quantity.result_keys, "result")
+    if name != "chi" or result["chi"] != UNBOUNDED:
+        _require(result, quantity.result_keys[:1], "result", int)
     operand = quantity.operand(_rebuild_instance(config["instance"]))
     checks = quantity.verify(name, operand, config["options"], result)
     return {"verified": True, "kind": name, "checks": checks}, 0

@@ -100,25 +100,16 @@ class ChromaticReport:
         }
 
 
-def validate_graph_coloring(g: Hypergraph, assignment) -> bool:
-    """Endpoints of every edge get distinct colors."""
-    if len(assignment) != g.n_vertices:
-        return False
-    for e in g.edges:
-        u, v = sorted(e)
-        if assignment[u] == assignment[v]:
-            return False
-    return True
-
-
 def validate_hypergraph_coloring(h: Hypergraph, assignment) -> bool:
-    """No hyperedge is monochromatic."""
+    """No hyperedge is monochromatic: none lies inside the color class of
+    its lowest vertex. On a graph, the endpoints of every edge differ."""
     if len(assignment) != h.n_vertices:
         return False
-    for e in h.edges:
-        if len({assignment[v] for v in e}) == 1:
-            return False
-    return True
+    classes: dict = {}
+    for v, c in enumerate(assignment):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return all(em & ~classes[assignment[(em & -em).bit_length() - 1]]
+               for em in h.edge_masks)
 
 
 def dsatur_coloring(g: Hypergraph) -> tuple[int, ...]:
@@ -179,7 +170,8 @@ def chromatic_number_graph(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> Chro
     omega, clique = max_clique(g, cap)
     clique_list = sorted(clique)
     return _settle(g, omega, {"kind": "clique", "members": clique_list}, dsatur_coloring(g),
-                   "graph_colorable", "graph_color_decision", g.adjacency_masks(), clique_list)
+                   kernels.graph_colorable, kernels.graph_color_decision, g.adjacency_masks(),
+                   clique_list)
 
 
 def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> ChromaticReport:
@@ -203,30 +195,30 @@ def chromatic_number_hypergraph(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) ->
         return ChromaticReport(1, ColoringCertificate(1, (0,) * n), {"kind": "edgeless"})
     greedy = _greedy_hypergraph_coloring(h)
     tables = kernels.hypergraph_color_tables(n, h.edge_masks)
-    return _settle(h, 2, {"kind": "has-edges"}, greedy,
-                   "hypergraph_colorable", "hypergraph_color_decision", h.edge_masks, tables)
+    return _settle(h, 2, {"kind": "has-edges"}, greedy, kernels.hypergraph_colorable,
+                   kernels.hypergraph_color_decision, h.edge_masks, tables)
 
 
-def _settle(h: Hypergraph, low: int, low_witness: dict, greedy, colorable: str,
-            decision: str, masks, extra) -> ChromaticReport:
+def _settle(h: Hypergraph, low: int, low_witness: dict, greedy, colorable, decision, masks,
+            extra) -> ChromaticReport:
     """chi of h, at least ``low`` and at most the colors of ``greedy``.
 
-    kernels.<colorable> refutes each k from ``low`` below the greedy count,
-    and kernels.<decision> runs only at the first k it accepts, so the
-    coloring is that of the lowest-id search at every k; if every k is
-    refuted, it is ``greedy``'s. Both kernels take (n, masks, k, extra). A
-    None from the decision raises VerificationError, as the two searches
+    The kernel ``colorable`` refutes each k from ``low`` below the greedy
+    count, and the kernel ``decision`` runs only at the first k it accepts,
+    so the coloring is that of the lowest-id search at every k; if every k
+    is refuted, it is ``greedy``'s. Both kernels take (n, masks, k, extra).
+    A None from the decision raises VerificationError, as the two searches
     must agree. The witness is ``low_witness`` when chi is ``low``, and the
     refuted chi - 1 otherwise.
     """
     n = h.n_vertices
     ub = max(greedy) + 1
-    accepts, decide = getattr(kernels, colorable), getattr(kernels, decision)
     for k in range(low, ub):
-        if accepts(n, masks, k, extra):
-            assignment = decide(n, masks, k, extra)
+        if colorable(n, masks, k, extra):
+            assignment = decision(n, masks, k, extra)
             if assignment is None:
-                raise VerificationError(f"{colorable} accepts {k} colors, {decision} refutes them")
+                raise VerificationError(f"{colorable.__name__} accepts {k} colors, "
+                                        f"{decision.__name__} refutes them")
             break
     else:
         k, assignment = ub, tuple(greedy)
@@ -237,8 +229,7 @@ def _settle(h: Hypergraph, low: int, low_witness: dict, greedy, colorable: str,
 
 
 def _assert_proper(h: Hypergraph, cert: ColoringCertificate):
-    validate = validate_graph_coloring if h.is_graph else validate_hypergraph_coloring
-    if not validate(h, cert.assignment):
+    if not validate_hypergraph_coloring(h, cert.assignment):
         raise VerificationError("solver produced an improper coloring")
     if any(c < 0 or c >= cert.num_colors for c in cert.assignment):
         raise VerificationError("coloring uses out-of-range colors")

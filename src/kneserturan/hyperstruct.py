@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import combinations
+from math import comb
 
 from .errors import InvalidParameterError
 
@@ -20,6 +21,13 @@ from .errors import InvalidParameterError
 # own much lower caps (64 by default, overridable); Python-int masks keep
 # working at any width, just not quickly.
 MAX_VERTICES = 4096
+
+
+def _check_order(n: int) -> int:
+    """``n`` itself if a hypergraph may have that many vertices."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise InvalidParameterError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    return n
 
 
 def mask_of(vertices) -> int:
@@ -96,10 +104,7 @@ class Hypergraph(Record):
     _fields = ("n_vertices", "edges", "labels")
 
     def __init__(self, n_vertices: int, edges, labels: tuple[str, ...] | None = None):
-        if not (0 <= n_vertices <= MAX_VERTICES):
-            raise InvalidParameterError(
-                f"vertex count {n_vertices} outside 0..{MAX_VERTICES}"
-            )
+        _check_order(n_vertices)
         edges = tuple(frozenset(e) for e in edges)
         for i, e in enumerate(edges):
             if not e:
@@ -199,6 +204,29 @@ class Hypergraph(Record):
         return cls(n_vertices=n, edges=edges, labels=labels)
 
 
+def _require(doc, keys, what: str, scalar: type | None = None) -> None:
+    """A malformed document is bad input (exit 2), not a failed verification.
+
+    With ``scalar``, each of ``keys`` must also hold a value of that type.
+    """
+    if not isinstance(doc, dict):
+        raise InvalidParameterError(f"malformed document: {what} is not a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise InvalidParameterError(f"malformed document: {what} lacks " + ", ".join(missing))
+    for key in keys:
+        if scalar is not None and type(doc[key]) is not scalar:
+            raise InvalidParameterError(
+                f"malformed document: in {what}, {key} is not of type {scalar.__name__}")
+
+
+def _ints(value, what: str) -> list[int]:
+    """``value`` itself if it is a list of ints; anything else is bad input."""
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InvalidParameterError(f"{what} is not a list of ints")
+    return value
+
+
 def canonical_dumps(doc) -> str:
     """Canonical one-line JSON: sorted keys, no whitespace.
 
@@ -214,7 +242,8 @@ def build_named_family(kind: str, **params) -> Hypergraph:
 
     kind: cycle(n), path(length), complete(n), complete_bipartite(m, n),
     matching(n), complete_uniform(n, s). Underscores and dashes in ``kind``
-    are interchangeable.
+    are interchangeable. Each builder checks its vertex count, and
+    complete_uniform its edge count, before it makes any edge.
     """
     kind = kind.replace("-", "_")
     try:
@@ -225,7 +254,7 @@ def build_named_family(kind: str, **params) -> Hypergraph:
 
 
 def _cycle(n: int) -> Hypergraph:
-    n = _positive(n, "n")
+    n = _check_order(_positive(n, "n"))
     if n < 3:
         raise InvalidParameterError("cycle needs n >= 3")
     edges = tuple(frozenset({i, (i + 1) % n}) for i in range(n))
@@ -235,12 +264,13 @@ def _cycle(n: int) -> Hypergraph:
 def _path(length: int) -> Hypergraph:
     # A path of length L has L edges and L+1 vertices.
     length = _positive(length, "length")
+    _check_order(length + 1)
     edges = tuple(frozenset({i, i + 1}) for i in range(length))
     return Hypergraph(length + 1, edges)
 
 
 def _complete(n: int) -> Hypergraph:
-    n = _positive(n, "n")
+    n = _check_order(_positive(n, "n"))
     edges = tuple(frozenset(p) for p in combinations(range(n), 2))
     return Hypergraph(n, edges)
 
@@ -248,6 +278,7 @@ def _complete(n: int) -> Hypergraph:
 def _complete_bipartite(m: int, n: int) -> Hypergraph:
     m = _positive(m, "m")
     n = _positive(n, "n")
+    _check_order(m + n)
     edges = tuple(frozenset({u, m + v}) for u in range(m) for v in range(n))
     return Hypergraph(m + n, edges)
 
@@ -255,15 +286,19 @@ def _complete_bipartite(m: int, n: int) -> Hypergraph:
 def _matching(n: int) -> Hypergraph:
     # n disjoint edges on 2n vertices.
     n = _positive(n, "n")
+    _check_order(2 * n)
     edges = tuple(frozenset({2 * i, 2 * i + 1}) for i in range(n))
     return Hypergraph(2 * n, edges)
 
 
 def _complete_uniform(n: int, s: int) -> Hypergraph:
-    n = _positive(n, "n")
+    n = _check_order(_positive(n, "n"))
     s = _positive(s, "s")
     if s > n:
         raise InvalidParameterError("uniformity s exceeds n")
+    if comb(n, s) > comb(MAX_VERTICES, 2):
+        raise InvalidParameterError(f"complete_uniform({n}, {s}) would have {comb(n, s)} edges, "
+                                    f"more than complete({MAX_VERTICES})")
     edges = tuple(frozenset(c) for c in combinations(range(n), s))
     return Hypergraph(n, edges)
 

@@ -307,10 +307,6 @@ def hypergraph_colorable(n: int, edge_masks, k: int, tables=None) -> bool:
 
 
 def _hypergraph_search(n: int, edge_masks, k: int, tables, scored: bool):
-    if n == 0:
-        return ()
-    if k <= 0:
-        return None
     if tables is None:
         tables = hypergraph_color_tables(n, edge_masks)
         if tables is None:

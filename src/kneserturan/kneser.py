@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, SizeCapError
-from .hyperstruct import Hypergraph, Record, build_named_family, doubled
+from .hyperstruct import Hypergraph, Record, _require, build_named_family, doubled
 from .patterns import PatternFamily, family_of, find_isomorphism, pattern_hypergraph
 
 DEFAULT_GRAPH_CAP = 4096
@@ -328,7 +328,7 @@ def _rebuild_instance(config: dict) -> _Resolved:
     host_cfg = config["host"]
     _require(host_cfg, (), "the host")
     if "doc" in host_cfg:
-        host = _decode(Hypergraph.from_json_dict, host_cfg["doc"], "the host")
+        host = Hypergraph.from_json_dict(host_cfg["doc"])
     else:
         host = _family_of_echo(host_cfg, "the host")
     if "double" in host_cfg:
@@ -336,8 +336,10 @@ def _rebuild_instance(config: dict) -> _Resolved:
     if host_cfg.get("double"):
         host = doubled(host)
     r = config.get("r", 2 if scheme == "pattern" else None)
-    if r is not None and type(r) is not int:
-        raise InvalidParameterError("malformed document: in the instance, r is not of type int")
+    if r is not None or scheme == "pattern":  # only a raw instance may have no power
+        if type(r) is not int:
+            raise InvalidParameterError("malformed document: in the instance, r is not of type int")
+        _ensure(r >= 2, f"a Kneser power needs r >= 2, not {r}")
     if scheme == "pattern":
         family = family_of(_family_of_echo(config["pattern"], "the pattern"))
         return _Resolved(config, host, family, r=r)
@@ -358,34 +360,3 @@ def _rep_of(resolved: _Resolved) -> Hypergraph:
     if resolved.family is not None:
         return pattern_hypergraph(resolved.host, resolved.family)
     return resolved.host
-
-
-def _require(doc, keys, what: str, scalar: type | None = None) -> None:
-    """A malformed document is bad input (exit 2), not a failed verification.
-
-    With ``scalar``, each of ``keys`` must also hold a value of that type.
-    """
-    if not isinstance(doc, dict):
-        raise InvalidParameterError(f"malformed document: {what} is not a JSON object")
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise InvalidParameterError(f"malformed document: {what} lacks " + ", ".join(missing))
-    for key in keys:
-        if scalar is not None and type(doc[key]) is not scalar:
-            raise InvalidParameterError(
-                f"malformed document: in {what}, {key} is not of type {scalar.__name__}")
-
-
-def _ints(value, what: str) -> list[int]:
-    """``value`` itself if it is a list of ints; anything else is bad input."""
-    if not isinstance(value, list) or any(type(x) is not int for x in value):
-        raise InvalidParameterError(f"{what} is not a list of ints")
-    return value
-
-
-def _decode(from_json_dict, doc, what: str):
-    """Deserialize a nested document; a value of the wrong type is bad input."""
-    try:
-        return from_json_dict(doc)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParameterError(f"malformed document: {what}: {exc}") from None

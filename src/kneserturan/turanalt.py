@@ -25,6 +25,8 @@ from .hyperstruct import (
     LinearOrdering,
     Record,
     SignVector,
+    _ints,
+    _require,
     alt_of_vector,
     apply_ordering,
     bits_of,
@@ -36,7 +38,6 @@ from .patterns import PatternFamily, _automorphisms, pattern_hypergraph
 DEFAULT_TURAN_CAP = 24
 DEFAULT_ORDERING_CAP = 8
 DEFAULT_ALT_CAP = 20
-ALT_PRIME_CAP = 12
 BRUTE_TURAN_CAP = 16
 BRUTE_CERTIFICATE_CAP = 10
 
@@ -53,7 +54,7 @@ class AlternatingColoring(Record):
     _fields = ("ordering", "colored")
 
     def __init__(self, ordering: LinearOrdering, colored):
-        colored = tuple((int(e), str(c)) for e, c in colored)
+        colored = tuple((e, c) for e, c in colored)
         pos = ordering.inverse()
         last_pos = -1
         last_color = None
@@ -83,10 +84,15 @@ class AlternatingColoring(Record):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AlternatingColoring":
-        return cls(
-            LinearOrdering(tuple(doc["ordering"])),
-            tuple((int(e), str(c)) for e, c in doc["colored"]),
-        )
+        _require(doc, ("ordering", "colored"), "the witness coloring")
+        colored = doc["colored"]
+        if not isinstance(colored, list) or any(
+                not isinstance(p, list) or len(p) != 2 or type(p[0]) is not int
+                or type(p[1]) is not str for p in colored):
+            raise InvalidParameterError("malformed document: the colored entries are not "
+                                        "[int, str] pairs")
+        ordering = _ints(doc["ordering"], "malformed document: the witness ordering")
+        return cls(LinearOrdering(tuple(ordering)), colored)
 
 
 # Still a dataclass, unlike the other records (see hyperstruct.Record): the
@@ -122,17 +128,15 @@ class TuranReport:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TuranReport":
+        _require(doc, ("quantity", "mode"), "the report", str)
+        _require(doc, ("value",), "the report", int)
         edges = doc.get("witness_edges")
+        if edges is not None:
+            edges = frozenset(_ints(edges, "malformed document: the witness edges"))
         coloring = doc.get("witness_coloring")
-        return cls(
-            quantity=str(doc["quantity"]),
-            value=int(doc["value"]),
-            mode=str(doc["mode"]),
-            witness_edges=None if edges is None else frozenset(int(e) for e in edges),
-            witness_coloring=(
-                None if coloring is None else AlternatingColoring.from_json_dict(coloring)
-            ),
-        )
+        if coloring is not None:
+            coloring = AlternatingColoring.from_json_dict(coloring)
+        return cls(doc["quantity"], doc["value"], doc["mode"], edges, coloring)
 
 
 class AltermaticCertificate(Record):
@@ -155,6 +159,8 @@ class AltermaticCertificate(Record):
         if strong and i != 1:
             raise InvalidParameterError("the strong form has no level: i must be 1")
         n = representation.n_vertices
+        if len(ordering) != n:
+            raise InvalidParameterError("ordering length differs from vertex count")
         if strong:
             expected = n + 1 - alt_value
         else:
@@ -177,15 +183,17 @@ class AltermaticCertificate(Record):
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AltermaticCertificate":
+        what = "the certificate"
+        _require(doc, ("representation", "ordering"), what)
+        _require(doc, ("i", "alt_value", "value"), what, int)
+        _require(doc, ("strong",), what, bool)
         witness = doc.get("witness")
         return cls(
-            representation=Hypergraph.from_json_dict(doc["representation"]),
-            ordering=LinearOrdering(tuple(doc["ordering"])),
-            i=int(doc["i"]),
-            strong=bool(doc["strong"]),
-            alt_value=int(doc["alt_value"]),
-            value=int(doc["value"]),
-            witness=None if witness is None else SignVector(tuple(witness)),
+            Hypergraph.from_json_dict(doc["representation"]),
+            LinearOrdering(tuple(_ints(doc["ordering"], f"malformed document: {what} ordering"))),
+            doc["i"], doc["strong"], doc["alt_value"], doc["value"],
+            None if witness is None
+            else SignVector(tuple(_ints(witness, f"malformed document: {what} witness"))),
         )
 
 
@@ -453,6 +461,7 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
                restarts: int = 32) -> TuranReport:
     """Minimize ex_alt_sigma (or the strong form) over orderings.
 
+    Mode "auto" is exact up to ``cap`` host edges and heuristic beyond.
     Both modes run _least_alternating over their orderings. Exact mode
     scans the orderings of up to ``cap`` host edges (see _scan_orderings for
     which ones) and stops early at a floor no ordering can go below. An
@@ -468,10 +477,12 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
     an upper bound on the true minimum; it has no floor, which its values
     seldom meet.
     """
-    if mode not in ("exact", "heuristic"):
+    if mode not in ("auto", "exact", "heuristic"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
     quantity = "ex-salt" if strong else "ex-alt"
     m = host.n_edges
+    if mode == "auto":
+        mode = "exact" if m <= cap else "heuristic"
     occ_graph = pattern_hypergraph(host, family)
     occ = occ_graph.edge_masks
     if m == 0:
@@ -753,27 +764,10 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
     return tuple(out)
 
 
-def alt_prime_sigma_level(rep: Hypergraph, sigma: LinearOrdering, i: int = 1) -> int:
-    """Permuted-coordinate alternation: sides come from the raw supports,
-    the alternation count from reading the vector in ``sigma`` order.
-
-    Brute enumeration over all sign vectors (admissibility is ordering-free
-    and cached per representation), kept separate from the ordering-based
-    search so the two can check each other. ALT_PRIME_CAP is accordingly tight.
-    """
-    n = rep.n_vertices
-    if len(sigma) != n:
-        raise InvalidParameterError("ordering length differs from vertex count")
-    if i < 1:
-        raise InvalidParameterError("level must be >= 1")
-    if n > ALT_PRIME_CAP:
-        raise SizeCapError(f"representation has {n} vertices, above the cap {ALT_PRIME_CAP}")
-    return _vector_alternation(rep, sigma, i, False)
-
-
 def _vector_alternation(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool) -> int:
     """Max alternation along ``sigma`` over _admissible_vertex_vectors: the
-    exhaustive scan behind alt_prime_sigma_level and verify_certificate."""
+    exhaustive scan behind verify_certificate, which the tests also hold
+    alt_sigma_level to."""
     seq = sigma.sequence
     best = 0
     for signs in _admissible_vertex_vectors(rep, None if strong else i, strong):
@@ -813,21 +807,17 @@ def altermatic_certificate(rep: Hypergraph, sigma: LinearOrdering, i: int = 1,
 
 
 def _witness_admissible(cert: AltermaticCertificate) -> bool:
-    rep = cert.representation
-    masks = rep.edge_masks
+    masks = cert.representation.edge_masks
     if cert.witness is None:
         return cert.alt_value == 0
     if alt_of_vector(cert.witness.entries) != cert.alt_value:
         return False
     plus, minus = (mask_of(side) for side in apply_ordering(cert.witness, cert.ordering))
-    inside = [em for em in masks if em & plus == em or em & minus == em]
+    in_plus = [em for em in masks if em & plus == em]
+    in_minus = [em for em in masks if em & minus == em]
     if cert.strong:
-        plus_hit = any(em & plus == em for em in masks)
-        minus_hit = any(em & minus == em for em in masks)
-        return not (plus_hit and minus_hit)
-    if cert.i == 1:
-        return not inside
-    return _disjointness_colorable(inside, cert.i - 1)
+        return not (in_plus and in_minus)
+    return _disjointness_colorable(in_plus + in_minus, cert.i - 1)
 
 
 def verify_certificate(cert: AltermaticCertificate) -> dict:
@@ -870,11 +860,9 @@ def verify_turan_report(host: Hypergraph, family: PatternFamily, report: TuranRe
             raise VerificationError("plain ex report lacks an edge-set witness")
         if len(report.witness_edges) != report.value:
             raise VerificationError("witness size differs from reported value")
-        mask = 0
-        for e in report.witness_edges:
-            if not (0 <= e < m):
-                raise VerificationError(f"witness edge {e} out of range")
-            mask |= 1 << e
+        if any(not 0 <= e < m for e in report.witness_edges):
+            raise VerificationError("a witness edge is out of range")
+        mask = mask_of(report.witness_edges)
         if any(om & mask == om for om in occ):
             raise VerificationError("witness edge set contains a pattern occurrence")
         if report.mode == "exact" and m <= BRUTE_TURAN_CAP:
@@ -889,12 +877,8 @@ def verify_turan_report(host: Hypergraph, family: PatternFamily, report: TuranRe
         raise VerificationError("witness ordering does not cover the host edges")
     if len(coloring) != report.value:
         raise VerificationError("witness coloring length differs from reported value")
-    free = []
-    for color in ("red", "blue"):
-        mask = 0
-        for e in coloring.color_class(color):
-            mask |= 1 << e
-        free.append(all(om & mask != om for om in occ))
+    free = [all(om & mask != om for om in occ)
+            for mask in (mask_of(coloring.color_class(c)) for c in ("red", "blue"))]
     if report.quantity == "ex-alt" and not all(free):
         raise VerificationError("a color class contains a pattern occurrence")
     if report.quantity == "ex-salt" and not any(free):

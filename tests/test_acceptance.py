@@ -13,7 +13,6 @@ from math import ceil, comb, floor
 from kneserturan import (
     Hypergraph,
     LinearOrdering,
-    alt_prime_sigma_level,
     alt_sigma_level,
     altermatic_certificate,
     build_named_family,
@@ -33,9 +32,10 @@ from kneserturan import (
     run_golden_suite,
     turan_coloring,
     turan_number,
-    validate_graph_coloring,
+    validate_hypergraph_coloring,
     verify_certificate,
 )
+from kneserturan.turanalt import _vector_alternation
 from conftest import random_graph, random_hypergraph
 
 
@@ -191,7 +191,7 @@ def test_c07_ordering_search_matches_raw_enumeration():
         orderings = [LinearOrdering(p) for p in permutations(range(n))]
         for i in (1, 2):
             via_search = min(alt_sigma_level(rep, s, i) for s in orderings)
-            via_vectors = min(alt_prime_sigma_level(rep, s, i) for s in orderings)
+            via_vectors = min(_vector_alternation(rep, s, i, False) for s in orderings)
             if via_search != via_vectors:
                 mismatches.append((rep_idx, i, via_search, via_vectors))
     elapsed = time.perf_counter() - start
@@ -242,7 +242,7 @@ def test_c09_path_pattern_graphs():
                               (k6, (0, 1, 5, 12, 13, 14), ((0, 1, 5), (12, 13, 14)))):
         cert = turan_coloring(g, fam, kept, clusters)
         kg = kneser_of_family(g, fam).result
-        colorings_ok = colorings_ok and validate_graph_coloring(kg, cert.assignment)
+        colorings_ok = colorings_ok and validate_hypergraph_coloring(kg, cert.assignment)
         colorings_ok = colorings_ok and cert.num_colors == g.n_edges - (2 * g.n_vertices) // 3
     elapsed = time.perf_counter() - start
     ok = (chi_k4 == 4 == 6 - floor(8 / 3)

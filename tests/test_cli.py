@@ -372,6 +372,12 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
     string_witness["result"]["witness"] = "x"
     unknown_witness = json.loads(json.dumps(k4_p2_chi))
     unknown_witness["result"]["witness"]["kind"] = "hunch"
+    list_quantity = json.loads(json.dumps(k4_p2_chi))
+    list_quantity["config"]["quantity"] = []
+    dict_quantity = json.loads(json.dumps(k4_p2_chi))
+    dict_quantity["config"]["quantity"] = {}
+    null_r = json.loads(json.dumps(k4_p2_chi))
+    null_r["config"]["instance"]["r"] = None
     chi["config"]["instance"] = {}
     alt["config"]["options"]["ordering"] = None
     del ex["result"]["report"]["quantity"]
@@ -382,10 +388,13 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
                         (scalar_assignment, "the assignment is not a list of ints"),
                         (string_r, "in the instance, r is not of type int"),
                         (string_i, "in options, i is not of type int"),
-                        (string_value, "the report: invalid literal"),
+                        (string_value, "in the report, value is not of type int"),
                         (string_double, "in the host, double is not of type bool"),
                         (string_witness, "the witness is not a JSON object"),
-                        (unknown_witness, "unknown witness kind 'hunch'")):
+                        (unknown_witness, "unknown witness kind 'hunch'"),
+                        (list_quantity, "in config, quantity is not of type str"),
+                        (dict_quantity, "in config, quantity is not of type str"),
+                        (null_r, "in the instance, r is not of type int")):
         bad.write_text(json.dumps(doc))
         code = main(["verify", str(bad)])
         captured = capsys.readouterr()
@@ -415,6 +424,65 @@ def test_exit_codes_for_bad_input(capsys, tmp_path):
         assert code == 2, text
         assert captured.out == ""
         assert reason in captured.err, text
+
+
+_K4_P2 = ("--host", "complete", "--n", "4", "--pattern", "path", "--len", "2")
+_CYCLE5_CERTIFICATE = ("compute", "certificate", "--host", "cycle", "--n", "5", "--identity")
+
+
+# each edit leaves a document that verified while the record readers coerced
+# values with int() and bool() and verify skipped fields it prints
+@pytest.mark.parametrize("argv, path, edit, code", (
+    (("compute", "ex", *_K4_P2), ("result", "report", "value"), lambda v: v + 0.5, 2),
+    (("compute", "ex", *_K4_P2), ("result", "report", "witness_edges"),
+     lambda ids: [float(e) for e in ids], 2),
+    # both alternating maxima are 3 on a triangle under K3
+    (("compute", "ex-alt", "--host", "complete", "--n", "3", "--pattern", "complete",
+      "--pattern-n", "3"), ("result", "report", "quantity"), lambda q: "ex-salt", 1),
+    (("compute", "ex-alt", *_K4_P2, "--identity"), ("config", "options", "ordering", "sequence"),
+     lambda seq: seq[::-1], 1),
+    (_CYCLE5_CERTIFICATE, ("result", "certificate", "strong"), lambda s: [], 2),
+    (_CYCLE5_CERTIFICATE, ("result", "certificate", "i"), lambda i: 1.5, 2),
+    (_CYCLE5_CERTIFICATE, ("result", "certificate", "witness"),
+     lambda w: [True if x == 1 else x for x in w], 2),
+    (_CYCLE5_CERTIFICATE, ("result", "value"), lambda v: True, 2),
+    (_CYCLE5_CERTIFICATE, ("config", "options", "i"), lambda i: 2, 1),
+    (("build", "--family", "circular", "--n", "5", "--d", "2"), ("result", "n_vertices"),
+     lambda n: 999, 1),
+    (("compute", "alt-sigma", *_K4_P2), ("result", "i"), lambda i: 7, 1),
+    (("compute", "chi", "--family", "kneser", "--n", "5", "--k", "2"), ("result", "assignment"),
+     lambda a: None, 1),
+), ids=("report-value-float", "report-witness-edges-floats", "report-quantity",
+        "report-options-ordering", "certificate-strong-list", "certificate-i-float", "certificate-witness-bools",
+        "certificate-headline-bool", "certificate-options-level", "build-n-vertices",
+        "alt-sigma-result-level", "chi-without-coloring"))
+def test_verify_refuses_coerced_and_unchecked_fields(capsys, tmp_path, argv, path, edit, code):
+    doc = _run_json(capsys, *argv)
+    *keys, last = path
+    node = doc
+    for key in keys:
+        node = node[key]
+    node[last] = edit(node[last])
+    file = tmp_path / "doc.json"
+    file.write_text(canonical_dumps(doc))
+    got, out = _run(capsys, "verify", str(file))
+    assert got == code, out
+    assert out == "" if code == 2 else json.loads(out)["verified"] is False
+
+
+@pytest.mark.parametrize("flags", (("--host", "complete", "--n", "5000"),
+                                   ("--host", "complete-uniform", "--n", "60", "--s", "8")))
+def test_named_builders_check_sizes_before_making_edges(flags):
+    # with a 1 GB address space: making the edges first ends in a MemoryError
+    probe = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+             "from kneserturan.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    out = subprocess.run([sys.executable, "-c", probe, "build", *flags], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert "Traceback" not in out.stderr
 
 
 def test_cap_escape_hatch_required(capsys):

@@ -21,7 +21,6 @@ from kneserturan import (
     kernels,
     kneser_of_family,
     max_clique,
-    validate_graph_coloring,
     validate_hypergraph_coloring,
 )
 from kneserturan.exactsolve import (
@@ -49,7 +48,7 @@ def test_petersen_chromatic_number():
     pet = build_named_kneser("kneser", n=5, k=2).graph
     report = chromatic_number_graph(pet)
     assert report.value == 3
-    assert validate_graph_coloring(pet, report.coloring.assignment)
+    assert validate_hypergraph_coloring(pet, report.coloring.assignment)
     assert len(set(report.coloring.assignment)) == 3
 
 
@@ -85,7 +84,7 @@ def test_chromatic_matches_brute_force():
         g = random_graph(rng, rng.randint(2, 6), rng.choice((0.3, 0.6)))
         report = chromatic_number_graph(g)
         assert report.value == _brute_chi_graph(g)
-        assert validate_graph_coloring(g, report.coloring.assignment)
+        assert validate_hypergraph_coloring(g, report.coloring.assignment)
 
 
 def test_independence_covering_duality():
@@ -113,7 +112,7 @@ def test_dsatur_is_proper_upper_bound():
     for _ in range(20):
         g = random_graph(rng, rng.randint(2, 7), 0.5)
         assignment = dsatur_coloring(g)
-        assert validate_graph_coloring(g, assignment)
+        assert validate_hypergraph_coloring(g, assignment)
         assert len(set(assignment)) >= chromatic_number_graph(g).value
 
 

@@ -13,7 +13,7 @@ from kneserturan import (
     kneser_of_family,
     run_golden_suite,
     turan_coloring,
-    validate_graph_coloring,
+    validate_hypergraph_coloring,
 )
 
 _P2 = family_of(build_named_family("path", length=2))
@@ -39,14 +39,14 @@ def test_path_coloring_on_k4():
     cert = _factor_coloring(g, ((0, 1), (2, 3)))
     assert cert.num_colors == 6 - (2 * 4) // 3  # == 4
     assert len(cert.assignment) == 12
-    assert validate_graph_coloring(kneser_of_family(g, _P2).result, cert.assignment)
+    assert validate_hypergraph_coloring(kneser_of_family(g, _P2).result, cert.assignment)
 
 
 def test_path_coloring_on_k6():
     g = build_named_family("complete", n=6)
     cert = _factor_coloring(g, ((0, 1, 2), (3, 4, 5)))
     assert cert.num_colors == 15 - (2 * 6) // 3  # == 11
-    assert validate_graph_coloring(kneser_of_family(g, _P2).result, cert.assignment)
+    assert validate_hypergraph_coloring(kneser_of_family(g, _P2).result, cert.assignment)
 
 
 def test_path_coloring_on_two_triangles():
@@ -89,7 +89,7 @@ def test_factored_graphs_reach_the_floor_formula():
         expected = g.n_edges - (2 * n) // 3
         assert cert.num_colors == expected
         kg = kneser_of_family(g, _P2).result
-        assert validate_graph_coloring(kg, cert.assignment)
+        assert validate_hypergraph_coloring(kg, cert.assignment)
         if kg.n_vertices <= 40:
             assert chromatic_number_graph(kg).value == expected
             checked += 1

@@ -14,7 +14,6 @@ from kneserturan import (
     SizeCapError,
     TuranReport,
     VerificationError,
-    alt_prime_sigma_level,
     alt_sigma_level,
     altermatic_certificate,
     build_named_family,
@@ -32,7 +31,7 @@ from kneserturan import (
     salt_sigma,
     turan_coloring,
     turan_number,
-    validate_graph_coloring,
+    validate_hypergraph_coloring,
     verify_certificate,
     verify_turan_report,
 )
@@ -149,7 +148,7 @@ def test_turan_coloring_is_proper_with_edges_minus_ex_colors(data):
     cert = turan_coloring(host, fam, report.witness_edges)
     assert cert.num_colors == host.n_edges - report.value
     assert len(set(cert.assignment)) == cert.num_colors
-    assert validate_graph_coloring(kneser_of_family(host, fam).result, cert.assignment)
+    assert validate_hypergraph_coloring(kneser_of_family(host, fam).result, cert.assignment)
 
 
 # --- alternating variants at a fixed ordering ---
@@ -396,7 +395,7 @@ def test_ordering_search_agrees_with_raw_enumeration():
         for i in (1, 2):
             for p in permutations(range(n)):
                 sigma = LinearOrdering(p)
-                assert alt_sigma_level(rep, sigma, i) == alt_prime_sigma_level(rep, sigma, i)
+                assert alt_sigma_level(rep, sigma, i) == _vector_alternation(rep, sigma, i, False)
 
 
 def test_alternating_colorings_and_sign_vectors_match():
@@ -530,7 +529,7 @@ def test_sign_vector_alternation_matches_raw_enumeration(instance):
     # it packages passes the verifier, exhaustive re-check included
     rep, sigma = instance
     for i in (1, 2, 3):
-        assert alt_sigma_level(rep, sigma, i) == alt_prime_sigma_level(rep, sigma, i), i
+        assert alt_sigma_level(rep, sigma, i) == _vector_alternation(rep, sigma, i, False), i
     assert salt_sigma(rep, sigma) == _vector_alternation(rep, sigma, 1, True)
     for i, strong in ((1, False), (2, False), (3, False), (1, True)):
         cert = altermatic_certificate(rep, sigma, i=i, strong=strong)
