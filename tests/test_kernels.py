@@ -350,6 +350,24 @@ def test_hypergraph_search_nodes_pinned():
         assert got == scored, (host, pattern)
 
 
+def test_independent_set_search_nodes_pinned():
+    # the hypergraph search on the C4 occurrences of three hosts, the
+    # Turan numbers ex(K6,C4) = 7, ex(K7,C4) = 9 and ex(K4,4,C4) = 9; a
+    # changed pick, cut or packing shows here as a changed count
+    c4 = patterns.family_of(hyperstruct.build_named_family("cycle", n=4))
+    pinned = (
+        ("complete", {"n": 6}, 7, 839),
+        ("complete", {"n": 7}, 9, 9_257),
+        ("complete_bipartite", {"m": 4, "n": 4}, 9, 487),
+    )
+    for kind, params, ex, nodes in pinned:
+        host = hyperstruct.build_named_family(kind, **params)
+        occ = patterns.pattern_hypergraph(host, c4).edge_masks
+        m = host.n_edges
+        assert kernels.max_independent_set(m, occ)[0] == ex, kind
+        assert search_nodes(kernels.max_independent_set, m, occ) == nodes, (kind, params)
+
+
 def _reference_hypergraph_color_decision(n, edge_masks, k):
     """The search with per-edge unit propagation and an O(n) selection scan:
     the oracle for kernels.hypergraph_color_decision, which keeps its state in

@@ -317,6 +317,22 @@ def test_exact_scan_best_alternating_calls(monkeypatch, host, strong, calls):
     assert len(set(seen)) == calls
 
 
+def test_ordering_scan_search_nodes_pinned():
+    # nodes of the alternating searches of ex_alt_min on P2, summed over the
+    # orderings it tries: (plain, strong) in each mode; the kernel calls of
+    # the floor are not counted
+    pinned = (
+        (build_named_family("cycle", n=7), "exact", (2_242, 2_406)),
+        (build_named_family("complete", n=4), "exact", (119, 98)),
+        (build_named_family("complete", n=6), "heuristic", (1_053, 2_350)),
+        (build_named_family("complete_bipartite", m=3, n=4), "heuristic", (856, 1_007)),
+    )
+    for host, mode, counts in pinned:
+        got = tuple(search_nodes(ex_alt_min, host, _p2(), strong, mode)
+                    for strong in (False, True))
+        assert got == counts, (host.n_edges, mode)
+
+
 def test_interval_ordering_layout():
     g = doubled(build_named_family("path", length=2))
     sigma = interval_ordering(g)
