@@ -428,7 +428,8 @@ class _Quantity(NamedTuple):
     operand and the options echo, so verify can rerun it from a document.
     ``result_keys`` are the result fields verify reads, the headline first.
     ``reads`` names which of the options in _QUANTITY_OPTIONS the quantity
-    reads; compute refuses any other one set away from its default.
+    reads, besides the ordering flags, which every quantity with an ordering
+    kind reads; compute refuses any other one set away from its default.
     """
 
     result_keys: tuple[str, ...]
@@ -439,6 +440,9 @@ class _Quantity(NamedTuple):
     ordering: str | None = None
     reads: tuple[str, ...] = ()
 
+    def reads_option(self, option: str) -> bool:
+        return option in self.reads or (option in _ORDERING_FLAGS and self.ordering is not None)
+
 
 def _alternating_cap(args) -> int:
     # a fixed ordering (--ordering, --interval, --identity) runs ex_alt_sigma,
@@ -448,22 +452,27 @@ def _alternating_cap(args) -> int:
     return DEFAULT_TURAN_CAP if fixed else DEFAULT_ORDERING_CAP
 
 
+_SEARCH_OPTIONS = ("mode", "seed", "restarts")
+
 _QUANTITIES = {
     "chi": _Quantity(("chi", "witness"), _target_of, lambda args: DEFAULT_SOLVER_CAP,
-                     _compute_chi, _verify_chi),
+                     _compute_chi, _verify_chi, reads=("r",)),
     "alpha": _Quantity(("alpha", "witness_vertices"), _target_of,
                        lambda args: DEFAULT_SOLVER_CAP,
                        partial(_compute_vertex_set, "alpha", independence_number),
-                       _verify_vertex_set),
+                       _verify_vertex_set, reads=("r",)),
     "beta": _Quantity(("beta", "witness_vertices"), _target_of,
                       lambda args: DEFAULT_SOLVER_CAP,
-                      partial(_compute_vertex_set, "beta", covering_number), _verify_vertex_set),
+                      partial(_compute_vertex_set, "beta", covering_number), _verify_vertex_set,
+                      reads=("r",)),
     "ex": _Quantity(("ex", "report"), _host_and_family, lambda args: DEFAULT_TURAN_CAP,
-                    _compute_ex, _verify_turan),
+                    _compute_ex, _verify_turan, reads=_SEARCH_OPTIONS),
     "ex-alt": _Quantity(("ex-alt", "report"), _host_and_family, _alternating_cap,
-                        partial(_compute_alternating, "ex-alt"), _verify_turan, "minimized"),
+                        partial(_compute_alternating, "ex-alt"), _verify_turan, "minimized",
+                        _SEARCH_OPTIONS),
     "ex-salt": _Quantity(("ex-salt", "report"), _host_and_family, _alternating_cap,
-                         partial(_compute_alternating, "ex-salt"), _verify_turan, "minimized"),
+                         partial(_compute_alternating, "ex-salt"), _verify_turan, "minimized",
+                         _SEARCH_OPTIONS),
     "alt-sigma": _Quantity(("alt", "i"), _rep_of, lambda args: DEFAULT_ALT_CAP,
                            _compute_alt_sigma, _verify_alt_sigma, "identity", ("i",)),
     "salt-sigma": _Quantity(("salt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
@@ -478,20 +487,39 @@ _QUANTITIES = {
 
 _OPTION_KEYS = ("r", "i", "strong", "mode", "seed", "restarts", "cap", "ordering")
 
-# the options only some quantities read: (name, default, what to use instead)
+# the options only some quantities read: (name, default, what to use instead).
+# The options echo folds the ordering flags into "ordering", so verify finds
+# only that one of them; compute finds all four among the parsed arguments.
 _QUANTITY_OPTIONS = (
+    ("r", None, ""),
     ("i", 1, ""),
     ("strong", False, "; the strong alternations are ex-salt and salt-sigma"),
+    ("mode", "auto", ""),
+    ("seed", 0, ""),
+    ("restarts", 64, ""),
+    ("ordering", None, ""),
+    ("interval", False, ""),
+    ("identity", False, ""),
+    ("singles_last", False, ""),
 )
+_ORDERING_FLAGS = ("ordering", "interval", "identity", "singles_last")
 
 
-def _check_options(name: str, options: dict) -> None:
-    """Refuse any option of _QUANTITY_OPTIONS away from its default that ``name`` does not read."""
+def _check_options(name: str, options: dict, instance) -> None:
+    """Refuse any option of _QUANTITY_OPTIONS away from its default that ``name`` does not read.
+
+    The r of a named instance is a parameter of its family (permutation), or
+    2, the only order the other families take, so it is not checked here.
+    """
+    named = isinstance(instance, dict) and instance.get("scheme") == "named"
     for option, default, hint in _QUANTITY_OPTIONS:
-        if options[option] != default and option not in _QUANTITIES[name].reads:
-            users = " and ".join(n for n, q in _QUANTITIES.items() if option in q.reads)
+        if option == "r" and named:
+            continue
+        if options.get(option, default) != default and not _QUANTITIES[name].reads_option(option):
+            users = ", ".join(n for n, q in _QUANTITIES.items() if q.reads_option(option))
+            flag = option.replace("_", "-")
             raise InvalidParameterError(
-                f"{name} does not read --{option}, which applies to {users}{hint}")
+                f"{name} does not read --{flag}, which applies to {users}{hint}")
 
 
 def _options_echo(args, cap, ordering_echo) -> dict:
@@ -516,8 +544,9 @@ def _run_build(args) -> tuple[dict, int]:
 
 def _run_compute(args) -> tuple[dict, int]:
     quantity = _QUANTITIES[args.quantity]
-    _check_options(args.quantity, vars(args))
-    resolved = _rebuild_instance(_instance_config(args))
+    instance = _instance_config(args)
+    _check_options(args.quantity, vars(args), instance)
+    resolved = _rebuild_instance(instance)
     cap = _cap_for(quantity.default_cap(args), args)
     operand = quantity.operand(resolved)
     ordering = _resolve_ordering(args, resolved, quantity.ordering) if quantity.ordering else None
@@ -593,7 +622,7 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     quantity = _QUANTITIES[name]
     _require(config["options"], _OPTION_KEYS, "options")
     _require(config["options"], ("i", "seed", "restarts"), "options", int)
-    _check_options(name, config["options"])
+    _check_options(name, config["options"], config["instance"])
     if quantity.ordering:
         _require(config["options"]["ordering"], ("kind",), "the ordering echo")
     _require(result, quantity.result_keys, "result")

@@ -2,12 +2,14 @@
 
 max_independent_set branches on the hitting-set dichotomy, and cuts a node
 when a packing of realizable edges with disjoint free parts shows that it
-cannot beat the best size. On graphs it runs the same search on adjacency
-masks: choosing a vertex drops all its neighbours from the candidates in
-one step, the branching edge comes from masks of lower neighbours rather
-than a scan of the edge list, and a clique-partition bound cuts subtrees
-that cannot change the result. Both paths return the first maximum leaf of
-the same tree.
+cannot beat the best size. Each node hands its children the edges still
+realizable there, so no node rescans an edge that can no longer be picked,
+and the leaves and their order stay those of a scan of every edge. On
+graphs it runs the same search on adjacency masks: choosing a vertex drops
+all its neighbours from the candidates in one step, the branching edge
+comes from masks of lower neighbours rather than a scan of the edge list,
+and a clique-partition bound cuts subtrees that cannot change the result.
+Both paths return the first maximum leaf of the same tree.
 
 One coloring search, _color_search, serves graphs and hypergraphs. It keeps
 its state in color-class, banned-color and level masks, so a node costs
@@ -101,6 +103,12 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     under it has no leaf. Neither cut drops a strictly better leaf, so the
     first maximum leaf, the result, is that of the search without them.
 
+    The same scan collects the realizable edges, in sorted order, and the
+    children scan only those. chosen|candidates only shrinks down the tree,
+    so an edge that is not realizable at a node is realizable at none of
+    its descendants: every pick, packing and cut, and so every leaf and
+    their order, is that of the scan of every edge.
+
     When every minimal edge has two vertices, all below ``n``, the graph
     search of max_independent_set_graph runs instead, on the adjacency masks
     of those edges. It returns the same result, witness included.
@@ -120,7 +128,7 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     best_size = 0
     best_mask = 0
 
-    def rec(chosen: int, cand: int):
+    def rec(chosen: int, cand: int, edges):
         nonlocal best_size, best_mask
         union = chosen | cand
         total = union.bit_count()
@@ -130,12 +138,14 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
         pick_t = n + 1
         packed = 0
         packing = 0
+        realizable = []
         for e in edges:
             if e & ~union:
                 continue
             free = e & ~chosen
             if not free:
                 return  # an edge is fully inside the committed part
+            realizable.append(e)
             if not free & packed:
                 packed |= free
                 packing += 1
@@ -151,10 +161,10 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
         forced = 0
         for v in bits_of(pick & ~chosen):
             bit = 1 << v
-            rec(chosen | forced, cand & ~(forced | bit))
+            rec(chosen | forced, cand & ~(forced | bit), realizable)
             forced |= bit
 
-    rec(0, full)
+    rec(0, full, edges)
     return best_size, best_mask
 
 

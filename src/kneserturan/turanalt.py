@@ -234,7 +234,7 @@ def turan_number(host: Hypergraph, family: PatternFamily, mode: str = "auto",
 def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[int, int]:
     """Best of ``restarts`` seeded greedy passes, each taking in shuffled
     order every edge that completes no occurrence with the edges taken."""
-    rests, singles = _alternating_tables(m, occ_masks)
+    ones, longer, singles = _alternating_tables(m, occ_masks)
     rng = random.Random(seed)
     best_size, best_mask = 0, 0
     order = list(range(m))
@@ -243,7 +243,7 @@ def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[in
         mask = 0
         size = 0
         for e in order:
-            if not singles >> e & 1 and all(r & ~mask for r in rests[e]):
+            if not (singles >> e & 1 or ones[e] & mask) and all(r & ~mask for r in longer[e]):
                 mask |= 1 << e
                 size += 1
         if size > best_size:
@@ -332,19 +332,26 @@ def ex_alt_sigma(host: Hypergraph, family: PatternFamily, sigma: LinearOrdering,
 
 
 def _alternating_tables(m: int, occ_masks):
-    """The tables _best_alternating searches on, which depend on the host
-    alone: for each host edge e the rests ``om - e`` of the occurrences om
-    through e that have more than one edge, and the mask of the single-edge
-    occurrences."""
-    rests: list[list[int]] = [[] for _ in range(m)]
+    """The tables ``(ones, longer, singles)`` _best_alternating searches on,
+    which depend on the host alone. For each host edge e, the rests ``om -
+    e`` of the occurrences om through e that have more than one edge are
+    split by size: ``ones[e]`` is the mask of the one-edge rests, and
+    ``longer[e]`` lists the others. ``singles`` is the mask of the
+    single-edge occurrences."""
+    ones = [0] * m
+    longer: list[list[int]] = [[] for _ in range(m)]
     singles = 0
     for om in occ_masks:
         if om & (om - 1) == 0:
             singles |= om
             continue
         for e in bits_of(om):
-            rests[e].append(om ^ (1 << e))
-    return rests, singles
+            r = om ^ (1 << e)
+            if r & (r - 1) == 0:
+                ones[e] |= r
+            else:
+                longer[e].append(r)
+    return ones, longer, singles
 
 
 def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int = 1):
@@ -367,8 +374,11 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
     mask test rather than a scan of the occurrences through the edge. When e
     joins a class, an occurrence through e with a single edge left outside
     the class makes that edge dead; single-edge occurrences are dead in both
-    classes from the start. From ``level`` 2 on (plain form only) the
-    disjointness graph of the occurrences inside either class must stay
+    classes from the start. The one-edge rests are kept in the mask
+    ``ones[e]``, so one mask operation makes those outside the class dead,
+    and only the rests of ``longer[e]`` are scanned; on P2 every rest has
+    one edge, and a take scans none. From ``level`` 2 on (plain form only)
+    the disjointness graph of the occurrences inside either class must stay
     (level - 1)-colorable; a take lists the occurrences it completes and
     tests the grown list, and no edge is dead. An occurrence inside one
     class is disjoint from any inside the other, so one flat list serves
@@ -385,7 +395,7 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
     longer coloring, leaves the result, witness and aborts included, as
     they were without it.
     """
-    rests, singles = tables
+    ones, longer, singles = tables
     m = len(seq)
     best = -1
     best_choice: tuple[int, ...] = ()
@@ -422,7 +432,8 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
                 grown = side | bit
                 dead = dead_side
                 if not completes:  # a class holding an occurrence needs no dead mask
-                    for r in rests[e]:
+                    dead |= ones[e] & ~grown
+                    for r in longer[e]:
                         x = r & ~grown
                         if x & (x - 1) == 0:
                             dead |= x
@@ -435,7 +446,9 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
             # a loop: before Python 3.12 a comprehension here would make
             # ``side`` and ``bit`` closure cells of rec, slowing every node
             new = [bit] if singles & bit else []
-            for r in rests[e]:
+            for f in bits_of(ones[e] & side):
+                new.append(bit | 1 << f)
+            for r in longer[e]:
                 if r & side == r:
                     new.append(r | bit)
             if not new or _disjointness_colorable(inside + new, level - 1):

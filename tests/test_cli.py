@@ -651,6 +651,14 @@ def test_strong_certificate_rejects_level(capsys):
     ("ex-alt", ("--strong",)),
     ("ex-salt", ("--i", "3")),
     ("chi", ("--strong",)),
+    ("chi", ("--ordering", "missing.json")),
+    ("chi", ("--interval",)),
+    ("beta", ("--singles-last",)),
+    ("alpha", ("--mode", "heuristic")),
+    ("alpha", ("--seed", "5")),
+    ("certificate", ("--restarts", "3")),
+    ("ex", ("--r", "3")),
+    ("ex-salt", ("--r", "2")),
 ])
 def test_quantity_rejects_options_it_does_not_read(capsys, quantity, flag):
     # ex-salt is the strong ex-alt and takes no level; chi takes neither
@@ -692,6 +700,36 @@ def test_verify_applies_the_option_check_of_compute(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == reason
+
+
+@pytest.mark.parametrize("quantity, edit, flag", [
+    ("chi", {"ordering": {"kind": "identity", "sequence": [0, 1, 2, 3, 4, 5]}}, "--ordering"),
+    ("alpha", {"mode": "heuristic"}, "--mode"),
+    ("beta", {"seed": 5}, "--seed"),
+    ("ex", {"r": 3}, "--r"),
+    ("certificate", {"restarts": 3}, "--restarts"),
+])
+def test_verify_refuses_options_the_quantity_ignores(capsys, tmp_path, quantity, edit, flag):
+    # compute refuses each of these options; verify refuses its echo alike
+    doc = _run_json(capsys, "compute", quantity, "--host", "complete", "--n", "4",
+                    "--pattern", "path", "--len", "2")
+    doc["config"]["options"].update(edit)
+    path = tmp_path / "doc.json"
+    path.write_text(canonical_dumps(doc))
+    code = main(["verify", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{quantity} does not read {flag}" in captured.err
+
+
+def test_named_family_r_is_a_parameter_for_every_quantity(capsys):
+    # the r of the permutation family picks the family, not a power order
+    for quantity in ("chi", "ex", "certificate"):
+        doc = _run_json(capsys, "compute", quantity, "--family", "permutation",
+                        "--m", "3", "--n", "3", "--r", "2")
+        assert doc["config"]["options"]["r"] == 2
+        assert doc["config"]["instance"]["params"]["r"] == 2
 
 
 def test_manifest_constructions_are_compute_chi_instance_echoes(capsys, tmp_path):

@@ -35,7 +35,7 @@ from kneserturan import (
     verify_certificate,
     verify_turan_report,
 )
-from kneserturan.hyperstruct import mask_of
+from kneserturan.hyperstruct import bits_of, mask_of
 from kneserturan import turanalt
 from kneserturan.turanalt import (
     _admissible_vertex_vectors,
@@ -251,6 +251,23 @@ def test_exact_ordering_scan_matches_unfloored_scan(instance):
         coloring = report.witness_coloring
         got = (report.value, coloring.ordering.sequence, coloring.colored)
         assert got == _reference_ordering_scan(host.n_edges, occ, strong), strong
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=_scan_instances(7))
+def test_alternating_tables_split_the_rests_by_size(instance):
+    # ones[e] is the mask of the one-edge rests om - e, longer[e] lists the
+    # others; together they are the rests of the multi-edge occurrences om
+    # through e, and singles is the mask of the one-edge occurrences
+    host, fam = instance
+    m = host.n_edges
+    occ = occurrence_masks(host, fam)
+    ones, longer, singles = _alternating_tables(m, occ)
+    assert singles == mask_of(om.bit_length() - 1 for om in occ if om.bit_count() == 1)
+    for e in range(m):
+        rests = sorted(om ^ 1 << e for om in occ if om >> e & 1 and om.bit_count() > 1)
+        assert all(r.bit_count() >= 2 for r in longer[e])
+        assert sorted([1 << f for f in bits_of(ones[e])] + longer[e]) == rests
 
 
 @settings(max_examples=80, deadline=None)
