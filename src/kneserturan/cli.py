@@ -429,7 +429,8 @@ class _Quantity(NamedTuple):
     ``result_keys`` are the result fields verify reads, the headline first.
     ``reads`` names which of the options in _QUANTITY_OPTIONS the quantity
     reads, besides the ordering flags, which every quantity with an ordering
-    kind reads; compute refuses any other one set away from its default.
+    kind reads; compute refuses any other one set away from its default, and
+    _check_options narrows both by the ordering given.
     """
 
     result_keys: tuple[str, ...]
@@ -444,12 +445,20 @@ class _Quantity(NamedTuple):
         return option in self.reads or (option in _ORDERING_FLAGS and self.ordering is not None)
 
 
+def _fixed_ordering(options: dict) -> bool:
+    """Whether parsed arguments or an options echo fix the ordering (with
+    --ordering, --interval or --identity), so that ex-alt and ex-salt run
+    ex_alt_sigma rather than the ordering scan."""
+    ordering = options.get("ordering")
+    if isinstance(ordering, dict):  # the echo folds the ordering flags into one record
+        return ordering.get("kind") != "minimized"
+    return bool(ordering or options.get("interval") or options.get("identity"))
+
+
 def _alternating_cap(args) -> int:
-    # a fixed ordering (--ordering, --interval, --identity) runs ex_alt_sigma,
-    # whose default cap is the Turan cap; without one, --cap is checked against
-    # the ordering scan's default
-    fixed = args.ordering or args.interval or args.identity
-    return DEFAULT_TURAN_CAP if fixed else DEFAULT_ORDERING_CAP
+    # ex_alt_sigma's default cap is the Turan cap; without a fixed ordering,
+    # --cap is checked against the ordering scan's default
+    return DEFAULT_TURAN_CAP if _fixed_ordering(vars(args)) else DEFAULT_ORDERING_CAP
 
 
 _SEARCH_OPTIONS = ("mode", "seed", "restarts")
@@ -510,16 +519,27 @@ def _check_options(name: str, options: dict, instance) -> None:
 
     The r of a named instance is a parameter of its family (permutation), or
     2, the only order the other families take, so it is not checked here.
+    A quantity with an ordering kind reads the search options only when it
+    scans the orderings, not at a fixed ordering, and --singles-last only
+    with --interval.
     """
     named = isinstance(instance, dict) and instance.get("scheme") == "named"
+    quantity = _QUANTITIES[name]
     for option, default, hint in _QUANTITY_OPTIONS:
-        if option == "r" and named:
+        if (option == "r" and named) or options.get(option, default) == default:
             continue
-        if options.get(option, default) != default and not _QUANTITIES[name].reads_option(option):
+        flag = option.replace("_", "-")
+        if not quantity.reads_option(option):
             users = ", ".join(n for n, q in _QUANTITIES.items() if q.reads_option(option))
-            flag = option.replace("_", "-")
             raise InvalidParameterError(
                 f"{name} does not read --{flag}, which applies to {users}{hint}")
+        if option in _SEARCH_OPTIONS and quantity.ordering and _fixed_ordering(options):
+            raise InvalidParameterError(
+                f"{name} does not read --{flag} at a fixed ordering; it applies to the "
+                "ordering scan, which runs when no ordering flag is given")
+        if option == "singles_last" and not options.get("interval"):
+            raise InvalidParameterError(
+                f"{name} does not read --singles-last without --interval, whose layout it changes")
 
 
 def _options_echo(args, cap, ordering_echo) -> dict:

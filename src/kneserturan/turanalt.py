@@ -38,6 +38,9 @@ from .patterns import PatternFamily, _automorphisms, pattern_hypergraph
 DEFAULT_TURAN_CAP = 24
 DEFAULT_ORDERING_CAP = 8
 DEFAULT_ALT_CAP = 20
+# chains _least_alternating keeps: one or two leave more orderings to search,
+# many more make the orderings that hold none slower to pass
+_CHAINS_KEPT = 4
 BRUTE_TURAN_CAP = 16
 BRUTE_CERTIFICATE_CAP = 10
 
@@ -475,17 +478,19 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
     """Minimize ex_alt_sigma (or the strong form) over orderings.
 
     Mode "auto" is exact up to ``cap`` host edges and heuristic beyond.
-    Both modes run _least_alternating over their orderings. Exact mode
-    scans the orderings of up to ``cap`` host edges (see _scan_orderings for
-    which ones) and stops early at a floor no ordering can go below. An
-    ex-sized occurrence-free edge set, colored alternately, gives ex <=
-    ex_alt_sigma, and ex + 1 <= ex_salt_sigma on hosts that contain an
-    occurrence. The altermatic bounds of Alishahi and Hajiabolhassan, which
-    the paper builds on, give chi(KG(G,F)) >= |E| - ex_alt_sigma and
-    chi(KG(G,F)) >= |E| + 1 - ex_salt_sigma for every sigma, so a proper
-    coloring of KG(G,F) with c colors gives |E| - c <= ex_alt_sigma and
-    |E| + 1 - c <= ex_salt_sigma. The floor is the larger of the two
-    bounds, or |E| on hosts without an occurrence. Heuristic mode tries
+    Both modes run _least_alternating over their orderings, which skips an
+    ordering when a coloring an earlier search found is also an alternating
+    coloring of it, as long as the running minimum or longer; that changes
+    no result. Exact mode scans the orderings of up to ``cap`` host edges
+    (see _scan_orderings for which ones) and stops early at a floor no
+    ordering can go below. An ex-sized occurrence-free edge set, colored
+    alternately, gives ex <= ex_alt_sigma, and ex + 1 <= ex_salt_sigma on
+    hosts that contain an occurrence. The altermatic bounds of Alishahi
+    and Hajiabolhassan, which the paper builds on, give chi(KG(G,F)) >=
+    |E| - ex_alt_sigma and chi(KG(G,F)) >= |E| + 1 - ex_salt_sigma for
+    every sigma, so a proper coloring of KG(G,F) with c colors gives
+    |E| - c <= ex_alt_sigma and |E| + 1 - c <= ex_salt_sigma. The floor is
+    the larger of the two bounds, or |E| on hosts without an occurrence. Heuristic mode tries
     interval orderings plus seeded random restarts and tags the result as
     an upper bound on the true minimum; it has no floor, which its values
     seldom meet.
@@ -535,17 +540,52 @@ def _least_alternating(orderings, tables, strong: bool, floor: int):
     reaches it aborts with a value that cannot move it. The scan ends as
     soon as the minimum is at most ``floor``; orderings after that are
     never drawn from the iterable.
+
+    The colored edges of each search, in order, form a chain; the last
+    _CHAINS_KEPT chains are kept, the most recently used first. An ordering
+    that holds a kept chain as a subsequence is skipped unsearched, and the
+    chain moves to the front. The color of a chain element depends only on
+    its place in the chain, so the chain is an alternating coloring of that
+    ordering too, in the plain and in the strong form, and its length is at
+    least the running minimum: the ordering could neither lower the minimum
+    nor be the first least one. The value, ordering, coloring and floor
+    stop are those of the scan that searches every ordering.
     """
     best = None
     least = None
+    chains: list[tuple[int, ...]] = []
     for seq in orderings:
+        k = _held_chain(chains, seq)
+        if k >= 0:
+            chains.insert(0, chains.pop(k))
+            continue
         val, colored = _best_alternating(seq, tables, strong, least)
         if least is None or val < least:
             least = val
             best = (val, seq, colored)
             if val <= floor:
                 break
+        chains.insert(0, tuple(e for e, _ in colored))
+        del chains[_CHAINS_KEPT:]
     return best
+
+
+def _held_chain(chains, seq) -> int:
+    """Index of the first of ``chains`` that is a subsequence of ``seq``, an
+    ordering of 0..m-1, or -1. Most orderings hold none, so each chain is
+    read only until its places in ``seq`` stop rising."""
+    place = [0] * len(seq)
+    for i, e in enumerate(seq):
+        place[e] = i
+    for k, chain in enumerate(chains):
+        last = -1
+        for e in chain:
+            if place[e] < last:
+                break
+            last = place[e]
+        else:
+            return k
+    return -1
 
 
 def _scan_floor(m: int, occ_masks, strong: bool) -> int:

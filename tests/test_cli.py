@@ -240,8 +240,8 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
         code, out = _run(capsys, "verify", str(path))
         return code, json.loads(out)
 
-    for quantity, flags in (("chi", ()), ("alpha", ()), ("beta", ()),
-                            ("ex", ("--pattern", "path", "--len", "2"))):
+    for quantity in ("chi", "alpha", "beta", "ex", "ex-alt", "ex-salt"):
+        flags = ("--pattern", "path", "--len", "2") if quantity.startswith("ex") else ()
         doc = _run_json(capsys, "compute", quantity, "--input", str(source), *flags)
         code, verdict = verify(doc)
         assert code == 0 and verdict["verified"] is True, (quantity, verdict)
@@ -252,6 +252,11 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
         elif quantity == "ex":
             ids = result["report"]["witness_edges"]
             ids.append(min(set(range(len(graph["edges"]) + 1)) - set(ids)))
+        elif quantity in ("ex-alt", "ex-salt"):
+            colored = result["report"]["witness_coloring"]["colored"]
+            if not colored:
+                continue  # nothing to drop from an empty coloring
+            colored.pop()
         elif result["witness_vertices"]:
             result["witness_vertices"].pop(data.draw(
                 st.integers(0, len(result["witness_vertices"]) - 1)))
@@ -659,6 +664,11 @@ def test_strong_certificate_rejects_level(capsys):
     ("certificate", ("--restarts", "3")),
     ("ex", ("--r", "3")),
     ("ex-salt", ("--r", "2")),
+    ("ex-alt", ("--seed", "3", "--interval")),
+    ("ex-salt", ("--mode", "heuristic", "--identity")),
+    ("ex-alt", ("--restarts", "3", "--identity")),
+    ("ex-alt", ("--singles-last",)),
+    ("ex-salt", ("--singles-last", "--identity")),
 ])
 def test_quantity_rejects_options_it_does_not_read(capsys, quantity, flag):
     # ex-salt is the strong ex-alt and takes no level; chi takes neither
@@ -708,6 +718,12 @@ def test_verify_applies_the_option_check_of_compute(capsys, tmp_path):
     ("beta", {"seed": 5}, "--seed"),
     ("ex", {"r": 3}, "--r"),
     ("certificate", {"restarts": 3}, "--restarts"),
+    ("ex-alt", {"ordering": {"kind": "identity", "sequence": [0, 1, 2, 3, 4, 5]}, "seed": 3},
+     "--seed"),
+    ("ex-salt", {"ordering": {"kind": "interval", "sequence": [0, 1, 2, 3, 4, 5]},
+                 "mode": "exact"}, "--mode"),
+    ("ex-alt", {"ordering": {"kind": "explicit", "sequence": [5, 4, 3, 2, 1, 0]},
+                "restarts": 3}, "--restarts"),
 ])
 def test_verify_refuses_options_the_quantity_ignores(capsys, tmp_path, quantity, edit, flag):
     # compute refuses each of these options; verify refuses its echo alike

@@ -44,8 +44,10 @@ from kneserturan.turanalt import (
     _brute_alternating_value,
     _brute_turan,
     _disjointness_colorable,
+    _least_alternating,
     _lex_leaders,
     _scan_floor,
+    _scan_orderings,
     _vector_alternation,
 )
 from conftest import random_graph, random_hypergraph, search_nodes
@@ -282,6 +284,68 @@ def test_scan_floor_never_exceeds_the_minimum(instance):
         assert _scan_floor(m, occ, strong) <= least == ex_alt_min(host, fam, strong=strong).value
 
 
+def _reference_least_alternating(orderings, tables, strong, floor):
+    """_least_alternating without the chains: every ordering drawn is
+    searched."""
+    best = None
+    least = None
+    for seq in orderings:
+        val, colored = _best_alternating(seq, tables, strong, least)
+        if least is None or val < least:
+            least = val
+            best = (val, seq, colored)
+            if val <= floor:
+                break
+    return best
+
+
+@settings(max_examples=80, deadline=None)
+@given(instance=_scan_instances(7), seed=st.integers(0, 2**16))
+@example(instance=(build_named_family("cycle", n=6), _p2()), seed=0)
+@example(instance=(build_named_family("complete", n=4), _k3()), seed=0)
+def test_chain_skips_leave_the_least_ordering_unchanged(instance, seed):
+    # the exact scan with its floor, and lists of random orderings (repeats
+    # included) with no floor, in the plain and the strong form
+    host, fam = instance
+    m = host.n_edges
+    occ = occurrence_masks(host, fam)
+    occ_graph = pattern_hypergraph(host, fam)
+    tables = _alternating_tables(m, occ)
+    rng = random.Random(seed)
+    randoms = [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(1, 60))]
+    for strong in (False, True):
+        floor = _scan_floor(m, occ, strong)
+        assert _least_alternating(_scan_orderings(m, occ_graph), tables, strong, floor) == \
+            _reference_least_alternating(_scan_orderings(m, occ_graph), tables, strong, floor)
+        assert _least_alternating(randoms, tables, strong, -1) == \
+            _reference_least_alternating(randoms, tables, strong, -1)
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_orderings_the_scan_skips_cannot_go_below_its_minimum(monkeypatch, strong):
+    host = build_named_family("cycle", n=8)
+    drawn, searched = [], set()
+    real_scan, real_search = turanalt._scan_orderings, turanalt._best_alternating
+
+    def recorded_scan(*args):
+        for seq in real_scan(*args):
+            drawn.append(seq)
+            yield seq
+
+    def recorded_search(*args):
+        searched.add(args[0])
+        return real_search(*args)
+
+    monkeypatch.setattr(turanalt, "_scan_orderings", recorded_scan)
+    monkeypatch.setattr(turanalt, "_best_alternating", recorded_search)
+    report = ex_alt_min(host, _p2(), strong=strong)
+    monkeypatch.undo()
+    skipped = [seq for seq in drawn if seq not in searched]
+    assert len(skipped) > len(searched)
+    for seq in skipped:
+        assert ex_alt_sigma(host, _p2(), LinearOrdering(seq), strong).value >= report.value
+
+
 def _closure(gens, m):
     group = {tuple(range(m))}
     frontier = list(group)
@@ -310,14 +374,14 @@ def test_lex_leaders_are_the_least_orderings_of_each_orbit(data):
 
 
 @pytest.mark.parametrize("host, strong, calls", [
-    (build_named_family("complete", n=4), False, 15),
-    (build_named_family("complete", n=4), True, 7),
-    (build_named_family("cycle", n=8), False, 973),
-    (build_named_family("cycle", n=8), True, 670),
+    (build_named_family("complete", n=4), False, 3),
+    (build_named_family("complete", n=4), True, 3),
+    (build_named_family("cycle", n=8), False, 68),
+    (build_named_family("cycle", n=8), True, 114),
     (doubled(build_named_family("cycle", n=4)), False, 1),
     (doubled(build_named_family("cycle", n=4)), True, 1),
-    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), False, 10),
-    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), True, 12),
+    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), False, 7),
+    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), True, 5),
 ])
 def test_exact_scan_best_alternating_calls(monkeypatch, host, strong, calls):
     # orderings searched by the exact scan, the identity included, each once
@@ -339,8 +403,8 @@ def test_ordering_scan_search_nodes_pinned():
     # orderings it tries: (plain, strong) in each mode; the kernel calls of
     # the floor are not counted
     pinned = (
-        (build_named_family("cycle", n=7), "exact", (2_242, 2_406)),
-        (build_named_family("complete", n=4), "exact", (119, 98)),
+        (build_named_family("cycle", n=7), "exact", (178, 379)),
+        (build_named_family("complete", n=4), "exact", (50, 75)),
         (build_named_family("complete", n=6), "heuristic", (1_053, 2_350)),
         (build_named_family("complete_bipartite", m=3, n=4), "heuristic", (856, 1_007)),
     )
