@@ -373,18 +373,8 @@ def test_lex_leaders_are_the_least_orderings_of_each_orbit(data):
         [s for s in leaders if s[0] == first]
 
 
-@pytest.mark.parametrize("host, strong, calls", [
-    (build_named_family("complete", n=4), False, 3),
-    (build_named_family("complete", n=4), True, 3),
-    (build_named_family("cycle", n=8), False, 68),
-    (build_named_family("cycle", n=8), True, 114),
-    (doubled(build_named_family("cycle", n=4)), False, 1),
-    (doubled(build_named_family("cycle", n=4)), True, 1),
-    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), False, 7),
-    (Hypergraph(4, build_named_family("cycle", n=4).edges * 2), True, 5),
-])
-def test_exact_scan_best_alternating_calls(monkeypatch, host, strong, calls):
-    # orderings searched by the exact scan, the identity included, each once
+def _searched_orderings(monkeypatch, host, strong):
+    # orderings ex_alt_min searches on P2, in order, the identity included
     seen = []
     real = turanalt._best_alternating
 
@@ -394,8 +384,56 @@ def test_exact_scan_best_alternating_calls(monkeypatch, host, strong, calls):
 
     monkeypatch.setattr(turanalt, "_best_alternating", counted)
     ex_alt_min(host, _p2(), strong=strong)
+    monkeypatch.undo()
+    return seen
+
+
+_CALL_HOSTS = (
+    build_named_family("complete", n=4),
+    build_named_family("cycle", n=8),
+    doubled(build_named_family("cycle", n=4)),
+    Hypergraph(4, build_named_family("cycle", n=4).edges * 2),
+)
+
+
+@pytest.mark.parametrize("host, strong, calls", [
+    (_CALL_HOSTS[0], False, 15),
+    (_CALL_HOSTS[0], True, 7),
+    (_CALL_HOSTS[1], False, 973),
+    (_CALL_HOSTS[1], True, 670),
+    (_CALL_HOSTS[2], False, 1),
+    (_CALL_HOSTS[2], True, 1),
+    (_CALL_HOSTS[3], False, 10),
+    (_CALL_HOSTS[3], True, 12),
+])
+def test_exact_scan_best_alternating_calls(monkeypatch, host, strong, calls):
+    # with no chain kept, the exact scan searches every ordering it draws,
+    # each once
+    monkeypatch.setattr(turanalt, "_CHAINS_KEPT", 0)
+    seen = _searched_orderings(monkeypatch, host, strong)
     assert len(seen) == calls
     assert len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("host, strong, calls", [
+    (_CALL_HOSTS[0], False, 3),
+    (_CALL_HOSTS[0], True, 3),
+    (_CALL_HOSTS[1], False, 68),
+    (_CALL_HOSTS[1], True, 114),
+    (_CALL_HOSTS[2], False, 1),
+    (_CALL_HOSTS[2], True, 1),
+    (_CALL_HOSTS[3], False, 7),
+    (_CALL_HOSTS[3], True, 5),
+])
+def test_exact_scan_chain_skips_pinned(monkeypatch, host, strong, calls):
+    # the kept chains leave these orderings to search, each once, in the
+    # order the scan that keeps none searches them
+    seen = _searched_orderings(monkeypatch, host, strong)
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
+    monkeypatch.setattr(turanalt, "_CHAINS_KEPT", 0)
+    every = iter(_searched_orderings(monkeypatch, host, strong))
+    assert all(seq in every for seq in seen)
 
 
 def test_ordering_scan_search_nodes_pinned():
