@@ -50,7 +50,6 @@ from .kneser import (
     build_named_kneser,
     kneser_of_family,
     kneser_power,
-    verify_representation,
 )
 from .patterns import (
     PatternFamily,

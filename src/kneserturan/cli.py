@@ -205,6 +205,13 @@ def _build_cap(resolved: _Resolved) -> int:
     return DEFAULT_GRAPH_CAP if (resolved.r or 2) == 2 else DEFAULT_POWER_CAP
 
 
+def _refuse_raw_cap(verb: str, resolved: _Resolved, cap) -> None:
+    # build and export cap the Kneser power; a raw instance without --r has none
+    if resolved.r is None and cap is not None:
+        raise InvalidParameterError(f"{verb} does not read --cap on a raw instance without "
+                                    "--r; it caps the Kneser power that --r asks for")
+
+
 def _host_and_family(resolved: _Resolved) -> tuple[Hypergraph, PatternFamily]:
     if resolved.family is None:
         raise InvalidParameterError("this quantity needs a host and a pattern, "
@@ -405,6 +412,12 @@ def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
     if quantity != "ex" and "sequence" in options["ordering"] and \
             report.witness_coloring.ordering != _sigma(options):
         raise VerificationError("the witness ordering differs from the options echo")
+    if quantity != "ex" and options["ordering"]["kind"] == "minimized" and \
+            report.mode == "exact":
+        # a witness ordering bounds the minimum from above only: rescan where cheap
+        if host.n_edges > DEFAULT_ORDERING_CAP:
+            return {**checks, "value_rechecked": False}
+        checks.update(_verify_recompute(quantity, operand, {**options, "mode": "exact"}, result))
     return checks
 
 
@@ -550,6 +563,7 @@ def _options_echo(args, cap, ordering_echo) -> dict:
 
 def _run_build(args) -> tuple[dict, int]:
     resolved = _rebuild_instance(_instance_config(args))
+    _refuse_raw_cap(args.verb, resolved, args.cap)
     cap = _cap_for(_build_cap(resolved), args)
     target = _target_of(resolved, cap)
     config = {"verb": "build", "instance": resolved.config,
@@ -578,6 +592,7 @@ def _run_compute(args) -> tuple[dict, int]:
 
 def _run_export(args) -> tuple[str, int]:
     resolved = _rebuild_instance(_instance_config(args))
+    _refuse_raw_cap(args.verb, resolved, args.cap)
     cap = _cap_for(_build_cap(resolved), args)
     target = _target_of(resolved, cap)
     if args.format == "dimacs":
@@ -625,7 +640,11 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     if verb == "build":
         _require(result, ("hypergraph",), "result")
         _require(result, ("n_vertices", "n_edges"), "result", int)
-        target = _target_of(_rebuild_instance(config["instance"]))
+        resolved = _rebuild_instance(config["instance"])
+        _require(config, ("options",), "config")
+        _require(config["options"], (), "options")
+        _refuse_raw_cap("build", resolved, config["options"].get("cap"))
+        target = _target_of(resolved)
         if (target.to_json_dict(), target.n_vertices, target.n_edges) != \
                 (result["hypergraph"], result["n_vertices"], result["n_edges"]):
             raise VerificationError("rebuilt hypergraph differs from the document")

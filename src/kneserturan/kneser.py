@@ -5,9 +5,7 @@ hyperedge of H and one r-uniform hyperedge per r-set of pairwise disjoint
 hyperedges of H. With r=2 this is the disjointness graph. Stock families
 (Kneser, stable/Schrijver, circular complete, low-intersection, partial
 permutation graphs) are each a host and a pattern, built through the
-occurrence machinery like any other instance. Only verify_representation
-also builds their textbook definition, with an explicit vertex bijection
-tying the two together.
+occurrence machinery like any other instance.
 
 The instance echo that every CLI document and every golden case carries
 (scheme named, pattern or raw) is resolved here too, by _rebuild_instance;
@@ -16,12 +14,11 @@ _target_of builds the hypergraph a verb acts on from it.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, SizeCapError
 from .hyperstruct import Hypergraph, Record, _require, build_named_family, doubled
-from .patterns import PatternFamily, family_of, find_isomorphism, pattern_hypergraph
+from .patterns import PatternFamily, family_of, pattern_hypergraph
 
 DEFAULT_GRAPH_CAP = 4096
 DEFAULT_POWER_CAP = 512
@@ -99,90 +96,40 @@ class NamedKneser(Record):
 def build_named_kneser(kind: str, **params) -> NamedKneser:
     """kind: kneser(n,k), schrijver(n,k), circular(n,d),
     generalized-kneser(n,k,s), permutation(m,n,r); "_" may stand for "-"."""
-    host, family, _ = _named_parts(kind, params)
-    return NamedKneser(kind.replace("_", "-"), tuple(sorted(params.items())), host, family,
-                       kneser_of_family(host, family))
-
-
-def _named_parts(kind: str, params: dict):
-    """The host, the pattern and the textbook thunk of a named instance."""
     try:
         _, builder = _NAMED_KINDS[kind.replace("_", "-")]
     except KeyError:
         raise InvalidParameterError(f"unknown named Kneser kind {kind!r}") from None
-    return builder(**params)
-
-
-def _sorted_key(e: frozenset[int]) -> tuple[int, ...]:
-    return tuple(sorted(e))
-
-
-def _disjoint(a, b) -> bool:
-    return not set(a) & set(b)
+    host, family = builder(**params)
+    return NamedKneser(kind.replace("_", "-"), tuple(sorted(params.items())), host, family,
+                       kneser_of_family(host, family))
 
 
 def _kneser(n: int, k: int):
     _ensure(n >= 2 * k and k >= 1, "kneser needs n >= 2k >= 2")
-    return (build_named_family("matching", n=n), family_of(build_named_family("matching", n=k)),
-            lambda: (_sorted_key, list(combinations(range(n), k)), _disjoint))
-
-
-def _two_stable(n: int, k: int):
-    for c in combinations(range(n), k):
-        if all(2 <= c[i + 1] - c[i] for i in range(len(c) - 1)) and (
-            len(c) < 2 or c[-1] - c[0] <= n - 2
-        ):
-            yield c
+    return build_named_family("matching", n=n), family_of(build_named_family("matching", n=k))
 
 
 def _schrijver(n: int, k: int):
     _ensure(n >= 2 * k and k >= 1, "schrijver needs n >= 2k >= 2")
-    return (build_named_family("cycle", n=n), family_of(build_named_family("matching", n=k)),
-            lambda: (_sorted_key, list(_two_stable(n, k)), _disjoint))
+    return build_named_family("cycle", n=n), family_of(build_named_family("matching", n=k))
 
 
 def _circular(n: int, d: int):
     _ensure(d >= 1 and n >= 2 * d, "circular needs n >= 2d >= 2")
-
-    def start_of(e: frozenset[int]) -> tuple[int]:
-        (s,) = [i for i in e if (i - 1) % n not in e]
-        return (s,)
-
-    return (build_named_family("cycle", n=n), family_of(build_named_family("path", length=d)),
-            lambda: (start_of, [(i,) for i in range(n)],
-                     lambda a, b: d <= abs(a[0] - b[0]) <= n - d))
+    return build_named_family("cycle", n=n), family_of(build_named_family("path", length=d))
 
 
 def _generalized_kneser(n: int, k: int, s: int):
     _ensure(0 <= s < k <= n, "generalized_kneser needs n >= k > s >= 0")
-    host = build_named_family("complete_uniform", n=n, s=s + 1)
-
-    def union_key(e: frozenset[int]) -> tuple[int, ...]:
-        out: set[int] = set()
-        for i in e:
-            out |= host.edges[i]
-        return tuple(sorted(out))
-
-    return (host, family_of(build_named_family("complete_uniform", n=k, s=s + 1)),
-            lambda: (union_key, list(combinations(range(n), k)),
-                     lambda a, b: len(set(a) & set(b)) <= s))
+    return (build_named_family("complete_uniform", n=n, s=s + 1),
+            family_of(build_named_family("complete_uniform", n=k, s=s + 1)))
 
 
 def _permutation(m: int, n: int, r: int):
     _ensure(1 <= r <= min(m, n), "permutation needs 1 <= r <= min(m, n)")
-
-    def pairs_key(e: frozenset[int]) -> tuple[tuple[int, int], ...]:
-        # host edge id u*n + v stands for the pair (row u, column v)
-        return tuple(sorted((i // n, i % n) for i in e))
-
-    def textbook():
-        keys = sorted(tuple(sorted(zip(rows, cols)))
-                      for rows in combinations(range(m), r)
-                      for cols in permutations(range(n), r))
-        return pairs_key, keys, _disjoint
-
     return (build_named_family("complete_bipartite", m=m, n=n),
-            family_of(build_named_family("matching", n=r)), textbook)
+            family_of(build_named_family("matching", n=r)))
 
 
 def _ensure(condition: bool, message: str):
@@ -191,9 +138,8 @@ def _ensure(condition: bool, message: str):
 
 
 # The named families, keyed by their CLI spelling: the CLI flags, in the order
-# of the builder's arguments, and the builder. A builder checks its arguments
-# and returns (host, pattern, textbook); textbook() gives (key_of, keys,
-# adjacent) for _textbook_form, which only verify_representation calls.
+# of the builder's arguments, and the builder, which checks its arguments and
+# returns (host, pattern).
 _NAMED_KINDS = {
     "kneser": (("n", "k"), _kneser),
     "schrijver": (("n", "k"), _schrijver),
@@ -201,61 +147,6 @@ _NAMED_KINDS = {
     "generalized-kneser": (("n", "k", "s"), _generalized_kneser),
     "permutation": (("m", "n", "r"), _permutation),
 }
-
-
-def _textbook_form(rep: Hypergraph, key_of, keys, adjacent) -> tuple[Hypergraph, tuple[int, ...]]:
-    """A named instance from its textbook definition, and the bijection onto it.
-
-    ``keys`` are the textbook vertices in canonical order, ``adjacent`` decides
-    adjacency of two keys, and ``key_of`` maps a rep edge (an occurrence) to the
-    key it stands for. ``bijection[v]`` is the textbook vertex of vertex v of
-    the Kneser graph of ``rep``.
-    """
-    index = {key: i for i, key in enumerate(keys)}
-    edges = tuple(frozenset({i, j}) for i, j in combinations(range(len(keys)), 2)
-                  if adjacent(keys[i], keys[j]))
-    direct = Hypergraph(len(keys), edges, tuple(",".join(map(str, key)) for key in keys))
-    bijection = tuple(index[key_of(e)] for e in rep.edges)
-    if sorted(bijection) != list(range(len(keys))):
-        raise InvalidParameterError("representation does not biject onto the direct form")
-    return direct, bijection
-
-
-def verify_representation(kind: str, cap: int = 16, **params) -> tuple[bool, dict]:
-    """Check that the representation-built graph matches the textbook form.
-
-    Validates the bijection onto the textbook form edge-for-edge in both
-    directions, then cross-checks with a from-scratch exhaustive isomorphism
-    search. Instances above ``cap`` vertices are refused (the exhaustive
-    search is factorial) before the textbook form is built; pass a larger
-    cap deliberately if needed.
-    """
-    host, family, textbook = _named_parts(kind, params)
-    rep = pattern_hypergraph(host, family)
-    g = kneser_power(rep, 2).result
-    if g.n_vertices > cap:
-        raise SizeCapError(
-            f"instance has {g.n_vertices} vertices, above the verification cap {cap}"
-        )
-    direct, pi = _textbook_form(rep, *textbook())
-    lhs = {frozenset({pi[u], pi[v]}) for u, v in (sorted(e) for e in g.edges)}
-    rhs = set(direct.edges)
-    witness: dict = {
-        "kind": kind,
-        "params": dict(sorted(params.items())),
-        "bijection": list(pi),
-        "direct_labels": list(direct.labels or ()),
-    }
-    if lhs != rhs:
-        witness["mismatch"] = {
-            "missing": sorted(map(sorted, rhs - lhs)),
-            "extra": sorted(map(sorted, lhs - rhs)),
-        }
-        return False, witness
-    if find_isomorphism(g, direct) is None:
-        witness["mismatch"] = {"isomorphism_search": "failed"}
-        return False, witness
-    return True, witness
 
 
 # --- instance echoes ---
@@ -320,7 +211,7 @@ def _rebuild_instance(config: dict) -> _Resolved:
             raise InvalidParameterError(f"malformed document: unknown family {kind!r}")
         flags, builder = _NAMED_KINDS[kind]
         _require(config["params"], flags, "the named instance params", int)
-        host, family, _ = builder(**{f: config["params"][f] for f in flags})
+        host, family = builder(**{f: config["params"][f] for f in flags})
         return _Resolved(config, host, family, r=2)
     if scheme not in ("pattern", "raw"):
         raise InvalidParameterError(f"malformed document: unknown instance scheme {scheme!r}")

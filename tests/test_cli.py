@@ -18,7 +18,6 @@ from kneserturan import (
     from_dimacs,
     run_golden_suite,
 )
-from kneserturan import kneser
 from kneserturan.cli import _build_parser, _compute_chi, _options_echo, main
 from kneserturan.kneser import _rebuild_instance, _target_of
 
@@ -240,13 +239,30 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
         code, out = _run(capsys, "verify", str(path))
         return code, json.loads(out)
 
-    for quantity in ("chi", "alpha", "beta", "ex", "ex-alt", "ex-salt"):
+    for quantity in ("chi", "alpha", "beta", "ex", "ex-alt", "ex-salt", "certificate"):
         flags = ("--pattern", "path", "--len", "2") if quantity.startswith("ex") else ()
         doc = _run_json(capsys, "compute", quantity, "--input", str(source), *flags)
         code, verdict = verify(doc)
         assert code == 0 and verdict["verified"] is True, (quantity, verdict)
         result = doc["result"]
-        if quantity == "chi":
+        if quantity in ("ex-alt", "ex-salt"):
+            # the result at the identity ordering, spliced into the minimized
+            # document, verifies only where it is the minimum or cannot be rechecked
+            fixed = _run_json(capsys, "compute", quantity, "--input", str(source), *flags,
+                              "--identity")["result"]
+            code, verdict = verify({**doc, "result": fixed})
+            if result["report"]["mode"] == "exact":
+                assert code == int(fixed[quantity] != result[quantity]), (quantity, verdict)
+            else:  # beyond the ordering-scan cap the minimum is not rechecked
+                assert code == 0 and verdict["checks"]["value_rechecked"] is False, verdict
+        if quantity == "certificate":
+            # the value and its alternation count move together; the witness
+            # (or its absence, which stands for alternation 0) no longer backs them
+            cert = result["certificate"]
+            cert["alt_value"] += 1
+            cert["value"] -= 1
+            result["value"] -= 1
+        elif quantity == "chi":
             result["witness"] = {"kind": data.draw(st.sampled_from(
                 [k for k, v in _CHI_KIND_VALUES.items() if v != result["chi"]]))}
         elif quantity == "ex":
@@ -457,10 +473,12 @@ _CYCLE5_CERTIFICATE = ("compute", "certificate", "--host", "cycle", "--n", "5", 
     (("compute", "alt-sigma", *_K4_P2), ("result", "i"), lambda i: 7, 1),
     (("compute", "chi", "--family", "kneser", "--n", "5", "--k", "2"), ("result", "assignment"),
      lambda a: None, 1),
+    # build refuses --cap on a raw host without --r, so its echo is refused too
+    (("build", "--host", "complete", "--n", "4"), ("config", "options", "cap"), lambda c: 5, 2),
 ), ids=("report-value-float", "report-witness-edges-floats", "report-quantity",
         "report-options-ordering", "certificate-strong-list", "certificate-i-float", "certificate-witness-bools",
         "certificate-headline-bool", "certificate-options-level", "build-n-vertices",
-        "alt-sigma-result-level", "chi-without-coloring"))
+        "alt-sigma-result-level", "chi-without-coloring", "build-raw-cap"))
 def test_verify_refuses_coerced_and_unchecked_fields(capsys, tmp_path, argv, path, edit, code):
     doc = _run_json(capsys, *argv)
     *keys, last = path
@@ -501,24 +519,18 @@ def test_cap_escape_hatch_required(capsys):
 
 @pytest.mark.parametrize("verb", ["build", "export"])
 def test_build_and_export_obey_the_cap(capsys, verb):
-    # KG(5,2) and KG(K5,P1) both have 10 vertices, one per host edge
-    for instance in (("--family", "kneser", "--n", "5", "--k", "2"),
-                     ("--host", "complete", "--n", "5", "--pattern", "path", "--len", "1")):
+    # KG(5,2) and KG(K5,P1) both have 10 vertices, one per host edge; a raw
+    # host without --r has no Kneser power for the cap to bound
+    for instance, reason in (
+            (("--family", "kneser", "--n", "5", "--k", "2"), "size cap"),
+            (("--host", "complete", "--n", "5", "--pattern", "path", "--len", "1"), "size cap"),
+            (("--host", "complete", "--n", "10"), f"{verb} does not read --cap")):
         code = main([verb, *instance, "--cap", "9"])
         captured = capsys.readouterr()
         assert code == 2, instance
         assert captured.out == ""
-        assert "size cap" in captured.err
-
-
-def test_compute_chi_on_a_named_family_skips_the_textbook_form(capsys, monkeypatch):
-    # only verify_representation builds the textbook form of a named family
-    def refuse(*args):
-        raise AssertionError("the textbook form was built")
-
-    monkeypatch.setattr(kneser, "_textbook_form", refuse)
-    doc = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
-    assert doc["result"]["chi"] == 3
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
 
 
 def test_interval_needs_host_edges(capsys, tmp_path):

@@ -128,15 +128,15 @@ DIGESTS = {
     "ex-alt-heuristic": "bfdd1d34e2d4acf3c52ca30e5912ef36fa34fc89e6639dce031ae8fd69197dce",
     "ex-alt-heuristic verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
     "ex-alt-input": "43eed5cdae7f992fc6b112396693f0b10436c0f6c6d671e5b1a89cde9546b460",
-    "ex-alt-input verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
+    "ex-alt-input verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-alt-interval": "7ea67f3f262ba4af52b3fe7a0eccc87d3e2ae21788b20e981864f3201d35f125",
     "ex-alt-interval verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
     "ex-alt-named": "d9e4e5ca76aa0f563157b5ba0cb02db0d3ac6e5d88acb00c085afc7b5d29759e",
-    "ex-alt-named verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
+    "ex-alt-named verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-alt-ordering": "7176e58766e67817b7a6358b23c21d91c1859f32c1ce858922b14a69320795d6",
     "ex-alt-ordering verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
     "ex-alt-pattern": "eb22ef774c7a4aa5c2d5f60998bf2aa6909cd32e26c85db90b008e632b5ffcd9",
-    "ex-alt-pattern verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
+    "ex-alt-pattern verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-heuristic": "e1bebeb5597a4480fda56399949f89c5829d87b604fdb3e5f61b71a5823582cb",
     "ex-heuristic verify": "ab5183ab4a1c259f44f13d6ee44c078a6d2056b7eaf2a7f10c78f8f467295c32",
     "ex-input": "ea27c66341e3bc175da90f0616e24bf8cb9307a1492e03e6cf7b577498cf7375",
@@ -152,9 +152,9 @@ DIGESTS = {
     "ex-salt-input": "aa26a9002281c19bb78004c9bf5bea4ce3fc80f5414618c8cdf752433c7e28d0",
     "ex-salt-input verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
     "ex-salt-named": "6db9d8f8536020cc048e66eaea98e45b914363a4ee311aa662facb233497230a",
-    "ex-salt-named verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
+    "ex-salt-named verify": "ef6a1af8f8c0d20cf4537dc26903f3c666d2bdcd855776ff29fba1e79f00bd46",
     "ex-salt-pattern": "1515e1c3b66f520797ee9b8cd54a3fc56c79f16394401ac63b4ebc02daa1f0d6",
-    "ex-salt-pattern verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
+    "ex-salt-pattern verify": "ef6a1af8f8c0d20cf4537dc26903f3c666d2bdcd855776ff29fba1e79f00bd46",
     "export-dimacs": "a4486877b0bbf1d5fa1902ffd5041f8a1c95f518b73e21c9074878b61855b7e5",
     "export-json": "9517fca07cc5a7f103629b1ca1ef74e687887dea8f19dc9657b9195c37865019",
     "golden": "209ddaa3e30cf1a140589d749c54ec8b885720dc24fc25427ce5d2523a9a3e6f",

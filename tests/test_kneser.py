@@ -1,3 +1,4 @@
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -9,10 +10,10 @@ from kneserturan import (
     build_named_family,
     build_named_kneser,
     family_of,
+    find_isomorphism,
     kneser_of_family,
     kneser_power,
     pattern_hypergraph,
-    verify_representation,
 )
 from kneserturan.kneser import _rebuild_instance, _rep_of, _target_of
 
@@ -58,19 +59,55 @@ def test_kneser_graph_shape():
     assert all(d == comb(5 - 2, 2) for d in g.degrees)  # 3-regular
 
 
-def test_named_kinds_match_their_direct_forms():
-    cases = [
-        ("kneser", dict(n=5, k=2)),
-        ("schrijver", dict(n=6, k=2)),
-        ("circular", dict(n=5, d=2)),
-        ("circular", dict(n=7, d=2)),
-        ("generalized_kneser", dict(n=5, k=2, s=1)),
-        ("permutation", dict(m=2, n=2, r=2)),
-    ]
-    for kind, params in cases:
-        ok, witness = verify_representation(kind, **params)
-        assert ok, (kind, params, witness.get("mismatch"))
-        assert sorted(witness["bijection"]) == list(range(len(witness["bijection"])))
+def _disjoint(a, b):
+    return not set(a) & set(b)
+
+
+def _textbook(kind: str, **p):
+    """The textbook form of a named family: its vertices, the key of the
+    vertex that an occurrence (a set of host edge ids) stands for, and adjacency."""
+    n = p["n"]
+    if kind == "circular":  # an occurrence, a path of d cycle edges, stands for its first edge
+        return ([(i,) for i in range(n)], lambda e: tuple(i for i in e if (i - 1) % n not in e),
+                lambda a, b: p["d"] <= abs(a[0] - b[0]) <= n - p["d"])
+    if kind == "permutation":  # host edge id u*n + v is the pair (row u, column v)
+        keys = sorted(tuple(sorted(zip(rows, cols))) for rows in combinations(range(p["m"]), p["r"])
+                      for cols in permutations(range(n), p["r"]))
+        return keys, lambda e: tuple(sorted((i // n, i % n) for i in e)), _disjoint
+    keys = list(combinations(range(n), p["k"]))
+    if kind == "generalized_kneser":  # an occurrence stands for the union of its (s+1)-sets
+        edges = build_named_family("complete_uniform", n=n, s=p["s"] + 1).edges
+        return (keys, lambda e: tuple(sorted(set().union(*(edges[i] for i in e)))),
+                lambda a, b: len(set(a) & set(b)) <= p["s"])
+    if kind == "schrijver":  # 2-stable: no two cyclically consecutive elements
+        keys = [c for c in keys
+                if all(y - x >= 2 for x, y in zip(c, c[1:])) and c[-1] - c[0] <= n - 2]
+    return keys, lambda e: tuple(sorted(e)), _disjoint
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("kneser", dict(n=5, k=2)),
+    ("schrijver", dict(n=6, k=2)),
+    ("circular", dict(n=5, d=2)),
+    ("circular", dict(n=7, d=2)),
+    ("generalized_kneser", dict(n=5, k=2, s=1)),
+    ("permutation", dict(m=2, n=2, r=2)),
+], ids=lambda case: "-".join(map(str, case.values())) if isinstance(case, dict) else case)
+def test_named_kinds_match_their_textbook_forms(kind, params):
+    keys, key_of, adjacent = _textbook(kind, **params)
+    named = build_named_kneser(kind, **params)
+    g = named.graph
+    # the occurrences biject onto the textbook vertices
+    index = {key: i for i, key in enumerate(keys)}
+    pi = [index.get(key_of(e), -1) for e in named.instance.representation.edges]
+    assert sorted(pi) == list(range(len(keys)))
+    # edge for edge under that bijection, in both directions
+    direct = Hypergraph(len(keys), tuple(frozenset({i, j})
+                                         for i, j in combinations(range(len(keys)), 2)
+                                         if adjacent(keys[i], keys[j])))
+    assert {frozenset({pi[u], pi[v]}) for u, v in map(tuple, g.edges)} == set(direct.edges)
+    # and an exhaustive isomorphism search, which knows no bijection, agrees
+    assert find_isomorphism(g, direct) is not None
 
 
 @pytest.mark.parametrize("kind, params, host, pattern", [
@@ -109,13 +146,6 @@ def test_circular_five_two_is_a_five_cycle():
     assert g.n_vertices == 5
     assert g.n_edges == 5
     assert all(d == 2 for d in g.degrees)
-
-
-def test_verification_cap():
-    with pytest.raises(SizeCapError):
-        verify_representation("kneser", n=7, k=2)  # 21 vertices > default 16
-    ok, _ = verify_representation("kneser", cap=32, n=7, k=2)
-    assert ok
 
 
 def test_unknown_kind_rejected():

@@ -20,7 +20,7 @@ EXPORTS = [
     "interval_ordering", "kneser_of_family", "kneser_power", "mask_of", "max_clique",
     "occurrence_masks", "pattern_hypergraph", "run_golden_suite", "salt_sigma",
     "to_dimacs", "turan_coloring", "turan_number", "validate_hypergraph_coloring",
-    "verify_certificate", "verify_representation", "verify_turan_report",
+    "verify_certificate", "verify_turan_report",
 ]
 
 
