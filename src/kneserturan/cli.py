@@ -54,6 +54,7 @@ from .turanalt import (
     alt_sigma_level,
     altermatic_certificate,
     ex_alt_min,
+    ex_alt_min_tag,
     ex_alt_sigma,
     interval_ordering,
     salt_sigma,
@@ -412,12 +413,17 @@ def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
     if quantity != "ex" and "sequence" in options["ordering"] and \
             report.witness_coloring.ordering != _sigma(options):
         raise VerificationError("the witness ordering differs from the options echo")
-    if quantity != "ex" and options["ordering"]["kind"] == "minimized" and \
-            report.mode == "exact":
-        # a witness ordering bounds the minimum from above only: rescan where cheap
-        if host.n_edges > DEFAULT_ORDERING_CAP:
-            return {**checks, "value_rechecked": False}
-        checks.update(_verify_recompute(quantity, operand, {**options, "mode": "exact"}, result))
+    if quantity != "ex" and options["ordering"]["kind"] == "minimized":
+        tag = ex_alt_min_tag(host.n_edges, options["mode"], **_cap_kwargs(options))
+        if report.mode != tag:
+            raise VerificationError(f"the report is tagged {report.mode}, the ordering scan "
+                                    f"with these options reports {tag}")
+        if tag == "exact":
+            # a witness ordering bounds the minimum from above only: rescan where cheap
+            if host.n_edges > DEFAULT_ORDERING_CAP:
+                return {**checks, "value_rechecked": False}
+            checks.update(_verify_recompute(quantity, operand, {**options, "mode": "exact"},
+                                            result))
     return checks
 
 
@@ -661,6 +667,8 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     quantity = _QUANTITIES[name]
     _require(config["options"], _OPTION_KEYS, "options")
     _require(config["options"], ("i", "seed", "restarts"), "options", int)
+    if config["options"]["cap"] is not None:
+        _require(config["options"], ("cap",), "options", int)
     _check_options(name, config["options"], config["instance"])
     if quantity.ordering:
         _require(config["options"]["ordering"], ("kind",), "the ordering echo")

@@ -12,9 +12,11 @@ and a clique-partition bound cuts subtrees that cannot change the result.
 Both paths return the first maximum leaf of the same tree.
 
 One coloring search, _color_search, serves graphs and hypergraphs. It keeps
-its state in color-class, banned-color and level masks, so a node costs
+its state in color-class, banned-color and level masks, so a decision costs
 O(k) mask operations rather than a scan of every vertex, and cuts at the
-assignment each child that would fail at once. It runs on two lists
+assignment each child that would fail at once. Most decisions are forced,
+the vertex having one free color left, and one call of its recursion makes
+all the forced decisions in a row before it branches. It runs on two lists
 indexed by vertex: ``adj[v]`` holds the neighbours of v by a 2-edge, and the
 pairs ``(core, ends)`` of ``pairs[v]`` stand for the larger edges through v:
 for every such edge e and every other member u of e, core is e minus v and
@@ -28,12 +30,14 @@ the search that selects by fewest usable colors with ties to the lowest id.
 graph_colorable and hypergraph_colorable answer only whether a coloring
 exists: at a branching node they select by a score of contested free colors
 rather than by lowest id, which shrinks refutations (5 colors on
-schrijver(10,3): 40,879 nodes against 337,682; 3 colors on KG3(K5,P2):
-1,239 against 10,132) but changes the coloring found, so colorings come
-from the two decision searches alone. The score counts the vertices a color
-would ban, through ``adj`` and, on a hypergraph, through the pairs too. The
-two lists of the hypergraph searches, from hypergraph_color_tables, depend
-on the edges alone and serve every k.
+schrijver(10,3): 40,879 decisions of the tree against 337,682, in 8,482
+calls of the recursion against 78,262; 3 colors on KG3(K5,P2): 1,239
+decisions against 10,132, in 381 calls against 6,542) but changes the
+coloring found, so colorings come from the two decision searches alone.
+The score counts the vertices a color would ban, through ``adj`` and, on a
+hypergraph, through the pairs too. The two lists of the hypergraph
+searches, from hypergraph_color_tables, depend on the edges alone and serve
+every k.
 Each result, witness included, is fixed by the tie-breaking rules in the
 docstrings below.
 """
@@ -336,7 +340,20 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
 
     ``cls[c]`` holds the vertices colored c that have pairs, and no others:
     a core lies inside an edge of three or more vertices, every member of
-    which has pairs, so no other vertex is ever tested against ``cls``."""
+    which has pairs, so no other vertex is ever tested against ``cls``.
+
+    One call of ``rec`` first colors, in a loop, every vertex left with one
+    free color, lowest id first, each with that color; it fails as soon as
+    one would take the last color of another. It then branches on the
+    vertex it selects from the first non-empty level, 2 or above; level 1
+    is empty there, so no child is cut. Only the pre-coloring can leave a
+    vertex on level 0, and the search then ends at once. With level 0
+    empty, level 1 is the first non-empty level whenever it has a vertex,
+    so the search that takes one call per decision colors the forced
+    vertices in the same order, with the same colors and the same cut: the
+    decision tree is the same, and so is the coloring returned. A call
+    stands for a run of forced decisions and the branching one that ends
+    it."""
     if n == 0:
         return ()
     if k <= 0 or len(clique) > k:
@@ -350,66 +367,52 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
         color[v] = c
         uncolored &= ~(1 << v)
         banned[c] |= adj[v]
+    # each uncolored vertex drops one level per color banned on it
     level = [0] * (k + 1)
-    for v in bits_of(uncolored):
-        level[k - sum(b >> v & 1 for b in banned)] |= 1 << v
+    level[k] = uncolored
+    for b in banned[:len(clique)]:
+        todo, i = b & uncolored, 1
+        while todo:
+            moved = level[i] & todo
+            level[i] ^= moved
+            level[i - 1] |= moved
+            todo ^= moved
+            i += 1
+    if level[0]:
+        return None
 
-    def bans(nbrs: int, pairs, c: int, live: int) -> int:
-        # the vertices of live on which coloring a vertex with neighbours
+    def bans(nbrs: int, pairs, c: int, free: int) -> int:
+        # the vertices of free on which coloring a vertex with neighbours
         # nbrs and pairs by c would ban c
         hit = nbrs
         outside = ~cls[c]
         for core, ends in pairs:
             if not core & outside:
                 hit |= ends
-        return hit & live & ~banned[c]
+        return hit & free
 
     def rec(uncolored: int, max_used: int) -> bool:
-        if not uncolored:
-            return True
-        j = 0
-        while not level[j]:
-            j += 1
-        if j == 0:
-            return False  # only the pre-colored clique leaves a vertex here
-        tied = level[j]
-        vbit = tied & -tied
-        if scored and j > 1 and tied != vbit:
-            usable = banned[:min(k, max_used + 2)]
-            best = -1
-            while tied:
-                ubit = tied & -tied
-                tied ^= ubit
-                u = ubit.bit_length() - 1
-                nbrs = adj[u] & uncolored
-                score = 0
-                if pair_scored:
-                    for c, b in enumerate(usable):
-                        if not b & ubit:
-                            score += bans(nbrs, pairs_of[u], c, uncolored).bit_count()
-                else:
-                    for b in usable:
-                        if not b & ubit:
-                            score += (nbrs & ~b).bit_count()
-                if score > best:
-                    best, vbit = score, ubit
-        v = vbit.bit_length() - 1
-        level[j] ^= vbit
-        rest = uncolored ^ vbit
-        pairs = pairs_of[v]
-        nbrs = adj[v] & rest
-        for c in range(min(k, max_used + 2)):
-            if banned[c] & vbit:
-                continue
-            hit = bans(nbrs, pairs, c, rest) if pairs else nbrs & ~banned[c]
+        trail = []
+        while level[1]:
+            # a forced vertex: its one free color is usable, for at most one
+            # color above max_used is left, the only new one it may open
+            vbit = level[1] & -level[1]
+            v = vbit.bit_length() - 1
+            c = 0
+            while banned[c] & vbit:
+                c += 1
+            uncolored ^= vbit
+            pairs = pairs_of[v]
+            free = uncolored & ~banned[c]
+            hit = bans(adj[v], pairs, c, free) if pairs else adj[v] & free
             if hit & level[1]:
-                continue  # a vertex would lose its last color
+                break  # a vertex would lose its last color
+            level[1] ^= vbit
             color[v] = c
             if pairs:
                 cls[c] |= vbit
             banned[c] |= hit
-            # the vertices of hit drop one level, none of them to level 0 ...
-            todo, i = hit, 1
+            todo, i = hit, 2
             while todo:
                 moved = level[i] & todo
                 if moved:
@@ -417,9 +420,77 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
                     level[i - 1] |= moved
                     todo ^= moved
                 i += 1
-            if rec(rest, c if c > max_used else max_used):
+            if c > max_used:
+                max_used = c
+            trail.append((vbit, c, hit))
+        else:
+            if not uncolored:
                 return True
-            # ... and climb back on backtrack
+            j = 2
+            while not level[j]:
+                j += 1
+            tied = level[j]
+            vbit = tied & -tied
+            usable = min(k, max_used + 2)
+            if scored and tied != vbit:
+                free_of = [uncolored & ~b for b in banned[:usable]]
+                best = -1
+                while tied:
+                    ubit = tied & -tied
+                    tied ^= ubit
+                    u = ubit.bit_length() - 1
+                    nbrs = adj[u]
+                    score = 0
+                    if pair_scored:
+                        for c, free in enumerate(free_of):
+                            if free & ubit:
+                                score += bans(nbrs, pairs_of[u], c, free).bit_count()
+                    else:
+                        for free in free_of:
+                            if free & ubit:
+                                score += (nbrs & free).bit_count()
+                    if score > best:
+                        best, vbit = score, ubit
+            v = vbit.bit_length() - 1
+            level[j] ^= vbit
+            rest = uncolored ^ vbit
+            pairs = pairs_of[v]
+            for c in range(usable):
+                if banned[c] & vbit:
+                    continue
+                free = rest & ~banned[c]
+                hit = bans(adj[v], pairs, c, free) if pairs else adj[v] & free
+                color[v] = c
+                if pairs:
+                    cls[c] |= vbit
+                banned[c] |= hit
+                # the vertices of hit drop one level, none of them to level 0,
+                # for level 1 is empty here ...
+                todo, i = hit, 2
+                while todo:
+                    moved = level[i] & todo
+                    if moved:
+                        level[i] ^= moved
+                        level[i - 1] |= moved
+                        todo ^= moved
+                    i += 1
+                if rec(rest, c if c > max_used else max_used):
+                    return True
+                # ... and climb back on backtrack
+                todo, i = hit, 1
+                while todo:
+                    moved = level[i] & todo
+                    if moved:
+                        level[i] ^= moved
+                        level[i + 1] |= moved
+                        todo ^= moved
+                    i += 1
+                banned[c] ^= hit
+                if pairs:
+                    cls[c] ^= vbit
+            level[j] |= vbit
+        # unwind the forced colorings, the last first
+        for vbit, c, hit in reversed(trail):
             todo, i = hit, 1
             while todo:
                 moved = level[i] & todo
@@ -429,9 +500,8 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
                     todo ^= moved
                 i += 1
             banned[c] ^= hit
-            if pairs:
-                cls[c] ^= vbit
-        level[j] |= vbit
+            cls[c] &= ~vbit
+            level[1] |= vbit
         return False
 
     return tuple(color) if rec(uncolored, len(clique) - 1) else None

@@ -495,21 +495,18 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
     an upper bound on the true minimum; it has no floor, which its values
     seldom meet.
     """
-    if mode not in ("auto", "exact", "heuristic"):
-        raise InvalidParameterError(f"unknown mode {mode!r}")
     quantity = "ex-salt" if strong else "ex-alt"
     m = host.n_edges
-    if mode == "auto":
-        mode = "exact" if m <= cap else "heuristic"
+    tag = ex_alt_min_tag(m, mode, cap)
     occ_graph = pattern_hypergraph(host, family)
     occ = occ_graph.edge_masks
     if m == 0:
         empty = AlternatingColoring(LinearOrdering(()), ())
-        return TuranReport(quantity, 0, "exact", witness_coloring=empty)
+        return TuranReport(quantity, 0, tag, witness_coloring=empty)
     if mode == "exact" and m > cap:
         raise SizeCapError(f"host has {m} edges, above the ordering-scan cap {cap}")
     tables = _alternating_tables(m, occ)
-    if mode == "exact":
+    if tag == "exact":
         orderings = _scan_orderings(m, occ_graph)
         floor = _scan_floor(m, occ, strong)
     else:
@@ -528,8 +525,17 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
         floor = -1
     value, seq, colored = _least_alternating(orderings, tables, strong, floor)
     coloring = AlternatingColoring(LinearOrdering(seq), colored)
-    tag = "exact" if mode == "exact" else "upper-bound"
     return TuranReport(quantity, value, tag, witness_coloring=coloring)
+
+
+def ex_alt_min_tag(m: int, mode: str, cap: int = DEFAULT_ORDERING_CAP) -> str:
+    """The mode tag of ex_alt_min's report on a host of ``m`` edges: "exact"
+    where it scans the orderings (mode "exact", or "auto" within ``cap``)
+    and on a host without edges, "upper-bound" otherwise."""
+    if mode not in ("auto", "exact", "heuristic"):
+        raise InvalidParameterError(f"unknown mode {mode!r}")
+    exact = m == 0 or mode == "exact" or (mode == "auto" and m <= cap)
+    return "exact" if exact else "upper-bound"
 
 
 def _least_alternating(orderings, tables, strong: bool, floor: int):

@@ -253,8 +253,14 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
             code, verdict = verify({**doc, "result": fixed})
             if result["report"]["mode"] == "exact":
                 assert code == int(fixed[quantity] != result[quantity]), (quantity, verdict)
-            else:  # beyond the ordering-scan cap the minimum is not rechecked
-                assert code == 0 and verdict["checks"]["value_rechecked"] is False, verdict
+            else:
+                # beyond the ordering-scan cap auto mode reports an upper
+                # bound: the exact tag of the identity result is refused, and
+                # retagged it verifies, for an upper bound is not rechecked
+                assert code == 1 and "tagged exact" in verdict["reason"], verdict
+                fixed["report"]["mode"] = "upper-bound"
+                code, verdict = verify({**doc, "result": fixed})
+                assert code == 0, verdict
         if quantity == "certificate":
             # the value and its alternation count move together; the witness
             # (or its absence, which stands for alternation 0) no longer backs them
@@ -491,6 +497,35 @@ def test_verify_refuses_coerced_and_unchecked_fields(capsys, tmp_path, argv, pat
     got, out = _run(capsys, "verify", str(file))
     assert got == code, out
     assert out == "" if code == 2 else json.loads(out)["verified"] is False
+
+
+def test_verify_derives_the_mode_tag_of_a_minimized_document(capsys, tmp_path):
+    file = tmp_path / "doc.json"
+
+    def verify(doc):
+        file.write_text(canonical_dumps(doc))
+        code, out = _run(capsys, "verify", str(file))
+        return code, json.loads(out)
+
+    # the identity result (ex-alt 3) spliced into the minimized document
+    # (ex-alt 2) and tagged upper-bound: auto mode scans every ordering of
+    # the 6 edges and tags its value exact, so the tag cannot switch off the
+    # rescan
+    doc = _run_json(capsys, "compute", "ex-alt", *_K4_P2)
+    fixed = _run_json(capsys, "compute", "ex-alt", *_K4_P2, "--identity")["result"]
+    assert (doc["result"]["ex-alt"], fixed["ex-alt"]) == (2, 3)
+    fixed["report"]["mode"] = "upper-bound"
+    code, verdict = verify({**doc, "result": fixed})
+    assert code == 1 and "tagged upper-bound" in verdict["reason"], verdict
+    # within a raised cap, 9 edges are scanned too, but past the rescan cap
+    # the value is not rechecked; the upper-bound tag is refused there as well
+    doc = _run_json(capsys, "compute", "ex-alt", "--host", "matching", "--n", "9",
+                    "--pattern", "path", "--len", "2", "--cap", "9", "--i-know-this-is-huge")
+    code, verdict = verify(doc)
+    assert code == 0 and verdict["checks"]["value_rechecked"] is False, verdict
+    doc["result"]["report"]["mode"] = "upper-bound"
+    code, verdict = verify(doc)
+    assert code == 1 and "tagged upper-bound" in verdict["reason"], verdict
 
 
 @pytest.mark.parametrize("flags", (("--host", "complete", "--n", "5000"),

@@ -4,11 +4,13 @@ max_independent_set is checked against a copy of its search without the
 clique-partition and packing bounds, and graph_color_decision and
 hypergraph_color_decision against copies of the same searches kept in
 per-vertex forbidden-color masks. Each must return the same result, witness
-included. graph_colorable must answer as graph_color_decision does, and the
-node counts of both on named instances are pinned, as are those of
-hypergraph_color_decision on two order-3 powers. On graphs, given as
-2-edges, hypergraph_color_decision returns the coloring of
-graph_color_decision.
+included. graph_colorable must answer as graph_color_decision does. The
+kernel's one coloring search, which colors a run of forced vertices in one
+call, must return what its form with one call per decision returns, kept
+here as an oracle, in both selections; the decisions of both searches on
+named graphs and two order-3 powers are pinned as calls of the oracle, the
+kernel's own calls beside them. On graphs, given as 2-edges,
+hypergraph_color_decision returns the coloring of graph_color_decision.
 """
 
 import random
@@ -300,54 +302,71 @@ def test_graph_colorable_agrees_with_decision(instance):
 
 
 def test_graph_colorable_agrees_with_decision_on_a_wide_graph():
-    # kneser(9,3): 84 vertices, wider than a machine word; chi is 5
+    # kneser(9,3): 84 vertices, wider than a machine word; chi is 5. Both
+    # searches also find the colorings of the oracle
     g = kneser.build_named_kneser("kneser", n=9, k=3).graph
     adj = g.adjacency_masks()
+    pairs = [()] * 84
     clique = sorted(exactsolve.max_clique(g, cap=84)[1])
     for cl in (clique, ()):
         for k in range(1, 7):
             assert kernels.graph_colorable(84, adj, k, cl) == \
                 (kernels.graph_color_decision(84, adj, k, cl) is not None) == (k >= 5)
+            assert kernels.graph_color_decision(84, adj, k, cl) == \
+                _reference_color_search(84, adj, pairs, k, cl, False), (cl, k)
+            assert kernels._color_search(84, adj, pairs, k, cl, True) == \
+                _reference_color_search(84, adj, pairs, k, cl, True), (cl, k)
 
 
 def test_coloring_search_nodes_pinned():
     # each named instance just below its chi, with the clique that
-    # chromatic_number_graph pre-colors; a changed selection rule in either
-    # search shows here as a changed count
+    # chromatic_number_graph pre-colors: the decisions of the lowest-id and
+    # the scored search, as calls of the oracle, then the calls of
+    # graph_color_decision and graph_colorable. A changed selection rule in
+    # either search shows here as a changed count
     pinned = (
-        ("schrijver", 10, 3, 5, 337_682, 40_879),
-        ("kneser", 9, 3, 4, 2_014, 471),
-        ("schrijver", 9, 3, 4, 3_436, 954),
+        ("schrijver", 10, 3, 5, (337_682, 40_879), (78_262, 8_482)),
+        ("kneser", 9, 3, 4, (2_014, 471), (616, 122)),
+        ("schrijver", 9, 3, 4, (3_436, 954), (878, 224)),
     )
-    for kind, n, k, colors, lowest_id, scored in pinned:
+    for kind, n, k, colors, decisions, calls in pinned:
         g = kneser.build_named_kneser(kind, n=n, k=k).graph
         adj = g.adjacency_masks()
         clique = sorted(exactsolve.max_clique(g, cap=g.n_vertices)[1])
+        got = tuple(search_nodes(_reference_color_search, g.n_vertices, adj,
+                                 [()] * g.n_vertices, colors, clique, scored)
+                    for scored in (False, True))
+        assert got == decisions, (kind, n, k)
         got = (search_nodes(kernels.graph_color_decision, g.n_vertices, adj, colors, clique),
                search_nodes(kernels.graph_colorable, g.n_vertices, adj, colors, clique))
-        assert got == (lowest_id, scored), (kind, n, k)
+        assert got == calls, (kind, n, k)
 
 
 def test_hypergraph_search_nodes_pinned():
     # order-3 powers at k = 2, 3, 4, as chromatic_number_hypergraph asks
-    # them: KG3(K5,P2) has chi 4 and KG3(M9,M2) chi 3; the lowest-id counts
-    # of hypergraph_color_decision, then the scored ones of
-    # hypergraph_colorable
+    # them: KG3(K5,P2) has chi 4 and KG3(M9,M2) chi 3. The decisions of the
+    # lowest-id and the scored search, as calls of the oracle, then the
+    # calls of hypergraph_color_decision and hypergraph_colorable
     order_three = (
-        ("complete", {"n": 5}, "path", {"length": 2}, (167, 10_132, 31), (13, 1_239, 31)),
-        ("matching", {"n": 9}, "matching", {"n": 2}, (567, 37, 37), (27, 37, 37)),
+        ("complete", {"n": 5}, "path", {"length": 2},
+         ((167, 10_132, 31), (13, 1_239, 31)), ((152, 6_542, 28), (6, 381, 28))),
+        ("matching", {"n": 9}, "matching", {"n": 2},
+         ((567, 37, 37), (27, 37, 37)), ((544, 24, 37), (6, 12, 37))),
     )
-    for host, host_params, pattern, pattern_params, counts, scored in order_three:
+    for host, host_params, pattern, pattern_params, decisions, calls in order_three:
         h = kneser.kneser_of_family(
             hyperstruct.build_named_family(host, **host_params),
             patterns.family_of(hyperstruct.build_named_family(pattern, **pattern_params)),
             r=3).result
-        got = tuple(search_nodes(kernels.hypergraph_color_decision, h.n_vertices,
-                                  h.edge_masks, k) for k in (2, 3, 4))
-        assert got == counts, (host, pattern)
-        got = tuple(search_nodes(kernels.hypergraph_colorable, h.n_vertices,
-                                  h.edge_masks, k) for k in (2, 3, 4))
-        assert got == scored, (host, pattern)
+        n = h.n_vertices
+        adj, pairs = kernels.hypergraph_color_tables(n, h.edge_masks)
+        got = tuple(tuple(search_nodes(_reference_color_search, n, adj, pairs, k, (), scored)
+                          for k in (2, 3, 4)) for scored in (False, True))
+        assert got == decisions, (host, pattern)
+        got = tuple(tuple(search_nodes(search, n, h.edge_masks, k) for k in (2, 3, 4))
+                    for search in (kernels.hypergraph_color_decision,
+                                   kernels.hypergraph_colorable))
+        assert got == calls, (host, pattern)
 
 
 def test_independent_set_search_nodes_pinned():
@@ -452,6 +471,110 @@ def _reference_hypergraph_color_decision(n, edge_masks, k):
     return tuple(color) if rec() else None
 
 
+def _reference_color_search(n, adj, pairs_of, k, clique, scored):
+    """The search of kernels._color_search with one call of ``rec`` per
+    decision: the oracle for the kernel, which colors a run of forced
+    vertices in one call. Its calls count the decisions of the search."""
+    if n == 0:
+        return ()
+    if k <= 0 or len(clique) > k:
+        return None
+    pair_scored = scored and any(pairs_of)
+    color = [-1] * n
+    cls = [0] * k
+    banned = [0] * k
+    uncolored = (1 << n) - 1
+    for c, v in enumerate(clique):
+        color[v] = c
+        uncolored &= ~(1 << v)
+        banned[c] |= adj[v]
+    level = [0] * (k + 1)
+    for v in bits_of(uncolored):
+        level[k - sum(b >> v & 1 for b in banned)] |= 1 << v
+
+    def bans(nbrs: int, pairs, c: int, live: int) -> int:
+        # the vertices of live on which coloring a vertex with neighbours
+        # nbrs and pairs by c would ban c
+        hit = nbrs
+        outside = ~cls[c]
+        for core, ends in pairs:
+            if not core & outside:
+                hit |= ends
+        return hit & live & ~banned[c]
+
+    def rec(uncolored: int, max_used: int) -> bool:
+        if not uncolored:
+            return True
+        j = 0
+        while not level[j]:
+            j += 1
+        if j == 0:
+            return False  # only the pre-colored clique leaves a vertex here
+        tied = level[j]
+        vbit = tied & -tied
+        if scored and j > 1 and tied != vbit:
+            usable = banned[:min(k, max_used + 2)]
+            best = -1
+            while tied:
+                ubit = tied & -tied
+                tied ^= ubit
+                u = ubit.bit_length() - 1
+                nbrs = adj[u] & uncolored
+                score = 0
+                if pair_scored:
+                    for c, b in enumerate(usable):
+                        if not b & ubit:
+                            score += bans(nbrs, pairs_of[u], c, uncolored).bit_count()
+                else:
+                    for b in usable:
+                        if not b & ubit:
+                            score += (nbrs & ~b).bit_count()
+                if score > best:
+                    best, vbit = score, ubit
+        v = vbit.bit_length() - 1
+        level[j] ^= vbit
+        rest = uncolored ^ vbit
+        pairs = pairs_of[v]
+        nbrs = adj[v] & rest
+        for c in range(min(k, max_used + 2)):
+            if banned[c] & vbit:
+                continue
+            hit = bans(nbrs, pairs, c, rest) if pairs else nbrs & ~banned[c]
+            if hit & level[1]:
+                continue  # a vertex would lose its last color
+            color[v] = c
+            if pairs:
+                cls[c] |= vbit
+            banned[c] |= hit
+            # the vertices of hit drop one level, none of them to level 0 ...
+            todo, i = hit, 1
+            while todo:
+                moved = level[i] & todo
+                if moved:
+                    level[i] ^= moved
+                    level[i - 1] |= moved
+                    todo ^= moved
+                i += 1
+            if rec(rest, c if c > max_used else max_used):
+                return True
+            # ... and climb back on backtrack
+            todo, i = hit, 1
+            while todo:
+                moved = level[i] & todo
+                if moved:
+                    level[i] ^= moved
+                    level[i + 1] |= moved
+                    todo ^= moved
+                i += 1
+            banned[c] ^= hit
+            if pairs:
+                cls[c] ^= vbit
+        level[j] |= vbit
+        return False
+
+    return tuple(color) if rec(uncolored, len(clique) - 1) else None
+
+
 @st.composite
 def _colorable_hypergraphs(draw):
     # edges of 1 to 5 vertices, some repeated, some zero masks; singletons
@@ -531,6 +654,53 @@ def test_hypergraph_colorable_agrees_with_decision(instance):
     for k in range(5):
         assert kernels.hypergraph_colorable(n, masks, k) == \
             (kernels.hypergraph_color_decision(n, masks, k, tables) is not None), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=_precolored_graphs(max_n=20))
+def test_color_search_matches_one_call_per_decision_on_graphs(instance):
+    # with the drawn clique pre-colored and with none; the coloring of the
+    # scored search fixes the vertex it selects at each branching node on
+    # the path to it, so it is checked too
+    n, adj, clique = instance
+    pairs = [()] * n
+    for cl in {clique, ()}:
+        for k in range(1, 7):
+            expected = _reference_color_search(n, adj, pairs, k, cl, False)
+            assert kernels.graph_color_decision(n, adj, k, cl) == expected, (cl, k)
+            expected = _reference_color_search(n, adj, pairs, k, cl, True)
+            assert kernels._color_search(n, adj, pairs, k, cl, True) == expected, (cl, k)
+            assert kernels.graph_colorable(n, adj, k, cl) == (expected is not None), (cl, k)
+
+
+@st.composite
+def _seeded_hypergraphs(draw):
+    # n to 4n edges of 2 to 4 vertices on 3 to 14 vertices, many of them
+    # near their chromatic threshold, where a search backtracks through runs
+    # of forced vertices with edges of three or more
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(3, 14))
+    return n, [sum(1 << v for v in rng.sample(range(n), rng.randint(2, min(n, 4))))
+               for _ in range(rng.randint(n, 4 * n))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(instance=st.one_of(_colorable_hypergraphs(), _order_three_powers(),
+                          _seeded_hypergraphs()))
+def test_color_search_matches_one_call_per_decision_on_hypergraphs(instance):
+    n, masks = instance
+    tables = kernels.hypergraph_color_tables(n, masks)
+    for k in range(1, 7):
+        if tables is None:  # a singleton edge: no search runs
+            assert kernels.hypergraph_color_decision(n, masks, k) is None
+            assert not kernels.hypergraph_colorable(n, masks, k)
+            continue
+        adj, pairs = tables
+        expected = _reference_color_search(n, adj, pairs, k, (), False)
+        assert kernels.hypergraph_color_decision(n, masks, k, tables) == expected, k
+        expected = _reference_color_search(n, adj, pairs, k, (), True)
+        assert kernels._color_search(n, adj, pairs, k, (), True) == expected, k
+        assert kernels.hypergraph_colorable(n, masks, k, tables) == (expected is not None), k
 
 
 def _co_edge_max_clique(g):
