@@ -236,8 +236,11 @@ def turan_number(host: Hypergraph, family: PatternFamily, mode: str = "auto",
 
 def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[int, int]:
     """Best of ``restarts`` seeded greedy passes, each taking in shuffled
-    order every edge that completes no occurrence with the edges taken."""
-    ones, longer, singles = _alternating_tables(m, occ_masks)
+    order every edge that completes no occurrence with the edges taken.
+    Each pass counts down the edges that every occurrence of three or more
+    edges still lacks (see _alternating_tables), and passes over an edge
+    whose take would bring one of those counts to 0."""
+    ones, inc, singles, _, sizes = _alternating_tables(m, occ_masks)
     rng = random.Random(seed)
     best_size, best_mask = 0, 0
     order = list(range(m))
@@ -245,10 +248,17 @@ def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[in
         rng.shuffle(order)
         mask = 0
         size = 0
+        missing = sizes
         for e in order:
-            if not (singles >> e & 1 or ones[e] & mask) and all(r & ~mask for r in longer[e]):
-                mask |= 1 << e
-                size += 1
+            if singles >> e & 1 or ones[e] & mask:
+                continue
+            if inc[e]:
+                after, _, full = _count_down(missing, inc[e])
+                if full:
+                    continue
+                missing = after
+            mask |= 1 << e
+            size += 1
         if size > best_size:
             best_size, best_mask = size, mask
     return best_size, best_mask
@@ -335,26 +345,57 @@ def ex_alt_sigma(host: Hypergraph, family: PatternFamily, sigma: LinearOrdering,
 
 
 def _alternating_tables(m: int, occ_masks):
-    """The tables ``(ones, longer, singles)`` _best_alternating searches on,
-    which depend on the host alone. For each host edge e, the rests ``om -
-    e`` of the occurrences om through e that have more than one edge are
-    split by size: ``ones[e]`` is the mask of the one-edge rests, and
-    ``longer[e]`` lists the others. ``singles`` is the mask of the
-    single-edge occurrences."""
+    """The tables ``(ones, inc, singles, longs, sizes)`` _best_alternating
+    searches on, which depend on the host alone. ``singles`` is the mask of
+    the single-edge occurrences. For each host edge e, ``ones[e]`` is the
+    mask of the one-edge rests ``om - e`` of the two-edge occurrences om
+    through e. The occurrences of three or more edges are numbered in the
+    order of ``occ_masks``: ``longs[j]`` is the mask of occurrence j, and
+    ``inc[e]`` the mask of the numbers of those through e. ``sizes`` holds
+    their edge counts bit-sliced: plane p is the mask of the numbers whose
+    count has bit p set; there is no plane when there is no such
+    occurrence."""
     ones = [0] * m
-    longer: list[list[int]] = [[] for _ in range(m)]
+    inc = [0] * m
     singles = 0
+    longs: list[int] = []
+    by_size: dict[int, int] = {}  # edge count -> mask of the numbers with it
     for om in occ_masks:
-        if om & (om - 1) == 0:
+        size = om.bit_count()
+        if size <= 1:
             singles |= om
-            continue
-        for e in bits_of(om):
-            r = om ^ (1 << e)
-            if r & (r - 1) == 0:
-                ones[e] |= r
-            else:
-                longer[e].append(r)
-    return ones, longer, singles
+        elif size == 2:
+            low = om & -om
+            ones[low.bit_length() - 1] |= om ^ low
+            ones[(om ^ low).bit_length() - 1] |= low
+        else:
+            j = 1 << len(longs)
+            longs.append(om)
+            by_size[size] = by_size.get(size, 0) | j
+            while om:  # not bits_of: this loop is most of the build
+                low = om & -om
+                inc[low.bit_length() - 1] |= j
+                om ^= low
+    sizes = [0] * max(by_size, default=0).bit_length()
+    for size, ids in by_size.items():
+        for p in bits_of(size):
+            sizes[p] |= ids
+    return ones, inc, singles, longs, tuple(sizes)
+
+
+def _count_down(planes, ids: int):
+    """(planes, short, full): the bit-sliced counts ``planes`` less one at
+    each number in ``ids``, by a ripple borrow, and the masks of the numbers
+    in ``ids`` whose count is then 1 and 0. No count in ``ids`` may be 0."""
+    out = []
+    borrow = ids
+    for q in planes:
+        out.append(q ^ borrow)
+        borrow &= ~q
+    high = 0
+    for q in out[1:]:
+        high |= q
+    return out, ids & out[0] & ~high, ids & ~(out[0] | high)
 
 
 def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int = 1):
@@ -378,14 +419,23 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
     joins a class, an occurrence through e with a single edge left outside
     the class makes that edge dead; single-edge occurrences are dead in both
     classes from the start. The one-edge rests are kept in the mask
-    ``ones[e]``, so one mask operation makes those outside the class dead,
-    and only the rests of ``longer[e]`` are scanned; on P2 every rest has
-    one edge, and a take scans none. From ``level`` 2 on (plain form only)
-    the disjointness graph of the occurrences inside either class must stay
-    (level - 1)-colorable; a take lists the occurrences it completes and
-    tests the grown list, and no edge is dead. An occurrence inside one
-    class is disjoint from any inside the other, so one flat list serves
-    both classes.
+    ``ones[e]``, so one mask operation makes those outside the class dead.
+    For the occurrences of three or more edges each class keeps, as
+    bit-sliced planes over their numbers, the count of edges each still
+    lacks, starting at its size (``sizes``); the counting replaces a scan
+    of their rests, as in the clause counters of SAT solvers' unit
+    propagation. A take counts down the numbers ``inc[e]`` by a ripple
+    borrow, reads off those left one edge short, and makes dead each
+    undecided edge x with such a number in ``inc[x]``: the edge each of
+    them lacks. On P2 there are no such occurrences and no planes; a take
+    only tests that ``inc[e]`` is empty. A class holding an occurrence in
+    the strong form keeps no counts, as it keeps no dead mask. From
+    ``level`` 2 on (plain form only) the disjointness graph of the
+    occurrences inside either class must stay (level - 1)-colorable; a
+    take lists the occurrences it completes, the long ones being those
+    whose count reaches 0, and tests the grown list, and no edge is dead.
+    An occurrence inside one class is disjoint from any inside the other,
+    so one flat list serves both classes.
 
     An edge not yet decided is live for a class unless the class can no
     longer take it: it is dead there and, in the strong form, the other
@@ -398,12 +448,13 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
     longer coloring, leaves the result, witness and aborts included, as
     they were without it.
     """
-    ones, longer, singles = tables
+    ones, inc, singles, longs, sizes = tables
     m = len(seq)
     best = -1
     best_choice: tuple[int, ...] = ()
     chosen: list[int] = []
     inside: list[int] = []  # from level 2: the occurrences inside either class
+    missing = [sizes, sizes]  # per class, red first: the edges each long occurrence lacks
     aborted = False
 
     # ``side`` is the color class that takes the next edge, ``other`` the
@@ -434,15 +485,22 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
             if not completes or (strong and not other_bad):
                 grown = side | bit
                 dead = dead_side
+                ids = 0
                 if not completes:  # a class holding an occurrence needs no dead mask
                     dead |= ones[e] & ~grown
-                    for r in longer[e]:
-                        x = r & ~grown
-                        if x & (x - 1) == 0:
-                            dead |= x
+                    ids = inc[e]
+                    if ids:
+                        kept = missing[n_chosen & 1]
+                        missing[n_chosen & 1], short, _ = _count_down(kept, ids)
+                        if short:
+                            for x in bits_of((rest ^ bit) & ~dead):
+                                if inc[x] & short:
+                                    dead |= 1 << x
                 chosen.append(e)
                 rec(pos + 1, rest ^ bit, other, grown, dead_other, dead, other_bad, completes)
                 chosen.pop()
+                if ids:
+                    missing[n_chosen & 1] = kept
                 if aborted:
                     return
         else:  # the dead masks stay 0 and the bad flags False
@@ -451,17 +509,23 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
             new = [bit] if singles & bit else []
             for f in bits_of(ones[e] & side):
                 new.append(bit | 1 << f)
-            for r in longer[e]:
-                if r & side == r:
-                    new.append(r | bit)
+            ids = inc[e]
+            if ids:
+                kept = missing[n_chosen & 1]
+                missing[n_chosen & 1], _, full = _count_down(kept, ids)
+                if full:
+                    for j in bits_of(full):
+                        new.append(longs[j])
             if not new or _disjointness_colorable(inside + new, level - 1):
                 chosen.append(e)
                 inside.extend(new)
                 rec(pos + 1, rest ^ bit, other, side | bit, 0, 0, False, False)
                 chosen.pop()
                 del inside[len(inside) - len(new):]
-                if aborted:
-                    return
+            if ids:
+                missing[n_chosen & 1] = kept
+            if aborted:
+                return
         rec(pos + 1, rest ^ bit, side, other, dead_side, dead_other, side_bad, other_bad)
 
     start_dead = singles if level == 1 else 0

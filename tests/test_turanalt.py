@@ -112,6 +112,58 @@ def test_heuristic_mode_is_a_seeded_lower_bound():
     assert heur.to_json_dict() == again.to_json_dict()
 
 
+def _rest_tables(m, occ_masks):
+    """The tables of the rest-scanning search: ``(ones, longer, singles)``,
+    with ``longer[e]`` the list of the rests om - e of two or more edges."""
+    ones = [0] * m
+    longer = [[] for _ in range(m)]
+    singles = 0
+    for om in occ_masks:
+        if om & (om - 1) == 0:
+            singles |= om
+            continue
+        for e in bits_of(om):
+            r = om ^ (1 << e)
+            if r & (r - 1) == 0:
+                ones[e] |= r
+            else:
+                longer[e].append(r)
+    return ones, longer, singles
+
+
+def _rest_scan_greedy(m, occ_masks, seed, restarts):
+    """_greedy_free_subset as it was before the edge counts: an edge is
+    taken unless the taken edges hold a rest of an occurrence through it."""
+    ones, longer, singles = _rest_tables(m, occ_masks)
+    rng = random.Random(seed)
+    best_size, best_mask = 0, 0
+    order = list(range(m))
+    for _ in range(max(1, restarts)):
+        rng.shuffle(order)
+        mask = 0
+        size = 0
+        for e in order:
+            if not (singles >> e & 1 or ones[e] & mask) and all(r & ~mask for r in longer[e]):
+                mask |= 1 << e
+                size += 1
+        if size > best_size:
+            best_size, best_mask = size, mask
+    return best_size, best_mask
+
+
+def test_heuristic_turan_number_matches_rest_scan():
+    families = (_p2(), _c4(), _k3(),
+                family_of(build_named_family("path", length=3),
+                          build_named_family("complete", n=3)))
+    rng = random.Random(2024)
+    for trial in range(60):
+        host = random_graph(rng, rng.randint(4, 8), rng.choice((0.3, 0.5, 0.8)))
+        for fam in families:
+            report = turan_number(host, fam, mode="heuristic", seed=trial, restarts=8)
+            size, mask = _rest_scan_greedy(host.n_edges, occurrence_masks(host, fam), trial, 8)
+            assert (report.value, report.witness_edges) == (size, frozenset(bits_of(mask)))
+
+
 def test_exact_mode_respects_cap():
     host = build_named_family("complete", n=5)
     with pytest.raises(SizeCapError):
@@ -258,18 +310,45 @@ def test_exact_ordering_scan_matches_unfloored_scan(instance):
 @settings(max_examples=80, deadline=None)
 @given(instance=_scan_instances(7))
 def test_alternating_tables_split_the_rests_by_size(instance):
-    # ones[e] is the mask of the one-edge rests om - e, longer[e] lists the
-    # others; together they are the rests of the multi-edge occurrences om
-    # through e, and singles is the mask of the one-edge occurrences
+    # ones[e] is the mask of the one-edge rests om - e of the two-edge
+    # occurrences through e; each occurrence of three or more edges has one
+    # number j, longs[j] is its mask, j is in inc[e] for exactly its edges e,
+    # and the masks of the numbers of each size, read off the size planes,
+    # partition the numbers; singles is the mask of the one-edge occurrences
     host, fam = instance
     m = host.n_edges
     occ = occurrence_masks(host, fam)
-    ones, longer, singles = _alternating_tables(m, occ)
+    ones, inc, singles, longs, sizes = _alternating_tables(m, occ)
     assert singles == mask_of(om.bit_length() - 1 for om in occ if om.bit_count() == 1)
+    assert longs == [om for om in occ if om.bit_count() >= 3]
     for e in range(m):
-        rests = sorted(om ^ 1 << e for om in occ if om >> e & 1 and om.bit_count() > 1)
-        assert all(r.bit_count() >= 2 for r in longer[e])
-        assert sorted([1 << f for f in bits_of(ones[e])] + longer[e]) == rests
+        assert ones[e] == mask_of((om ^ 1 << e).bit_length() - 1
+                                  for om in occ if om >> e & 1 and om.bit_count() == 2)
+    for j, om in enumerate(longs):
+        assert mask_of(e for e in range(m) if inc[e] >> j & 1) == om
+    assert all(x < 1 << len(longs) for x in inc)
+    by_size = {}
+    for j in range(len(longs)):
+        size = sum((q >> j & 1) << p for p, q in enumerate(sizes))
+        by_size[size] = by_size.get(size, 0) | 1 << j
+    assert sum(by_size.values()) == (1 << len(longs)) - 1  # disjoint masks, all numbers
+    assert by_size == {s: mask_of(j for j, om in enumerate(longs) if om.bit_count() == s)
+                       for s in {om.bit_count() for om in longs}}
+    assert not sizes or sizes[-1]  # no empty top plane
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 9), max_size=40), data=st.data())
+def test_count_down_subtracts_one_at_each_number(counts, data):
+    planes = [mask_of(j for j, c in enumerate(counts) if c >> p & 1) for p in range(4)]
+    ids = mask_of(data.draw(st.sets(st.sampled_from(
+        [j for j, c in enumerate(counts) if c > 0] or [None]))) - {None})
+    after, ones, zeros = turanalt._count_down(planes, ids)
+    left = [c - (ids >> j & 1) for j, c in enumerate(counts)]
+    assert [sum((q >> j & 1) << p for p, q in enumerate(after))
+            for j in range(len(counts))] == left
+    assert ones == mask_of(j for j, c in enumerate(left) if ids >> j & 1 and c == 1)
+    assert zeros == mask_of(j for j, c in enumerate(left) if ids >> j & 1 and c == 0)
 
 
 @settings(max_examples=80, deadline=None)
@@ -618,13 +697,14 @@ def _reference_best_alternating(seq, occ_masks, strong, stop_at, level=1):
 
 @st.composite
 def _alternating_instances(draw):
-    # occurrences of 1 to 4 edges, repeats and single edges included, along
-    # a random ordering of up to 10 edges
+    # occurrences of 1 to 6 edges, mixed sizes, repeats and single edges
+    # included, along a random ordering of up to 10 edges; the edge counts
+    # of up to 40 occurrences cross the boundaries of the count planes
     m = draw(st.integers(0, 10))
     occ = []
     if m:
         for es in draw(st.lists(st.sets(st.integers(0, m - 1), min_size=1,
-                                        max_size=min(m, 4)), max_size=14)):
+                                        max_size=min(m, 6)), max_size=40)):
             occ.append(sum(1 << e for e in es))
     return tuple(draw(st.permutations(range(m)))), occ, draw(st.integers(0, m + 1))
 
@@ -639,6 +719,94 @@ def test_best_alternating_matches_reference(instance):
             assert _best_alternating(seq, tables, strong, stop_at, level) == \
                 _reference_best_alternating(seq, occ, strong, stop_at, level), \
                 (level, strong, stop_at)
+
+
+def _rest_scan_best_alternating(seq, tables, strong, stop_at, level=1):
+    """_best_alternating as it was before the edge counts: each take scans
+    every rest of ``longer[e]`` for the edges it makes dead, and from level
+    2 on for the occurrences it completes. It visits the same nodes as the
+    counting search, so their node counts are compared too."""
+    ones, longer, singles = tables
+    m = len(seq)
+    best = -1
+    best_choice = ()
+    chosen = []
+    inside = []
+    aborted = False
+
+    def rec(pos, rest, side, other, dead_side, dead_other, side_bad, other_bad):
+        nonlocal best, best_choice, aborted
+        n_chosen = len(chosen)
+        if n_chosen > best:
+            best = n_chosen
+            best_choice = tuple(chosen)
+            if stop_at is not None and best >= stop_at:
+                aborted = True
+        if aborted or pos == m:
+            return
+        room = best - n_chosen
+        if rest.bit_count() <= room:
+            return
+        live_side = rest & ~dead_side if not strong or other_bad else rest
+        live_other = rest & ~dead_other if not strong or side_bad else rest
+        if ((live_side | live_other).bit_count() <= room or 2 * live_side.bit_count() <= room
+                or 2 * live_other.bit_count() < room):
+            return
+        e = seq[pos]
+        bit = 1 << e
+        if level == 1:
+            completes = side_bad or bool(dead_side & bit)
+            if not completes or (strong and not other_bad):
+                grown = side | bit
+                dead = dead_side
+                if not completes:
+                    dead |= ones[e] & ~grown
+                    for r in longer[e]:
+                        x = r & ~grown
+                        if x & (x - 1) == 0:
+                            dead |= x
+                chosen.append(e)
+                rec(pos + 1, rest ^ bit, other, grown, dead_other, dead, other_bad, completes)
+                chosen.pop()
+                if aborted:
+                    return
+        else:
+            new = [bit] if singles & bit else []
+            for f in bits_of(ones[e] & side):
+                new.append(bit | 1 << f)
+            for r in longer[e]:
+                if r & side == r:
+                    new.append(r | bit)
+            if not new or _disjointness_colorable(inside + new, level - 1):
+                chosen.append(e)
+                inside.extend(new)
+                rec(pos + 1, rest ^ bit, other, side | bit, 0, 0, False, False)
+                chosen.pop()
+                del inside[len(inside) - len(new):]
+                if aborted:
+                    return
+        rec(pos + 1, rest ^ bit, side, other, dead_side, dead_other, side_bad, other_bad)
+
+    start_dead = singles if level == 1 else 0
+    rec(0, (1 << m) - 1, 0, 0, start_dead, start_dead, False, False)
+    return best, tuple((e, "red" if k % 2 == 0 else "blue") for k, e in enumerate(best_choice))
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=_alternating_instances())
+def test_best_alternating_matches_rest_scan(instance):
+    # value, colored witness and abort (the value a search with stop_at
+    # stops at) as well as the nodes visited
+    seq, occ, stop = instance
+    tables = _alternating_tables(len(seq), occ)
+    rests = _rest_tables(len(seq), occ)
+    for level, strong in ((1, False), (2, False), (3, False), (1, True)):
+        for stop_at in (None, stop):
+            args = (strong, stop_at, level)
+            assert _best_alternating(seq, tables, *args) == \
+                _rest_scan_best_alternating(seq, rests, *args), args
+            assert search_nodes(_best_alternating, seq, tables, *args) == \
+                search_nodes(_rest_scan_best_alternating, seq, rests, *args), args
 
 
 @st.composite
@@ -688,6 +856,18 @@ def test_certificate_search_nodes_pinned():
         sigma = LinearOrdering.identity(n)
         got = tuple(search_nodes(altermatic_certificate, rep, sigma, i, strong)
                     for i, strong in ((1, False), (2, False), (3, False), (1, True)))
+        assert got == counts, (n, k)
+
+
+def test_certificate_search_nodes_pinned_on_larger_reps():
+    # as above at i = 1 and in the strong form, on representations whose
+    # takes each count down C(n-1, k-1) occurrences: 120 and 715
+    pinned = {(11, 4): (505, 659), (14, 5): (3_433, 4_003)}
+    for (n, k), counts in pinned.items():
+        rep = build_named_family("complete-uniform", n=n, s=k)
+        sigma = LinearOrdering.identity(n)
+        got = tuple(search_nodes(altermatic_certificate, rep, sigma, 1, strong)
+                    for strong in (False, True))
         assert got == counts, (n, k)
 
 
