@@ -54,9 +54,9 @@ from .turanalt import (
     alt_sigma_level,
     altermatic_certificate,
     ex_alt_min,
-    ex_alt_min_tag,
     ex_alt_sigma,
     interval_ordering,
+    report_mode,
     salt_sigma,
     turan_number,
     verify_certificate,
@@ -413,12 +413,14 @@ def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
     if quantity != "ex" and "sequence" in options["ordering"] and \
             report.witness_coloring.ordering != _sigma(options):
         raise VerificationError("the witness ordering differs from the options echo")
-    if quantity != "ex" and options["ordering"]["kind"] == "minimized":
-        tag = ex_alt_min_tag(host.n_edges, options["mode"], **_cap_kwargs(options))
+    if quantity == "ex" or options["ordering"]["kind"] == "minimized":
+        default = DEFAULT_TURAN_CAP if quantity == "ex" else DEFAULT_ORDERING_CAP
+        tag = report_mode(quantity, host.n_edges, options["mode"],
+                          default if options["cap"] is None else options["cap"])
         if report.mode != tag:
-            raise VerificationError(f"the report is tagged {report.mode}, the ordering scan "
-                                    f"with these options reports {tag}")
-        if tag == "exact":
+            raise VerificationError(f"the report is tagged {report.mode}, the search with "
+                                    f"these options reports {tag}")
+        if tag == "exact" and quantity != "ex":
             # a witness ordering bounds the minimum from above only: rescan where cheap
             if host.n_edges > DEFAULT_ORDERING_CAP:
                 return {**checks, "value_rechecked": False}

@@ -218,36 +218,45 @@ def turan_number(host: Hypergraph, family: PatternFamily, mode: str = "auto",
     found by the shared kernel up to ``cap`` host edges; beyond that (or with
     mode="heuristic") a seeded randomized greedy reports a lower bound.
     """
+    tag = report_mode("ex", host.n_edges, mode, cap)
+    occ_graph = pattern_hypergraph(host, family)
+    if tag == "exact":
+        _, mask = max_independent_set(host.n_edges, occ_graph.edge_masks)
+    else:
+        mask = _greedy_free_subset(occ_graph, seed, restarts)
+    return TuranReport("ex", mask.bit_count(), tag, witness_edges=frozenset(bits_of(mask)))
+
+
+def report_mode(quantity: str, m: int, mode: str, cap: int) -> str:
+    """The mode tag of turan_number's (``quantity`` "ex") or ex_alt_min's
+    report on m host edges: "exact" for mode "exact", for "auto" within
+    ``cap`` and for ex-alt and ex-salt on no edges, else "lower-bound" for
+    ex and "upper-bound" for the others. Refuses an unknown mode and mode
+    "exact" above ``cap``."""
     if mode not in ("auto", "exact", "heuristic"):
         raise InvalidParameterError(f"unknown mode {mode!r}")
-    m = host.n_edges
-    occ = occurrence_masks(host, family)
-    exact = mode == "exact" or (mode == "auto" and m <= cap)
-    if exact:
-        if m > cap:
-            raise SizeCapError(f"host has {m} edges, above the exact cap {cap}")
-        value, mask = max_independent_set(m, occ)
-        return TuranReport("ex", value, "exact",
-                           witness_edges=frozenset(bits_of(mask)))
-    value, mask = _greedy_free_subset(m, occ, seed, restarts)
-    return TuranReport("ex", value, "lower-bound",
-                       witness_edges=frozenset(bits_of(mask)))
+    if mode == "exact" and m > cap:
+        raise SizeCapError(f"host has {m} edges, above the exact-search cap {cap}")
+    if mode == "exact" or (mode == "auto" and m <= cap) or (m == 0 and quantity != "ex"):
+        return "exact"
+    return "lower-bound" if quantity == "ex" else "upper-bound"
 
 
-def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[int, int]:
-    """Best of ``restarts`` seeded greedy passes, each taking in shuffled
-    order every edge that completes no occurrence with the edges taken.
-    Each pass counts down the edges that every occurrence of three or more
-    edges still lacks (see _alternating_tables), and passes over an edge
-    whose take would bring one of those counts to 0."""
-    ones, inc, singles, _, sizes = _alternating_tables(m, occ_masks)
+def _greedy_free_subset(occ_graph: Hypergraph, seed: int, restarts: int) -> int:
+    """Edge mask of the best of ``restarts`` seeded greedy passes, each
+    taking in shuffled order every host edge (vertex of ``occ_graph``) that
+    completes no occurrence with the edges taken. Each pass counts down the
+    edges that every occurrence of three or more edges still lacks (see
+    _alternating_tables), and passes over an edge whose take would bring
+    one of those counts to 0."""
+    m = occ_graph.n_vertices
+    ones, inc, singles, _, sizes = _tables_of(occ_graph)
     rng = random.Random(seed)
-    best_size, best_mask = 0, 0
+    best_mask = 0
     order = list(range(m))
     for _ in range(max(1, restarts)):
         rng.shuffle(order)
         mask = 0
-        size = 0
         missing = sizes
         for e in order:
             if singles >> e & 1 or ones[e] & mask:
@@ -258,10 +267,9 @@ def _greedy_free_subset(m: int, occ_masks, seed: int, restarts: int) -> tuple[in
                     continue
                 missing = after
             mask |= 1 << e
-            size += 1
-        if size > best_size:
-            best_size, best_mask = size, mask
-    return best_size, best_mask
+        if mask.bit_count() > best_mask.bit_count():
+            best_mask = mask
+    return best_mask
 
 
 def _brute_turan(m: int, occ_masks) -> int:
@@ -329,24 +337,24 @@ def ex_alt_sigma(host: Hypergraph, family: PatternFamily, sigma: LinearOrdering,
 
     Plain form: both color classes must be occurrence-free. Strong form
     (``strong``): at least one class must be. The witness coloring achieves
-    the reported value; the search is exhaustive.
+    the reported value; the search is exhaustive. The host edges are the
+    vertices of the occurrence hypergraph, so this is _alternation on it.
     """
-    m = host.n_edges
-    if len(sigma) != m:
-        raise InvalidParameterError("ordering length differs from host edge count")
-    if m > cap:
-        raise SizeCapError(f"host has {m} edges, above the cap {cap}")
-    occ = occurrence_masks(host, family)
-    tables = _alternating_tables(m, occ)
-    value, colored = _best_alternating(sigma.sequence, tables, strong, None)
-    quantity = "ex-salt" if strong else "ex-alt"
-    return TuranReport(quantity, value, "exact",
+    value, colored = _alternation(pattern_hypergraph(host, family), sigma, 1, strong, cap)
+    return TuranReport("ex-salt" if strong else "ex-alt", value, "exact",
                        witness_coloring=AlternatingColoring(sigma, colored))
+
+
+@lru_cache(maxsize=256)
+def _tables_of(occ_graph: Hypergraph):
+    """_alternating_tables of ``occ_graph``, built once per hypergraph."""
+    return _alternating_tables(occ_graph.n_vertices, occ_graph.edge_masks)
 
 
 def _alternating_tables(m: int, occ_masks):
     """The tables ``(ones, inc, singles, longs, sizes)`` _best_alternating
-    searches on, which depend on the host alone. ``singles`` is the mask of
+    searches on, which depend on the host alone; tuples, as _tables_of
+    shares them between callers. ``singles`` is the mask of
     the single-edge occurrences. For each host edge e, ``ones[e]`` is the
     mask of the one-edge rests ``om - e`` of the two-edge occurrences om
     through e. The occurrences of three or more edges are numbered in the
@@ -380,7 +388,7 @@ def _alternating_tables(m: int, occ_masks):
     for size, ids in by_size.items():
         for p in bits_of(size):
             sizes[p] |= ids
-    return ones, inc, singles, longs, tuple(sizes)
+    return tuple(ones), tuple(inc), singles, tuple(longs), tuple(sizes)
 
 
 def _count_down(planes, ids: int):
@@ -410,7 +418,7 @@ def _best_alternating(seq, tables, strong: bool, stop_at: int | None, level: int
     the ordering.
 
     ``seq`` lists the host edges 0..m-1 and ``tables`` comes from
-    _alternating_tables, built once per host. A take is allowed while the
+    _tables_of, built once per host. A take is allowed while the
     classes meet the side condition, which only grows harder as they grow.
     At ``level`` 1 no class may hold an occurrence (the strong form: one
     class may). Each class then keeps a dead mask: the edges that would
@@ -561,18 +569,14 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
     """
     quantity = "ex-salt" if strong else "ex-alt"
     m = host.n_edges
-    tag = ex_alt_min_tag(m, mode, cap)
+    tag = report_mode(quantity, m, mode, cap)
     occ_graph = pattern_hypergraph(host, family)
-    occ = occ_graph.edge_masks
     if m == 0:
         empty = AlternatingColoring(LinearOrdering(()), ())
         return TuranReport(quantity, 0, tag, witness_coloring=empty)
-    if mode == "exact" and m > cap:
-        raise SizeCapError(f"host has {m} edges, above the ordering-scan cap {cap}")
-    tables = _alternating_tables(m, occ)
     if tag == "exact":
         orderings = _scan_orderings(m, occ_graph)
-        floor = _scan_floor(m, occ, strong)
+        floor = _scan_floor(m, occ_graph.edge_masks, strong)
     else:
         rng = random.Random(seed)
         candidates: list[tuple[int, ...]] = []
@@ -587,19 +591,9 @@ def ex_alt_min(host: Hypergraph, family: PatternFamily, strong: bool = False,
             candidates.append(tuple(rng.sample(range(m), m)))
         orderings = dict.fromkeys(candidates)
         floor = -1
-    value, seq, colored = _least_alternating(orderings, tables, strong, floor)
+    value, seq, colored = _least_alternating(orderings, _tables_of(occ_graph), strong, floor)
     coloring = AlternatingColoring(LinearOrdering(seq), colored)
     return TuranReport(quantity, value, tag, witness_coloring=coloring)
-
-
-def ex_alt_min_tag(m: int, mode: str, cap: int = DEFAULT_ORDERING_CAP) -> str:
-    """The mode tag of ex_alt_min's report on a host of ``m`` edges: "exact"
-    where it scans the orderings (mode "exact", or "auto" within ``cap``)
-    and on a host without edges, "upper-bound" otherwise."""
-    if mode not in ("auto", "exact", "heuristic"):
-        raise InvalidParameterError(f"unknown mode {mode!r}")
-    exact = m == 0 or mode == "exact" or (mode == "auto" and m <= cap)
-    return "exact" if exact else "upper-bound"
 
 
 def _least_alternating(orderings, tables, strong: bool, floor: int):
@@ -781,18 +775,19 @@ def salt_sigma(rep: Hypergraph, sigma: LinearOrdering, cap: int = DEFAULT_ALT_CA
 
 def _alternation(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool, cap: int):
     """(value, colored pairs) of the exhaustive alternating search on ``rep``
-    along ``sigma`` at level ``i``, or in the strong form."""
+    along ``sigma`` at level ``i``, or in the strong form. ``rep`` is a
+    representation or the occurrence hypergraph of a host."""
     n = rep.n_vertices
     if len(sigma) != n:
-        raise InvalidParameterError("ordering length differs from vertex count")
+        raise InvalidParameterError(f"ordering has {len(sigma)} entries for {n} vertices "
+                                    "or host edges")
     if i < 1:
         raise InvalidParameterError("level must be >= 1")
     if strong and i != 1:
         raise InvalidParameterError("the strong form has no level: i must be 1")
     if n > cap:
-        raise SizeCapError(f"representation has {n} vertices, above the cap {cap}")
-    tables = _alternating_tables(n, rep.edge_masks)
-    return _best_alternating(sigma.sequence, tables, strong, None, i)
+        raise SizeCapError(f"{n} vertices or host edges to order, above the cap {cap}")
+    return _best_alternating(sigma.sequence, _tables_of(rep), strong, None, i)
 
 
 def _disjointness_colorable(masks: list[int], k: int) -> bool:

@@ -528,6 +528,57 @@ def test_verify_derives_the_mode_tag_of_a_minimized_document(capsys, tmp_path):
     assert code == 1 and "tagged upper-bound" in verdict["reason"], verdict
 
 
+def test_verify_derives_the_mode_tag_of_an_ex_document(capsys, tmp_path):
+    file = tmp_path / "doc.json"
+
+    def verify(doc):
+        file.write_text(canonical_dumps(doc))
+        code, out = _run(capsys, "verify", str(file))
+        return code, json.loads(out) if out else None
+
+    # one heuristic pass on K7 finds ex >= 10 (the true ex is 12); its 21
+    # edges are above the subset rescan, so only the tag can refuse "exact"
+    doc = _run_json(capsys, "compute", "ex", "--host", "complete", "--n", "7",
+                    "--pattern", "complete", "--pattern-n", "3", "--mode", "heuristic",
+                    "--seed", "3", "--restarts", "1")
+    assert (doc["result"]["ex"], doc["result"]["report"]["mode"]) == (10, "lower-bound")
+    assert verify(doc)[0] == 0
+    doc["result"]["report"]["mode"] = "exact"
+    code, verdict = verify(doc)
+    assert code == 1 and "tagged exact" in verdict["reason"], verdict
+    # an echo asking for an exact search above its cap is refused, as compute refuses it
+    doc["config"]["options"].update(mode="exact", cap=16)
+    assert verify(doc) == (2, None)
+    # an exact value tagged lower-bound would switch off the subset rescan
+    doc = _run_json(capsys, "compute", "ex", *_K4_P2)
+    doc["result"]["report"]["mode"] = "lower-bound"
+    code, verdict = verify(doc)
+    assert code == 1 and "tagged lower-bound" in verdict["reason"], verdict
+
+
+def test_turan_refusals_exit_2(capsys, tmp_path):
+    # a wrong-length ordering and a fixed ordering above the cap
+    short = tmp_path / "sigma.json"
+    short.write_text(json.dumps([0, 1, 2, 3, 4]))
+    for argv in (("compute", "ex-alt", *_K4_P2, "--ordering", str(short)),
+                 ("compute", "ex-salt", *_K4_P2, "--identity", "--cap", "5")):
+        assert _run(capsys, *argv) == (2, ""), argv
+    # the parser refuses an unknown mode; an options echo carrying one
+    # reaches the tag rule of verify
+    file = tmp_path / "doc.json"
+    for quantity in ("ex", "ex-alt"):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", quantity, *_K4_P2, "--mode", "banana"])
+        assert exc.value.code == 2
+        doc = _run_json(capsys, "compute", quantity, *_K4_P2)
+        doc["config"]["options"]["mode"] = "banana"
+        file.write_text(canonical_dumps(doc))
+        code = main(["verify", str(file)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "unknown mode 'banana'" in captured.err, quantity
+
+
 @pytest.mark.parametrize("flags", (("--host", "complete", "--n", "5000"),
                                    ("--host", "complete-uniform", "--n", "60", "--s", "8")))
 def test_named_builders_check_sizes_before_making_edges(flags):

@@ -320,7 +320,7 @@ def test_alternating_tables_split_the_rests_by_size(instance):
     occ = occurrence_masks(host, fam)
     ones, inc, singles, longs, sizes = _alternating_tables(m, occ)
     assert singles == mask_of(om.bit_length() - 1 for om in occ if om.bit_count() == 1)
-    assert longs == [om for om in occ if om.bit_count() >= 3]
+    assert list(longs) == [om for om in occ if om.bit_count() >= 3]
     for e in range(m):
         assert ones[e] == mask_of((om ^ 1 << e).bit_length() - 1
                                   for om in occ if om >> e & 1 and om.bit_count() == 2)
@@ -869,6 +869,40 @@ def test_certificate_search_nodes_pinned_on_larger_reps():
         got = tuple(search_nodes(altermatic_certificate, rep, sigma, 1, strong)
                     for strong in (False, True))
         assert got == counts, (n, k)
+
+
+def test_tables_are_built_once_per_occurrence_hypergraph(monkeypatch):
+    builds = []
+
+    def counted(m, occ_masks):
+        builds.append(m)
+        return _alternating_tables(m, occ_masks)
+
+    monkeypatch.setattr(turanalt, "_alternating_tables", counted)
+    turanalt._tables_of.cache_clear()
+    rep = build_named_family("complete-uniform", n=9, s=3)
+    sigma = LinearOrdering.identity(9)
+    for i, strong in ((1, False), (2, False), (3, False), (1, True)):
+        altermatic_certificate(rep, sigma, i, strong)
+    assert builds == [9]
+    builds.clear()
+    host = build_named_family("complete", n=4)
+    for strong in (False, True):
+        ex_alt_min(host, _k3(), strong=strong)
+    assert builds == [6]
+
+
+def test_turan_refusals_keep_their_error_types():
+    k4 = build_named_family("complete", n=4)
+    with pytest.raises(InvalidParameterError, match="5 entries for 6 vertices or host edges"):
+        ex_alt_sigma(k4, _p2(), LinearOrdering.identity(5))
+    with pytest.raises(SizeCapError, match="6 vertices or host edges to order, above the cap 5"):
+        ex_alt_sigma(k4, _p2(), LinearOrdering.identity(6), strong=True, cap=5)
+    for search in (turan_number, ex_alt_min):
+        with pytest.raises(InvalidParameterError, match="unknown mode 'banana'"):
+            search(k4, _p2(), mode="banana")
+        with pytest.raises(SizeCapError, match="6 edges, above the exact-search cap 5"):
+            search(k4, _p2(), mode="exact", cap=5)
 
 
 # --- serialization and verification ---

@@ -9,10 +9,11 @@ a time, and alternates which checkout goes first from one seed to the next,
 so a drift of the machine's speed falls on both sides alike. Each run's
 metrics and result digest are kept; the summary gives, per metric, each
 side's median and quartiles, the change's median less the base's, and the
-number of pairs in which the change is better (the direction comes from
-``BENCHMARK.json`` of the change checkout). It also says
-whether the two runs of each pair printed the same result digest. Standard
-library only.
+number of pairs in which the change is better, and that delta relative
+to the base's median, with whether it stays within the metric's ``bound``
+(the direction and the bound come from ``BENCHMARK.json`` of the change
+checkout). It also says whether the two runs of each pair printed the same
+result digest. Standard library only.
 """
 
 import argparse
@@ -53,9 +54,9 @@ def run_once(checkout, workload, seed, seconds):
     }
 
 
-def directions(checkout):
+def end_to_end(checkout):
     spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m for m in spec["end_to_end"]}
 
 
 def quartiles(values):
@@ -64,22 +65,29 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(pairs, better):
+def summarize(pairs, metrics):
+    """Per end-to-end metric of ``metrics`` (name -> its BENCHMARK.json
+    entry): both sides' medians and quartiles, the delta of the medians,
+    the pairs the change wins, and whether the change is worse than the
+    base's median by at most the metric's ``bound``, a fraction of it."""
     summary = {}
-    for name, direction in sorted(better.items()):
+    for name, metric in sorted(metrics.items()):
         base = [p["base"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
-        lower = direction == "lower"
+        lower = metric["better"] == "lower"
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         b_q = quartiles(base)
         c_q = quartiles(change)
+        delta = c_q[1] - b_q[1]
         summary[name] = {
-            "better": direction,
+            "better": metric["better"],
             "base_median": b_q[1],
             "base_quartiles": [b_q[0], b_q[2]],
             "change_median": c_q[1],
             "change_quartiles": [c_q[0], c_q[2]],
-            "median_delta": c_q[1] - b_q[1],
+            "median_delta": delta,
+            "relative_delta": delta / b_q[1] if b_q[1] else None,
+            "within_bound": (delta if lower else -delta) <= metric["bound"] * b_q[1],
             "base_iqr": b_q[2] - b_q[0],
             "change_wins": wins,
             "pairs": len(pairs),
@@ -112,7 +120,7 @@ def main(argv=None):
         "seeds": [p["seed"] for p in pairs],
         "digests_identical": all(p["base"]["digest"] == p["change"]["digest"] for p in pairs),
         "failed": sum(p[side]["failed"] for p in pairs for side in ("base", "change")),
-        "summary": summarize(pairs, directions(args.change)),
+        "summary": summarize(pairs, end_to_end(args.change)),
         "pairs": pairs,
     }
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
