@@ -14,13 +14,18 @@ from functools import cached_property
 from itertools import combinations
 from math import comb
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, SizeCapError
 
 # Hard ceiling for the container itself, sized so that Kneser powers at
 # their documented caps still fit. Bitset-heavy exact solvers apply their
 # own much lower caps (64 by default, overridable); Python-int masks keep
 # working at any width, just not quickly.
 MAX_VERTICES = 4096
+
+# Edge ceiling of the named families, checked before any edge is made.
+# complete(1024), 523,776 edges, is the largest complete host under it; its
+# `build` prints 5.2 MB of JSON in about 2 s and 180 MB on a 2-core VM.
+MAX_EDGES = 1 << 19
 
 
 def _check_order(n: int) -> int:
@@ -64,6 +69,10 @@ class Record:
     fields in that order, as a frozen dataclass's do, and assigning or
     deleting any attribute raises ``AttributeError``. ``cached_property``
     and pickle write the ``__dict__`` directly, so both keep working.
+    A field may also be a ``cached_property`` that a private constructor
+    leaves unset (the edges of ``Hypergraph._from_adjacency``): the three
+    read the fields with ``getattr``, so such a field is made on its first
+    comparison, hash or repr and then compares as a stored one would.
 
     Plain classes instead of dataclasses: each frozen dataclass execs about
     six generated methods when its module is imported, about 1 ms a class,
@@ -73,7 +82,7 @@ class Record:
     _fields: tuple[str, ...] = ()
 
     def _values(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple(getattr(self, f) for f in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -99,6 +108,13 @@ class Hypergraph(Record):
 
     ``labels``, when present, carries one display string per vertex; it has no
     effect on any computation and survives JSON round trips.
+
+    ``__init__`` stores the edges. A simple graph made by ``_from_adjacency``,
+    as every r = 2 Kneser power is, holds one neighbour bitmask per vertex
+    instead, and makes its ``edges`` tuple (the pairs u < v in lexicographic
+    order) only when something reads it. Until then the edge count, edge
+    masks, adjacency masks, JSON and DIMACS forms come from those masks;
+    equality, hash and repr read ``edges`` and so make it (see Record).
     """
 
     _fields = ("n_vertices", "edges", "labels")
@@ -125,13 +141,45 @@ class Hypergraph(Record):
                 raise InvalidParameterError("labels length differs from vertex count")
         self.__dict__.update(n_vertices=n_vertices, edges=edges, labels=labels)
 
-    @property
+    @classmethod
+    def _from_adjacency(cls, n_vertices: int, adjacency) -> "Hypergraph":
+        """The simple graph on 0..n-1 in which v's neighbours are the bits of
+        ``adjacency[v]``; the masks must be symmetric and loop-free."""
+        g = cls.__new__(cls)
+        g.__dict__.update(n_vertices=_check_order(n_vertices), labels=None,
+                          _adjacency=tuple(adjacency), is_graph=True, is_simple_graph=True,
+                          n_edges=sum(a.bit_count() for a in adjacency) // 2)
+        return g
+
+    @cached_property
+    def edges(self) -> tuple[frozenset[int], ...]:
+        # reached only by a graph from _from_adjacency; __init__ stores the edges
+        return tuple(map(frozenset, self._pairs()))
+
+    def _pairs(self):
+        """Yield the edges of a ``_from_adjacency`` graph as lists [u, v],
+        u < v, in edge order, from its adjacency masks."""
+        for u, row in enumerate(self._adjacency):
+            bits = bin(row)[:1:-1]  # bits[v] == "1" when v is a neighbour of u
+            v = bits.find("1", u + 1)
+            while v >= 0:
+                yield [u, v]
+                v = bits.find("1", v + 1)
+
+    def _sorted_members(self):
+        """Each edge's members as an ascending list, in edge order, without
+        making the edges of a ``_from_adjacency`` graph."""
+        if "edges" in self.__dict__:
+            return (sorted(e) for e in self.edges)
+        return self._pairs()
+
+    @cached_property
     def n_edges(self) -> int:
         return len(self.edges)
 
     @cached_property
     def edge_masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(e) for e in self.edges)
+        return tuple(mask_of(e) for e in self._sorted_members())
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -177,7 +225,7 @@ class Hypergraph(Record):
     def to_json_dict(self) -> dict:
         doc: dict = {
             "n": self.n_vertices,
-            "edges": [sorted(e) for e in self.edges],
+            "edges": list(self._sorted_members()),
         }
         if self.labels is not None:
             doc["labels"] = list(self.labels)
@@ -242,8 +290,9 @@ def build_named_family(kind: str, **params) -> Hypergraph:
 
     kind: cycle(n), path(length), complete(n), complete_bipartite(m, n),
     matching(n), complete_uniform(n, s). Underscores and dashes in ``kind``
-    are interchangeable. Each builder checks its vertex count, and
-    complete_uniform its edge count, before it makes any edge.
+    are interchangeable. Each builder checks its vertex count against
+    MAX_VERTICES, and the ones that can exceed it its edge count against
+    MAX_EDGES (SizeCapError), before it makes any edge.
     """
     kind = kind.replace("-", "_")
     try:
@@ -271,6 +320,7 @@ def _path(length: int) -> Hypergraph:
 
 def _complete(n: int) -> Hypergraph:
     n = _check_order(_positive(n, "n"))
+    _check_edges(comb(n, 2), f"complete({n})")
     edges = tuple(frozenset(p) for p in combinations(range(n), 2))
     return Hypergraph(n, edges)
 
@@ -279,6 +329,7 @@ def _complete_bipartite(m: int, n: int) -> Hypergraph:
     m = _positive(m, "m")
     n = _positive(n, "n")
     _check_order(m + n)
+    _check_edges(m * n, f"complete_bipartite({m}, {n})")
     edges = tuple(frozenset({u, m + v}) for u in range(m) for v in range(n))
     return Hypergraph(m + n, edges)
 
@@ -296,9 +347,7 @@ def _complete_uniform(n: int, s: int) -> Hypergraph:
     s = _positive(s, "s")
     if s > n:
         raise InvalidParameterError("uniformity s exceeds n")
-    if comb(n, s) > comb(MAX_VERTICES, 2):
-        raise InvalidParameterError(f"complete_uniform({n}, {s}) would have {comb(n, s)} edges, "
-                                    f"more than complete({MAX_VERTICES})")
+    _check_edges(comb(n, s), f"complete_uniform({n}, {s})")
     edges = tuple(frozenset(c) for c in combinations(range(n), s))
     return Hypergraph(n, edges)
 
@@ -311,6 +360,11 @@ _FAMILY_BUILDERS = {
     "matching": _matching,
     "complete_uniform": _complete_uniform,
 }
+
+
+def _check_edges(count: int, what: str) -> None:
+    if count > MAX_EDGES:
+        raise SizeCapError(f"{what} would have {count} edges, above the ceiling {MAX_EDGES}")
 
 
 def _positive(value, name: str) -> int:
@@ -422,8 +476,7 @@ def to_dimacs(g: Hypergraph) -> str:
     if not g.is_graph:
         raise InvalidParameterError("DIMACS export needs a 2-uniform hypergraph")
     lines = [f"p edge {g.n_vertices} {g.n_edges}"]
-    for e in g.edges:
-        u, v = sorted(e)
+    for u, v in g._sorted_members():
         lines.append(f"e {u + 1} {v + 1}")
     return "\n".join(lines) + "\n"
 

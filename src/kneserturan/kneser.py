@@ -35,9 +35,16 @@ def kneser_power(rep: Hypergraph, r: int = 2, cap: int | None = None) -> KneserI
     """Disjointness structure of the representation's hyperedges.
 
     Vertices of the result are rep edge ids; hyperedges are the r-sets of
-    pairwise disjoint rep edges, emitted in lexicographic id order. Isolated
-    rep vertices never matter here, and rep edges that meet everything
-    simply end up isolated in the result.
+    pairwise disjoint rep edges, in lexicographic id order. Isolated rep
+    vertices never matter here, and rep edges that meet everything simply
+    end up isolated in the result.
+
+    For r = 2 the result is held as one neighbour mask per rep edge (the
+    bitset rows of San Segundo, Rodriguez-Losada and Jimenez, Computers &
+    OR 38(2), 2011), made in O(m |e|) mask operations: the edges that meet
+    edge i are the OR of the incidence masks of its members, and its
+    neighbours are the rest. The result's ``edges`` are made only when
+    read (see Hypergraph).
     """
     if r < 2:
         raise InvalidParameterError("kneser_power needs r >= 2")
@@ -46,27 +53,34 @@ def kneser_power(rep: Hypergraph, r: int = 2, cap: int | None = None) -> KneserI
     m = rep.n_edges
     if m > cap:
         raise SizeCapError(f"representation has {m} edges, above the cap {cap}")
+    if r == 2:
+        incidence = [0] * rep.n_vertices
+        for i, e in enumerate(rep.edges):
+            for v in e:
+                incidence[v] |= 1 << i
+        everything = (1 << m) - 1
+        adjacency = []
+        for e in rep.edges:
+            meets = 0
+            for v in e:
+                meets |= incidence[v]
+            adjacency.append(everything ^ meets)
+        return KneserInstance(rep, r, Hypergraph._from_adjacency(m, adjacency))
     masks = rep.edge_masks
     edges: list[frozenset[int]] = []
-    if r == 2:
-        for i in range(m):
-            for j in range(i + 1, m):
-                if masks[i] & masks[j] == 0:
-                    edges.append(frozenset({i, j}))
-    else:
-        chosen: list[int] = []
+    chosen: list[int] = []
 
-        def rec(start: int, union: int):
-            if len(chosen) == r:
-                edges.append(frozenset(chosen))
-                return
-            for j in range(start, m):
-                if masks[j] & union == 0:
-                    chosen.append(j)
-                    rec(j + 1, union | masks[j])
-                    chosen.pop()
+    def rec(start: int, union: int):
+        if len(chosen) == r:
+            edges.append(frozenset(chosen))
+            return
+        for j in range(start, m):
+            if masks[j] & union == 0:
+                chosen.append(j)
+                rec(j + 1, union | masks[j])
+                chosen.pop()
 
-        rec(0, 0)
+    rec(0, 0)
     return KneserInstance(rep, r, Hypergraph(m, tuple(edges)))
 
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 
@@ -15,10 +16,15 @@ from kneserturan import (
     Hypergraph,
     build_named_family,
     canonical_dumps,
+    chromatic_number_graph,
+    family_of,
     from_dimacs,
+    kneser_power,
+    pattern_hypergraph,
     run_golden_suite,
 )
 from kneserturan.cli import _build_parser, _compute_chi, _options_echo, main
+from kneserturan.hyperstruct import MAX_EDGES
 from kneserturan.kneser import _rebuild_instance, _target_of
 
 
@@ -115,6 +121,34 @@ def test_export_pattern_scheme_exports_kneser_graph(capsys):
                      "--pattern", "path", "--len", "2")
     assert code == 0
     assert Hypergraph.from_json_dict(json.loads(out)).n_vertices == 12
+
+
+def test_power_edges_stay_unmade(capsys, tmp_path, monkeypatch):
+    # build, export, a build document's verify, and a chi compute and verify
+    # answer from the adjacency rows of an r = 2 power, never its edge tuple
+    made = []
+    from_adjacency = Hypergraph._from_adjacency
+
+    def spy(n, adjacency):
+        made.append(from_adjacency(n, adjacency))
+        return made[-1]
+
+    monkeypatch.setattr(Hypergraph, "_from_adjacency", spy)
+    instance = ("--host", "complete", "--n", "6", "--pattern", "cycle", "--pattern-n", "4")
+    doc = tmp_path / "doc.json"
+    for argv in (("build", *instance), ("export", *instance),
+                 ("export", *instance, "--format", "dimacs"), ("verify", str(doc)),
+                 ("compute", "chi", *instance), ("verify", str(doc))):
+        code, out = _run(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] in ("build", "compute"):
+            doc.write_text(out)
+    assert json.loads(out)["kind"] == "chi"
+    g = kneser_power(pattern_hypergraph(build_named_family("complete", n=6),
+                                        family_of(build_named_family("cycle", n=4)))).result
+    assert chromatic_number_graph(g).value == 4
+    assert len(made) == 7
+    assert not any("edges" in vars(g) for g in made)
 
 
 def test_export_input_labels_must_be_strings_or_null(capsys, tmp_path):
@@ -546,6 +580,15 @@ def test_verify_derives_the_mode_tag_of_an_ex_document(capsys, tmp_path):
     doc["result"]["report"]["mode"] = "exact"
     code, verdict = verify(doc)
     assert code == 1 and "tagged exact" in verdict["reason"], verdict
+    # with the echoed mode exact as well the tag agrees, and above the subset
+    # rescan verify reruns the exact search, which finds 12
+    doc["config"]["options"]["mode"] = "exact"
+    code, verdict = verify(doc)
+    assert code == 1 and "ex recomputes to 12, document says 10" in verdict["reason"], verdict
+    exact = _run_json(capsys, "compute", "ex", "--host", "complete", "--n", "7",
+                      "--pattern", "complete", "--pattern-n", "3", "--mode", "exact")
+    code, verdict = verify(exact)
+    assert code == 0 and verdict["checks"]["recomputed"] is True, verdict
     # an echo asking for an exact search above its cap is refused, as compute refuses it
     doc["config"]["options"].update(mode="exact", cap=16)
     assert verify(doc) == (2, None)
@@ -592,6 +635,17 @@ def test_named_builders_check_sizes_before_making_edges(flags):
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
     assert "Traceback" not in out.stderr
+
+
+def test_a_complete_host_above_the_edge_ceiling_exits_2_at_once(capsys):
+    # K4096 has 8,386,560 edges, above MAX_EDGES; no edge is made
+    start = time.perf_counter()
+    code = main(["build", "--host", "complete", "--n", "4096"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"8386560 edges, above the ceiling {MAX_EDGES}" in captured.err
+    assert elapsed < 0.5
 
 
 def test_cap_escape_hatch_required(capsys):

@@ -1,7 +1,11 @@
+import pickle
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneserturan import (
     Hypergraph,
@@ -14,6 +18,7 @@ from kneserturan import (
     kneser_of_family,
     kneser_power,
     pattern_hypergraph,
+    to_dimacs,
 )
 from kneserturan.kneser import _rebuild_instance, _rep_of, _target_of
 
@@ -41,6 +46,61 @@ def test_order_three_power_of_three_disjoint_edges():
     inst = kneser_power(rep, r=3)
     assert inst.result.edges == (frozenset({0, 1, 2}),)
     assert inst.r == 3
+
+
+def _pair_loop_power(rep: Hypergraph) -> Hypergraph:
+    """The r = 2 power by a loop over the pairs of rep edges, kept as an oracle."""
+    masks = rep.edge_masks
+    m = len(masks)
+    return Hypergraph(m, tuple(frozenset({i, j}) for i in range(m) for j in range(i + 1, m)
+                               if masks[i] & masks[j] == 0))
+
+
+@st.composite
+def _representations(draw):
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1,
+                         max_size=40))
+    # drawn from a pool, member sets repeat; the whole vertex set meets every edge
+    pool.append(frozenset(range(n)))
+    return Hypergraph(n, draw(st.lists(st.sampled_from(pool), max_size=40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_representations())
+def test_row_built_power_matches_the_pair_loop(rep):
+    g = kneser_power(rep).result
+    oracle = _pair_loop_power(rep)
+    # everything but equality, hash and repr is answered before the edges are made
+    assert g.n_vertices == oracle.n_vertices and g.n_edges == oracle.n_edges
+    assert g.edge_masks == oracle.edge_masks
+    assert g.adjacency_masks() == oracle.adjacency_masks()
+    assert g.to_json_dict() == oracle.to_json_dict()
+    assert g.canonical_json() == oracle.canonical_json()
+    assert to_dimacs(g) == to_dimacs(oracle)
+    assert g.is_simple_graph and "edges" not in vars(g)
+    again = pickle.loads(pickle.dumps(g))
+    assert g == oracle and hash(g) == hash(oracle) and repr(g) == repr(oracle)
+    assert g.edges == oracle.edges and "edges" in vars(g)
+    assert again == oracle and hash(again) == hash(oracle)
+
+
+def test_power_json_memory_budget():
+    # tracemalloc peak of the KG(K10,C4) canonical_json() call (630 vertices,
+    # 137,025 edges), with the occurrence hypergraph already memoized: 47.1 MiB
+    # when the power was built as one frozenset per edge, 17.4 MiB from
+    # adjacency rows. The budget is half the first.
+    host = build_named_family("complete", n=10)
+    c4 = family_of(build_named_family("cycle", n=4))
+    pattern_hypergraph(host, c4)
+    tracemalloc.start()
+    try:
+        text = kneser_of_family(host, c4).result.canonical_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.startswith('{"edges":[[0,107],') and text.count("],[") == 137_024
+    assert peak < 47.1 / 2 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_power_cap():

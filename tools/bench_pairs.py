@@ -13,7 +13,11 @@ number of pairs in which the change is better, and that delta relative
 to the base's median, with whether it stays within the metric's ``bound``
 (the direction and the bound come from ``BENCHMARK.json`` of the change
 checkout). It also says whether the two runs of each pair printed the same
-result digest. Standard library only.
+result digest. A run that exits non-zero is kept with its exit code and the
+last lines of its stderr, left out of the medians, the wins and the digest
+comparison, and counted in ``failed`` (which also counts the failed
+operations of the runs that finished) and ``failed_runs``; the series goes
+on. Standard library only.
 """
 
 import argparse
@@ -36,12 +40,18 @@ def parse_seeds(text):
     return seeds
 
 
+STDERR_TAIL = 20
+
+
 def run_once(checkout, workload, seed, seconds):
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds)]
     start = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     wall = time.perf_counter() - start
+    if proc.returncode != 0:
+        return {"seed": seed, "wall_s": round(wall, 1), "exit_code": proc.returncode,
+                "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]}
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     digest = DIGEST.search(proc.stdout)
     return {
@@ -65,17 +75,33 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
+def finished(run):
+    """Whether ``run`` is the record of a run that exited 0."""
+    return "exit_code" not in run
+
+
+def both_finished(pairs):
+    return [p for p in pairs if finished(p["base"]) and finished(p["change"])]
+
+
 def summarize(pairs, metrics):
     """Per end-to-end metric of ``metrics`` (name -> its BENCHMARK.json
-    entry): both sides' medians and quartiles, the delta of the medians,
-    the pairs the change wins, and whether the change is worse than the
-    base's median by at most the metric's ``bound``, a fraction of it."""
+    entry): both sides' medians and quartiles over their finished runs, the
+    delta of the medians, the pairs of two finished runs that the change
+    wins, and whether the change is worse than the base's median by at
+    most the metric's ``bound``, a fraction of it. None of these when a
+    side has no finished run."""
     summary = {}
+    whole = both_finished(pairs)
     for name, metric in sorted(metrics.items()):
-        base = [p["base"]["metrics"][name] for p in pairs]
-        change = [p["change"]["metrics"][name] for p in pairs]
+        base = [p["base"]["metrics"][name] for p in pairs if finished(p["base"])]
+        change = [p["change"]["metrics"][name] for p in pairs if finished(p["change"])]
+        if not base or not change:
+            summary[name] = None
+            continue
         lower = metric["better"] == "lower"
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
+        pairwise = [(p["base"]["metrics"][name], p["change"]["metrics"][name]) for p in whole]
+        wins = sum((c < b) if lower else (c > b) for b, c in pairwise)
         b_q = quartiles(base)
         c_q = quartiles(change)
         delta = c_q[1] - b_q[1]
@@ -90,7 +116,7 @@ def summarize(pairs, metrics):
             "within_bound": (delta if lower else -delta) <= metric["bound"] * b_q[1],
             "base_iqr": b_q[2] - b_q[0],
             "change_wins": wins,
-            "pairs": len(pairs),
+            "pairs": len(whole),
         }
     return summary
 
@@ -110,16 +136,22 @@ def main(argv=None):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, args.seconds)
-            print(f"seed {seed} {side}: {pair[side]['metrics']}", file=sys.stderr, flush=True)
+            run = pair[side] = run_once(getattr(args, side), args.workload, seed,
+                                        args.seconds)
+            shown = run["metrics"] if finished(run) else f"exit {run['exit_code']}"
+            print(f"seed {seed} {side}: {shown}", file=sys.stderr, flush=True)
         pairs.append(pair)
 
+    runs = [p[side] for p in pairs for side in ("base", "change")]
+    failed_runs = sum(not finished(run) for run in runs)
     doc = {
         "workload": args.workload,
         "seconds": args.seconds,
         "seeds": [p["seed"] for p in pairs],
-        "digests_identical": all(p["base"]["digest"] == p["change"]["digest"] for p in pairs),
-        "failed": sum(p[side]["failed"] for p in pairs for side in ("base", "change")),
+        "digests_identical": all(p["base"]["digest"] == p["change"]["digest"]
+                                 for p in both_finished(pairs)),
+        "failed": failed_runs + sum(run["failed"] for run in runs if finished(run)),
+        "failed_runs": failed_runs,
         "summary": summarize(pairs, end_to_end(args.change)),
         "pairs": pairs,
     }
