@@ -56,7 +56,6 @@ from .turanalt import (
     ex_alt_min,
     ex_alt_sigma,
     interval_ordering,
-    report_mode,
     salt_sigma,
     turan_number,
     verify_certificate,
@@ -190,16 +189,13 @@ def _instance_config(args) -> dict:
     return {"scheme": "raw", "host": host_cfg, "r": args.r}
 
 
-def _cap_for(default: int, args) -> int | None:
-    """Resolve --cap against the operation's default, enforcing the escape flag."""
-    if args.cap is None:
-        return None
-    if args.cap > default and not args.i_know_this_is_huge:
-        raise SizeCapError(
-            f"--cap {args.cap} is above the default {default}; "
-            "pass --i-know-this-is-huge to confirm"
-        )
-    return args.cap
+def _cap_for(default: int, cap: int | None, confirmed: bool) -> int | None:
+    """``cap`` itself, refused above the default unless confirmed by
+    --i-know-this-is-huge, which verify never passes."""
+    if cap is not None and cap > default and not confirmed:
+        raise SizeCapError(f"cap {cap} is above the default {default}; only build, compute "
+                           "and export take it, with --i-know-this-is-huge")
+    return cap
 
 
 def _build_cap(resolved: _Resolved) -> int:
@@ -295,7 +291,7 @@ def _verify_alt_sigma(quantity: str, rep: Hypergraph, options: dict, result: dic
     _require(result, ("i",), "result", int)
     if result["i"] != options["i"]:
         raise VerificationError(f"result i is {result['i']}, the options echo says {options['i']}")
-    return _verify_recompute(quantity, rep, options, result)
+    return {}
 
 
 def _compute_salt_sigma(rep: Hypergraph, options: dict) -> dict:
@@ -309,23 +305,28 @@ def _compute_certificate(rep: Hypergraph, options: dict) -> dict:
 
 
 def _verify_recompute(quantity: str, operand, options: dict, result: dict) -> dict:
-    """Recompute the headline under the default caps and compare."""
+    """Rerun the quantity's compute with the echoed options and compare the
+    tag of a Turan report, which the options fix, then the headline."""
     entry = _QUANTITIES[quantity]
+    again = entry.compute(operand, options)
+    if "report" in again:
+        _require(result["report"], ("mode",), "the report", str)
+        claimed, tag = result["report"]["mode"], again["report"]["mode"]
+        if claimed != tag:
+            raise VerificationError(f"the report is tagged {claimed}, the search with these "
+                                    f"options reports {tag}")
     headline = entry.result_keys[0]
-    recomputed = entry.compute(operand, {**options, "cap": None})[headline]
-    claimed = result[headline]
+    recomputed, claimed = again[headline], result[headline]
     if recomputed != claimed:
         raise VerificationError(f"{quantity} recomputes to {recomputed}, document says {claimed}")
     return {"recomputed": True}
 
 
 def _verify_vertex_set(quantity: str, target: Hypergraph, options: dict, result: dict) -> dict:
-    """A witness that is not a list of ints is malformed. Otherwise recompute
-    the headline, then check the witness: distinct vertices of the target,
-    as many as the headline says, that contain no hyperedge (alpha) or meet
-    every hyperedge (beta)."""
+    """A witness that is not a list of ints is malformed. Otherwise it must
+    be distinct vertices of the target, as many as the headline says, that
+    contain no hyperedge (alpha) or meet every hyperedge (beta)."""
     witness = _ints(result["witness_vertices"], "malformed document: the witness vertices")
-    checks = _verify_recompute(quantity, target, options, result)
     if len(set(witness)) != len(witness) or \
             any(not 0 <= v < target.n_vertices for v in witness):
         raise VerificationError("witness vertices repeat or are out of range")
@@ -337,7 +338,7 @@ def _verify_vertex_set(quantity: str, target: Hypergraph, options: dict, result:
         raise VerificationError("witness vertices contain a hyperedge")
     if quantity == "beta" and any(em & mask == 0 for em in target.edge_masks):
         raise VerificationError("witness vertices miss a hyperedge")
-    return checks
+    return {}
 
 
 def _verify_chi(quantity: str, target: Hypergraph, options: dict, result: dict) -> dict:
@@ -351,7 +352,6 @@ def _verify_chi(quantity: str, target: Hypergraph, options: dict, result: dict) 
         if claimed != UNBOUNDED and len(set(assignment)) > claimed:
             raise VerificationError("coloring uses more colors than claimed")
         checks["coloring_proper"] = True
-    checks.update(_verify_recompute(quantity, target, options, result))
     if assignment is None and claimed != UNBOUNDED:
         raise VerificationError(f"chi {claimed} comes without a coloring")
     _check_chi_witness(target, claimed, result["witness"])
@@ -405,30 +405,13 @@ def _check_chi_witness(target: Hypergraph, claimed, witness) -> None:
 
 
 def _verify_turan(quantity: str, operand, options: dict, result: dict) -> dict:
-    host, family = operand
     report = TuranReport.from_json_dict(result["report"])
     if (report.quantity, report.value) != (quantity, result[quantity]):
         raise VerificationError("report quantity or value differs from the headline")
-    checks = verify_turan_report(host, family, report)
+    checks = verify_turan_report(*operand, report)
     if quantity != "ex" and "sequence" in options["ordering"] and \
             report.witness_coloring.ordering != _sigma(options):
         raise VerificationError("the witness ordering differs from the options echo")
-    if quantity == "ex" or options["ordering"]["kind"] == "minimized":
-        default = DEFAULT_TURAN_CAP if quantity == "ex" else DEFAULT_ORDERING_CAP
-        tag = report_mode(quantity, host.n_edges, options["mode"],
-                          default if options["cap"] is None else options["cap"])
-        if report.mode != tag:
-            raise VerificationError(f"the report is tagged {report.mode}, the search with "
-                                    f"these options reports {tag}")
-        # a witness bounds the value from one side only. The subset rescan of
-        # verify_turan_report settles ex up to BRUTE_TURAN_CAP edges, and nothing
-        # there settles a minimum over the orderings: rerun the search where the
-        # default caps allow
-        if tag == "exact" and not (quantity == "ex" and checks["value_rechecked"]):
-            if host.n_edges > default:
-                return {**checks, "value_rechecked": False}
-            checks.update(_verify_recompute(quantity, operand, {**options, "mode": "exact"},
-                                            result))
     return checks
 
 
@@ -449,8 +432,10 @@ class _Quantity(NamedTuple):
     ``operand`` builds what the quantity acts on from a resolved instance.
     ``ordering`` is the ordering kind echoed when no ordering flag is given,
     or None for quantities that read no ordering. ``compute`` reads only the
-    operand and the options echo, so verify can rerun it from a document.
-    ``result_keys`` are the result fields verify reads, the headline first.
+    operand and the options echo, so verify can rerun it from a document,
+    within ``default_cap``, the default cap of the library call it makes.
+    ``verify`` then checks the witness. ``result_keys`` are the result
+    fields verify reads, the headline first.
     ``reads`` names which of the options in _QUANTITY_OPTIONS the quantity
     reads, besides the ordering flags, which every quantity with an ordering
     kind reads; compute refuses any other one set away from its default, and
@@ -459,7 +444,7 @@ class _Quantity(NamedTuple):
 
     result_keys: tuple[str, ...]
     operand: Callable[[_Resolved], object]
-    default_cap: Callable[[argparse.Namespace], int]
+    default_cap: Callable[[dict], int]
     compute: Callable[[object, dict], dict]
     verify: Callable[[str, object, dict, dict], dict]
     ordering: str | None = None
@@ -479,26 +464,26 @@ def _fixed_ordering(options: dict) -> bool:
     return bool(ordering or options.get("interval") or options.get("identity"))
 
 
-def _alternating_cap(args) -> int:
+def _alternating_cap(options: dict) -> int:
     # ex_alt_sigma's default cap is the Turan cap; without a fixed ordering,
-    # --cap is checked against the ordering scan's default
-    return DEFAULT_TURAN_CAP if _fixed_ordering(vars(args)) else DEFAULT_ORDERING_CAP
+    # the cap is checked against the ordering scan's default
+    return DEFAULT_TURAN_CAP if _fixed_ordering(options) else DEFAULT_ORDERING_CAP
 
 
 _SEARCH_OPTIONS = ("mode", "seed", "restarts")
 
 _QUANTITIES = {
-    "chi": _Quantity(("chi", "witness"), _target_of, lambda args: DEFAULT_SOLVER_CAP,
+    "chi": _Quantity(("chi", "witness"), _target_of, lambda options: DEFAULT_SOLVER_CAP,
                      _compute_chi, _verify_chi, reads=("r",)),
     "alpha": _Quantity(("alpha", "witness_vertices"), _target_of,
-                       lambda args: DEFAULT_SOLVER_CAP,
+                       lambda options: DEFAULT_SOLVER_CAP,
                        partial(_compute_vertex_set, "alpha", independence_number),
                        _verify_vertex_set, reads=("r",)),
     "beta": _Quantity(("beta", "witness_vertices"), _target_of,
-                      lambda args: DEFAULT_SOLVER_CAP,
+                      lambda options: DEFAULT_SOLVER_CAP,
                       partial(_compute_vertex_set, "beta", covering_number), _verify_vertex_set,
                       reads=("r",)),
-    "ex": _Quantity(("ex", "report"), _host_and_family, lambda args: DEFAULT_TURAN_CAP,
+    "ex": _Quantity(("ex", "report"), _host_and_family, lambda options: DEFAULT_TURAN_CAP,
                     _compute_ex, _verify_turan, reads=_SEARCH_OPTIONS),
     "ex-alt": _Quantity(("ex-alt", "report"), _host_and_family, _alternating_cap,
                         partial(_compute_alternating, "ex-alt"), _verify_turan, "minimized",
@@ -506,11 +491,11 @@ _QUANTITIES = {
     "ex-salt": _Quantity(("ex-salt", "report"), _host_and_family, _alternating_cap,
                          partial(_compute_alternating, "ex-salt"), _verify_turan, "minimized",
                          _SEARCH_OPTIONS),
-    "alt-sigma": _Quantity(("alt", "i"), _rep_of, lambda args: DEFAULT_ALT_CAP,
+    "alt-sigma": _Quantity(("alt", "i"), _rep_of, lambda options: DEFAULT_ALT_CAP,
                            _compute_alt_sigma, _verify_alt_sigma, "identity", ("i",)),
-    "salt-sigma": _Quantity(("salt",), _rep_of, lambda args: DEFAULT_ALT_CAP,
-                            _compute_salt_sigma, _verify_recompute, "identity"),
-    "certificate": _Quantity(("value", "certificate"), _rep_of, lambda args: DEFAULT_ALT_CAP,
+    "salt-sigma": _Quantity(("salt",), _rep_of, lambda options: DEFAULT_ALT_CAP,
+                            _compute_salt_sigma, lambda *_: {}, "identity"),
+    "certificate": _Quantity(("value", "certificate"), _rep_of, lambda options: DEFAULT_ALT_CAP,
                              _compute_certificate, _verify_certificate, "identity",
                              ("i", "strong")),
 }
@@ -575,7 +560,7 @@ def _options_echo(args, cap, ordering_echo) -> dict:
 def _run_build(args) -> tuple[dict, int]:
     resolved = _rebuild_instance(_instance_config(args))
     _refuse_raw_cap(args.verb, resolved, args.cap)
-    cap = _cap_for(_build_cap(resolved), args)
+    cap = _cap_for(_build_cap(resolved), args.cap, args.i_know_this_is_huge)
     target = _target_of(resolved, cap)
     config = {"verb": "build", "instance": resolved.config,
               "options": _options_echo(args, cap, None)}
@@ -592,7 +577,7 @@ def _run_compute(args) -> tuple[dict, int]:
     instance = _instance_config(args)
     _check_options(args.quantity, vars(args), instance)
     resolved = _rebuild_instance(instance)
-    cap = _cap_for(quantity.default_cap(args), args)
+    cap = _cap_for(quantity.default_cap(vars(args)), args.cap, args.i_know_this_is_huge)
     operand = quantity.operand(resolved)
     ordering = _resolve_ordering(args, resolved, quantity.ordering) if quantity.ordering else None
     options = _options_echo(args, cap, ordering)
@@ -604,7 +589,7 @@ def _run_compute(args) -> tuple[dict, int]:
 def _run_export(args) -> tuple[str, int]:
     resolved = _rebuild_instance(_instance_config(args))
     _refuse_raw_cap(args.verb, resolved, args.cap)
-    cap = _cap_for(_build_cap(resolved), args)
+    cap = _cap_for(_build_cap(resolved), args.cap, args.i_know_this_is_huge)
     target = _target_of(resolved, cap)
     if args.format == "dimacs":
         # an order-3 or higher power stays a hypergraph even when it has no edges
@@ -630,7 +615,13 @@ def _run_verify(args) -> tuple[dict, int]:
 def _verify_document(doc) -> tuple[dict, int]:
     _require(doc, (), "the document")
     if "alt_value" in doc:
-        checks = verify_certificate(AltermaticCertificate.from_json_dict(doc))
+        cert = AltermaticCertificate.from_json_dict(doc)
+        again = altermatic_certificate(cert.representation, cert.ordering, i=cert.i,
+                                       strong=cert.strong).alt_value
+        if again != cert.alt_value:
+            raise VerificationError(f"alternation recomputes to {again}, "
+                                    f"certificate says {cert.alt_value}")
+        checks = {"recomputed": True, **verify_certificate(cert)}
         return {"verified": True, "kind": "certificate", "checks": checks}, 0
     if "config" in doc and "result" in doc:
         return _verify_run_document(doc)
@@ -670,18 +661,22 @@ def _verify_run_document(doc: dict) -> tuple[dict, int]:
     if name not in _QUANTITIES:
         raise InvalidParameterError(f"cannot verify quantity {name!r}")
     quantity = _QUANTITIES[name]
-    _require(config["options"], _OPTION_KEYS, "options")
-    _require(config["options"], ("i", "seed", "restarts"), "options", int)
-    if config["options"]["cap"] is not None:
-        _require(config["options"], ("cap",), "options", int)
-    _check_options(name, config["options"], config["instance"])
+    options = config["options"]
+    _require(options, _OPTION_KEYS, "options")
+    _require(options, ("i", "seed", "restarts"), "options", int)
+    if options["cap"] is not None:
+        _require(options, ("cap",), "options", int)
+    _check_options(name, options, config["instance"])
     if quantity.ordering:
-        _require(config["options"]["ordering"], ("kind",), "the ordering echo")
+        _require(options["ordering"], ("kind",), "the ordering echo")
     _require(result, quantity.result_keys, "result")
     if name != "chi" or result["chi"] != UNBOUNDED:
         _require(result, quantity.result_keys[:1], "result", int)
+    # one rule for every quantity: recompute within its default cap, then check the witness
+    _cap_for(quantity.default_cap(options), options["cap"], confirmed=False)
     operand = quantity.operand(_rebuild_instance(config["instance"]))
-    checks = quantity.verify(name, operand, config["options"], result)
+    checks = _verify_recompute(name, operand, options, result)
+    checks.update(quantity.verify(name, operand, options, result))
     return {"verified": True, "kind": name, "checks": checks}, 0
 
 

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -23,9 +24,14 @@ from kneserturan import (
     pattern_hypergraph,
     run_golden_suite,
 )
-from kneserturan.cli import _build_parser, _compute_chi, _options_echo, main
+from kneserturan.cli import (_QUANTITIES, _build_cap, _build_parser, _compute_chi,
+                             _options_echo, main)
+from kneserturan.errors import SizeCapError
+from kneserturan.exactsolve import chromatic_number, covering_number, independence_number
 from kneserturan.hyperstruct import MAX_EDGES
-from kneserturan.kneser import _rebuild_instance, _target_of
+from kneserturan.kneser import _rebuild_instance, _Resolved, _target_of
+from kneserturan.turanalt import (alt_sigma_level, altermatic_certificate, ex_alt_min,
+                                  ex_alt_sigma, salt_sigma, turan_number)
 
 
 def _run(capsys, *argv):
@@ -281,7 +287,7 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
         result = doc["result"]
         if quantity in ("ex-alt", "ex-salt"):
             # the result at the identity ordering, spliced into the minimized
-            # document, verifies only where it is the minimum or cannot be rechecked
+            # document, verifies only where it is the value the scan recomputes
             fixed = _run_json(capsys, "compute", quantity, "--input", str(source), *flags,
                               "--identity")["result"]
             code, verdict = verify({**doc, "result": fixed})
@@ -290,11 +296,11 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
             else:
                 # beyond the ordering-scan cap auto mode reports an upper
                 # bound: the exact tag of the identity result is refused, and
-                # retagged it verifies, for an upper bound is not rechecked
+                # retagged it verifies only where the seeded scan finds its value
                 assert code == 1 and "tagged exact" in verdict["reason"], verdict
                 fixed["report"]["mode"] = "upper-bound"
                 code, verdict = verify({**doc, "result": fixed})
-                assert code == 0, verdict
+                assert code == int(fixed[quantity] != result[quantity]), (quantity, verdict)
         if quantity == "certificate":
             # the value and its alternation count move together; the witness
             # (or its absence, which stands for alternation 0) no longer backs them
@@ -543,23 +549,23 @@ def test_verify_derives_the_mode_tag_of_a_minimized_document(capsys, tmp_path):
 
     # the identity result (ex-alt 3) spliced into the minimized document
     # (ex-alt 2) and tagged upper-bound: auto mode scans every ordering of
-    # the 6 edges and tags its value exact, so the tag cannot switch off the
-    # rescan
+    # the 6 edges and tags its value exact, so the tag is refused before the
+    # values are compared
     doc = _run_json(capsys, "compute", "ex-alt", *_K4_P2)
     fixed = _run_json(capsys, "compute", "ex-alt", *_K4_P2, "--identity")["result"]
     assert (doc["result"]["ex-alt"], fixed["ex-alt"]) == (2, 3)
     fixed["report"]["mode"] = "upper-bound"
     code, verdict = verify({**doc, "result": fixed})
     assert code == 1 and "tagged upper-bound" in verdict["reason"], verdict
-    # within a raised cap, 9 edges are scanned too, but past the rescan cap
-    # the value is not rechecked; the upper-bound tag is refused there as well
+    # within a raised cap compute scans the orderings of 9 edges, but verify
+    # reruns no search above a default cap: the document exits 2, whatever its tag
     doc = _run_json(capsys, "compute", "ex-alt", "--host", "matching", "--n", "9",
                     "--pattern", "path", "--len", "2", "--cap", "9", "--i-know-this-is-huge")
-    code, verdict = verify(doc)
-    assert code == 0 and verdict["checks"]["value_rechecked"] is False, verdict
+    file.write_text(canonical_dumps(doc))
+    assert _run(capsys, "verify", str(file)) == (2, "")
     doc["result"]["report"]["mode"] = "upper-bound"
-    code, verdict = verify(doc)
-    assert code == 1 and "tagged upper-bound" in verdict["reason"], verdict
+    file.write_text(canonical_dumps(doc))
+    assert _run(capsys, "verify", str(file)) == (2, "")
 
 
 def test_verify_derives_the_mode_tag_of_an_ex_document(capsys, tmp_path):
@@ -592,11 +598,98 @@ def test_verify_derives_the_mode_tag_of_an_ex_document(capsys, tmp_path):
     # an echo asking for an exact search above its cap is refused, as compute refuses it
     doc["config"]["options"].update(mode="exact", cap=16)
     assert verify(doc) == (2, None)
-    # an exact value tagged lower-bound would switch off the subset rescan
+    # an exact value tagged lower-bound is refused for its tag
     doc = _run_json(capsys, "compute", "ex", *_K4_P2)
     doc["result"]["report"]["mode"] = "lower-bound"
     code, verdict = verify(doc)
     assert code == 1 and "tagged lower-bound" in verdict["reason"], verdict
+
+
+_K7_K3 = ("--host", "complete", "--n", "7", "--pattern", "complete", "--pattern-n", "3")
+
+
+def _understate(doc, dropped, value):
+    # drop the last coloured entries of an ex-alt witness and claim what is left
+    report = doc["result"]["report"]
+    del report["witness_coloring"]["colored"][-dropped:]
+    report["value"] = doc["result"]["ex-alt"] = value
+    return doc
+
+
+def _weakened_certificate(doc):
+    # one sign fewer in the witness, and a bound one higher that it still backs
+    cert = doc["result"]["certificate"]
+    last = max(j for j, sign in enumerate(cert["witness"]) if sign)
+    cert["witness"][last] = 0
+    cert["alt_value"] = 5
+    cert["value"] = doc["result"]["value"] = 7
+    return doc
+
+
+def _raised_exact_cap(doc):
+    doc["config"]["options"].update(mode="exact", cap=28)
+    doc["result"]["report"]["mode"] = "exact"
+    return doc
+
+
+@pytest.mark.parametrize("argv, forge, code", (
+    # ex-alt at the identity ordering of K7 is 17
+    (("compute", "ex-alt", *_K7_K3, "--identity"), lambda d: _understate(d, 2, 15), 1),
+    # the seeded ordering scan of K7 bounds ex-alt by 17
+    (("compute", "ex-alt", *_K7_K3, "--restarts", "4"), lambda d: _understate(d, 5, 12), 1),
+    # Lovasz: chi(KG(12,4)) = 6, and the certificate claims 7
+    (("compute", "certificate", "--family", "kneser", "--n", "12", "--k", "4"),
+     _weakened_certificate, 1),
+    (("compute", "certificate", "--family", "kneser", "--n", "12", "--k", "4"),
+     lambda d: _weakened_certificate(d)["result"]["certificate"], 1),
+    # one heuristic pass on K8 finds ex >= 12 (Turan's theorem gives 16);
+    # an exact search on 28 edges is above the default cap
+    (("compute", "ex", "--host", "complete", "--n", "8", "--pattern", "complete",
+      "--pattern-n", "3", "--mode", "heuristic", "--seed", "3", "--restarts", "1"),
+     _raised_exact_cap, 2),
+), ids=("ex-alt-identity-understated", "ex-alt-scan-understated", "certificate-overstated",
+        "bare-certificate-overstated", "ex-exact-above-the-default-cap"))
+def test_verify_recomputes_forged_documents(capsys, tmp_path, argv, forge, code):
+    # each witness still checks out on its own; only the recompute refuses the claim
+    file = tmp_path / "doc.json"
+    file.write_text(canonical_dumps(forge(_run_json(capsys, *argv))))
+    got, out = _run(capsys, "verify", str(file))
+    assert got == code, out
+    assert out == "" if code == 2 else "recomputes to" in json.loads(out)["reason"], out
+
+
+def _default_cap(solve) -> int:
+    return inspect.signature(solve).parameters["cap"].default
+
+
+def test_the_restated_default_caps_are_the_library_defaults():
+    # verify refuses an echoed cap above default_cap, so it must be the
+    # default of the library call that compute makes
+    minimized, fixed = {"ordering": {"kind": "minimized"}}, {"ordering": {"kind": "identity"}}
+    calls = {
+        "chi": [({"ordering": None}, chromatic_number)],
+        "alpha": [({"ordering": None}, independence_number)],
+        "beta": [({"ordering": None}, covering_number)],
+        "ex": [({"ordering": None}, turan_number)],
+        "ex-alt": [(minimized, ex_alt_min), (fixed, ex_alt_sigma)],
+        "ex-salt": [(minimized, ex_alt_min), (fixed, ex_alt_sigma)],
+        "alt-sigma": [(fixed, alt_sigma_level)],
+        "salt-sigma": [(fixed, salt_sigma)],
+        "certificate": [(fixed, altermatic_certificate)],
+    }
+    assert set(calls) == set(_QUANTITIES)
+    for name, pairs in calls.items():
+        for options, solve in pairs:
+            assert _QUANTITIES[name].default_cap(options) == _default_cap(solve), name
+    # build and export cap the Kneser power as kneser_power does without a
+    # cap; the edges all meet at vertex 0, so the powers have no edge
+    n = 2100
+    star = [(0, v) for v in range(1, n)] + [(0, 1, v) for v in range(2, n)]
+    for r in (None, 2, 3):
+        cap = _build_cap(_Resolved({}, None, r=r))
+        assert kneser_power(Hypergraph(n, star[:cap]), r or 2).result.n_vertices == cap
+        with pytest.raises(SizeCapError):
+            kneser_power(Hypergraph(n, star[:cap + 1]), r or 2)
 
 
 def test_turan_refusals_exit_2(capsys, tmp_path):

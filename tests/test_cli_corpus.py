@@ -105,17 +105,17 @@ DIGESTS = {
     "build-pattern": "0342a02ec7d9a02dc562e2d6b24ced33632ce961b61a1e85e93938f5fc942ef7",
     "build-pattern verify": "2f798902bdcbf4ce7368d854b45cd123384e41bf34f245a49fb3569b6011a39e",
     "certificate-identity": "93833ac5acb67384d7a7bec01aa84e35f07b2c44cad3ed1eac3c1d204974bb7f",
-    "certificate-identity verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
+    "certificate-identity verify": "758f142cb78de8e5dc546b7ef13ba95a6d43e181ff4ddf44f008080ce74891e7",
     "certificate-input": "93d73771d92746d27bb4ceba03ee7dcc74ccd7138a343a4f2064f7783102b7ec",
-    "certificate-input verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
+    "certificate-input verify": "758f142cb78de8e5dc546b7ef13ba95a6d43e181ff4ddf44f008080ce74891e7",
     "certificate-interval": "bba16c9d7c867fa600215c40cedff5cb18c50c4119ac33435f4b4efad6d0401d",
-    "certificate-interval verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
+    "certificate-interval verify": "758f142cb78de8e5dc546b7ef13ba95a6d43e181ff4ddf44f008080ce74891e7",
     "certificate-named": "f65641f84538938c654da449bf5b9858b85f6549c80a8d1dc9fca3844ab3cb76",
-    "certificate-named verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
+    "certificate-named verify": "758f142cb78de8e5dc546b7ef13ba95a6d43e181ff4ddf44f008080ce74891e7",
     "certificate-pattern": "4a4f3da575c19c6274b2a6427b5502e3b672aadc5e78380bf103be6d25921ffc",
-    "certificate-pattern verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
+    "certificate-pattern verify": "758f142cb78de8e5dc546b7ef13ba95a6d43e181ff4ddf44f008080ce74891e7",
     "certificate-strong": "a5bd4d40a93e4e71c6548881a2fb7aecda44f4c5d8fb63f2b456a252a081ea41",
-    "certificate-strong verify": "fe4a5a8e1102f5392f489692cd8df88bb2b0561af9278525fcbf2f357ddc7da8",
+    "certificate-strong verify": "758f142cb78de8e5dc546b7ef13ba95a6d43e181ff4ddf44f008080ce74891e7",
     "chi-input": "8f7c5c5d888d88a3e8838d39644a20d06af99272cd1338562cd25db1c5836ad4",
     "chi-input verify": "6d2a58be3f176be8bf4bf5b860b49c65386c32c02c0c6124fd3de8cea85423aa",
     "chi-named": "1b80ce1df96bcf91b4752ac758cedb2e1a95ca0355dd76f911f7d0991f54af9a",
@@ -126,31 +126,31 @@ DIGESTS = {
     "chi-r3": "076c96cbd63461eb775a8769a6868de18e7bbbea97d5930bf485e184cea72322",
     "chi-r3 verify": "6d2a58be3f176be8bf4bf5b860b49c65386c32c02c0c6124fd3de8cea85423aa",
     "ex-alt-heuristic": "bfdd1d34e2d4acf3c52ca30e5912ef36fa34fc89e6639dce031ae8fd69197dce",
-    "ex-alt-heuristic verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
+    "ex-alt-heuristic verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-alt-input": "43eed5cdae7f992fc6b112396693f0b10436c0f6c6d671e5b1a89cde9546b460",
     "ex-alt-input verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-alt-interval": "7ea67f3f262ba4af52b3fe7a0eccc87d3e2ae21788b20e981864f3201d35f125",
-    "ex-alt-interval verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
+    "ex-alt-interval verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-alt-named": "d9e4e5ca76aa0f563157b5ba0cb02db0d3ac6e5d88acb00c085afc7b5d29759e",
     "ex-alt-named verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-alt-ordering": "7176e58766e67817b7a6358b23c21d91c1859f32c1ce858922b14a69320795d6",
-    "ex-alt-ordering verify": "96bfe4afc4fac1cd5b81ccdcff6f4fc0620dd3ecbc7396d2d84754fc06a45500",
+    "ex-alt-ordering verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-alt-pattern": "eb22ef774c7a4aa5c2d5f60998bf2aa6909cd32e26c85db90b008e632b5ffcd9",
     "ex-alt-pattern verify": "427c8d21b048b4ea3ddbc165fbf762bd8fb9cf5dc45ea3a2cf4c00322e74f0d9",
     "ex-heuristic": "e1bebeb5597a4480fda56399949f89c5829d87b604fdb3e5f61b71a5823582cb",
-    "ex-heuristic verify": "ab5183ab4a1c259f44f13d6ee44c078a6d2056b7eaf2a7f10c78f8f467295c32",
+    "ex-heuristic verify": "e67415d5a175e6a4b6154b8c4a308617fe988e8771fba2b9e661e00c879e292b",
     "ex-input": "ea27c66341e3bc175da90f0616e24bf8cb9307a1492e03e6cf7b577498cf7375",
-    "ex-input verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
+    "ex-input verify": "61cf62c569a3fb0f20ce00f6fba1ac64c0fd0def7f8c4e036630fa89c584eb35",
     "ex-k5-k3": "280e489ae1806952be51a54c9528a9526dac14413fe1554d2f61fe932001139f",
-    "ex-k5-k3 verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
+    "ex-k5-k3 verify": "61cf62c569a3fb0f20ce00f6fba1ac64c0fd0def7f8c4e036630fa89c584eb35",
     "ex-named": "11ea6e394547c664d979531e5735237e6379e78c1d11881fdf6a915f5d997a21",
-    "ex-named verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
+    "ex-named verify": "61cf62c569a3fb0f20ce00f6fba1ac64c0fd0def7f8c4e036630fa89c584eb35",
     "ex-pattern": "9ac15a96b2098c18052947388a9109c978c73f1f108f5de24d2a47123e3644d7",
-    "ex-pattern verify": "530a43aabbb9218f50e00082005fc22e4b3065578e23b528b90fece0735cefaf",
+    "ex-pattern verify": "61cf62c569a3fb0f20ce00f6fba1ac64c0fd0def7f8c4e036630fa89c584eb35",
     "ex-salt-identity": "e403b26cca95d3ad7a3a51207591f4fc950e8b2572d01ce796ef89c9a7853a53",
-    "ex-salt-identity verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
+    "ex-salt-identity verify": "ef6a1af8f8c0d20cf4537dc26903f3c666d2bdcd855776ff29fba1e79f00bd46",
     "ex-salt-input": "aa26a9002281c19bb78004c9bf5bea4ce3fc80f5414618c8cdf752433c7e28d0",
-    "ex-salt-input verify": "5f7ea20a94336dadc2e0cceab0566d904914401baa712d011dd7d873acbbed5e",
+    "ex-salt-input verify": "ef6a1af8f8c0d20cf4537dc26903f3c666d2bdcd855776ff29fba1e79f00bd46",
     "ex-salt-named": "6db9d8f8536020cc048e66eaea98e45b914363a4ee311aa662facb233497230a",
     "ex-salt-named verify": "ef6a1af8f8c0d20cf4537dc26903f3c666d2bdcd855776ff29fba1e79f00bd46",
     "ex-salt-pattern": "1515e1c3b66f520797ee9b8cd54a3fc56c79f16394401ac63b4ebc02daa1f0d6",
