@@ -102,12 +102,16 @@ class ChromaticReport:
 
 def validate_hypergraph_coloring(h: Hypergraph, assignment) -> bool:
     """No hyperedge is monochromatic: none lies inside the color class of
-    its lowest vertex. On a graph, the endpoints of every edge differ."""
+    its lowest vertex. On a graph no vertex has a neighbour in its own
+    class, read off the adjacency rows, so a row-built power's edge masks
+    are not made."""
     if len(assignment) != h.n_vertices:
         return False
     classes: dict = {}
     for v, c in enumerate(assignment):
         classes[c] = classes.get(c, 0) | 1 << v
+    if h.is_graph:
+        return not any(row & classes[c] for row, c in zip(h.adjacency_masks(), assignment))
     return all(em & ~classes[assignment[(em & -em).bit_length() - 1]]
                for em in h.edge_masks)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, compress, count
 from math import comb
 
 from .errors import InvalidParameterError, SizeCapError
@@ -26,6 +26,10 @@ MAX_VERTICES = 4096
 # complete(1024), 523,776 edges, is the largest complete host under it; its
 # `build` prints 5.2 MB of JSON in about 2 s and 180 MB on a 2-core VM.
 MAX_EDGES = 1 << 19
+
+
+# bin() digits "0"/"1" to the bytes 0/1, a selector for itertools.compress
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _check_order(n: int) -> int:
@@ -109,12 +113,19 @@ class Hypergraph(Record):
     ``labels``, when present, carries one display string per vertex; it has no
     effect on any computation and survives JSON round trips.
 
-    ``__init__`` stores the edges. A simple graph made by ``_from_adjacency``,
-    as every r = 2 Kneser power is, holds one neighbour bitmask per vertex
-    instead, and makes its ``edges`` tuple (the pairs u < v in lexicographic
-    order) only when something reads it. Until then the edge count, edge
-    masks, adjacency masks, JSON and DIMACS forms come from those masks;
-    equality, hash and repr read ``edges`` and so make it (see Record).
+    ``__init__`` stores the edges, whose members must be ints. A simple graph
+    made by ``_from_adjacency``, as every r = 2 Kneser power is, holds one
+    neighbour bitmask per vertex instead, and makes its ``edges`` tuple (the
+    pairs u < v in lexicographic order) only when something reads it. Until
+    then the edge count, edge masks, adjacency masks, JSON and DIMACS forms
+    come from those masks; equality, hash and repr read ``edges`` and so
+    make it (see Record).
+
+    Both kinds are written by one row writer: ``canonical_json`` and
+    ``to_dimacs`` read ``_rows``, one row per stored edge or per vertex of
+    a row-built graph. ``to_json_dict`` is for documents that embed a
+    hypergraph; ``tests/test_hyperstruct.py::test_row_writer_matches_canonical_dumps``
+    pins ``canonical_json`` to ``canonical_dumps`` of it, byte for byte.
     """
 
     _fields = ("n_vertices", "edges", "labels")
@@ -126,6 +137,9 @@ class Hypergraph(Record):
             if not e:
                 raise InvalidParameterError(f"edge {i} is empty")
             for v in e:
+                if type(v) is not int:
+                    raise InvalidParameterError(
+                        f"edge {i} has vertex {v!r} of type {type(v).__name__}, not int")
                 if not (0 <= v < n_vertices):
                     raise InvalidParameterError(f"edge {i} has out-of-range vertex {v}")
         if labels is not None:
@@ -154,24 +168,32 @@ class Hypergraph(Record):
     @cached_property
     def edges(self) -> tuple[frozenset[int], ...]:
         # reached only by a graph from _from_adjacency; __init__ stores the edges
-        return tuple(map(frozenset, self._pairs()))
+        return tuple(map(frozenset, self._sorted_members()))
 
-    def _pairs(self):
-        """Yield the edges of a ``_from_adjacency`` graph as lists [u, v],
-        u < v, in edge order, from its adjacency masks."""
+    def _rows(self):
+        """Yield the edges, in edge order, as rows ``(head, tails)``: a row
+        stands for the edges ``head + [t]``, t in ``tails``, each ascending.
+
+        A ``_from_adjacency`` graph gives one row per vertex u that has
+        neighbours above u, ``([u], those neighbours)``, read off u's mask
+        with no list per edge; stored edges give one row each.
+        """
+        if "edges" in self.__dict__:
+            for members in self._sorted_members():
+                yield members[:-1], members[-1:]
+            return
         for u, row in enumerate(self._adjacency):
-            bits = bin(row)[:1:-1]  # bits[v] == "1" when v is a neighbour of u
-            v = bits.find("1", u + 1)
-            while v >= 0:
-                yield [u, v]
-                v = bits.find("1", v + 1)
+            above = row >> u + 1 << u + 1
+            if above:
+                # bin() reversed puts bit v at index v; compress keeps the set ones
+                yield [u], list(compress(count(), bin(above)[:1:-1].encode().translate(_BITS)))
 
     def _sorted_members(self):
-        """Each edge's members as an ascending list, in edge order, without
-        making the edges of a ``_from_adjacency`` graph."""
+        """Each edge's members as an ascending list, in edge order; a
+        ``_from_adjacency`` graph's from its rows, without making its edges."""
         if "edges" in self.__dict__:
             return (sorted(e) for e in self.edges)
-        return self._pairs()
+        return ([u, v] for [u], tails in self._rows() for v in tails)
 
     @cached_property
     def n_edges(self) -> int:
@@ -232,7 +254,18 @@ class Hypergraph(Record):
         return doc
 
     def canonical_json(self) -> str:
-        return canonical_dumps(self.to_json_dict())
+        """``canonical_dumps(self.to_json_dict())``, written one string per
+        row of edges instead of one list per edge, and joined once. Members
+        are ints (checked by ``__init__``), so ``str`` prints them as
+        ``json.dumps`` would."""
+        parts = []
+        for head, tails in self._rows():
+            prefix = "[" + "".join(f"{h}," for h in head)
+            parts += (prefix, ("]," + prefix).join(map(str, tails)), "],")
+        if parts:
+            parts[-1] = "]"  # no comma after the last edge
+        labels = "" if self.labels is None else ',"labels":' + canonical_dumps(list(self.labels))
+        return "".join(['{"edges":[', *parts, "]", labels, ',"n":', str(self.n_vertices), "}"])
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Hypergraph":
@@ -278,7 +311,11 @@ def _ints(value, what: str) -> list[int]:
 def canonical_dumps(doc) -> str:
     """Canonical one-line JSON: sorted keys, no whitespace.
 
-    Byte-identical round trips rely on this being the only writer.
+    Byte-identical round trips rely on every document being written by this
+    function, with one exception: ``Hypergraph.canonical_json`` writes a
+    hypergraph's text row by row itself, and
+    ``tests/test_hyperstruct.py::test_row_writer_matches_canonical_dumps``
+    pins it byte for byte to ``canonical_dumps(h.to_json_dict())``.
     """
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -476,8 +513,9 @@ def to_dimacs(g: Hypergraph) -> str:
     if not g.is_graph:
         raise InvalidParameterError("DIMACS export needs a 2-uniform hypergraph")
     lines = [f"p edge {g.n_vertices} {g.n_edges}"]
-    for u, v in g._sorted_members():
-        lines.append(f"e {u + 1} {v + 1}")
+    for [u], tails in g._rows():
+        prefix = f"e {u + 1} "
+        lines.append(prefix + ("\n" + prefix).join(str(v + 1) for v in tails))
     return "\n".join(lines) + "\n"
 
 

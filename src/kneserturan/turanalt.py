@@ -823,36 +823,37 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
 
     Deliberately a raw scan over 3^n assignments with the side condition
     spelled out inline: this is the oracle the ordering-based search gets
-    property-tested against, so it shares no pruning logic with it. Which
-    edges a side contains depends on that side alone, so it is found once
-    per side mask, as a bitmask of edge indices, rather than once per vector.
+    property-tested against, so it shares no pruning logic with it. The
+    plus and minus masks of the vectors come in the order of ``product``
+    (vertex 0 slowest, -1 before 0 before +1), each the OR of the masks of
+    its first n // 2 vertices and of the rest, so only 2 * 3^(n/2) pairs of
+    masks are stored. The edges inside a side depend on that side alone, so
+    they are read, as a bitmask of edge indices, from a table over all 2^n
+    sides into which each side's subsets are ORed, one vertex at a time.
     From level 2 on the verdict depends only on the edges inside either
     side, so it is found once per such bitmask.
     """
     n = rep.n_vertices
     masks = rep.edge_masks
-    contained: dict[int, int] = {}  # side mask -> edge indices inside it
+    contained = [0] * (1 << n)  # side mask -> edge indices inside it
+    for k, em in enumerate(masks):
+        contained[em] |= 1 << k
+    for v in range(n):
+        bit = 1 << v
+        for side in range(1 << n):
+            if side & bit:
+                contained[side] |= contained[side ^ bit]
+    half = n // 2
+    high, low = _signed_sides(range(half)), _signed_sides(range(half, n))
+    sides = ((hp | lp, hm | lm) for hp, hm in high for lp, lm in low)
     verdicts: dict[int, bool] = {}  # edge indices inside a side -> verdict
 
-    def edges_inside(side: int) -> int:
-        got = contained.get(side)
-        if got is None:
-            got = contained[side] = sum(1 << k for k, em in enumerate(masks) if em & side == em)
-        return got
-
     out = []
-    for signs in product((-1, 0, 1), repeat=n):
-        plus = 0
-        minus = 0
-        for v, s in enumerate(signs):
-            if s == 1:
-                plus |= 1 << v
-            elif s == -1:
-                minus |= 1 << v
+    for signs, (plus, minus) in zip(product((-1, 0, 1), repeat=n), sides):
         if plus == 0 and minus == 0:
             continue
-        in_plus = edges_inside(plus)
-        in_minus = edges_inside(minus)
+        in_plus = contained[plus]
+        in_minus = contained[minus]
         if strong:
             ok = not (in_plus and in_minus)
         elif i == 1:
@@ -880,6 +881,17 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
         if ok:
             out.append(signs)
     return tuple(out)
+
+
+def _signed_sides(vertices) -> list[tuple[int, int]]:
+    """The (plus, minus) masks of every sign vector on ``vertices``, in the
+    order of ``product((-1, 0, 1), repeat=len(vertices))``."""
+    pluses, minuses = [0], [0]
+    for v in reversed(vertices):
+        bit = 1 << v
+        pluses = pluses + pluses + [p | bit for p in pluses]
+        minuses = [m | bit for m in minuses] + minuses + minuses
+    return list(zip(pluses, minuses))
 
 
 def _vector_alternation(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool) -> int:

@@ -4,6 +4,8 @@ state; tests build what they need."""
 import random
 import sys
 
+from hypothesis import strategies as st
+
 from kneserturan import Hypergraph
 
 
@@ -28,6 +30,19 @@ def random_graph(rng: random.Random, n: int, p: float) -> Hypergraph:
     if not edges:
         edges.append(frozenset({0, 1}))
     return Hypergraph(n, tuple(edges))
+
+
+@st.composite
+def representations(draw):
+    """Hypergraphs of up to 12 vertices and 40 edges, possibly none, drawn
+    from a pool of member sets so that edges repeat: representations of
+    r = 2 Kneser powers with isolated vertices and without edges among them."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1,
+                         max_size=40))
+    # drawn from a pool, member sets repeat; the whole vertex set meets every edge
+    pool.append(frozenset(range(n)))
+    return Hypergraph(n, draw(st.lists(st.sampled_from(pool), max_size=40)))
 
 
 def search_nodes(search, *args):

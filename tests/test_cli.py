@@ -132,6 +132,7 @@ def test_export_pattern_scheme_exports_kneser_graph(capsys):
 def test_power_edges_stay_unmade(capsys, tmp_path, monkeypatch):
     # build, export, a build document's verify, and a chi compute and verify
     # answer from the adjacency rows of an r = 2 power, never its edge tuple
+    # nor its edge masks (the colouring checks of chi and its verify included)
     made = []
     from_adjacency = Hypergraph._from_adjacency
 
@@ -149,6 +150,7 @@ def test_power_edges_stay_unmade(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         if argv[0] in ("build", "compute"):
             doc.write_text(out)
+        assert not any("edge_masks" in vars(g) for g in made), argv
     assert json.loads(out)["kind"] == "chi"
     g = kneser_power(pattern_hypergraph(build_named_family("complete", n=6),
                                         family_of(build_named_family("cycle", n=4)))).result
@@ -537,6 +539,33 @@ def test_verify_refuses_coerced_and_unchecked_fields(capsys, tmp_path, argv, pat
     got, out = _run(capsys, "verify", str(file))
     assert got == code, out
     assert out == "" if code == 2 else json.loads(out)["verified"] is False
+
+
+def test_verify_compares_hypergraph_text_not_parsed_values(capsys, tmp_path):
+    # 3.0 == 3 and True == 1 in Python, so a build document spelling a
+    # member as either verified while its parsed hypergraph was compared
+    doc = _run_json(capsys, "build", "--host", "cycle", "--n", "5", "--pattern", "path",
+                    "--len", "2")
+    assert doc["result"]["hypergraph"]["edges"][:3] == [[0, 3], [0, 4], [1, 2]]
+    file = tmp_path / "doc.json"
+
+    def verify(document):
+        file.write_text(canonical_dumps(document))
+        return _run(capsys, "verify", str(file))
+
+    assert verify(doc) == (0, '{"checks":{"rebuilt":true},"kind":"build","verified":true}\n')
+    bare = doc["result"]["hypergraph"]
+    assert verify(bare) == (0, '{"checks":{"canonical":true},"kind":"hypergraph",'
+                               '"verified":true}\n')
+    for edges in ([[0, 3.0], *bare["edges"][1:]], [[0, 3], [0, 4], [True, 2], *bare["edges"][3:]]):
+        forged = json.loads(json.dumps(doc))
+        forged["result"]["hypergraph"]["edges"] = edges
+        code, out = verify(forged)
+        assert code == 1 and json.loads(out) == {
+            "verified": False, "reason": "rebuilt hypergraph differs from the document"}
+        assert verify({**bare, "edges": edges}) == (2, "")  # the reader refuses non-ints
+    code, out = verify({**bare, "labels": None})
+    assert code == 1 and json.loads(out)["reason"] == "hypergraph document is not in canonical form"
 
 
 def test_verify_derives_the_mode_tag_of_a_minimized_document(capsys, tmp_path):

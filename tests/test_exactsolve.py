@@ -20,6 +20,7 @@ from kneserturan import (
     independence_number,
     kernels,
     kneser_of_family,
+    kneser_power,
     max_clique,
     validate_hypergraph_coloring,
 )
@@ -28,7 +29,7 @@ from kneserturan.exactsolve import (
     ColoringCertificate,
     _greedy_hypergraph_coloring,
 )
-from conftest import random_graph, random_hypergraph
+from conftest import random_graph, random_hypergraph, representations
 
 
 def _brute_chi_graph(g):
@@ -114,6 +115,25 @@ def test_dsatur_is_proper_upper_bound():
         assignment = dsatur_coloring(g)
         assert validate_hypergraph_coloring(g, assignment)
         assert len(set(assignment)) >= chromatic_number_graph(g).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(representations().map(lambda rep: kneser_power(rep).result),
+                 st.builds(random_graph, st.randoms(use_true_random=False), st.integers(2, 8),
+                           st.floats(0.1, 0.9)),
+                 st.builds(random_hypergraph, st.randoms(use_true_random=False))),
+       st.data())
+def test_coloring_validator_matches_the_edge_rule(h, data):
+    # graphs are checked on their adjacency rows, other hypergraphs on their
+    # edge masks; both must agree with "no edge has one colour"
+    assignment = data.draw(st.lists(st.integers(0, 2), min_size=h.n_vertices,
+                                    max_size=h.n_vertices))
+    row_built = "edges" not in vars(h)
+    got = validate_hypergraph_coloring(h, assignment)
+    if row_built:
+        assert "edge_masks" not in vars(h)
+    assert got == all(len({assignment[v] for v in e}) > 1 for e in h.edges)
+    assert not validate_hypergraph_coloring(h, assignment[:-1] if assignment else [0])
 
 
 def test_solver_cap_is_enforced():

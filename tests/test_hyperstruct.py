@@ -3,6 +3,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kneserturan import (
     Hypergraph,
@@ -17,9 +19,12 @@ from kneserturan import (
     canonical_dumps,
     doubled,
     from_dimacs,
+    kneser_power,
     mask_of,
     to_dimacs,
 )
+
+from conftest import representations
 
 
 def test_mask_bits_roundtrip():
@@ -36,6 +41,73 @@ def test_empty_edge_rejected():
 def test_out_of_range_vertex_rejected():
     with pytest.raises(InvalidParameterError):
         Hypergraph(2, (frozenset({0, 4}),))
+
+
+@pytest.mark.parametrize("edges", [[[0, 1.0]], [[False, True]], [[0, "1"]]])
+def test_members_must_be_ints(edges):
+    # the JSON reader refuses these members, so the writer must never print them
+    with pytest.raises(InvalidParameterError, match="not int"):
+        Hypergraph(3, edges)
+
+
+_LABEL = st.text(max_size=4) | st.sampled_from(
+    ['"', "\\", '\\"', "\u00e9", "\u2028", "\U0001f600", "\x00", "a\nb"])
+
+
+@st.composite
+def _stored(draw):
+    """A stored hypergraph on 0..8 vertices: mixed edge sizes or, when
+    ``graph`` is drawn, a multigraph; edges repeat, labels are optional."""
+    n = draw(st.integers(0, 8))
+    graph = n >= 2 and draw(st.booleans())
+    member_set = (st.frozensets(st.integers(0, n - 1), min_size=2, max_size=2) if graph
+                  else st.frozensets(st.integers(0, n - 1), min_size=1))
+    pool = draw(st.lists(member_set, min_size=1, max_size=10)) if n else []
+    edges = draw(st.lists(st.sampled_from(pool), max_size=20)) if pool else []
+    labels = draw(st.none() | st.lists(_LABEL, min_size=n, max_size=n))
+    return Hypergraph(n, edges, labels)
+
+
+def _per_edge_dimacs(n: int, members) -> str:
+    """to_dimacs as it was written before the row writer, one line per edge."""
+    lines = [f"p edge {n} {len(members)}"]
+    for u, v in members:
+        lines.append(f"e {u + 1} {v + 1}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(representations().map(lambda rep: kneser_power(rep).result), _stored()))
+def test_row_writer_matches_canonical_dumps(h):
+    row_built = "edges" not in vars(h)
+    text, doc = h.canonical_json(), h.to_json_dict()
+    dimacs = to_dimacs(h) if h.is_graph else None
+    if row_built:
+        assert "edges" not in vars(h)  # written without the edge tuple
+    members = [sorted(e) for e in h.edges]
+    oracle = {"n": h.n_vertices, "edges": members}
+    if h.labels is not None:
+        oracle["labels"] = list(h.labels)
+    assert doc == oracle
+    assert text == canonical_dumps(doc) == json.dumps(oracle, sort_keys=True,
+                                                       separators=(",", ":"))
+    assert Hypergraph.from_json_dict(json.loads(text)) == h
+    if dimacs is not None:
+        assert dimacs == _per_edge_dimacs(h.n_vertices, members)
+
+
+def test_row_writer_edge_cases():
+    assert Hypergraph(0, []).canonical_json() == '{"edges":[],"n":0}'
+    assert to_dimacs(Hypergraph(0, [])) == "p edge 0 0\n"
+    edgeless = Hypergraph._from_adjacency(3, [0, 0, 0])
+    assert edgeless.canonical_json() == '{"edges":[],"n":3}'
+    assert to_dimacs(edgeless) == "p edge 3 0\n"
+    lone = Hypergraph._from_adjacency(4, [0, 0b1000, 0, 0b10])  # 0 and 2 isolated
+    assert lone.canonical_json() == '{"edges":[[1,3]],"n":4}'
+    assert to_dimacs(lone) == "p edge 4 1\ne 2 4\n"
+    quoted = Hypergraph(2, [{0}, {0, 1}, {0, 1}], ['"\\', "\u00e9"])
+    assert quoted.canonical_json() == \
+        '{"edges":[[0],[0,1],[0,1]],"labels":["\\"\\\\","\\u00e9"],"n":2}'
 
 
 @pytest.mark.parametrize("labels, reason", [

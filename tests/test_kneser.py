@@ -5,7 +5,6 @@ from math import comb
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kneserturan import (
     Hypergraph,
@@ -21,6 +20,8 @@ from kneserturan import (
     to_dimacs,
 )
 from kneserturan.kneser import _rebuild_instance, _rep_of, _target_of
+
+from conftest import representations
 
 
 def test_kneser_power_is_disjointness():
@@ -56,18 +57,8 @@ def _pair_loop_power(rep: Hypergraph) -> Hypergraph:
                                if masks[i] & masks[j] == 0))
 
 
-@st.composite
-def _representations(draw):
-    n = draw(st.integers(1, 12))
-    pool = draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1,
-                         max_size=40))
-    # drawn from a pool, member sets repeat; the whole vertex set meets every edge
-    pool.append(frozenset(range(n)))
-    return Hypergraph(n, draw(st.lists(st.sampled_from(pool), max_size=40)))
-
-
 @settings(max_examples=300, deadline=None)
-@given(_representations())
+@given(representations())
 def test_row_built_power_matches_the_pair_loop(rep):
     g = kneser_power(rep).result
     oracle = _pair_loop_power(rep)
@@ -101,6 +92,23 @@ def test_power_json_memory_budget():
         tracemalloc.stop()
     assert text.startswith('{"edges":[[0,107],') and text.count("],[") == 137_024
     assert peak < 47.1 / 2 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_power_json_is_written_from_rows_within_budget():
+    # tracemalloc peak of canonical_json() alone on KG(K10,C4), the power
+    # already built: 17.3 MiB through to_json_dict and json.dumps, one list
+    # per edge; 2.6 MiB written from the adjacency rows and joined once: the
+    # row strings and the document, each about the 1.3 MB of the text
+    host = build_named_family("complete", n=10)
+    g = kneser_of_family(host, family_of(build_named_family("cycle", n=4))).result
+    tracemalloc.start()
+    try:
+        text = g.canonical_json()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("],[") == 137_024 and "edges" not in vars(g)
+    assert peak < 6 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 def test_power_cap():
