@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
+from operator import itemgetter
 
 from .errors import InvalidParameterError, SizeCapError, VerificationError
 from .exactsolve import ColoringCertificate, dsatur
@@ -818,20 +819,25 @@ def _disjointness_adjacency(masks) -> list[int]:
 # --- independent permuted-coordinate formulation ---
 
 @lru_cache(maxsize=128)
-def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
-    """All nonzero vertex-indexed sign vectors meeting the side condition.
+def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool) -> bytes:
+    """One 0/1 admissibility flag per vertex-indexed sign vector.
+
+    The flags follow ``product((-1, 0, 1), repeat=n)`` (vertex 0 slowest,
+    -1 before 0 before +1); a vector is flagged when it is nonzero and meets
+    the side condition, so ``compress(product(...), flags)`` yields the
+    admissible vectors. An entry holds 3^n bytes, 59 KB at
+    BRUTE_CERTIFICATE_CAP, and the cache at most 128 entries.
 
     Deliberately a raw scan over 3^n assignments with the side condition
     spelled out inline: this is the oracle the ordering-based search gets
     property-tested against, so it shares no pruning logic with it. The
-    plus and minus masks of the vectors come in the order of ``product``
-    (vertex 0 slowest, -1 before 0 before +1), each the OR of the masks of
-    its first n // 2 vertices and of the rest, so only 2 * 3^(n/2) pairs of
-    masks are stored. The edges inside a side depend on that side alone, so
-    they are read, as a bitmask of edge indices, from a table over all 2^n
-    sides into which each side's subsets are ORed, one vertex at a time.
-    From level 2 on the verdict depends only on the edges inside either
-    side, so it is found once per such bitmask.
+    plus and minus masks of the vectors come in product order, each the OR
+    of the masks of its first n // 2 vertices and of the rest, so only
+    2 * 3^(n/2) pairs of masks are stored. The edges inside a side depend on
+    that side alone, so they are read, as a bitmask of edge indices, from a
+    table over all 2^n sides into which each side's subsets are ORed, one
+    vertex at a time. From level 2 on the verdict depends only on the edges
+    inside either side, so it is found once per such bitmask.
     """
     n = rep.n_vertices
     masks = rep.edge_masks
@@ -848,8 +854,8 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
     sides = ((hp | lp, hm | lm) for hp, hm in high for lp, lm in low)
     verdicts: dict[int, bool] = {}  # edge indices inside a side -> verdict
 
-    out = []
-    for signs, (plus, minus) in zip(product((-1, 0, 1), repeat=n), sides):
+    flags = bytearray(3 ** n)
+    for j, (plus, minus) in enumerate(sides):
         if plus == 0 and minus == 0:
             continue
         in_plus = contained[plus]
@@ -879,8 +885,8 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool):
                     ok = graph_color_decision(c, adj, i - 1) is not None
                 verdicts[inside_ids] = ok
         if ok:
-            out.append(signs)
-    return tuple(out)
+            flags[j] = 1
+    return bytes(flags)
 
 
 def _signed_sides(vertices) -> list[tuple[int, int]]:
@@ -895,16 +901,25 @@ def _signed_sides(vertices) -> list[tuple[int, int]]:
 
 
 def _vector_alternation(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool) -> int:
-    """Max alternation along ``sigma`` over _admissible_vertex_vectors: the
+    """Max alternation along ``sigma`` over every admissible sign vector: the
     exhaustive scan behind verify_certificate, which the tests also hold
-    alt_sigma_level to."""
+    alt_sigma_level to.
+
+    The vectors are streamed from ``product`` through the cached flags of
+    _admissible_vertex_vectors, so only one is alive at a time; each is read
+    in sigma order by one ``itemgetter`` call. With fewer than two vertices
+    sigma is the identity and the vector is read as it stands.
+    """
     seq = sigma.sequence
+    n = len(seq)
+    flags = _admissible_vertex_vectors(rep, None if strong else i, strong)
+    in_sigma_order = itemgetter(*seq) if n > 1 else tuple
     best = 0
-    for signs in _admissible_vertex_vectors(rep, None if strong else i, strong):
-        val = alt_of_vector(signs[v] for v in seq)
+    for signs in compress(product((-1, 0, 1), repeat=n), flags):
+        val = alt_of_vector(in_sigma_order(signs))
         if val > best:
             best = val
-            if best == len(seq):
+            if best == n:
                 break
     return best
 
@@ -956,7 +971,10 @@ def verify_certificate(cert: AltermaticCertificate) -> dict:
     Always validates the witness vector against the side condition and the
     recorded alternation count. Up to BRUTE_CERTIFICATE_CAP vertices it
     additionally re-derives the alternation maximum by scanning every sign
-    vector, which confirms the search really was exhaustive. Raises
+    vector, which confirms the search really was exhaustive. That scan
+    keeps one admissibility flag per sign vector in the cache of
+    _admissible_vertex_vectors, 3^n bytes per representation, level and
+    form, and at most 128 such entries (under 8 MB at the cap). Raises
     VerificationError on any mismatch; returns a summary of which checks ran.
     """
     if not _witness_admissible(cert):

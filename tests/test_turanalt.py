@@ -1,5 +1,6 @@
 import random
-from itertools import combinations, permutations, product
+import tracemalloc
+from itertools import combinations, compress, permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -809,6 +810,23 @@ def test_best_alternating_matches_rest_scan(instance):
                 search_nodes(_rest_scan_best_alternating, seq, rests, *args), args
 
 
+def test_vector_alternation_on_the_smallest_reps():
+    # 0, 1 and 2 vertices, which the strategy below does not reach for n = 0:
+    # the scan reads a vector in sigma order with itemgetter, which returns a
+    # scalar for one index and refuses none
+    one, two = frozenset({0}), frozenset({1})
+    reps = (Hypergraph(0, ()), Hypergraph(1, ()), Hypergraph(1, (one,)),
+            Hypergraph(2, ()), Hypergraph(2, (one,)), Hypergraph(2, (one, two)),
+            Hypergraph(2, (one | two,)), Hypergraph(2, (two, one | two)))
+    for rep in reps:
+        for seq in permutations(range(rep.n_vertices)):
+            sigma = LinearOrdering(seq)
+            for i in (1, 2, 3):
+                assert _vector_alternation(rep, sigma, i, False) == \
+                    alt_sigma_level(rep, sigma, i), (rep, seq, i)
+            assert _vector_alternation(rep, sigma, 1, True) == salt_sigma(rep, sigma), (rep, seq)
+
+
 @st.composite
 def _sign_search_instances(draw):
     # uniform or mixed edge sizes, singletons and repeated edges included
@@ -961,12 +979,18 @@ def _admissible_inline(rep, i, strong):
     return tuple(out)
 
 
+def _admissible_vectors(rep, i, strong):
+    """The vectors the cached flags mark, decoded in product order."""
+    flags = _admissible_vertex_vectors(rep, i, strong)
+    return tuple(compress(product((-1, 0, 1), repeat=rep.n_vertices), flags))
+
+
 def test_admissible_vectors_match_inline_scan():
     rng = random.Random(44)
     for _ in range(12):
         rep = random_hypergraph(rng, max_vertices=7, max_edges=8)
         for level, strong in ((1, False), (2, False), (3, False), (None, True)):
-            assert _admissible_vertex_vectors(rep, level, strong) == \
+            assert _admissible_vectors(rep, level, strong) == \
                 _admissible_inline(rep, level, strong)
 
 
@@ -977,7 +1001,7 @@ def test_admissible_vectors_match_inline_scan_on_dense_reps():
             Hypergraph(6, tuple(frozenset(e) for e in combinations(range(6), 3))[:12]))
     for rep in reps:
         for level in (2, 3):
-            assert _admissible_vertex_vectors(rep, level, False) == \
+            assert _admissible_vectors(rep, level, False) == \
                 _admissible_inline(rep, level, False)
 
 
@@ -987,6 +1011,24 @@ def test_kneser_10_4_certificates_recheck_exhaustively():
         cert = altermatic_certificate(rep, LinearOrdering.identity(10), i=i, strong=strong)
         assert verify_certificate(cert) == {"witness_checked": True,
                                             "exhaustive_rechecked": True}
+
+
+def test_kneser_10_4_certificates_recheck_in_bounded_memory():
+    # the exhaustive re-check caches one flag byte per sign vector, not the
+    # admissible vectors themselves, and streams the vectors it scans
+    rep = build_named_kneser("kneser", n=10, k=4).instance.representation
+    for i, strong in ((1, False), (2, False), (3, False), (1, True)):
+        cert = altermatic_certificate(rep, LinearOrdering.identity(10), i=i, strong=strong)
+        _admissible_vertex_vectors.cache_clear()
+        tracemalloc.start()
+        try:
+            verify_certificate(cert)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20, (i, strong, peak)
+        flags = _admissible_vertex_vectors(rep, None if strong else i, strong)
+        assert type(flags) is bytes and len(flags) == 3 ** 10, (i, strong)
 
 
 def test_certificate_tampering_is_caught():
