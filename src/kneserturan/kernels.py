@@ -16,10 +16,12 @@ its state in color-class, banned-color and level masks, so a decision costs
 O(k) mask operations rather than a scan of every vertex, and cuts at the
 assignment each child that would fail at once. Most decisions are forced,
 the vertex having one free color left, and one call of its recursion makes
-all the forced decisions in a row before it branches. It runs on two lists
-indexed by vertex: ``adj[v]`` holds the neighbours of v by a 2-edge, and the
-pairs ``(core, ends)`` of ``pairs[v]`` stand for the larger edges through v:
-for every such edge e and every other member u of e, core is e minus v and
+all the forced decisions in a row before it branches. A call copies its
+masks before it branches and copies them back after each failed child, so
+no decision is ever undone one by one. It runs on two lists indexed by
+vertex: ``adj[v]`` holds the neighbours of v by a 2-edge, and the pairs
+``(core, ends)`` of ``pairs[v]`` stand for the larger edges through v: for
+every such edge e and every other member u of e, core is e minus v and
 u, and u is in ends. Coloring v with c bans c on ``adj[v]``, and on the ends
 of each pair whose core lies inside color class c, the unit propagation of
 an edge on its last uncolored member. That is one rule for every edge size:
@@ -225,10 +227,11 @@ def max_independent_set_graph(n: int, adj) -> tuple[int, int]:
 def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | None:
     """Proper k-coloring of a simple graph, or None if none exists.
 
-    ``clique`` vertices are pre-colored 0,1,2,... to break color symmetry; the
-    caller guarantees they are pairwise adjacent. Further symmetry breaking:
-    a vertex may open at most one brand-new color (max used so far plus one).
-    Vertex selection: fewest usable colors, ties to the lowest id.
+    ``clique`` vertices are pre-colored 0,1,2,... to break color symmetry;
+    they must be distinct and pairwise adjacent, or ValueError is raised.
+    Further symmetry breaking: a vertex may open at most one brand-new color
+    (max used so far plus one). Vertex selection: fewest usable colors, ties
+    to the lowest id.
 
     The state is kept in vertex masks: ``banned[c]`` marks the vertices next
     to a vertex of color c, and ``level[j]`` holds the uncolored ones with
@@ -353,7 +356,24 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
     vertices in the same order, with the same colors and the same cut: the
     decision tree is the same, and so is the coloring returned. A call
     stands for a run of forced decisions and the branching one that ends
-    it."""
+    it.
+
+    Backtracking copies instead of undoing: before its branching loop a
+    call copies ``level``, ``banned`` and ``cls``, and after each failed
+    child it copies them back, which also takes back every forced coloring
+    made below. A failed call leaves its state to its caller, which restores
+    its own copy, and a failed search is never read again. ``color`` is not
+    restored, for only a successful search reads it, and every vertex is
+    colored on the path to that success after any failed subtree.
+
+    A ``clique`` whose members repeat, fall outside 0..n-1 or are not
+    pairwise adjacent in ``adj`` raises ValueError: pre-coloring it would
+    refute colorings that exist."""
+    members = 0
+    for v in clique:
+        if not 0 <= v < n or members >> v & 1 or members & ~adj[v]:
+            raise ValueError(f"clique {list(clique)} is not a set of pairwise adjacent vertices")
+        members |= 1 << v
     if n == 0:
         return ()
     if k <= 0 or len(clique) > k:
@@ -392,7 +412,6 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
         return hit & free
 
     def rec(uncolored: int, max_used: int) -> bool:
-        trail = []
         while level[1]:
             # a forced vertex: its one free color is usable, for at most one
             # color above max_used is left, the only new one it may open
@@ -406,7 +425,7 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
             free = uncolored & ~banned[c]
             hit = bans(adj[v], pairs, c, free) if pairs else adj[v] & free
             if hit & level[1]:
-                break  # a vertex would lose its last color
+                return False  # a vertex would lose its last color
             level[1] ^= vbit
             color[v] = c
             if pairs:
@@ -422,86 +441,60 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
                 i += 1
             if c > max_used:
                 max_used = c
-            trail.append((vbit, c, hit))
-        else:
-            if not uncolored:
-                return True
-            j = 2
-            while not level[j]:
-                j += 1
-            tied = level[j]
-            vbit = tied & -tied
-            usable = min(k, max_used + 2)
-            if scored and tied != vbit:
-                free_of = [uncolored & ~b for b in banned[:usable]]
-                best = -1
-                while tied:
-                    ubit = tied & -tied
-                    tied ^= ubit
-                    u = ubit.bit_length() - 1
-                    nbrs = adj[u]
-                    score = 0
-                    if pair_scored:
-                        for c, free in enumerate(free_of):
-                            if free & ubit:
-                                score += bans(nbrs, pairs_of[u], c, free).bit_count()
-                    else:
-                        for free in free_of:
-                            if free & ubit:
-                                score += (nbrs & free).bit_count()
-                    if score > best:
-                        best, vbit = score, ubit
-            v = vbit.bit_length() - 1
-            level[j] ^= vbit
-            rest = uncolored ^ vbit
-            pairs = pairs_of[v]
-            for c in range(usable):
-                if banned[c] & vbit:
-                    continue
-                free = rest & ~banned[c]
-                hit = bans(adj[v], pairs, c, free) if pairs else adj[v] & free
-                color[v] = c
-                if pairs:
-                    cls[c] |= vbit
-                banned[c] |= hit
-                # the vertices of hit drop one level, none of them to level 0,
-                # for level 1 is empty here ...
-                todo, i = hit, 2
-                while todo:
-                    moved = level[i] & todo
-                    if moved:
-                        level[i] ^= moved
-                        level[i - 1] |= moved
-                        todo ^= moved
-                    i += 1
-                if rec(rest, c if c > max_used else max_used):
-                    return True
-                # ... and climb back on backtrack
-                todo, i = hit, 1
-                while todo:
-                    moved = level[i] & todo
-                    if moved:
-                        level[i] ^= moved
-                        level[i + 1] |= moved
-                        todo ^= moved
-                    i += 1
-                banned[c] ^= hit
-                if pairs:
-                    cls[c] ^= vbit
-            level[j] |= vbit
-        # unwind the forced colorings, the last first
-        for vbit, c, hit in reversed(trail):
-            todo, i = hit, 1
+        if not uncolored:
+            return True
+        j = 2
+        while not level[j]:
+            j += 1
+        tied = level[j]
+        vbit = tied & -tied
+        usable = min(k, max_used + 2)
+        if scored and tied != vbit:
+            free_of = [uncolored & ~b for b in banned[:usable]]
+            best = -1
+            while tied:
+                ubit = tied & -tied
+                tied ^= ubit
+                u = ubit.bit_length() - 1
+                nbrs = adj[u]
+                score = 0
+                if pair_scored:
+                    for c, free in enumerate(free_of):
+                        if free & ubit:
+                            score += bans(nbrs, pairs_of[u], c, free).bit_count()
+                else:
+                    for free in free_of:
+                        if free & ubit:
+                            score += (nbrs & free).bit_count()
+                if score > best:
+                    best, vbit = score, ubit
+        v = vbit.bit_length() - 1
+        level[j] ^= vbit
+        rest = uncolored ^ vbit
+        pairs = pairs_of[v]
+        saved = level[:], banned[:], cls[:]
+        for c in range(usable):
+            if banned[c] & vbit:
+                continue
+            free = rest & ~banned[c]
+            hit = bans(adj[v], pairs, c, free) if pairs else adj[v] & free
+            color[v] = c
+            if pairs:
+                cls[c] |= vbit
+            banned[c] |= hit
+            # the vertices of hit drop one level, none of them to level 0,
+            # for level 1 is empty here
+            todo, i = hit, 2
             while todo:
                 moved = level[i] & todo
                 if moved:
                     level[i] ^= moved
-                    level[i + 1] |= moved
+                    level[i - 1] |= moved
                     todo ^= moved
                 i += 1
-            banned[c] ^= hit
-            cls[c] &= ~vbit
-            level[1] |= vbit
+            if rec(rest, c if c > max_used else max_used):
+                return True
+            level[:], banned[:], cls[:] = saved
         return False
 
     return tuple(color) if rec(uncolored, len(clique) - 1) else None

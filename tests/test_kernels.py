@@ -16,6 +16,7 @@ hypergraph_color_decision returns the coloring of graph_color_decision.
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -316,6 +317,40 @@ def test_graph_colorable_agrees_with_decision_on_a_wide_graph():
                 _reference_color_search(84, adj, pairs, k, cl, False), (cl, k)
             assert kernels._color_search(84, adj, pairs, k, cl, True) == \
                 _reference_color_search(84, adj, pairs, k, cl, True), (cl, k)
+
+
+def test_a_bad_precolored_clique_raises():
+    # the path 0-1-2 is 2-colorable; pre-coloring a non-edge, a repeated
+    # vertex or one outside 0..n-1 would refute it, so each is refused
+    adj = [0b010, 0b101, 0b010]
+    for bad in ([0, 2], [0, 0], [1, 1], [0, 3], [-1], [0, 1, 2]):
+        for search in (kernels.graph_colorable, kernels.graph_color_decision):
+            with pytest.raises(ValueError, match="pairwise adjacent"):
+                search(3, adj, 2, bad)
+    assert kernels.graph_colorable(3, adj, 2, [1, 0])
+    assert kernels.graph_color_decision(3, adj, 2, [1, 2]) == (1, 0, 1)
+    with pytest.raises(ValueError):
+        kernels.graph_color_decision(0, [], 1, [0])
+
+
+def test_color_search_restores_its_state_after_each_failed_child():
+    # seeded graphs and hypergraphs of at most 8 vertices at every k, in
+    # both selections, against the oracle that undoes each decision on its
+    # own. A snapshot of the masks taken at the wrong place, missing one of
+    # them, or not restored after a failed child fails here within
+    # milliseconds, where the hypothesis tests below can run into a search
+    # that no longer ends
+    rng = random.Random(35)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        adj = _random_adj(rng, n, rng.choice((0.3, 0.5, 0.7)))
+        masks = [sum(1 << v for v in rng.sample(range(n), rng.randint(2, min(n, 4))))
+                 for _ in range(rng.randint(n, 3 * n))] if n >= 2 else []
+        for adj, pairs in ((adj, [()] * n), kernels.hypergraph_color_tables(n, masks)):
+            for k in range(1, 5):
+                for scored in (False, True):
+                    assert kernels._color_search(n, adj, pairs, k, (), scored) == \
+                        _reference_color_search(n, adj, pairs, k, (), scored), (adj, pairs, k)
 
 
 def test_coloring_search_nodes_pinned():
