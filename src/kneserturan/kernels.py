@@ -37,9 +37,16 @@ calls of the recursion against 78,262; 3 colors on KG3(K5,P2): 1,239
 decisions against 10,132, in 381 calls against 6,542) but changes the
 coloring found, so colorings come from the two decision searches alone.
 The score counts the vertices a color would ban, through ``adj`` and, on a
-hypergraph, through the pairs too. The two lists of the hypergraph
-searches, from hypergraph_color_tables, depend on the edges alone and serve
-every k.
+hypergraph, through the pairs too. On a graph it is one popcount per vertex:
+the free masks of the usable colors sit side by side in one int, each in a
+field of n bits, and so do the copies of a row of ``adj`` it is masked with.
+The two lists of the hypergraph searches, from hypergraph_color_tables,
+depend on the edges alone and serve every k.
+Every mask must name vertices 0..n-1 alone, and a graph's ``adj`` must be
+symmetric with no vertex its own neighbour. A bit at or above n, a
+negative mask or a loop raises ValueError: it would spill into the next
+field of a packed score, drop an edge or pass an improper coloring.
+Symmetry is not checked.
 Each result, witness included, is fixed by the tie-breaking rules in the
 docstrings below.
 """
@@ -66,6 +73,22 @@ def _inclusion_minimal(uniq):
         below += [e for e in group if not any(f & ~e == 0 for f in below)]
     kept = set(below)
     return [e for e in uniq if e in kept]
+
+
+def _check_masks(n: int, masks) -> None:
+    """Raise ValueError unless the largest and the smallest of ``masks``
+    are masks of vertices 0..n-1, and so all of them are."""
+    if masks and (max(masks) >> n or min(masks) < 0):
+        raise ValueError(f"a mask names a vertex outside 0..n-1 (n = {n})")
+
+
+def _check_graph(n: int, adj) -> None:
+    """Raise ValueError unless ``adj`` is a list of masks of vertices
+    0..n-1 in which no vertex is its own neighbour."""
+    _check_masks(n, adj)
+    for v, a in enumerate(adj):
+        if a >> v & 1:
+            raise ValueError("a vertex is its own neighbour")
 
 
 def _clique_partition_exceeds(cand: int, adj, limit: int) -> bool:
@@ -115,20 +138,21 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
     its descendants: every pick, packing and cut, and so every leaf and
     their order, is that of the scan of every edge.
 
-    When every minimal edge has two vertices, all below ``n``, the graph
-    search of max_independent_set_graph runs instead, on the adjacency masks
-    of those edges. It returns the same result, witness included.
+    When every minimal edge has two vertices, the graph search of
+    max_independent_set_graph runs instead, on the adjacency masks of those
+    edges. It returns the same result, witness included. An edge mask with
+    a vertex outside 0..n-1 raises ValueError.
     """
     full = (1 << n) - 1
     uniq = sorted(set(int(e) for e in edge_masks))
+    _check_masks(n, uniq)
     if any(e == 0 for e in uniq):
         raise ValueError("empty edge mask")
     # only inclusion-minimal edges constrain independence
     edges = _inclusion_minimal(uniq)
     if not edges or n == 0:
         return n, full
-    # edges are sorted, so the last one bounds every vertex index
-    if edges[-1] <= full and all(e.bit_count() == 2 for e in edges):
+    if all(e.bit_count() == 2 for e in edges):
         return max_independent_set_graph(n, adjacency_of(n, edges))
 
     best_size = 0
@@ -175,7 +199,9 @@ def max_independent_set(n: int, edge_masks) -> tuple[int, int]:
 
 
 def max_independent_set_graph(n: int, adj) -> tuple[int, int]:
-    """max_independent_set on a graph with adjacency masks ``adj``.
+    """max_independent_set on a graph with adjacency masks ``adj``:
+    symmetric, within 0..n-1 and without loops, or ValueError is raised
+    (symmetry is not checked).
 
     The hypergraph search, kept in adjacency masks. Choosing a vertex drops
     its neighbours from the candidates at once, where the hypergraph search
@@ -193,6 +219,7 @@ def max_independent_set_graph(n: int, adj) -> tuple[int, int]:
     MCQ bound, for independent sets). Any cut that keeps every strictly
     better leaf leaves that first maximum leaf in place.
     """
+    _check_graph(n, adj)
     below = [a & ((1 << v) - 1) for v, a in enumerate(adj)]
 
     best_size = 0
@@ -227,6 +254,10 @@ def max_independent_set_graph(n: int, adj) -> tuple[int, int]:
 def graph_color_decision(n: int, adj, k: int, clique=()) -> tuple[int, ...] | None:
     """Proper k-coloring of a simple graph, or None if none exists.
 
+    ``adj[v]`` is the mask of the neighbours of v: symmetric, within
+    0..n-1 and without v itself, or ValueError is raised (symmetry is not
+    checked).
+
     ``clique`` vertices are pre-colored 0,1,2,... to break color symmetry;
     they must be distinct and pairwise adjacent, or ValueError is raised.
     Further symmetry breaking: a vertex may open at most one brand-new color
@@ -255,9 +286,13 @@ def graph_colorable(n: int, adj, k: int, clique=()) -> bool:
     the one whose free colors are most contested, a variant of San Segundo's
     PASS rule for DSATUR ties (Computers & OR 39(7), 2012). Its score is the
     sum, over its usable colors c, of its uncolored neighbours on which c is
-    still free; ties go to the lowest id. Forced vertices, on level 1, keep
-    the lowest-id order. The answer is that of graph_color_decision, but the
-    coloring found, if any, is not, so only the answer is returned.
+    still free; ties go to the lowest id. It is taken in one popcount: the
+    free masks of the usable colors are packed into one int, color c in bits
+    n*c .. n*c + n - 1, and masked with the row of the vertex copied into
+    every field and with the fields of the colors free at the vertex. Forced
+    vertices, on level 1, keep the lowest-id order. The answer is that of
+    graph_color_decision, but the coloring found, if any, is not, so only
+    the answer is returned.
     """
     return _color_search(n, adj, [()] * n, k, clique, True) is not None
 
@@ -265,8 +300,10 @@ def graph_colorable(n: int, adj, k: int, clique=()) -> bool:
 def hypergraph_color_tables(n: int, edge_masks):
     """The lists ``(adj, pairs)`` hypergraph_color_decision searches on, or
     None when an edge is a singleton. They depend on the edges alone, so a
-    caller trying several k builds them once."""
+    caller trying several k builds them once. An edge mask with a vertex
+    outside 0..n-1 raises ValueError."""
     uniq = set(int(e) for e in edge_masks)
+    _check_masks(n, uniq)
     if any(e.bit_count() == 1 for e in uniq):
         return None  # monochromatic under every coloring
     through = [{} for _ in range(n)]
@@ -302,7 +339,8 @@ def hypergraph_color_decision(n: int, edge_masks, k: int,
     colors, ties to the lowest id), the one-new-color rule and the cut at the
     assignment are the same, so the decision tree, and the coloring returned,
     are those of the same search without the cut. A singleton edge makes the
-    answer None; a zero mask is ignored. ``tables``, when given, is
+    answer None; a zero mask is ignored, and one with a vertex outside
+    0..n-1 raises ValueError. ``tables``, when given, is
     hypergraph_color_tables of the same n and edges.
     """
     return _hypergraph_search(n, edge_masks, k, tables, False)
@@ -341,6 +379,20 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
     reads the pairs too, when any vertex has them; that choice is made once
     per search, so a graph never pays for the pair scan.
 
+    On a graph the score of a tied vertex u is one popcount of packed
+    fields of n bits, field c standing for color c. ``free_all`` holds
+    ``uncolored & ~banned[c]`` in field c for each usable color c, ``ones``
+    the lowest bit of each usable field, and the row ``adj[u] * ones``
+    copies ``adj[u]`` into every field. ``free_all >> u & ones`` marks the
+    fields of the colors free at u, and times ``full`` fills them, so
+    ``free_all & row & (free_all >> u & ones) * full`` holds, field by
+    field, the neighbours of u on which each color free at u is still free.
+    Its popcount is the sum of the per-color counts, the same integer. The
+    rows depend on the number of usable colors alone, so they are built
+    once per search for each number, when a score first needs them. A bit
+    of ``adj`` at or above n would spill into the next field, which is why
+    the range of every row is checked first.
+
     ``cls[c]`` holds the vertices colored c that have pairs, and no others:
     a core lies inside an edge of three or more vertices, every member of
     which has pairs, so no other vertex is ever tested against ``cls``.
@@ -369,6 +421,7 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
     A ``clique`` whose members repeat, fall outside 0..n-1 or are not
     pairwise adjacent in ``adj`` raises ValueError: pre-coloring it would
     refute colorings that exist."""
+    _check_graph(n, adj)
     members = 0
     for v in clique:
         if not 0 <= v < n or members >> v & 1 or members & ~adj[v]:
@@ -379,10 +432,13 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
     if k <= 0 or len(clique) > k:
         return None
     pair_scored = scored and any(pairs_of)
+    # spread[usable]: the field selector and the rows of adj copied into
+    # each of the usable fields, built when a graph score first needs them
+    spread = [None] * (k + 1)
     color = [-1] * n
     cls = [0] * k
     banned = [0] * k
-    uncolored = (1 << n) - 1
+    full = uncolored = (1 << n) - 1
     for c, v in enumerate(clique):
         color[v] = c
         uncolored &= ~(1 << v)
@@ -450,22 +506,31 @@ def _color_search(n: int, adj, pairs_of, k: int, clique, scored: bool) -> tuple[
         vbit = tied & -tied
         usable = min(k, max_used + 2)
         if scored and tied != vbit:
-            free_of = [uncolored & ~b for b in banned[:usable]]
+            if pair_scored:
+                free_of = [uncolored & ~b for b in banned[:usable]]
+            else:
+                # the free mask of color c in bits n*c .. n*c + n - 1
+                free_all = 0
+                for b in reversed(banned[:usable]):
+                    free_all = free_all << n | (uncolored & ~b)
+                if spread[usable] is None:
+                    ones = sum(1 << n * c for c in range(usable))
+                    spread[usable] = ones, [a * ones for a in adj]
+                ones, rows = spread[usable]
             best = -1
             while tied:
                 ubit = tied & -tied
                 tied ^= ubit
                 u = ubit.bit_length() - 1
-                nbrs = adj[u]
-                score = 0
                 if pair_scored:
+                    score = 0
                     for c, free in enumerate(free_of):
                         if free & ubit:
-                            score += bans(nbrs, pairs_of[u], c, free).bit_count()
+                            score += bans(adj[u], pairs_of[u], c, free).bit_count()
                 else:
-                    for free in free_of:
-                        if free & ubit:
-                            score += (nbrs & free).bit_count()
+                    # the fields of the colors free at u, masked to its
+                    # neighbours and counted in one popcount
+                    score = (free_all & rows[u] & (free_all >> u & ones) * full).bit_count()
                 if score > best:
                     best, vbit = score, ubit
         v = vbit.bit_length() - 1

@@ -353,6 +353,61 @@ def test_color_search_restores_its_state_after_each_failed_child():
                         _reference_color_search(n, adj, pairs, k, (), scored), (adj, pairs, k)
 
 
+def test_packed_scores_match_the_oracle_on_wide_graphs():
+    # seeded graphs of 20 to 70 vertices at k = 9 down to 1, where the
+    # hypothesis tests above stay within 24 vertices: the packed score of
+    # graph_colorable then spans up to 603 bits (three of these graphs
+    # pass 512), so a field packed at the wrong place or a row cached
+    # under the wrong number of colors shows. At each satisfiable k the
+    # scored search must find the oracle's coloring, which fixes the
+    # vertex it selects at every branching node on the path to it, with a
+    # max clique pre-colored and with none; at every k graph_colorable
+    # must answer as graph_color_decision does
+    rng = random.Random(36)
+    for _ in range(25):
+        n = rng.randint(20, 70)
+        adj = _random_adj(rng, n, rng.choice((0.1, 0.2, 0.3)))
+        full = (1 << n) - 1
+        co_adj = [full ^ a ^ (1 << v) for v, a in enumerate(adj)]
+        clique = tuple(bits_of(kernels.max_independent_set_graph(n, co_adj)[1]))
+        for cl in (clique, ()):
+            for k in range(9, 0, -1):
+                found = kernels.graph_color_decision(n, adj, k, cl)
+                if found is not None:
+                    assert kernels._color_search(n, adj, [()] * n, k, cl, True) == \
+                        _reference_color_search(n, adj, [()] * n, k, cl, True), (n, cl, k)
+                assert kernels.graph_colorable(n, adj, k, cl) == (found is not None), (n, cl, k)
+
+
+def test_out_of_range_masks_and_loops_raise():
+    # a vertex index at or above n, a negative mask or, in a graph, a
+    # vertex that is its own neighbour used to give a wrong answer or a
+    # bare IndexError; in a packed score an out-of-range bit would spill
+    # into the next color's field
+    bad = (
+        (kernels.hypergraph_color_tables, 2, [0b101]),
+        (kernels.hypergraph_color_decision, 2, [0b101], 2),
+        (kernels.hypergraph_colorable, 2, [0b101], 2),
+        (kernels.max_independent_set, 2, [0b101]),
+        (kernels.max_independent_set, 3, [0b1000, 0b11]),
+        (kernels.max_independent_set, 2, [-1]),
+        (kernels.max_independent_set_graph, 2, [0b100, 0]),
+        (kernels.max_independent_set_graph, 1, [0b1]),
+        (kernels.graph_color_decision, 2, [0b101, 0b001], 2),
+        (kernels.graph_colorable, 2, [0b101, 0b001], 2),
+        (kernels.graph_color_decision, 2, [0b110, 0b001], 2),
+        (kernels.graph_colorable, 2, [0b010, -3], 2),
+        (kernels.graph_color_decision, 1, [0b1], 1),
+        (kernels.graph_colorable, 1, [0b1], 1),
+    )
+    for kernel, *args in bad:
+        with pytest.raises(ValueError, match="outside 0..n-1|own neighbour"):
+            kernel(*args)
+    assert kernels.graph_color_decision(2, [0b10, 0b01], 2) == (0, 1)
+    assert kernels.max_independent_set(3, [0b100, 0b11]) == (1, 0b010)
+    assert kernels.hypergraph_color_decision(2, [0b11], 2) == (0, 1)
+
+
 def test_coloring_search_nodes_pinned():
     # each named instance just below its chi, with the clique that
     # chromatic_number_graph pre-colors: the decisions of the lowest-id and
