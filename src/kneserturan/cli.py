@@ -18,21 +18,22 @@ import json
 import sys
 from collections.abc import Callable
 from functools import partial
-from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, KneserTuranError, SizeCapError, VerificationError
 from .exactsolve import (
     DEFAULT_SOLVER_CAP,
     UNBOUNDED,
+    check_clique,
+    check_coloring,
+    check_vertex_set,
     chromatic_number,
     covering_number,
     independence_number,
-    validate_hypergraph_coloring,
 )
 from .harness import run_golden_suite
 from .hyperstruct import (Hypergraph, LinearOrdering, _ints, _require, canonical_dumps,
-                          from_dimacs, mask_of, to_dimacs)
+                          from_dimacs, to_dimacs)
 from .kneser import (
     _FAMILY_FLAGS,
     _NAMED_KINDS,
@@ -101,11 +102,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("quantity", choices=tuple(_QUANTITIES))
     instance_args(sp)
     ordering_args(sp)
-    sp.add_argument("--i", type=int, default=1, help="admissibility level for alt-sigma/certificate")
+    sp.add_argument("--i", type=int, default=_QUANTITY_OPTIONS["i"],
+                    help="admissibility level for alt-sigma/certificate")
     sp.add_argument("--strong", action="store_true", help="strong (salt) certificate variant")
-    sp.add_argument("--mode", choices=("auto", "exact", "heuristic"), default="auto")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--restarts", type=int, default=64)
+    sp.add_argument("--mode", choices=("auto", "exact", "heuristic"),
+                    default=_QUANTITY_OPTIONS["mode"])
+    sp.add_argument("--seed", type=int, default=_QUANTITY_OPTIONS["seed"])
+    sp.add_argument("--restarts", type=int, default=_QUANTITY_OPTIONS["restarts"])
 
     sp = sub.add_parser("verify", help="re-check a document produced by this tool")
     sp.add_argument("document", metavar="FILE")
@@ -323,21 +326,9 @@ def _verify_recompute(quantity: str, operand, options: dict, result: dict) -> di
 
 
 def _verify_vertex_set(quantity: str, target: Hypergraph, options: dict, result: dict) -> dict:
-    """A witness that is not a list of ints is malformed. Otherwise it must
-    be distinct vertices of the target, as many as the headline says, that
-    contain no hyperedge (alpha) or meet every hyperedge (beta)."""
+    """A witness that is not a list of ints is malformed; else check_vertex_set judges it."""
     witness = _ints(result["witness_vertices"], "malformed document: the witness vertices")
-    if len(set(witness)) != len(witness) or \
-            any(not 0 <= v < target.n_vertices for v in witness):
-        raise VerificationError("witness vertices repeat or are out of range")
-    if len(witness) != result[quantity]:
-        raise VerificationError(f"witness has {len(witness)} vertices, {quantity} is "
-                                f"{result[quantity]}")
-    mask = mask_of(witness)
-    if quantity == "alpha" and any(em & ~mask == 0 for em in target.edge_masks):
-        raise VerificationError("witness vertices contain a hyperedge")
-    if quantity == "beta" and any(em & mask == 0 for em in target.edge_masks):
-        raise VerificationError("witness vertices miss a hyperedge")
+    check_vertex_set(target, witness, result[quantity], quantity, cover=quantity == "beta")
     return {}
 
 
@@ -345,15 +336,12 @@ def _verify_chi(quantity: str, target: Hypergraph, options: dict, result: dict) 
     checks = {}
     assignment = result.get("assignment")
     claimed = result["chi"]
+    if (assignment is None) != (claimed == UNBOUNDED):
+        raise VerificationError(f"chi {claimed} comes with{'out' if assignment is None else ''} "
+                                "a coloring")
     if assignment is not None:
-        _ints(assignment, "malformed document: the assignment")
-        if not validate_hypergraph_coloring(target, assignment):
-            raise VerificationError("claimed coloring is not proper")
-        if claimed != UNBOUNDED and len(set(assignment)) > claimed:
-            raise VerificationError("coloring uses more colors than claimed")
+        check_coloring(target, _ints(assignment, "malformed document: the assignment"), claimed)
         checks["coloring_proper"] = True
-    if assignment is None and claimed != UNBOUNDED:
-        raise VerificationError(f"chi {claimed} comes without a coloring")
     _check_chi_witness(target, claimed, result["witness"])
     return checks
 
@@ -390,16 +378,8 @@ def _check_chi_witness(target: Hypergraph, claimed, witness) -> None:
                                 f"on {target.n_vertices} vertices and {m} edges")
     if kind == "clique":
         _require(witness, ("members",), "the witness")
-        members = _ints(witness["members"], "malformed document: the clique members")
-        if len(members) != claimed:
-            raise VerificationError(f"clique witness has {len(members)} members, chi is {claimed}")
-        if len(set(members)) != len(members) or \
-                any(not 0 <= v < target.n_vertices for v in members):
-            raise VerificationError("clique witness members repeat or are out of range")
-        # on a hypergraph target no two members count as adjacent
-        adj = target.adjacency_masks() if target.is_graph else [0] * target.n_vertices
-        if any(not adj[u] >> v & 1 for u, v in combinations(members, 2)):
-            raise VerificationError("clique witness members are not pairwise adjacent")
+        check_clique(target, _ints(witness["members"], "malformed document: the clique members"),
+                     claimed, "chi")
     elif kind == "exhausted":
         _require(witness, ("refuted_colors",), "the witness", int)
         if witness["refuted_colors"] != claimed - 1:
@@ -507,21 +487,13 @@ _QUANTITIES = {
 
 _OPTION_KEYS = ("r", "i", "strong", "mode", "seed", "restarts", "cap", "ordering")
 
-# the options only some quantities read: (name, default, what to use instead).
-# The options echo folds the ordering flags into "ordering", so verify finds
-# only that one of them; compute finds all four among the parsed arguments.
-_QUANTITY_OPTIONS = (
-    ("r", None, ""),
-    ("i", 1, ""),
-    ("strong", False, "; the strong alternations are ex-salt and salt-sigma"),
-    ("mode", "auto", ""),
-    ("seed", 0, ""),
-    ("restarts", 64, ""),
-    ("ordering", None, ""),
-    ("interval", False, ""),
-    ("identity", False, ""),
-    ("singles_last", False, ""),
-)
+# the options only some quantities read, with their defaults, which the
+# parser reads too. The options echo folds the ordering flags into
+# "ordering", so verify finds only that one of them; compute finds all four
+# among the parsed arguments.
+_QUANTITY_OPTIONS = {"r": None, "i": 1, "strong": False, "mode": "auto", "seed": 0,
+                     "restarts": 64, "ordering": None, "interval": False, "identity": False,
+                     "singles_last": False}
 _ORDERING_FLAGS = ("ordering", "interval", "identity", "singles_last")
 
 
@@ -536,12 +508,14 @@ def _check_options(name: str, options: dict, instance) -> None:
     """
     named = isinstance(instance, dict) and instance.get("scheme") == "named"
     quantity = _QUANTITIES[name]
-    for option, default, hint in _QUANTITY_OPTIONS:
+    for option, default in _QUANTITY_OPTIONS.items():
         if (option == "r" and named) or options.get(option, default) == default:
             continue
         flag = option.replace("_", "-")
         if not quantity.reads_option(option):
             users = ", ".join(n for n, q in _QUANTITIES.items() if q.reads_option(option))
+            hint = ("; the strong alternations are ex-salt and salt-sigma"
+                    if option == "strong" else "")
             raise InvalidParameterError(
                 f"{name} does not read --{flag}, which applies to {users}{hint}")
         if option in _SEARCH_OPTIONS and quantity.ordering and _fixed_ordering(options):
@@ -559,11 +533,16 @@ def _options_echo(args, cap, ordering_echo) -> dict:
     return echo
 
 
-def _run_build(args) -> tuple[dict, int]:
+def _build_target(args) -> tuple[_Resolved, int | None, Hypergraph]:
+    """The instance of build or export, the cap it checks, and the target within it."""
     resolved = _rebuild_instance(_instance_config(args))
     _refuse_raw_cap(args.verb, resolved, args.cap)
     cap = _cap_for(_build_cap(resolved), args.cap, args.i_know_this_is_huge)
-    target = _target_of(resolved, cap)
+    return resolved, cap, _target_of(resolved, cap)
+
+
+def _run_build(args) -> tuple[dict, int]:
+    resolved, cap, target = _build_target(args)
     config = {"verb": "build", "instance": resolved.config,
               "options": _options_echo(args, cap, None)}
     result = {
@@ -589,10 +568,7 @@ def _run_compute(args) -> tuple[dict, int]:
 
 
 def _run_export(args) -> tuple[str, int]:
-    resolved = _rebuild_instance(_instance_config(args))
-    _refuse_raw_cap(args.verb, resolved, args.cap)
-    cap = _cap_for(_build_cap(resolved), args.cap, args.i_know_this_is_huge)
-    target = _target_of(resolved, cap)
+    resolved, _, target = _build_target(args)
     if args.format == "dimacs":
         # an order-3 or higher power stays a hypergraph even when it has no edges
         if resolved.r not in (None, 2) or not target.is_graph:

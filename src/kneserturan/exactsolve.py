@@ -1,9 +1,9 @@
 """Exact invariants: independence, covering, clique, chromatic numbers.
 
-Every reported number carries a machine-checkable witness. Chromatic numbers
-come with a proper coloring plus a lower-bound witness (a clique when one is
-tight, otherwise the exhausted k that the decision search refuted); both the
-graph and the hypergraph front end settle them in one loop, _settle.
+Every reported number carries a machine-checkable witness, checked by the
+rule verify applies too (check_*). Chromatic numbers come with a proper
+coloring plus a lower-bound witness (a clique when one is tight, otherwise
+the exhausted k that the decision search refuted), settled in _settle.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import InvalidParameterError, SizeCapError, VerificationError
-from .hyperstruct import Hypergraph, Record, bits_of, mask_of
+from .hyperstruct import Hypergraph, Record, bits_of
 
 DEFAULT_SOLVER_CAP = 64
 UNBOUNDED = "unbounded"  # chi of a hypergraph with a one-vertex edge, as documents spell it
@@ -25,6 +25,53 @@ def _check_cap(h: Hypergraph, cap: int, what: str):
         )
 
 
+# --- witness rules: the solvers check their output by them, and verify a document ---
+
+def _members_mask(h: Hypergraph, members, size: int, what: str) -> int:
+    """The mask of ``members``, refused unless they are ``size`` distinct vertices of ``h``."""
+    mask = 0
+    for v in members:
+        if not 0 <= v < h.n_vertices:
+            raise VerificationError(f"witness member {v} is out of range 0..{h.n_vertices - 1}")
+        if mask >> v & 1:
+            raise VerificationError(f"witness member {v} repeats")
+        mask |= 1 << v
+    if mask.bit_count() != size:
+        raise VerificationError(f"witness has {mask.bit_count()} members, {what} is {size}")
+    return mask
+
+
+def check_vertex_set(h: Hypergraph, members, size: int, what: str, cover: bool = False):
+    """Refuse ``members`` unless they are ``size`` distinct vertices of ``h`` that contain
+    no hyperedge (alpha; ex on the occurrence hypergraph) or meet every one (beta)."""
+    mask = _members_mask(h, members, size, what)
+    if any(em & mask == 0 if cover else em & ~mask == 0 for em in h.edge_masks):
+        raise VerificationError(f"the witness members {'miss' if cover else 'contain'} a hyperedge")
+
+
+def check_clique(g: Hypergraph, members, size: int, what: str):
+    """Refuse ``members`` unless they are ``size`` distinct, pairwise adjacent vertices
+    of ``g``, one mask test per member; in a non-graph no two are adjacent."""
+    mask = _members_mask(g, members, size, what)
+    adj = g.adjacency_masks() if g.is_graph else (0,) * g.n_vertices
+    if any(mask & ~adj[v] & ~(1 << v) for v in bits_of(mask)):
+        raise VerificationError("the witness members are not pairwise adjacent")
+
+
+def check_palette(assignment, k: int):
+    """Refuse ``assignment`` unless its colors lie in 0..k-1."""
+    for v, c in enumerate(assignment):
+        if not 0 <= c < k:
+            raise VerificationError(f"vertex {v} has out-of-range color {c}, not in 0..{k - 1}")
+
+
+def check_coloring(h: Hypergraph, assignment, k: int):
+    """Refuse ``assignment`` unless it colors ``h`` properly in colors 0..k-1."""
+    check_palette(assignment, k)
+    if not validate_hypergraph_coloring(h, assignment):
+        raise VerificationError("the coloring is not proper")
+
+
 # --- independence and covering ---
 
 def independence_number(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, frozenset[int]]:
@@ -32,9 +79,7 @@ def independence_number(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[i
     _check_cap(h, cap, "independence_number")
     size, mask = kernels.max_independent_set(h.n_vertices, h.edge_masks)
     witness = frozenset(bits_of(mask))
-    for em in set(h.edge_masks):
-        if em & ~mask == 0:
-            raise VerificationError("independent-set witness contains a hyperedge")
+    check_vertex_set(h, witness, size, "alpha")
     return size, witness
 
 
@@ -46,10 +91,7 @@ def covering_number(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, 
     """
     alpha, ind = independence_number(h, cap)
     cover = frozenset(range(h.n_vertices)) - ind
-    cmask = mask_of(cover)
-    for em in h.edge_masks:
-        if em & cmask == 0:
-            raise VerificationError("cover witness misses a hyperedge")
+    check_vertex_set(h, cover, h.n_vertices - alpha, "beta", cover=True)
     return h.n_vertices - alpha, cover
 
 
@@ -68,9 +110,9 @@ def max_clique(g: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> tuple[int, froze
     full = (1 << n) - 1
     co_adj = [full & ~a & ~(1 << v) for v, a in enumerate(adj)]
     size, mask = kernels.max_independent_set_graph(n, co_adj)
-    if any(mask & co_adj[v] for v in bits_of(mask)):
-        raise VerificationError("clique witness has a missing edge")
-    return size, frozenset(bits_of(mask))
+    witness = frozenset(bits_of(mask))
+    check_clique(g, witness, size, "omega")
+    return size, witness
 
 
 # --- colorings ---
@@ -226,17 +268,10 @@ def _settle(h: Hypergraph, low: int, low_witness: dict, greedy, colorable, decis
             break
     else:
         k, assignment = ub, tuple(greedy)
+    check_coloring(h, assignment, k)
     cert = ColoringCertificate(k, assignment)
-    _assert_proper(h, cert)
     witness = low_witness if k == low else {"kind": "exhausted", "refuted_colors": k - 1}
     return ChromaticReport(k, cert, witness)
-
-
-def _assert_proper(h: Hypergraph, cert: ColoringCertificate):
-    if not validate_hypergraph_coloring(h, cert.assignment):
-        raise VerificationError("solver produced an improper coloring")
-    if any(c < 0 or c >= cert.num_colors for c in cert.assignment):
-        raise VerificationError("coloring uses out-of-range colors")
 
 
 def chromatic_number(h: Hypergraph, cap: int = DEFAULT_SOLVER_CAP) -> ChromaticReport:

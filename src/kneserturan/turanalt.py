@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, compress, permutations, product
+from functools import cache, lru_cache
+from itertools import chain, combinations, compress, permutations, product
 from operator import itemgetter
 
 from .errors import InvalidParameterError, SizeCapError, VerificationError
-from .exactsolve import ColoringCertificate, dsatur
+from .exactsolve import ColoringCertificate, check_palette, check_vertex_set, dsatur
 from .hyperstruct import (
     Hypergraph,
     LinearOrdering,
@@ -105,15 +105,16 @@ class AlternatingColoring(Record):
 class TuranReport:
     """Result of one of the Turan-style maximizations, with its witness.
 
-    ``witness_edges`` carries an extremal edge set (for plain ex);
-    ``witness_coloring`` carries the achieving alternating coloring (for the
-    alternating variants, including the minimizing ordering).
+    ``witness_edges`` carries an extremal edge set (for plain ex), a tuple
+    as written if a document repeats an id; ``witness_coloring`` carries the
+    achieving alternating coloring (for the alternating variants, including
+    the minimizing ordering).
     """
 
     quantity: str
     value: int
     mode: str
-    witness_edges: frozenset[int] | None = None
+    witness_edges: frozenset[int] | tuple[int, ...] | None = None
     witness_coloring: AlternatingColoring | None = None
 
     def __post_init__(self):
@@ -136,7 +137,8 @@ class TuranReport:
         _require(doc, ("value",), "the report", int)
         edges = doc.get("witness_edges")
         if edges is not None:
-            edges = frozenset(_ints(edges, "malformed document: the witness edges"))
+            edges = _ints(edges, "malformed document: the witness edges")
+            edges = frozenset(edges) if len(set(edges)) == len(edges) else tuple(edges)
         coloring = doc.get("witness_coloring")
         if coloring is not None:
             coloring = AlternatingColoring.from_json_dict(coloring)
@@ -146,30 +148,23 @@ class TuranReport:
 class AltermaticCertificate(Record):
     """A chromatic lower bound read off one ordering of a representation.
 
-    The certified bound is |V| - alt_value + i - 1 (strong form, which has
-    no level and takes only i = 1: |V| + 1 - alt_value, where alt_value is
-    then the salt count). Sound for the
-    disjointness graph of the representation because the minimum over all
-    orderings can only be smaller than the recorded one; the search behind
-    alt_value must have been exhaustive for the given ordering.
+    The certified bound (_certified_bound) is |V| - alt_value + i - 1, or
+    |V| + 1 - alt_value in the strong form, which has no level (i = 1) and
+    counts salt. Sound for the disjointness graph of the representation
+    because the minimum over all orderings can only be smaller than the
+    recorded one; the search behind alt_value must have been exhaustive for
+    the given ordering.
     """
 
     _fields = ("representation", "ordering", "i", "strong", "alt_value", "value", "witness")
 
     def __init__(self, representation: Hypergraph, ordering: LinearOrdering, i: int,
                  strong: bool, alt_value: int, value: int, witness: SignVector | None):
-        if i < 1:
-            raise InvalidParameterError("level must be >= 1")
-        if strong and i != 1:
-            raise InvalidParameterError("the strong form has no level: i must be 1")
+        _check_level(i, strong)
         n = representation.n_vertices
         if len(ordering) != n:
             raise InvalidParameterError("ordering length differs from vertex count")
-        if strong:
-            expected = n + 1 - alt_value
-        else:
-            expected = n - alt_value + i - 1
-        if value != expected:
+        if value != _certified_bound(n, alt_value, i, strong):
             raise VerificationError("certificate value does not match its alternation count")
         self.__dict__.update(representation=representation, ordering=ordering, i=i,
                              strong=strong, alt_value=alt_value, value=value, witness=witness)
@@ -273,16 +268,18 @@ def _greedy_free_subset(occ_graph: Hypergraph, seed: int, restarts: int) -> int:
     return best_mask
 
 
-def _brute_turan(m: int, occ_masks) -> int:
-    """Top-down scan over all subsets; verification oracle, not for real sizes."""
+def _largest_passing(m: int, passes) -> int:
+    """The largest t for which ``passes`` accepts a t-subset of 0..m-1 (a ``combinations``
+    tuple), scanning every subset from the top: the verifiers' oracle, not for real sizes."""
     for t in range(m, -1, -1):
-        for combo in combinations(range(m), t):
-            mask = 0
-            for e in combo:
-                mask |= 1 << e
-            if all(om & mask != om for om in occ_masks):
-                return t
+        if any(map(passes, combinations(range(m), t))):
+            return t
     return 0
+
+
+def _brute_turan(m: int, occ_masks) -> int:
+    """ex by _largest_passing: the largest occurrence-free set of host edges."""
+    return _largest_passing(m, lambda combo: next(_inside(occ_masks, mask_of(combo)), None) is None)
 
 
 # --- the Turan coloring ---
@@ -295,8 +292,9 @@ def turan_coloring(host: Hypergraph, family: PatternFamily, kept,
     outside ``kept``; one inside ``kept`` gets |E \\ kept| plus the index of
     the first of ``clusters`` (edge-id sets inside ``kept``) that holds it.
     The palette has |E \\ kept| + len(clusters) colors: |E| - ex when ``kept``
-    is a maximum occurrence-free set and there are no clusters. Every color
-    class is checked to pairwise intersect before the coloring is returned.
+    is a maximum occurrence-free set and there are no clusters. check_palette
+    and _disjointness_colorable(class, 1), properness in KG(host, family),
+    accept the coloring before it is returned.
     """
     m = host.n_edges
 
@@ -325,9 +323,11 @@ def turan_coloring(host: Hypergraph, family: PatternFamily, kept,
                 raise InvalidParameterError("an occurrence inside the kept set is in no cluster")
         classes.setdefault(color, []).append(om)
         assignment.append(color)
-    if any(a & b == 0 for ms in classes.values() for a, b in combinations(ms, 2)):
+    k = len(outside) + len(cluster_masks)
+    check_palette(assignment, k)
+    if not all(_disjointness_colorable(ms, 1) for ms in classes.values()):
         raise VerificationError("a color class holds two disjoint occurrences")
-    return ColoringCertificate(len(outside) + len(cluster_masks), tuple(assignment))
+    return ColoringCertificate(k, tuple(assignment))
 
 
 # --- alternating Turan numbers ---
@@ -782,17 +782,46 @@ def _alternation(rep: Hypergraph, sigma: LinearOrdering, i: int, strong: bool, c
     if len(sigma) != n:
         raise InvalidParameterError(f"ordering has {len(sigma)} entries for {n} vertices "
                                     "or host edges")
-    if i < 1:
-        raise InvalidParameterError("level must be >= 1")
-    if strong and i != 1:
-        raise InvalidParameterError("the strong form has no level: i must be 1")
+    _check_level(i, strong)
     if n > cap:
         raise SizeCapError(f"{n} vertices or host edges to order, above the cap {cap}")
     return _best_alternating(sigma.sequence, _tables_of(rep), strong, None, i)
 
 
-def _disjointness_colorable(masks: list[int], k: int) -> bool:
-    """Whether the disjointness graph of ``masks`` is k-colorable."""
+def _check_level(i: int, strong: bool):
+    """Refuse a level below 1, and any level but 1 in the strong form, which has none."""
+    if i < 1:
+        raise InvalidParameterError("level must be >= 1")
+    if strong and i != 1:
+        raise InvalidParameterError("the strong form has no level: i must be 1")
+
+
+def _certified_bound(n: int, alt_value: int, i: int, strong: bool) -> int:
+    """n - alt_value + i - 1, or n + 1 - alt_value in the strong form."""
+    return n + 1 - alt_value if strong else n - alt_value + i - 1
+
+
+def _side_condition(in_plus, in_minus, i: int, strong: bool) -> bool:
+    """Whether two sides (of a sign vector, or the classes of an alternating
+    coloring) meet the side condition, given iterators over the hyperedges or
+    occurrences inside each, read only as far as the verdict needs: in the
+    strong form one side holds none; at level i the disjointness graph of all
+    of them is (i - 1)-colorable, so at level 1 neither side holds one."""
+    if strong:
+        return next(in_plus, None) is None or next(in_minus, None) is None
+    return _disjointness_colorable(chain(in_plus, in_minus), i - 1)
+
+
+def _inside(masks, side: int):
+    """An iterator over the members of ``masks`` inside ``side``."""
+    return (em for em in masks if em & side == em)
+
+
+def _disjointness_colorable(masks, k: int) -> bool:
+    """Whether the disjointness graph of the iterable ``masks`` is k-colorable."""
+    if k <= 0:  # no color: there must be no mask, so at most one is drawn
+        return next(iter(masks), None) is None
+    masks = list(masks)
     c = len(masks)
     if c <= k:
         return True
@@ -829,16 +858,17 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool) -> 
     admissible vectors. An entry holds 3^n bytes, 59 KB at
     BRUTE_CERTIFICATE_CAP, and the cache at most 128 entries.
 
-    Deliberately a raw scan over 3^n assignments with the side condition
-    spelled out inline: this is the oracle the ordering-based search gets
-    property-tested against, so it shares no pruning logic with it. The
-    plus and minus masks of the vectors come in product order, each the OR
-    of the masks of its first n // 2 vertices and of the rest, so only
-    2 * 3^(n/2) pairs of masks are stored. The edges inside a side depend on
-    that side alone, so they are read, as a bitmask of edge indices, from a
-    table over all 2^n sides into which each side's subsets are ORed, one
-    vertex at a time. From level 2 on the verdict depends only on the edges
-    inside either side, so it is found once per such bitmask.
+    A raw scan over 3^n assignments by the rule of the witness check,
+    _side_condition (past level 1, _disjointness_colorable): the oracle the
+    ordering-based search gets property-tested against, so it shares no
+    pruning logic with it. The plus and minus masks of the vectors come in
+    product order, each the OR of the masks of its first n // 2 vertices
+    and of the rest, so only 2 * 3^(n/2) pairs of masks are stored. The
+    edges inside a side, as a bitmask of edge indices, come from a table
+    over all 2^n sides into which each side's subsets are ORed, one vertex
+    at a time. The verdict depends only on the edges inside either side, at
+    level 1 and in the strong form only on which sides hold one, so it is
+    found once per set of them, or four times in all.
     """
     n = rep.n_vertices
     masks = rep.edge_masks
@@ -853,40 +883,16 @@ def _admissible_vertex_vectors(rep: Hypergraph, i: int | None, strong: bool) -> 
     half = n // 2
     high, low = _signed_sides(range(half)), _signed_sides(range(half, n))
     sides = ((hp | lp, hm | lm) for hp, hm in high for lp, lm in low)
-    verdicts: dict[int, bool] = {}  # edge indices inside a side -> verdict
-
-    flags = bytearray(3 ** n)
-    for j, (plus, minus) in enumerate(sides):
-        if plus == 0 and minus == 0:
-            continue
-        in_plus = contained[plus]
-        in_minus = contained[minus]
-        if strong:
-            ok = not (in_plus and in_minus)
-        elif i == 1:
-            ok = not (in_plus or in_minus)
-        else:
-            inside_ids = in_plus | in_minus
-            ok = verdicts.get(inside_ids)
-            if ok is None:
-                inside = [masks[k] for k in bits_of(inside_ids)]
-                c = len(inside)
-                if i == 2:
-                    ok = all(a & b != 0 for a, b in combinations(inside, 2))
-                elif c <= i - 1:
-                    ok = True
-                else:
-                    adj = [0] * c
-                    for a in range(c):
-                        for b in range(a + 1, c):
-                            if inside[a] & inside[b] == 0:
-                                adj[a] |= 1 << b
-                                adj[b] |= 1 << a
-                    # lowest-id search, as in _disjointness_colorable
-                    ok = graph_color_decision(c, adj, i - 1) is not None
-                verdicts[inside_ids] = ok
-        if ok:
-            flags[j] = 1
+    if strong or i == 1:  # only which sides hold an edge counts, so edge 0 stands for any
+        holds = [c != 0 for c in contained]
+        verdict = [_side_condition(iter(masks[:p]), iter(masks[:q]), i, strong)
+                   for q in (0, 1) for p in (0, 1)]
+        flags = bytearray(verdict[holds[plus] + 2 * holds[minus]] for plus, minus in sides)
+    else:  # the side condition past level 1: the edges inside either side count, as one
+        verdict = cache(lambda inside: _disjointness_colorable(
+            [masks[k] for k in bits_of(inside)], i - 1))
+        flags = bytearray(verdict(contained[plus] | contained[minus]) for plus, minus in sides)
+    flags[(3 ** n - 1) // 2] = 0  # the zero vector, in the middle of the order
     return bytes(flags)
 
 
@@ -948,35 +954,32 @@ def altermatic_certificate(rep: Hypergraph, sigma: LinearOrdering, i: int = 1,
         for e, color in colored:
             entries[pos[e]] = 1 if color == "red" else -1
         witness = SignVector(entries)
-    value = (n + 1 - alt_value) if strong else (n - alt_value + i - 1)
+    value = _certified_bound(n, alt_value, i, strong)
     return AltermaticCertificate(rep, sigma, i, strong, alt_value, value, witness)
 
 
 def _witness_admissible(cert: AltermaticCertificate) -> bool:
-    masks = cert.representation.edge_masks
     if cert.witness is None:
         return cert.alt_value == 0
     if alt_of_vector(cert.witness.entries) != cert.alt_value:
         return False
+    masks = cert.representation.edge_masks
     plus, minus = (mask_of(side) for side in apply_ordering(cert.witness, cert.ordering))
-    in_plus = [em for em in masks if em & plus == em]
-    in_minus = [em for em in masks if em & minus == em]
-    if cert.strong:
-        return not (in_plus and in_minus)
-    return _disjointness_colorable(in_plus + in_minus, cert.i - 1)
+    return _side_condition(_inside(masks, plus), _inside(masks, minus), cert.i, cert.strong)
 
 
 def verify_certificate(cert: AltermaticCertificate) -> dict:
     """Re-check a serialized certificate without trusting the search.
 
-    Always validates the witness vector against the side condition and the
-    recorded alternation count. Up to BRUTE_CERTIFICATE_CAP vertices it
-    additionally re-derives the alternation maximum by scanning every sign
-    vector, which confirms the search really was exhaustive. That scan
-    keeps one admissibility flag per sign vector in the cache of
-    _admissible_vertex_vectors, 3^n bytes per representation, level and
-    form, and at most 128 such entries (under 8 MB at the cap). Raises
-    VerificationError on any mismatch; returns a summary of which checks ran.
+    Always validates the witness vector against the recorded alternation
+    count and _side_condition, the rule of the scan below. Up to
+    BRUTE_CERTIFICATE_CAP vertices it additionally re-derives the
+    alternation maximum by scanning every sign vector, which confirms the
+    search really was exhaustive. That scan keeps one admissibility flag per
+    sign vector in the cache of _admissible_vertex_vectors, 3^n bytes per
+    representation, level and form, and at most 128 such entries (under 8 MB
+    at the cap). Raises VerificationError on any mismatch; returns a summary
+    of which checks ran.
     """
     if not _witness_admissible(cert):
         raise VerificationError("certificate witness fails its side condition")
@@ -995,25 +998,22 @@ def verify_certificate(cert: AltermaticCertificate) -> dict:
 def verify_turan_report(host: Hypergraph, family: PatternFamily, report: TuranReport) -> dict:
     """Re-check a Turan report's witness, and its value where feasible.
 
-    Witness checks are unconditional: extremal edge sets must be occurrence
-    free and match the value; witness colorings must alternate, match the
-    value, and keep the right number of classes occurrence-free. For exact
-    plain-ex reports within BRUTE_TURAN_CAP edges the value is re-derived
-    by a full subset scan that shares nothing with the branch-and-bound.
+    Witness checks are unconditional: an extremal edge set must pass
+    check_vertex_set as an alpha witness of the occurrence hypergraph (a
+    report read from a document keeps repeated ids as written); a
+    witness coloring must alternate, match the value and meet _side_condition
+    (at level 1 for ex-alt, strong for ex-salt). Within BRUTE_TURAN_CAP edges
+    the value (of plain ex only when exact) is re-derived by a subset scan,
+    _largest_passing, that shares nothing with the searches.
     """
     m = host.n_edges
-    occ = occurrence_masks(host, family)
+    occ_graph = pattern_hypergraph(host, family)
+    occ = occ_graph.edge_masks
     summary = {"witness_checked": True, "value_rechecked": False}
     if report.quantity == "ex":
         if report.witness_edges is None:
             raise VerificationError("plain ex report lacks an edge-set witness")
-        if len(report.witness_edges) != report.value:
-            raise VerificationError("witness size differs from reported value")
-        if any(not 0 <= e < m for e in report.witness_edges):
-            raise VerificationError("a witness edge is out of range")
-        mask = mask_of(report.witness_edges)
-        if any(om & mask == om for om in occ):
-            raise VerificationError("witness edge set contains a pattern occurrence")
+        check_vertex_set(occ_graph, report.witness_edges, report.value, "ex")
         if report.mode == "exact" and m <= BRUTE_TURAN_CAP:
             if _brute_turan(m, occ) != report.value:
                 raise VerificationError("exhaustive subset scan disagrees with the report")
@@ -1026,14 +1026,11 @@ def verify_turan_report(host: Hypergraph, family: PatternFamily, report: TuranRe
         raise VerificationError("witness ordering does not cover the host edges")
     if len(coloring) != report.value:
         raise VerificationError("witness coloring length differs from reported value")
-    free = [all(om & mask != om for om in occ)
-            for mask in (mask_of(coloring.color_class(c)) for c in ("red", "blue"))]
-    if report.quantity == "ex-alt" and not all(free):
-        raise VerificationError("a color class contains a pattern occurrence")
-    if report.quantity == "ex-salt" and not any(free):
-        raise VerificationError("both color classes contain pattern occurrences")
+    strong = report.quantity == "ex-salt"
+    red, blue = (mask_of(coloring.color_class(c)) for c in ("red", "blue"))
+    if not _side_condition(_inside(occ, red), _inside(occ, blue), 1, strong):
+        raise VerificationError(f"the witness coloring fails the {report.quantity} side condition")
     if m <= BRUTE_TURAN_CAP:
-        strong = report.quantity == "ex-salt"
         best = _brute_alternating_value(coloring.ordering.sequence, occ, strong)
         if best != report.value:
             raise VerificationError(
@@ -1044,19 +1041,11 @@ def verify_turan_report(host: Hypergraph, family: PatternFamily, report: TuranRe
 
 
 def _brute_alternating_value(seq, occ_masks, strong: bool) -> int:
-    """Exhaustive subset scan for the alternating maximum at one ordering."""
-    m = len(seq)
-    for t in range(m, 0, -1):
-        for positions in combinations(range(m), t):
-            red = 0
-            blue = 0
-            for k, p in enumerate(positions):
-                if k % 2 == 0:
-                    red |= 1 << seq[p]
-                else:
-                    blue |= 1 << seq[p]
-            red_free = all(om & red != om for om in occ_masks)
-            blue_free = all(om & blue != om for om in occ_masks)
-            if (red_free and blue_free) or (strong and (red_free or blue_free)):
-                return t
-    return 0
+    """The alternating maximum at the ordering ``seq`` by _largest_passing:
+    the longest subsequence whose alternate places, red then blue, meet
+    _side_condition at level 1, or in the strong form."""
+    def passes(positions):
+        red, blue = (mask_of(seq[p] for p in positions[start::2]) for start in (0, 1))
+        return _side_condition(_inside(occ_masks, red), _inside(occ_masks, blue), 1, strong)
+
+    return _largest_passing(len(seq), passes)

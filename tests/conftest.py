@@ -1,12 +1,18 @@
 """Shared seeded generators and a search-node counter. No fixtures with
 state; tests build what they need."""
 
+import os
 import random
 import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from kneserturan import Hypergraph
+
+# the CLI probes run in child interpreters, which import the package from this tree too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 def random_hypergraph(rng: random.Random, max_vertices: int = 6, max_edges: int = 5,

@@ -232,6 +232,23 @@ def test_verify_rejects_tampered_chi_witness(capsys, tmp_path):
         assert reason in verdict["reason"], verdict["reason"]
 
 
+def test_verify_names_a_repeated_ex_edge_and_an_out_of_range_color(capsys, tmp_path):
+    # ex(K4, P2) is 2; the Petersen graph has chi 3, and relabelling its
+    # three colors -7, 11 and 12 keeps the coloring proper
+    ex = _run_json(capsys, "compute", "ex", "--host", "complete", "--n", "4",
+                   "--pattern", "path", "--len", "2")
+    ex["result"]["report"]["witness_edges"] = [2, 2, 3]
+    chi = _run_json(capsys, "compute", "chi", "--family", "kneser", "--n", "5", "--k", "2")
+    chi["result"]["assignment"] = [(-7, 11, 12)[c] for c in chi["result"]["assignment"]]
+    path = tmp_path / "run.json"
+    for doc, reason in ((ex, "witness member 2 repeats"),
+                        (chi, "out-of-range color -7, not in 0..2")):
+        path.write_text(canonical_dumps(doc))
+        code, out = _run(capsys, "verify", str(path))
+        assert code == 1, out
+        assert reason in json.loads(out)["reason"], out
+
+
 @pytest.mark.parametrize("kind", ("empty", "edgeless", "has-edges", "singleton-edge"))
 def test_verify_rejects_a_chi_witness_kind_that_does_not_fit(capsys, tmp_path, kind):
     # each of these kinds backs one value on one shape of target; the
@@ -303,6 +320,15 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
                 fixed["report"]["mode"] = "upper-bound"
                 code, verdict = verify({**doc, "result": fixed})
                 assert code == int(fixed[quantity] != result[quantity]), (quantity, verdict)
+        if quantity in ("ex", "alpha", "beta"):
+            # one entry written twice
+            twice = json.loads(json.dumps(doc))
+            entries = (twice["result"]["report"]["witness_edges"] if quantity == "ex"
+                       else twice["result"]["witness_vertices"])
+            if entries:
+                entries.append(data.draw(st.sampled_from(entries)))
+                code, verdict = verify(twice)
+                assert code == 1 and "repeat" in verdict["reason"], (quantity, verdict)
         if quantity == "certificate":
             # the value and its alternation count move together; the witness
             # (or its absence, which stands for alternation 0) no longer backs them
@@ -334,7 +360,7 @@ def test_compute_documents_verify_and_one_tampered_field_is_rejected(capsys, tmp
 # are adjacent, and so are 5 and 14
 @pytest.mark.parametrize("quantity, witness, code, reason", (
     ("alpha", "junk", 2, None),
-    ("alpha", [], 1, "witness has 0 vertices, alpha is 5"),
+    ("alpha", [], 1, "witness has 0 members, alpha is 5"),
     ("alpha", [0, 0, 0, 0, 0], 1, "repeat"),
     ("alpha", [100, 101, 102, 103, 104], 1, "out of range"),
     ("alpha", [0, 5, 6, 7, 9], 1, "contain a hyperedge"),

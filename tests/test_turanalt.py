@@ -36,7 +36,7 @@ from kneserturan import (
     verify_certificate,
     verify_turan_report,
 )
-from kneserturan.hyperstruct import bits_of, mask_of
+from kneserturan.hyperstruct import MAX_VERTICES, bits_of, mask_of
 from kneserturan import turanalt
 from kneserturan.turanalt import (
     _admissible_vertex_vectors,
@@ -204,6 +204,17 @@ def test_turan_coloring_is_proper_with_edges_minus_ex_colors(data):
     assert cert.num_colors == host.n_edges - report.value
     assert len(set(cert.assignment)) == cert.num_colors
     assert validate_hypergraph_coloring(kneser_of_family(host, fam).result, cert.assignment)
+
+
+def test_turan_coloring_of_more_occurrences_than_a_hypergraph_has_vertices():
+    # K22 holds 22 * C(21, 2) = 4,620 two-edge paths, past MAX_VERTICES; a
+    # perfect matching holds none, and each other edge gets its own color
+    host = build_named_family("complete", n=22)
+    ids = {e: j for j, e in enumerate(host.edges)}
+    matching = [ids[frozenset((2 * a, 2 * a + 1))] for a in range(11)]
+    cert = turan_coloring(host, _p2(), matching)
+    assert len(cert.assignment) == 4620 > MAX_VERTICES
+    assert cert.num_colors == host.n_edges - 11 == len(set(cert.assignment))
 
 
 # --- alternating variants at a fixed ordering ---
@@ -1005,6 +1016,19 @@ def test_admissible_vectors_match_inline_scan_on_dense_reps():
                 _admissible_inline(rep, level, False)
 
 
+def test_disjointness_colorable_with_no_color_builds_no_graph(monkeypatch):
+    # some mask and no color is refused at once, as the level-1 side
+    # condition asks it; no mask needs no color
+    def searched(*args):
+        raise AssertionError("the disjointness graph was built or searched")
+
+    monkeypatch.setattr(turanalt, "_disjointness_adjacency", searched)
+    monkeypatch.setattr(turanalt, "graph_color_decision", searched)
+    assert _disjointness_colorable([0b01, 0b10], 0) is False
+    assert _disjointness_colorable([0b01], 0) is False
+    assert _disjointness_colorable([], 0) is True
+
+
 def test_kneser_10_4_certificates_recheck_exhaustively():
     rep = build_named_kneser("kneser", n=10, k=4).instance.representation
     for i, strong in ((1, False), (2, False), (3, False), (1, True)):
@@ -1054,6 +1078,11 @@ def test_turan_report_tampering_is_caught():
     doc["witness_edges"] = [0, 1]  # edges 01 and 02 share vertex 0
     with pytest.raises(VerificationError):
         verify_turan_report(host, _p2(), type(report).from_json_dict(doc))
+
+    doc_twice = report.to_json_dict()  # the ids are read as written
+    doc_twice["witness_edges"] = doc_twice["witness_edges"][:1] * 2
+    with pytest.raises(VerificationError, match="repeats"):
+        verify_turan_report(host, _p2(), type(report).from_json_dict(doc_twice))
 
     doc2 = report.to_json_dict()
     doc2["value"] = 3
